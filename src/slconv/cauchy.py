@@ -7,15 +7,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from . import errors, kernel, spectral
+from . import errors, kernel, quadrature, spectral
 
 __all__ = ["Field2D", "TriangleGrid", "solve_spectral",
            "solve_characteristics", "degenerate_limit_study",
            "positivity_audit"]
-
-_GL_N, _GL_W = leggauss(12)
 
 
 @dataclass(frozen=True)
@@ -24,7 +21,7 @@ class Field2D:
     y_grid: np.ndarray
     values: np.ndarray            # values[i, j] = f(x_i, y_j)
     method: str                   # "spectral" or "characteristic"
-    initial_neumann: np.ndarray = None   # p(y) df/dy at the initial line
+    stop: spectral.SynthesisStop = None  # how a spectral synthesis ended
 
     def symmetry_gap(self, atol_grid=1e-12):
         """Max |f(x,y) - f(y,x)| over grid points common to both axes."""
@@ -60,93 +57,32 @@ class TriangleGrid:
 # spectral synthesis
 
 def solve_spectral(family, h, x_grid, y_grid, x_support=None, tol=1e-8,
-                   tau_max0=8.0, max_windows=28, nodes_per_unit=1.5):
+                   max_windows=28, nodes_per_unit=1.5):
     """f(x, y) = integral of w_lam(x) w_lam(y) (Fh)(lam) over the spectral
     measure, evaluated tensorized over x_grid x y_grid.  The lambda
-    quadrature grid is shared with the transform Fh."""
-    sm = family.spectral
-    if sm is None:
-        raise errors.SpectralMeasureUnavailable(
-            "family %r supplies no spectral measure" % (family.id,))
+    quadrature grid is shared with the transform Fh; the field's stop
+    says whether the synthesis reached tol or ended at the noise floor."""
     prob = family.problem
     ck = family.closed_kernel if family.prefer_closed_kernel else None
     x_grid = np.asarray(x_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
     x_max = max(float(np.max(x_grid)), float(np.max(y_grid)), 1.0)
-
-    def kernel_rows(lam, xs):
-        if ck is not None:
-            return np.real(np.asarray(ck(lam, xs)))
-        pos = xs > prob.a
-        out = np.ones_like(xs)
-        if np.any(pos):
-            out[pos] = kernel.eval_kernel_many(prob, lam, xs[pos])
-        return out
-
     same = (len(x_grid) == len(y_grid)
             and np.allclose(x_grid, y_grid, rtol=0.0, atol=0.0))
-    field = np.zeros((len(x_grid), len(y_grid)))
-    neumann = np.zeros(len(x_grid))
-    # spectral atoms first
-    for lam, m in sm.atoms:
-        fh = spectral.forward_transform(prob, h, lam, x_support=x_support,
-                                        closed_kernel=ck)
-        wx = kernel_rows(lam, x_grid)
-        wy = wx if same else kernel_rows(lam, y_grid)
-        field += m * fh * np.outer(wx, wy)
 
-    def window(t_lo, t_hi):
-        n_panels = max(4, int(math.ceil((t_hi - t_lo) * nodes_per_unit
-                                        * x_max)))
-        edges = np.linspace(t_lo, t_hi, n_panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halfs = 0.5 * (edges[1:] - edges[:-1])
-        tn = (mids[:, None] + halfs[:, None] * _GL_N).ravel()
-        tw = (halfs[:, None] * _GL_W).ravel()
-        lam_n = tn * tn + sm.lam_shift
-        dens = np.asarray(sm.tau_density(tn), dtype=float)
-        acc = np.zeros_like(field)
-        for t, wq, d, lam in zip(tn, tw, dens, lam_n):
-            fh = spectral.forward_transform(prob, h, lam,
-                                            x_support=x_support,
-                                            closed_kernel=ck)
-            coef = wq * d * fh
-            wx = kernel_rows(lam, x_grid)
-            wy = wx if same else kernel_rows(lam, y_grid)
-            acc += coef * np.outer(wx, wy)
-        # tail size measured by the window's actual field contribution:
-        # for growing spectral densities the kernel decay is what makes
-        # the integral converge, so a |w| <= 1 bound would never settle
-        return acc, float(np.max(np.abs(acc)))
+    def coef(lam):
+        return spectral.forward_transform(prob, h, lam, x_support=x_support,
+                                          closed_kernel=ck)
 
-    t_hi = tau_max0
-    acc, _ = window(0.0, t_hi)
-    field += acc
-    scale = max(float(np.max(np.abs(field))), 1e-12)
-    prev_budget = np.inf
-    width = 0.5 * tau_max0
-    for _ in range(max_windows):
-        acc, budget = window(t_hi, t_hi + width)
-        if budget < tol * scale:
-            field += acc
-            return Field2D(x_grid, y_grid, field, "spectral",
-                           initial_neumann=neumann)
-        if budget >= 0.9 * prev_budget:
-            # tail stopped decaying: quadrature noise floor (amplified by
-            # growing spectral densities); adding more windows only adds
-            # noise, so stop at the floor if it is already small
-            if budget <= 1e-4 * scale:
-                return Field2D(x_grid, y_grid, field, "spectral",
-                               initial_neumann=neumann)
-            raise errors.SlowDecay(
-                "spectral-synthesis tail stopped decaying while still "
-                "large (noise floor %.2e of field scale)" % (budget / scale))
-        field += acc
-        prev_budget = budget
-        t_hi += width
-        width *= 1.3
-        scale = max(scale, float(np.max(np.abs(field))))
-    raise errors.SlowDecay("spectral-synthesis tail did not settle")
+    def row(lam):
+        wx = kernel.kernel_row(prob, lam, x_grid, ck)
+        wy = wx if same else kernel.kernel_row(prob, lam, y_grid, ck)
+        return np.outer(wx, wy)
+
+    vals, stop = spectral.synthesize(family, coef, row, x_max, tol,
+                                     max_windows, nodes_per_unit)
+    values = np.broadcast_to(vals, (len(x_grid), len(y_grid))).copy()
+    return Field2D(x_grid, y_grid, values, "spectral", stop=stop)
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +92,13 @@ def _standard_coords(problem, x_lo, x_hi, n_fine=4000):
     """gamma(x) = int_{x_lo}^{x} sqrt(r/p), its inverse, and the drift
     g(xi) = d/dxi log sqrt(p r), tabulated on [x_lo, x_hi]."""
     xs = np.linspace(x_lo, x_hi, n_fine + 1)
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    halfs = 0.5 * (xs[1:] - xs[:-1])
-    nodes = mids[:, None] + halfs[:, None] * _GL_N
+    nodes, wts = quadrature.gl_panels(xs)
     with np.errstate(all="ignore"):
         integ = np.sqrt(problem.r_val(nodes) / problem.p_val(nodes))
     if not np.all(np.isfinite(integ)):
         raise errors.SingularCoefficient(
             "sqrt(r/p) not integrable on the marching window")
-    gamma = np.concatenate([[0.0],
-                            np.cumsum(halfs * (integ * _GL_W).sum(axis=1))])
+    gamma = np.concatenate([[0.0], np.cumsum((integ * wts).sum(axis=1))])
     dlp = problem.p.dlog()
     dlr = problem.r.dlog()
 

@@ -276,9 +276,6 @@ def _build_parser():
         p.add_argument("--beta", type=float)
         p.add_argument("--problem", help="problem JSON file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=0,
-                       help="worker count (0 = auto); reductions stay "
-                            "ordered so output is deterministic")
         if out:
             p.add_argument("--out", help="output path (default stdout)")
 

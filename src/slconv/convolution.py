@@ -6,14 +6,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from . import errors, families, kernel, measures
+from . import errors, families, kernel, measures, quadrature
 
 __all__ = ["ConvCfg", "ConvReport", "convolve_measures", "translate",
            "convolve_functions", "verify_product_formula", "young_check"]
-
-_GL12_N, _GL12_W = leggauss(12)
 
 
 @dataclass(frozen=True)
@@ -47,11 +44,8 @@ def _measure_point_masses(mu, seg_nodes):
             cd = np.interp(cg, g, d)
         else:
             cg, cd = g, d
-        mid = 0.5 * (cg[:-1] + cg[1:])
-        half = 0.5 * (cg[1:] - cg[:-1])
-        nodes = (mid[:, None] + half[:, None] * _GL12_N).ravel()
-        dens = np.interp(nodes, cg, cd)
-        w = (half[:, None] * _GL12_W).ravel() * dens
+        nodes, w = map(np.ravel, quadrature.gl_panels(cg))
+        w = w * np.interp(nodes, cg, cd)
         locs.extend(nodes.tolist())
         wts.extend(w.tolist())
     return np.asarray(locs), np.asarray(wts)
@@ -97,11 +91,8 @@ def convolve_functions(family, h, g, x_grid, y_support, n_panels=24):
     x_grid.  y_support bounds the effective support of g."""
     lo, hi = y_support
     prob = family.problem
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    ys = (mid[:, None] + half[:, None] * _GL12_N).ravel()
-    yw = (half[:, None] * _GL12_W).ravel()
+    ys, yw = map(np.ravel, quadrature.gl_panels(
+        np.linspace(lo, hi, n_panels + 1)))
     with np.errstate(all="ignore"):
         rv = np.asarray(prob.r_val(ys), dtype=float) * np.ones_like(ys)
     gv = np.asarray(g(ys), dtype=float) * np.ones_like(ys)
@@ -126,17 +117,10 @@ def verify_product_formula(family, x, y, lambda_grid, use_closed_kernel=False):
     mass = float(np.sum(wts)) + float(np.sum(atom_m))
     lhs = np.empty_like(lambda_grid)
     rhs = np.empty_like(lambda_grid)
-    prob = family.problem
+    ck = family.closed_kernel if use_closed_kernel else None
     all_pts = np.concatenate([[x], [y], nodes, atom_locs])
     for i, lam in enumerate(lambda_grid):
-        if use_closed_kernel:
-            wv = np.real(family.closed_kernel(float(lam), all_pts))
-        else:
-            pos = all_pts > prob.a
-            wv = np.ones_like(all_pts)
-            if np.any(pos):
-                wv[pos] = kernel.eval_kernel_many(prob, float(lam),
-                                                  all_pts[pos])
+        wv = kernel.kernel_row(family.problem, float(lam), all_pts, ck)
         lhs[i] = wv[0] * wv[1]
         rv = 0.0
         if len(nodes):
@@ -166,11 +150,8 @@ def young_check(family, h, g, p1, p2, support=(0.0, 6.0), n_panels=32):
     s = np.inf if inv_s <= 1e-12 else 1.0 / inv_s
     lo, hi = support
     prob = family.problem
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    xs = (mid[:, None] + half[:, None] * _GL12_N).ravel()
-    xw = (half[:, None] * _GL12_W).ravel()
+    xs, xw = map(np.ravel, quadrature.gl_panels(
+        np.linspace(lo, hi, n_panels + 1)))
     with np.errstate(all="ignore"):
         rv = np.asarray(prob.r_val(xs), dtype=float) * np.ones_like(xs)
     wts = xw * rv
@@ -180,11 +161,8 @@ def young_check(family, h, g, p1, p2, support=(0.0, 6.0), n_panels=32):
     norm_g = _norm(gv, wts, p2)
     # support of the convolution extends to at most lo' .. 2*hi for the
     # built-in families (support of nu_{x,y} within [|x-y|, x+y] or decaying)
-    cedges = np.linspace(lo, 2.0 * hi, n_panels + 1)
-    cmid = 0.5 * (cedges[:-1] + cedges[1:])
-    chalf = 0.5 * (cedges[1:] - cedges[:-1])
-    cxs = (cmid[:, None] + chalf[:, None] * _GL12_N).ravel()
-    cxw = (chalf[:, None] * _GL12_W).ravel()
+    cxs, cxw = map(np.ravel, quadrature.gl_panels(
+        np.linspace(lo, 2.0 * hi, n_panels + 1)))
     with np.errstate(all="ignore"):
         crv = np.asarray(prob.r_val(cxs), dtype=float) * np.ones_like(cxs)
     conv_vals = convolve_functions(family, h, g, cxs, support,

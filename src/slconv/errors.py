@@ -52,10 +52,6 @@ class NonMonotone(NumericError):
     """Numeric change of variables failed strict monotonicity."""
 
 
-class NoClosedForm(ValidationError):
-    pass
-
-
 class SpectralMeasureUnavailable(ValidationError):
     pass
 
@@ -103,10 +99,6 @@ class TruncationFailed(NumericError):
 
 
 class RangeNotValidated(ValidationError):
-    pass
-
-
-class Overflow(NumericError):
     pass
 
 

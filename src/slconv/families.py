@@ -17,8 +17,7 @@ from .slmodel import SLProblem
 from .spectral import SpectralMeasure
 
 __all__ = ["Family", "make_family", "load_family", "FAMILY_NAMES",
-           "family_kernel_closed_form", "family_convolution_measure",
-           "eval_special"]
+           "family_convolution_measure", "eval_special"]
 
 FAMILY_NAMES = ("cosine", "squared_weight", "hankel", "jacobi",
                 "whittaker", "degenerate_custom")
@@ -570,13 +569,6 @@ def load_family(d):
 
 # ---------------------------------------------------------------------------
 # module-level operations
-
-def family_kernel_closed_form(family, lam, x):
-    if family.closed_kernel is None:
-        raise errors.NoClosedForm("family %r has no closed-form kernel"
-                                  % (family.id,))
-    return family.closed_kernel(float(lam), x)
-
 
 def family_convolution_measure(family, x, y):
     if family.conv_sampled is None:

@@ -21,7 +21,6 @@ coefficient layers (r ~ exp(-1/x) type):
   r, accurate where |d2(log r)| / (d(log r))^2 is tiny.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -35,7 +34,7 @@ from .slmodel import SLProblem
 __all__ = [
     "KernelCfg", "KernelValue", "EtaTable", "MomentFns",
     "eval_kernel", "eval_kernel_many", "eval_kernel_many_full",
-    "eval_kernel_truncated",
+    "kernel_row", "eval_kernel_truncated",
     "eta_sequence", "moment_functions", "get_engine", "clear_engine_cache",
 ]
 
@@ -468,6 +467,18 @@ def eval_kernel_many(problem, lam, xs, cfg=KernelCfg()):
     xs = np.asarray(xs, dtype=float)
     eng = get_engine(problem, float(np.max(xs)), cfg)
     return eng.eval_many(float(lam), xs)[0]
+
+
+def kernel_row(problem, lam, xs, closed_kernel=None):
+    """w_lam over the array xs: the closed form when one is given,
+    otherwise the numeric kernel, with w = 1 at x <= a."""
+    if closed_kernel is not None:
+        return np.real(np.asarray(closed_kernel(lam, xs)))
+    pos = xs > problem.a
+    out = np.ones_like(xs)
+    if np.any(pos):
+        out[pos] = eval_kernel_many(problem, lam, xs[pos])
+    return out
 
 
 def eval_kernel_many_full(problem, lam, xs, cfg=KernelCfg()):

@@ -3,10 +3,9 @@ exponents, convolution semigroups and diffusion transition densities,
 random-walk / diffusion samplers, and strong-law experiments."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import convolution, errors, kernel, measures, spectral
 
@@ -15,8 +14,6 @@ __all__ = ["Exponent", "LevyTriple", "WalkPath", "compound_poisson",
            "diffusion_density", "sample_walk", "walk_ensemble",
            "sample_diffusion", "diffusion_ensemble",
            "gaussian_criterion_probe", "lln_experiment"]
-
-_GL_N, _GL_W = leggauss(12)
 
 
 @dataclass(frozen=True)
@@ -109,74 +106,18 @@ def levy_khintchine_exponent(family, triple, lam):
 
 
 # ---------------------------------------------------------------------------
-# spectral synthesis helper (vectorized over an x grid)
+# spectral synthesis over an x grid
 
-def _synthesize(family, phi, x_grid, tol=1e-9, tau_max0=8.0,
-                max_windows=28, nodes_per_unit=1.5):
-    """sum over the spectral measure of phi(lam) w_lam(x), evaluated on
-    x_grid, with adaptive tau windows and a noise-floor stop."""
-    sm = family.spectral
-    if sm is None:
-        raise errors.SpectralMeasureUnavailable(
-            "family %r supplies no spectral measure" % (family.id,))
+def _synthesize(family, phi, x_grid, tol):
+    """sum over the spectral measure of phi(lam) w_lam(x) on x_grid:
+    (values, SynthesisStop)."""
     prob = family.problem
     ck = family.closed_kernel if family.prefer_closed_kernel else None
     x_grid = np.asarray(x_grid, dtype=float)
     x_max = max(float(np.max(np.abs(x_grid))), 1.0)
-
-    def kernel_rows(lam):
-        if ck is not None:
-            return np.real(np.asarray(ck(lam, x_grid)))
-        pos = x_grid > prob.a
-        out = np.ones_like(x_grid)
-        if np.any(pos):
-            out[pos] = kernel.eval_kernel_many(prob, lam, x_grid[pos])
-        return out
-
-    vals = np.zeros_like(x_grid)
-    for lam, mass in sm.atoms:
-        vals += mass * float(np.real(phi(lam))) * kernel_rows(lam)
-
-    def window(t_lo, t_hi):
-        n_panels = max(4, int(math.ceil((t_hi - t_lo) * nodes_per_unit
-                                        * x_max)))
-        edges = np.linspace(t_lo, t_hi, n_panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halfs = 0.5 * (edges[1:] - edges[:-1])
-        tn = (mids[:, None] + halfs[:, None] * _GL_N).ravel()
-        tw = (halfs[:, None] * _GL_W).ravel()
-        dens = np.asarray(sm.tau_density(tn), dtype=float)
-        acc = np.zeros_like(x_grid)
-        for t, wq, d in zip(tn, tw, dens):
-            lam = t * t + sm.lam_shift
-            coef = wq * d * float(np.real(phi(lam)))
-            if coef == 0.0:
-                continue
-            acc += coef * kernel_rows(lam)
-        return acc, float(np.max(np.abs(acc)))
-
-    t_hi = tau_max0
-    acc, _ = window(0.0, t_hi)
-    vals += acc
-    scale = max(float(np.max(np.abs(vals))), 1e-12)
-    prev = np.inf
-    width = 0.5 * tau_max0
-    for _ in range(max_windows):
-        acc, budget = window(t_hi, t_hi + width)
-        if budget < tol * scale:
-            vals += acc
-            return vals
-        if budget >= 0.9 * prev:
-            if budget <= 1e-4 * scale:
-                return vals
-            raise errors.SlowDecay(
-                "synthesis tail stopped decaying while still large")
-        vals += acc
-        prev = budget
-        t_hi += width
-        width *= 1.3
-        scale = max(scale, float(np.max(np.abs(vals))))
-    raise errors.SlowDecay("synthesis tail did not settle")
+    return spectral.synthesize(
+        family, lambda lam: float(np.real(phi(lam))),
+        lambda lam: kernel.kernel_row(prob, lam, x_grid, ck), x_max, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +130,8 @@ def semigroup_measure(family, psi, t, x_grid, tol=1e-9):
         raise errors.ParamOutOfRange("time must be positive")
     psi_f = psi.psi if isinstance(psi, Exponent) else psi
     x_grid = np.asarray(x_grid, dtype=float)
-    dens = _synthesize(family, lambda lam: math.exp(-t * float(psi_f(lam))),
-                       x_grid, tol=tol)
+    dens, stop = _synthesize(
+        family, lambda lam: math.exp(-t * float(psi_f(lam))), x_grid, tol)
     prob = family.problem
     with np.errstate(all="ignore"):
         rv = np.asarray(prob.r_val(x_grid), dtype=float) * np.ones_like(
@@ -213,8 +154,9 @@ def semigroup_measure(family, psi, t, x_grid, tol=1e-9):
     return measures.MeasureRepr(
         segments=(measures.Segment(seg.l, seg.u, seg.grid,
                                    seg.density / mass),),
-        meta="semigroup t=%g clipped_mass=%.3e renorm=%.3e"
-             % (t, clipped, mass - 1.0))
+        meta="semigroup t=%g clipped_mass=%.3e renorm=%.3e stop=%s "
+             "tail=%.3e" % (t, clipped, mass - 1.0, stop.reason,
+                            stop.tail_ratio))
 
 
 def diffusion_density(family, t, x, y_grid, tol=1e-9):
@@ -223,20 +165,13 @@ def diffusion_density(family, t, x, y_grid, tol=1e-9):
     if t <= 0.0:
         raise errors.ParamOutOfRange("time must be positive")
     prob = family.problem
-    x = float(x)
+    xs = np.asarray([float(x)])
     ck = family.closed_kernel if family.prefer_closed_kernel else None
 
     def phi(lam):
-        if x == prob.a:
-            wx = 1.0
-        elif ck is not None:
-            wx = float(np.real(ck(lam, np.asarray(x))))
-        else:
-            wx = float(kernel.eval_kernel_many(prob, lam,
-                                               np.asarray([x]))[0])
-        return math.exp(-t * lam) * wx
+        return math.exp(-t * lam) * kernel.kernel_row(prob, lam, xs, ck)[0]
 
-    return _synthesize(family, phi, y_grid, tol=tol)
+    return _synthesize(family, phi, y_grid, tol)[0]
 
 
 def _transition_measure(family, t, x, y_grid, tol=1e-9):

@@ -13,10 +13,25 @@ from . import errors
 
 
 @lru_cache(maxsize=None)
+def _legendre(n):
+    return np.polynomial.legendre.leggauss(n)
+
+
+@lru_cache(maxsize=None)
 def gl_nodes(n):
     """Gauss-Legendre nodes/weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre(n)
     return (x + 1.0) / 2.0, w / 2.0
+
+
+def gl_panels(edges, n=12):
+    """n-point Gauss-Legendre rule on each panel [edges[k], edges[k+1]]:
+    (nodes, weights), both of shape (panels, n)."""
+    edges = np.asarray(edges, dtype=float)
+    x, w = _legendre(n)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return mid[:, None] + half[:, None] * x, half[:, None] * w
 
 
 def gl_integrate(f, a, b, n=32):

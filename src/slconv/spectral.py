@@ -1,19 +1,27 @@
 """Generalized integral transform against the eigenfunction kernel:
-forward transform of functions and finite measures, and inverse transform
-by quadrature against a family-supplied spectral measure."""
+forward transform of functions and finite measures, and spectral
+synthesis against a family-supplied spectral measure.
+
+`synthesize` is the single tau-window driver: every sum over the spectral
+measure (inverse transform, Cauchy field, semigroup and diffusion
+densities) goes through it.  Its contract: coef(lam) is a real scalar
+(e.g. phi(lam), or the transform (Fh)(lam)); row(lam) is the kernel
+product to be weighted by it (w_lam over a grid, or the outer product
+w_lam(x) w_lam(y)), an array of the same shape for every lam.  row is
+not evaluated at a quadrature node whose weighted coefficient is 0."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from . import errors, kernel
+from . import errors, kernel, quadrature
 
-__all__ = ["SpectralMeasure", "SpectralFn", "forward_transform",
-           "measure_transform", "inverse_transform"]
+__all__ = ["SpectralMeasure", "SynthesisStop", "forward_transform",
+           "measure_transform", "synthesize", "inverse_transform"]
 
-_GL_N, _GL_W = leggauss(12)
+TAU0 = 8.0           # the first tau window is [0, TAU0]
+NOISE_FLOOR = 1e-4   # a stalled tail this small (relative) ends synthesis
 
 
 @dataclass(frozen=True)
@@ -38,23 +46,13 @@ class SpectralMeasure:
 
 
 @dataclass(frozen=True)
-class SpectralFn:
-    eval: object               # callable lam -> value
-    grid: object = None        # optional cached (lam, value) samples
-
-    def __call__(self, lam):
-        return self.eval(lam)
-
-
-def _panel_nodes(lo, hi):
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid + half * _GL_N, half * _GL_W
-
-
-def _kernel_at(problem, lam, xs, closed_kernel=None):
-    if closed_kernel is not None:
-        return np.asarray(closed_kernel(lam, xs), dtype=float)
-    return kernel.eval_kernel_many(problem, lam, xs)
+class SynthesisStop:
+    """Why a synthesis ended: "tol" when the last tau window fell below
+    tol * scale, "noise_floor" when the tail stalled at or below
+    NOISE_FLOOR * scale (accuracy tol was then not reached).  tail_ratio
+    is the last window's max |contribution| over the scale."""
+    reason: str
+    tail_ratio: float
 
 
 def forward_transform(problem, h, lam, x_support=None, tol=1e-11,
@@ -68,7 +66,6 @@ def forward_transform(problem, h, lam, x_support=None, tol=1e-11,
 
     def window_value(lo, hi):
         # panel sizing: resolve oscillation and keep enough panels
-        pieces = []
         n_base = 24
         edges = [lo]
         x = lo
@@ -83,16 +80,8 @@ def forward_transform(problem, h, lam, x_support=None, tol=1e-11,
             dx = max(dx, 1e-6 * span)
             x = min(x + dx, hi)
             edges.append(x)
-        edges = np.asarray(edges)
-        nodes = []
-        wts = []
-        for k in range(len(edges) - 1):
-            n, w = _panel_nodes(edges[k], edges[k + 1])
-            nodes.append(n)
-            wts.append(w)
-        nodes = np.concatenate(nodes)
-        wts = np.concatenate(wts)
-        wvals = _kernel_at(problem, lam, nodes, closed_kernel)
+        nodes, wts = map(np.ravel, quadrature.gl_panels(edges))
+        wvals = kernel.kernel_row(problem, lam, nodes, closed_kernel)
         with np.errstate(all="ignore"):
             rv = problem.r_val(nodes) * np.ones_like(nodes)
             hv = np.asarray(h(nodes), dtype=float) * np.ones_like(nodes)
@@ -127,69 +116,102 @@ def forward_transform(problem, h, lam, x_support=None, tol=1e-11,
 
 def measure_transform(problem, mu, lam, closed_kernel=None):
     """Transform of a finite measure: sum of mass * w_lam(loc) over atoms
-    plus the integral of w_lam against each density segment (trapezoid on
-    the segment's own grid, matching the measure's mass convention)."""
+    plus the integral of w_lam against each density segment (3-point
+    Gauss-Legendre per cell of the segment's own grid, with the density
+    linear on each cell, matching the measure's mass convention)."""
     locs = [loc for loc, _ in mu.atoms]
     masses = np.asarray([m for _, m in mu.atoms])
     parts = []
     if locs:
-        wv = _kernel_at(problem, lam, np.asarray(locs, float), closed_kernel)
+        wv = kernel.kernel_row(problem, lam, np.asarray(locs, float),
+                               closed_kernel)
         parts.extend((masses * wv).tolist())
-    gl3_n, gl3_w = leggauss(3)
+    u, _ = quadrature.gl_nodes(3)
     for seg in mu.segments:
         g, d = seg.grid, seg.density
-        mid = 0.5 * (g[:-1] + g[1:])
-        half = 0.5 * (g[1:] - g[:-1])
-        nodes = (mid[:, None] + half[:, None] * gl3_n).ravel()
-        dens = (d[:-1][:, None]
-                + (d[1:] - d[:-1])[:, None] * 0.5 * (gl3_n + 1.0)).ravel()
-        wts = (half[:, None] * gl3_w).ravel()
-        wv = _kernel_at(problem, lam, nodes, closed_kernel)
-        parts.append(float(np.sum(wts * dens * wv)))
+        nodes, wts = quadrature.gl_panels(g, 3)
+        dens = d[:-1, None] + (d[1:] - d[:-1])[:, None] * u
+        wv = kernel.kernel_row(problem, lam, nodes.ravel(), closed_kernel)
+        parts.append(float(np.sum(wts.ravel() * dens.ravel() * wv)))
     return math.fsum(parts)
 
 
-def inverse_transform(family, phi, x, tol=1e-9, tau_max0=8.0,
-                      max_doublings=8, nodes_per_unit=4.0,
-                      use_closed_kernel=None):
-    """Inverse transform: integral of phi(lambda) w_lambda(x) against the
-    family's spectral measure, plus its atoms.  phi decay is probed by
-    doubling the tau window (SlowDecay if it never settles)."""
+def synthesize(family, coef, row, x_max, tol, max_windows=28,
+               nodes_per_unit=1.5):
+    """Sum of coef(lam) * row(lam) over the family's spectral measure:
+    the atoms, then tau windows [0, TAU0], then windows of width TAU0 / 2
+    growing by 1.3, each with 12-point Gauss-Legendre panels, at least
+    nodes_per_unit * x_max per unit of tau.  Stops when a window's
+    largest contribution falls below tol times the largest value so far,
+    or, once the tail stops decaying, at the noise floor (at or below
+    NOISE_FLOOR times that scale); SlowDecay otherwise.
+
+    Returns (values, SynthesisStop).  values has the shape of row(lam);
+    it is the scalar 0.0 if no row was ever needed."""
     sm = family.spectral
     if sm is None:
         raise errors.SpectralMeasureUnavailable(
             "family %r supplies no spectral measure" % (family.id,))
-    if use_closed_kernel is None:
-        use_closed_kernel = family.prefer_closed_kernel
-    ck = family.closed_kernel if use_closed_kernel else None
-    problem = family.problem
-    shift = sm.lam_shift
-    phi_f = phi if callable(phi) else phi.eval
+    vals = 0.0
+    for lam, mass in sm.atoms:
+        vals += mass * coef(lam) * row(lam)
 
     def window(t_lo, t_hi):
         n_panels = max(4, int(math.ceil((t_hi - t_lo) * nodes_per_unit
-                                        * max(1.0, abs(x)))))
-        edges = np.linspace(t_lo, t_hi, n_panels + 1)
-        total = []
-        for k in range(n_panels):
-            tn, tw = _panel_nodes(edges[k], edges[k + 1])
-            dens = np.asarray(sm.tau_density(tn), dtype=float)
-            lam_n = tn * tn + shift
-            for t, wq, d, lamv in zip(tn, tw, dens, lam_n):
-                wval = (float(np.real(ck(lamv, x))) if ck is not None
-                        else kernel.eval_kernel(problem, lamv, x).w)
-                total.append(wq * d * float(np.real(phi_f(lamv))) * wval)
-        return math.fsum(total)
+                                        * x_max)))
+        tn, tw = map(np.ravel, quadrature.gl_panels(
+            np.linspace(t_lo, t_hi, n_panels + 1)))
+        dens = np.asarray(sm.tau_density(tn), dtype=float)
+        acc = 0.0
+        for t, wq, d in zip(tn, tw, dens):
+            lam = t * t + sm.lam_shift
+            c = wq * d * coef(lam)
+            if c == 0.0:
+                continue
+            acc += c * row(lam)
+        # tail size measured by the window's actual contribution: for
+        # growing spectral densities the kernel decay is what makes the
+        # integral converge, so a |w| <= 1 bound would never settle
+        return acc, float(np.max(np.abs(acc)))
 
-    total = sum(m * float(np.real(phi_f(lamv))) for lamv, m in sm.atoms)
-    t_hi = tau_max0
-    total += window(0.0, t_hi)
-    scale = max(abs(total), 1e-12)
-    for _ in range(max_doublings):
-        tail = window(t_hi, 2.0 * t_hi)
-        total += tail
-        t_hi *= 2.0
-        scale = max(scale, abs(total))
-        if abs(tail) < tol * scale:
-            return total
-    raise errors.SlowDecay("spectral integrand tail did not settle")
+    t_hi = TAU0
+    acc, _ = window(0.0, t_hi)
+    vals += acc
+    scale = max(float(np.max(np.abs(vals))), 1e-12)
+    prev = np.inf
+    width = 0.5 * TAU0
+    for _ in range(max_windows):
+        acc, budget = window(t_hi, t_hi + width)
+        if budget < tol * scale:
+            return vals + acc, SynthesisStop("tol", budget / scale)
+        if budget >= 0.9 * prev:
+            # tail stopped decaying: quadrature noise floor (amplified by
+            # growing spectral densities); more windows only add noise
+            if budget <= NOISE_FLOOR * scale:
+                return vals, SynthesisStop("noise_floor", budget / scale)
+            raise errors.SlowDecay(
+                "spectral-synthesis tail stopped decaying while still "
+                "large (noise floor %.2e of scale)" % (budget / scale))
+        vals += acc
+        prev = budget
+        t_hi += width
+        width *= 1.3
+        scale = max(scale, float(np.max(np.abs(vals))))
+    raise errors.SlowDecay("spectral-synthesis tail did not settle")
+
+
+def inverse_transform(family, phi, x, tol=1e-9):
+    """Inverse transform: integral of phi(lambda) w_lambda(x) against the
+    family's spectral measure, plus its atoms (SlowDecay unless the tail
+    falls below tol)."""
+    ck = family.closed_kernel if family.prefer_closed_kernel else None
+    xs = np.asarray([float(x)])
+    val, stop = synthesize(
+        family, lambda lam: float(np.real(phi(lam))),
+        lambda lam: kernel.kernel_row(family.problem, lam, xs, ck)[0],
+        max(abs(float(x)), 1.0), tol)
+    if stop.reason != "tol":
+        raise errors.SlowDecay(
+            "spectral integrand tail stalled at %.2e of scale, above tol"
+            % stop.tail_ratio)
+    return float(val)

@@ -12,6 +12,18 @@ def test_gl_integrate_polynomial_exact():
     assert val == pytest.approx(64.0 / 6 - 16.0 / 3 + 2.0, rel=1e-14)
 
 
+def test_gl_panels_degree_23_exact_on_uneven_edges():
+    # 12 nodes per panel: exact through degree 23 on every panel
+    edges = [0.0, 0.3, 1.1, 1.2, 2.5]
+    nodes, wts = q.gl_panels(edges, n=12)
+    assert nodes.shape == wts.shape == (4, 12)
+    assert np.all((nodes > np.array(edges[:-1])[:, None])
+                  & (nodes < np.array(edges[1:])[:, None]))
+    val = float(np.sum(wts * (nodes ** 23 - 3.0 * nodes ** 7 + 1.0)))
+    want = 2.5 ** 24 / 24.0 - 3.0 * 2.5 ** 8 / 8.0 + 2.5
+    assert val == pytest.approx(want, rel=1e-13)
+
+
 def test_panel_integrate_matches_gl():
     f = np.exp
     whole = q.gl_integrate(f, 0.0, 3.0, n=32)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import smooth_bump
-from slconv import errors, families, measures, spectral
+from slconv import errors, families, kernel, measures, spectral
 
 
 def test_forward_transform_cosine_gaussian():
@@ -63,15 +63,46 @@ def test_measure_transform_at_zero_is_mass():
 
 
 def test_inverse_transform_round_trip_cosine():
-    # phi(lam) = exp(-t lam) inverts to the folded heat kernel
-    fam = families.make_family("cosine")
+    # phi(lam) = exp(-t lam) inverts to the heat kernel from x = a: the
+    # folded Gaussian for cosine, exp(-x^2/4t) / (8 t^2) for hankel
+    # alpha = 1 (0.78125 at x = 0, t = 0.4)
     t = 0.4
-    for x in (0.0, 0.7, 1.5):
-        got = spectral.inverse_transform(fam,
-                                         lambda lam: math.exp(-t * lam), x)
-        want = ((math.exp(-x * x / (4 * t)) + math.exp(-x * x / (4 * t)))
-                / math.sqrt(4 * math.pi * t))
-        assert got == pytest.approx(want, rel=1e-7, abs=1e-10)
+    cases = [(families.make_family("cosine"),
+              lambda x: 2.0 * math.exp(-x * x / (4 * t))
+              / math.sqrt(4 * math.pi * t)),
+             (families.make_family("hankel", {"alpha": 1.0}),
+              lambda x: math.exp(-x * x / (4 * t)) / (8 * t * t))]
+    for fam, heat in cases:
+        for x in (0.0, 0.7, 1.5):
+            got = spectral.inverse_transform(
+                fam, lambda lam: math.exp(-t * lam), x)
+            assert got == pytest.approx(heat(x), rel=1e-7, abs=1e-10)
+
+
+def test_synthesize_reports_stop_reason():
+    fam = families.make_family("cosine")
+    xs = np.array([0.0, 0.5])
+
+    def row(lam):
+        return kernel.kernel_row(fam.problem, lam, xs, fam.closed_kernel)
+
+    vals, stop = spectral.synthesize(
+        fam, lambda lam: math.exp(-lam), row, 1.0, 1e-9)
+    assert stop.reason == "tol"
+    assert stop.tail_ratio < 1e-9
+    # folded heat kernel at t = 1
+    want = np.exp(-xs ** 2 / 4.0) / math.sqrt(math.pi)
+    assert np.allclose(vals, want, rtol=1e-9)
+    # a constant 1e-9 floor: the tail stops decaying far above tol but
+    # below the noise floor, and the stop says so
+    vals, stop = spectral.synthesize(
+        fam, lambda lam: math.exp(-lam) + 1e-9, row, 1.0, 1e-9)
+    assert stop.reason == "noise_floor"
+    assert 1e-9 < stop.tail_ratio <= spectral.NOISE_FLOOR
+    assert np.allclose(vals, want, rtol=1e-6)
+    with pytest.raises(errors.SlowDecay):
+        spectral.inverse_transform(fam, lambda lam: math.exp(-lam) + 1e-9,
+                                   0.0)
 
 
 def test_spectral_measure_density_conversion():
