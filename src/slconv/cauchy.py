@@ -23,7 +23,7 @@ class Field2D:
     method: str                   # "spectral" or "characteristic"
     stop: spectral.SynthesisStop = None  # how a spectral synthesis ended
 
-    def symmetry_gap(self, atol_grid=1e-12):
+    def symmetry_gap(self):
         """Max |f(x,y) - f(y,x)| over grid points common to both axes."""
         xi = {round(float(v), 10): i for i, v in enumerate(self.x_grid)}
         worst = 0.0

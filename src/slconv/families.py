@@ -129,18 +129,6 @@ def _edge_sampled_substituted(l, u, edge_pow, smooth, to_xi, density_xi,
         segments=_cells_to_measure(to_xi(t_edges), masses, density_xi))
 
 
-def _edge_sampled(l, u, edge_pow, smooth, n_cells=400):
-    """Sampled measure for density smooth(xi)*[(xi-l)(u-xi)]^edge_pow on
-    [l, u]; cells graded by xi = l + (u-l) sin^2(theta/2) so the edge
-    singularities are resolved, with per-cell Gauss-Legendre masses."""
-    def density_at(xi):
-        xi = np.asarray(xi, dtype=float)
-        with np.errstate(all="ignore"):
-            return smooth(xi) * ((xi - l) * (u - xi)) ** edge_pow
-    return _edge_sampled_substituted(l, u, edge_pow, smooth,
-                                     lambda t: t, density_at, n_cells)
-
-
 # ---------------------------------------------------------------------------
 # family constructions
 
@@ -397,9 +385,10 @@ def _make_whittaker(params):
         x = np.atleast_1d(np.asarray(x, float))
         t2 = lam - shift
         mu = 1j * math.sqrt(t2) if t2 >= 0.0 else math.sqrt(-t2)
+        # w = 1 at x = a = 0, the limit of the formula
         out = np.array([x_ ** alpha * math.exp(0.5 / x_)
                         * specfun.whittaker_w(alpha, mu, 1.0 / x_)
-                        for x_ in x])
+                        if x_ > 0.0 else 1.0 for x_ in x])
         return out if out.size > 1 else float(out[0])
 
     # Plancherel density (validated by the transform round-trip test,
@@ -546,7 +535,10 @@ _BUILDERS = {
     "degenerate_custom": _make_degenerate_custom,
 }
 
-_FAMILY_CACHE = {}
+
+@functools.lru_cache(maxsize=64)
+def _build_family(name, params):
+    return _BUILDERS[name](dict(params))
 
 
 def make_family(name, params=None, **kw):
@@ -555,10 +547,7 @@ def make_family(name, params=None, **kw):
     if name not in _BUILDERS:
         raise errors.ParamOutOfRange("unknown family %r (known: %s)"
                                      % (name, ", ".join(FAMILY_NAMES)))
-    key = (name, tuple(sorted(params.items())))
-    if key not in _FAMILY_CACHE:
-        _FAMILY_CACHE[key] = _BUILDERS[name](params)
-    return _FAMILY_CACHE[key]
+    return _build_family(name, tuple(sorted(params.items())))
 
 
 def load_family(d):

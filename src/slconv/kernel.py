@@ -19,9 +19,17 @@ coefficient layers (r ~ exp(-1/x) type):
 * below the resolvable layer the F_j are evaluated by a Watson-type
   asymptotic expansion driven by the symbolic logarithmic derivatives of
   r, accurate where |d2(log r)| / (d(log r))^2 is tiny.
+
+Each problem has one engine (get_engine, an LRU cache keyed by the
+problem).  Its deep region (x_min, x_w] is decided once, by one vectorized
+probe of those ratios; its main panels start at x_w and grow forward, whole
+panels at a time, when a caller needs a larger x.  Panels already laid
+never change and every table is a left-to-right prefix sum, so w_lam(x)
+does not depend on the call history; the other points of a call reach it
+only through the ODE solver's steps, at the rounding of its dense output.
 """
 
-import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +40,7 @@ from . import errors
 from .slmodel import SLProblem
 
 __all__ = [
-    "KernelCfg", "KernelValue", "EtaTable", "MomentFns",
+    "KernelValue", "EtaTable", "MomentFns",
     "eval_kernel", "eval_kernel_many", "eval_kernel_many_full",
     "kernel_row", "eval_kernel_truncated",
     "eta_sequence", "moment_functions", "get_engine", "clear_engine_cache",
@@ -89,21 +97,23 @@ class CumField:
 
 
 # ---------------------------------------------------------------------------
+# one fixed setting for every problem
 
-@dataclass(frozen=True)
-class KernelCfg:
-    series_switch_bound: float = 10.0   # switch series -> ODE at |lam|*eta1
-    j_cap: int = 80                     # hard cap on series terms
-    term_tol: float = 1e-18             # series truncation threshold
-    ode_rtol: float = 1e-11
-    ode_atol: float = 1e-13
-    x_min_rel: float = 1e-13            # grid start offset relative to span
-    hmax_frac: float = 0.02             # max panel width / span
-    dphi_cap: float = 1.2               # max |d log coeff| variation / panel
-    step_frac: float = 0.2              # max panel width / distance to a
-    max_main_panels: int = 9000
-    deep_panels: int = 240              # asymptotic-region panels
-    watson_chi: float = 3e-4            # asymptotic validity threshold
+_SWITCH_BOUND = 10.0    # switch series -> ODE where |lam| * eta_1 exceeds it
+_J_CAP = 80             # hard cap on series terms
+_TERM_TOL = 1e-18       # series truncation threshold
+_ODE_RTOL = 1e-11
+_ODE_ATOL = 1e-13
+_X_MIN_REL = 1e-13      # grid start offset relative to the reference span
+_DPHI_CAP = 1.2         # max |d log coeff| variation per panel
+_STEP_FRAC = 0.2        # max panel width / distance to an endpoint
+_MAX_MAIN_PANELS = 9000
+_DEEP_PANELS = 240      # asymptotic-region panels
+_WATSON_CHI = 3e-4      # asymptotic validity threshold
+_PROBE_POINTS = 256     # geometric probe deciding the asymptotic region
+_ENGINE_CACHE_SIZE = 8  # engines kept, least recently used evicted first
+_KAPPA_PROBES = 60      # probe points of the A'/A limit toward b
+_KAPPA_TOL = 1e-4       # relative spread accepted as converged
 
 
 @dataclass(frozen=True)
@@ -135,29 +145,19 @@ class _Level:
 
 
 class KernelEngine:
-    """Shared eta/F tabulation for one problem on (a, x_max]."""
+    """Shared eta/F tabulation for one problem on (a, x_max], x_max being
+    the right end of a panel grid that cover() grows forward on demand."""
 
-    def __init__(self, problem, x_max, cfg=KernelCfg()):
+    def __init__(self, problem, x_need):
         self.problem = problem
-        self.cfg = cfg
-        self.x_max = float(x_max)
-        a = problem.a
-        if not self.x_max > a:
-            raise errors.ParamOutOfRange("x_max must exceed the left endpoint")
         self.phi_r = problem.r.log()
         self.phi_p = problem.p.log()
         self.dphi_r = problem.r.dlog()
         self.dphi_p = problem.p.dlog()
         self.d2phi_r = self.dphi_r.diff()
         self.d3phi_r = self.d2phi_r.diff()
-        self._build_grid()
-        n = len(self.widths)
-        self._phir_nodes = self._safe(self.phi_r, self.node_x)
-        self._phip_nodes = self._safe(self.phi_p, self.node_x)
-        nd = self.n_deep
-        self._refs = np.max(self._phir_nodes[nd:], axis=1)  # main panels only
-        self.levels = [None]        # levels[j] for j >= 1
-        self._ensure_levels(1)
+        self._build_deep()
+        self.cover(x_need)
 
     # -- helpers ----------------------------------------------------------
     @staticmethod
@@ -165,19 +165,9 @@ class KernelEngine:
         with np.errstate(all="ignore"):
             return np.asarray(fn(x, check=False), float) * np.ones_like(x)
 
-    def _watson_ok(self, x):
-        with np.errstate(all="ignore"):
-            s1 = float(self.dphi_r(x, check=False))
-            s2 = float(self.d2phi_r(x, check=False))
-            s3 = float(self.d3phi_r(x, check=False))
-        if not (np.isfinite(s1) and s1 > 0.0):
-            return False
-        return (abs(s2) <= self.cfg.watson_chi * s1 * s1
-                and abs(s3) <= self.cfg.watson_chi * s1 ** 3)
-
     def _watson_logF(self, x, eta, etap):
         """log F_j(x) = log int_a^x eta_{j-1} r by the asymptotic expansion
-        around the right limit (valid where _watson_ok holds)."""
+        around the right limit (valid on the deep region)."""
         x = np.asarray(x, float)
         s1 = self._safe(self.dphi_r, x)
         s2 = self._safe(self.d2phi_r, x)
@@ -187,68 +177,78 @@ class KernelEngine:
         return self._safe(self.phi_r, x) + np.log(val)
 
     # -- grid construction -------------------------------------------------
-    def _cons(self, x):
-        a = self.problem.a
+    def _build_deep(self):
+        """Decide the deep region (x_min, x_w] once: x_w ends the leading
+        run of a geometric probe where the Watson ratios hold and the layer
+        of r is steeper than the panel-width rule can follow.  Hyperbolic
+        coefficients pass the ratio test at large x only, so they get no
+        deep region."""
+        a, c = self.problem.a, self.problem.c
+        ref = c - a if c > a else 1.0
+        x_min = a + _X_MIN_REL * ref
+        probe = a + np.geomspace(x_min - a, ref, _PROBE_POINTS + 1)[1:]
+        s1 = self._safe(self.dphi_r, probe)
+        s2 = self._safe(self.d2phi_r, probe)
+        s3 = self._safe(self.d3phi_r, probe)
         with np.errstate(all="ignore"):
-            d1 = abs(float(self.dphi_r(x, check=False)))
-            d2 = abs(float(self.dphi_p(x, check=False)))
-        cap = self.cfg.dphi_cap
-        dx = min(self.cfg.hmax_frac * (self.x_max - a),
-                 self.cfg.step_frac * (x - a))
-        if np.isfinite(d1) and d1 > 0:
-            dx = min(dx, cap / d1)
-        if np.isfinite(d2) and d2 > 0:
-            dx = min(dx, cap / d2)
+            ok = ((s1 > 0.0) & np.isfinite(s1)
+                  & (np.abs(s2) <= _WATSON_CHI * s1 * s1)
+                  & (np.abs(s3) <= _WATSON_CHI * s1 ** 3)
+                  & (_DPHI_CAP / s1 < _STEP_FRAC * (probe - a)))
+        run = len(ok) if ok.all() else int(np.argmin(ok))
+        if run:
+            self.x_w = probe[run - 1]
+            self.n_deep = _DEEP_PANELS
+            self.bp = a + np.geomspace(x_min - a, self.x_w - a,
+                                       _DEEP_PANELS + 1)
+        else:
+            self.x_w = x_min
+            self.n_deep = 0
+            self.bp = np.array([x_min])
+
+    def _width(self, x):
+        """Main-panel width rule at x."""
+        a, b = self.problem.a, self.problem.b
+        dx = _STEP_FRAC * min(x - a, b - x)
+        with np.errstate(all="ignore"):
+            for dphi in (self.dphi_r, self.dphi_p):
+                d = abs(float(dphi(x, check=False)))
+                if np.isfinite(d) and d > 0:
+                    dx = min(dx, _DPHI_CAP / d)
         return dx
 
-    def _build_grid(self):
-        a = self.problem.a
-        cfg = self.cfg
-        span = self.x_max - a
-        x_min = a + cfg.x_min_rel * span
-        # backward greedy panel construction from x_max toward a; stop when
-        # the Watson asymptotics take over (steep layer) or x_min is reached
-        bp_rev = [self.x_max]
-        x = self.x_max
-        x_w = None
-        while x > x_min:
-            dx = self._cons(x)
-            dx = min(dx, self._cons(max(x - dx, x_min)))
+    def cover(self, x_need):
+        """Append whole main panels until the grid reaches x_need, then
+        rebuild the node tables; the series levels are rebuilt lazily."""
+        if not x_need < self.problem.b:
+            raise errors.ParamOutOfRange(
+                "x=%g is not below the right endpoint" % x_need)
+        x = float(self.bp[-1])
+        n_main = len(self.bp) - 1 - self.n_deep
+        edges = []
+        while x < x_need or n_main + len(edges) == 0:
+            dx = self._width(x)
+            dx = min(dx, self._width(x + dx))
             if not np.isfinite(dx) or dx <= 0:
                 raise errors.SingularCoefficient(
                     "cannot construct kernel grid near x=%g" % x)
-            nxt = max(x - dx, x_min)
-            if nxt > x_min and self._watson_ok(nxt) and dx < \
-                    cfg.step_frac * (nxt - a):
-                # commit to the asymptotic layer only if it covers the
-                # whole remaining range down to x_min (hyperbolic-type
-                # coefficients satisfy the ratio test at large x without
-                # having a steep layer near a)
-                probe = a + np.geomspace(x_min - a, nxt - a, 64)[:-1]
-                if all(self._watson_ok(px) for px in probe):
-                    x_w = nxt
-                    bp_rev.append(nxt)
-                    break
-            bp_rev.append(nxt)
-            x = nxt
-            if len(bp_rev) > cfg.max_main_panels:
+            x += dx
+            edges.append(x)
+            if n_main + len(edges) > _MAX_MAIN_PANELS:
                 raise errors.SingularCoefficient(
                     "kernel grid exceeded %d panels; coefficient layer too "
                     "steep and outside the asymptotic regime"
-                    % cfg.max_main_panels)
-        bp_main = np.array(bp_rev[::-1])
-        if x_w is not None:
-            bp_deep = a + np.geomspace(x_min - a, x_w - a, cfg.deep_panels + 1)
-            self.bp = np.concatenate([bp_deep[:-1], bp_main])
-            self.n_deep = cfg.deep_panels
-            self.x_w = x_w
-        else:
-            self.bp = bp_main
-            self.n_deep = 0
-            self.x_w = bp_main[0]
+                    % _MAX_MAIN_PANELS)
+        if not edges:
+            return
+        self.bp = np.concatenate([self.bp, edges])
         self.widths = np.diff(self.bp)
         self.node_x = self.bp[:-1, None] + self.widths[:, None] * _U[None, :]
-        self.n_main = len(self.widths) - self.n_deep
+        self._phir_nodes = self._safe(self.phi_r, self.node_x)
+        self._phip_nodes = self._safe(self.phi_p, self.node_x)
+        # main panels only
+        self._refs = np.max(self._phir_nodes[self.n_deep:], axis=1)
+        self.levels = [None]        # levels[j] for j >= 1
 
     # -- level construction -------------------------------------------------
     def _ensure_levels(self, j_need):
@@ -341,12 +341,12 @@ class KernelEngine:
         return out
 
     def switch_x(self, lam):
-        """Largest grid point where |lam| * eta_1 <= series_switch_bound."""
+        """Largest grid point where |lam| * eta_1 <= _SWITCH_BOUND."""
         self._ensure_levels(1)
         if lam == 0:
-            return self.x_max
+            return self.bp[-1]
         cb = self.levels[1].cf.cum_bounds
-        thr = self.cfg.series_switch_bound / abs(lam)
+        thr = _SWITCH_BOUND / abs(lam)
         idx = int(np.searchsorted(cb, thr, side="right")) - 1
         idx = max(idx, 1)
         return self.bp[min(idx, len(self.bp) - 1)]
@@ -365,17 +365,17 @@ class KernelEngine:
         j = 0
         while True:
             j += 1
-            if j > self.cfg.j_cap:
+            if j > _J_CAP:
                 raise errors.QuadratureBudgetExceeded(
                     "kernel series did not converge within %d terms"
-                    % self.cfg.j_cap)
+                    % _J_CAP)
             term = ((-lam) ** j) * self.eta_at(j, xs)
             f_term = ((-lam) ** j) * np.exp(self.F_log_at(j + 1, xs))
             w += term
             acc += np.abs(term)
             w1sum += f_term
             tail = np.abs(term)
-            if np.all(tail <= self.cfg.term_tol * np.maximum(acc, 1.0)) \
+            if np.all(tail <= _TERM_TOL * np.maximum(acc, 1.0)) \
                     and j >= 2:
                 break
         w1 = -lam * w1sum
@@ -383,7 +383,7 @@ class KernelEngine:
         return w, w1, err
 
     def eval_many(self, lam, xs):
-        """Kernel w, w1, err at points xs in (a, x_max]."""
+        """Kernel w, w1, err at points xs in (a, bp[-1]]."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if lam == 0.0:
             z = np.zeros_like(xs)
@@ -407,8 +407,8 @@ class KernelEngine:
                 return [y[1] / float(p(t)), -lam * float(r(t)) * y[0]]
 
             sol = solve_ivp(rhs, (xsw, float(t_eval[-1])), y0,
-                            t_eval=t_eval, rtol=self.cfg.ode_rtol,
-                            atol=self.cfg.ode_atol, method="RK45")
+                            t_eval=t_eval, rtol=_ODE_RTOL,
+                            atol=_ODE_ATOL, method="RK45")
             if not sol.success:
                 raise errors.StepSizeUnderflow(
                     "ODE continuation failed: %s" % sol.message)
@@ -425,30 +425,29 @@ class KernelEngine:
 # ---------------------------------------------------------------------------
 # engine cache and module-level operations
 
-_ENGINE_CACHE = {}
+_ENGINE_CACHE = OrderedDict()   # fingerprint -> engine, least recent first
 
 
 def clear_engine_cache():
     _ENGINE_CACHE.clear()
 
 
-def get_engine(problem, x_need, cfg=KernelCfg()):
-    a, b = problem.a, problem.b
-    if np.isinf(b):
-        x_max = a + 2.0 ** math.ceil(math.log2(max(x_need - a, 1.0) * 1.0001))
-    else:
-        x_max = min(b - (b - x_need) * 0.5 if x_need < b else b,
-                    x_need + (b - x_need) * 0.99) if x_need < b else b
-        x_max = max(x_max, x_need)
-    key = (problem.fingerprint(), float(x_max), cfg)
+def get_engine(problem, x_need):
+    """The problem's one engine, its grid grown to cover x_need."""
+    key = problem.fingerprint()
     eng = _ENGINE_CACHE.get(key)
     if eng is None:
-        eng = KernelEngine(problem, x_max, cfg)
+        eng = KernelEngine(problem, x_need)
         _ENGINE_CACHE[key] = eng
+        if len(_ENGINE_CACHE) > _ENGINE_CACHE_SIZE:
+            _ENGINE_CACHE.popitem(last=False)
+    else:
+        _ENGINE_CACHE.move_to_end(key)
+        eng.cover(x_need)
     return eng
 
 
-def eval_kernel(problem, lam, x, cfg=KernelCfg()):
+def eval_kernel(problem, lam, x):
     """w_lambda(x) with w(a) = 1, w^[1](a) = 0 (KernelValue)."""
     if lam < 0:
         raise errors.ParamOutOfRange("lambda must be >= 0")
@@ -457,21 +456,22 @@ def eval_kernel(problem, lam, x, cfg=KernelCfg()):
         return KernelValue(1.0, 0.0, 0.0)
     if not (problem.a < x < problem.b):
         raise errors.ParamOutOfRange("x=%g outside (a, b)" % x)
-    eng = get_engine(problem, x, cfg)
+    eng = get_engine(problem, x)
     w, w1, err = eng.eval_many(float(lam), np.asarray([x]))
     return KernelValue(float(w[0]), float(w1[0]), float(err[0]))
 
 
-def eval_kernel_many(problem, lam, xs, cfg=KernelCfg()):
+def eval_kernel_many(problem, lam, xs):
     """Vectorized kernel w values over an array of x (single lambda)."""
     xs = np.asarray(xs, dtype=float)
-    eng = get_engine(problem, float(np.max(xs)), cfg)
+    eng = get_engine(problem, float(np.max(xs)))
     return eng.eval_many(float(lam), xs)[0]
 
 
 def kernel_row(problem, lam, xs, closed_kernel=None):
-    """w_lam over the array xs: the closed form when one is given,
-    otherwise the numeric kernel, with w = 1 at x <= a."""
+    """w_lam over the array xs: the closed form when one is given (each
+    returns w = 1 at x = a itself), otherwise the numeric kernel, with
+    w = 1 at x <= a."""
     if closed_kernel is not None:
         return np.real(np.asarray(closed_kernel(lam, xs)))
     pos = xs > problem.a
@@ -481,14 +481,14 @@ def kernel_row(problem, lam, xs, closed_kernel=None):
     return out
 
 
-def eval_kernel_many_full(problem, lam, xs, cfg=KernelCfg()):
+def eval_kernel_many_full(problem, lam, xs):
     """Vectorized kernel evaluation returning (w, w1, err_est) arrays."""
     xs = np.asarray(xs, dtype=float)
-    eng = get_engine(problem, float(np.max(xs)), cfg)
+    eng = get_engine(problem, float(np.max(xs)))
     return eng.eval_many(float(lam), xs)
 
 
-def eval_kernel_truncated(problem, lam, x, a_m, cfg=KernelCfg()):
+def eval_kernel_truncated(problem, lam, x, a_m):
     """Kernel of the truncated problem on (a_m, b) with w(a_m) = 1,
     w^[1](a_m) = 0 (the a_m -> a limit recovers eval_kernel)."""
     if not (problem.a < a_m < x):
@@ -496,19 +496,19 @@ def eval_kernel_truncated(problem, lam, x, a_m, cfg=KernelCfg()):
     c_new = problem.c if problem.c > a_m else a_m
     sub = SLProblem(a=float(a_m), b=problem.b, p=problem.p, r=problem.r,
                     c=c_new, name=problem.name + "_trunc")
-    return eval_kernel(sub, lam, x, cfg)
+    return eval_kernel(sub, lam, x)
 
 
-def eta_sequence(problem, x_grid, j_max, cfg=KernelCfg()):
+def eta_sequence(problem, x_grid, j_max):
     x_grid = np.asarray(x_grid, dtype=float)
-    eng = get_engine(problem, float(np.max(x_grid)), cfg)
+    eng = get_engine(problem, float(np.max(x_grid)))
     rows = [np.ones_like(x_grid)]
     for j in range(1, j_max + 1):
         rows.append(eng.eta_at(j, x_grid))
     return EtaTable(x_grid=x_grid, values=np.vstack(rows))
 
 
-def moment_functions(problem, cfg=KernelCfg(), rel_tol=1e-4, max_probe=60):
+def moment_functions(problem):
     """kappa = lim A'(xi)/A(xi) at the right end plus the moment functions
     phi1 = kappa*eta1, phi2 = 2*(kappa*eta2 + eta1)."""
     a, b, c = problem.a, problem.b, problem.c
@@ -525,7 +525,7 @@ def moment_functions(problem, cfg=KernelCfg(), rel_tol=1e-4, max_probe=60):
     x0 = c if c > a else a + 1.0
     vals = []
     kappa = None
-    for k in range(max_probe):
+    for k in range(_KAPPA_PROBES):
         if np.isinf(b):
             xk = a + (x0 - a) * 2.0 ** k
         else:
@@ -537,7 +537,8 @@ def moment_functions(problem, cfg=KernelCfg(), rel_tol=1e-4, max_probe=60):
         if len(vals) >= 3:
             f1, f2, f3 = vals[-3], vals[-2], vals[-1]
             sc = max(abs(f3), 1.0)
-            if abs(f1 - f2) <= rel_tol * sc and abs(f2 - f3) <= rel_tol * sc:
+            if abs(f1 - f2) <= _KAPPA_TOL * sc \
+                    and abs(f2 - f3) <= _KAPPA_TOL * sc:
                 kappa = f3
                 d1, d2 = f2 - f1, f3 - f2
                 if abs(d1) > 0 and abs(d2) < abs(d1):
@@ -555,12 +556,12 @@ def moment_functions(problem, cfg=KernelCfg(), rel_tol=1e-4, max_probe=60):
         x = np.asarray(x, dtype=float)
         if kappa == 0.0:
             return np.zeros_like(x)
-        eng = get_engine(problem, float(np.max(x)), cfg)
+        eng = get_engine(problem, float(np.max(x)))
         return kappa * eng.eta_at(1, x)
 
     def phi2(x):
         x = np.asarray(x, dtype=float)
-        eng = get_engine(problem, float(np.max(x)), cfg)
+        eng = get_engine(problem, float(np.max(x)))
         e1 = eng.eta_at(1, x)
         e2 = eng.eta_at(2, x) if kappa != 0.0 else 0.0
         return 2.0 * (kappa * e2 + e1)

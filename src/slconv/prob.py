@@ -339,14 +339,13 @@ def lln_experiment(family, law, variant, cfg, rng):
     # it numerically anyway
     cdfp = measures.build_cdf(law, floor=family.problem.a)
     probe_x = measures.quantile(cdfp, np.linspace(0.001, 0.999, 64))
-    probe = np.asarray([mf.phi2(float(v)) for v in probe_x])
+    probe = mf.phi2(probe_x)
     if not np.all(np.isfinite(probe)):
         raise errors.MomentProbeFailed("phi_2 probe not finite on the law")
-    e_phi1 = float(np.mean([mf.phi1(float(v)) for v in probe_x]))
+    e_phi1 = float(np.mean(mf.phi1(probe_x)))
     s_term = walk_ensemble(family, law, n, n_paths, rng)
-    phi1_term = np.asarray([mf.phi1(float(v)) for v in s_term]) \
-        if abs(mf.kappa) > 0 else np.zeros_like(s_term)
-    phi2_term = np.asarray([mf.phi2(float(v)) for v in s_term])
+    phi1_term = mf.phi1(s_term)
+    phi2_term = mf.phi2(s_term)
     if variant in ("7.13.I", "I"):
         stat = (phi1_term - np.mean(phi1_term)) \
             / math.sqrt(float(n) ** cfg.get("rate_pow", 1.5))

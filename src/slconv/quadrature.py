@@ -87,18 +87,16 @@ def adaptive_quad(f, a, b, rtol=1e-11, atol=1e-13, max_splits=2000):
     return total
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Knobs for improper-integral evaluation and divergence detection."""
-    growth_factor: float = 1.5     # partial-value growth declaring divergence
-    growth_runs: int = 6           # consecutive growth shells required
-    flat_ratio: float = 0.75       # increments not decaying below this ratio
-    flat_runs: int = 6             # ... for this many shells => divergent
-    decay_runs: int = 6            # decaying increments accepted as convergent
-    rel_tol: float = 1e-9          # early stop when increment is negligible
-    max_shells: int = 48
-    shell_nodes: int = 32
-    first_offset: float = 0.5      # first cut-off distance fraction / unit
+# improper-integral shells and divergence detection
+_GROWTH_FACTOR = 1.5    # partial-value growth declaring divergence
+_GROWTH_RUNS = 6        # consecutive growth shells required
+_FLAT_RATIO = 0.75      # increments not decaying below this ratio
+_FLAT_RUNS = 6          # ... for this many shells => divergent
+_DECAY_RUNS = 6         # decaying increments accepted as convergent
+_REL_TOL = 1e-9         # early stop when increment is negligible
+_MAX_SHELLS = 48
+_SHELL_NODES = 32
+_FIRST_OFFSET = 0.5     # first cut-off distance fraction / unit
 
 
 @dataclass(frozen=True)
@@ -109,16 +107,16 @@ class ImproperResult:
     status: str           # 'converged' | 'divergent' | 'extrapolated'
 
 
-def _shell_edges(c, endpoint, k, cfg):
+def _shell_edges(c, endpoint, k):
     """Geometric cut-off sequence c_k approaching the endpoint."""
     if np.isinf(endpoint):
-        d = max(abs(c), 1.0) * cfg.first_offset
+        d = max(abs(c), 1.0) * _FIRST_OFFSET
         return c + d * 2.0 ** k
-    d0 = abs(endpoint - c) * cfg.first_offset
+    d0 = abs(endpoint - c) * _FIRST_OFFSET
     return endpoint + np.sign(c - endpoint) * d0 * 0.5 ** k
 
 
-def improper_quad(f, c, endpoint, cfg=QuadConfig()):
+def improper_quad(f, c, endpoint):
     """Integrate |∫_c^endpoint f| where the only trouble spot is `endpoint`
     (which may be ±inf).  f must be eventually nonnegative near the
     endpoint for the divergence logic to be meaningful.
@@ -130,11 +128,11 @@ def improper_quad(f, c, endpoint, cfg=QuadConfig()):
     partials = []
     prev_edge = c
     overflow_hit = False
-    for k in range(cfg.max_shells):
-        edge = _shell_edges(c, endpoint, k, cfg)
+    for k in range(_MAX_SHELLS):
+        edge = _shell_edges(c, endpoint, k)
         lo, hi = (prev_edge, edge) if edge > prev_edge else (edge, prev_edge)
         sign = 1.0 if edge > prev_edge else -1.0
-        u, w = gl_nodes(cfg.shell_nodes)
+        u, w = gl_nodes(_SHELL_NODES)
         xs = lo + (hi - lo) * u
         with np.errstate(all="ignore"):
             vals = np.asarray(f(xs), dtype=float)
@@ -145,11 +143,11 @@ def improper_quad(f, c, endpoint, cfg=QuadConfig()):
         increments.append(inc)
         partials.append((partials[-1] if partials else 0.0) + inc)
         prev_edge = edge
-        verdict = _classify_shells(increments, partials, cfg)
+        verdict = _classify_shells(increments, partials)
         if verdict is not None:
             return verdict
     # budget or overflow exhausted: decide from the trend so far
-    verdict = _classify_shells(increments, partials, cfg, final=True)
+    verdict = _classify_shells(increments, partials, final=True)
     if verdict is not None:
         return verdict
     if overflow_hit and increments:
@@ -161,36 +159,36 @@ def improper_quad(f, c, endpoint, cfg=QuadConfig()):
         % (endpoint, len(increments)))
 
 
-def _classify_shells(increments, partials, cfg, final=False):
+def _classify_shells(increments, partials, final=False):
     n = len(increments)
     if n < 2:
         return None
     total = partials[-1]
     scale = max(abs(total), 1e-300)
     # early convergence: negligible increment
-    if abs(increments[-1]) <= cfg.rel_tol * scale and \
-            abs(increments[-2]) <= 10 * cfg.rel_tol * scale:
+    if abs(increments[-1]) <= _REL_TOL * scale and \
+            abs(increments[-2]) <= 10 * _REL_TOL * scale:
         return ImproperResult(total, True, n, "converged")
     # divergence by partial-value growth
-    if n > cfg.growth_runs:
+    if n > _GROWTH_RUNS:
         grow = all(
-            abs(partials[i]) >= cfg.growth_factor * abs(partials[i - 1])
+            abs(partials[i]) >= _GROWTH_FACTOR * abs(partials[i - 1])
             and abs(partials[i - 1]) > 0
-            for i in range(n - cfg.growth_runs, n))
+            for i in range(n - _GROWTH_RUNS, n))
         if grow:
             return ImproperResult(np.inf, False, n, "divergent")
     ratios = [abs(increments[i]) / max(abs(increments[i - 1]), 1e-300)
               for i in range(1, n)]
     # divergence by non-decaying increments (catches log divergence)
-    if n - 1 >= cfg.flat_runs:
-        tail = ratios[-cfg.flat_runs:]
-        if all(rho >= cfg.flat_ratio for rho in tail) and \
-                abs(increments[-1]) > cfg.rel_tol * scale:
+    if n - 1 >= _FLAT_RUNS:
+        tail = ratios[-_FLAT_RUNS:]
+        if all(rho >= _FLAT_RATIO for rho in tail) and \
+                abs(increments[-1]) > _REL_TOL * scale:
             return ImproperResult(np.inf, False, n, "divergent")
     # geometric decay: extrapolate the tail once the pattern is stable
-    if final and n - 1 >= min(cfg.decay_runs, 3):
-        tail = ratios[-min(cfg.decay_runs, n - 1):]
-        if all(rho < cfg.flat_ratio for rho in tail):
+    if final and n - 1 >= min(_DECAY_RUNS, 3):
+        tail = ratios[-min(_DECAY_RUNS, n - 1):]
+        if all(rho < _FLAT_RATIO for rho in tail):
             rho = tail[-1]
             est = total + increments[-1] * rho / (1.0 - rho)
             return ImproperResult(est, True, n, "extrapolated")

@@ -9,21 +9,18 @@ point c.
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import errors
 from .expr import CoeffExpr
-from .quadrature import QuadConfig, gl_nodes, improper_quad, panel_integrate
+from .quadrature import gl_nodes, improper_quad, panel_integrate
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    n: int = 600
-    x_max: Optional[float] = None   # right edge of tabulation (default c + 20)
-    eps_rel: float = 1e-8           # relative offset from singular endpoints
+# standard-form tabulation: points, and relative offset from a singular end
+_STD_POINTS = 600
+_STD_EPS_REL = 1e-8
 
 
 def graded_grid(lo, hi, n, eps_rel=1e-8):
@@ -70,15 +67,6 @@ class SLProblem:
     def q_val(self, x):
         return 1.0 / self.p(x, check=False)
 
-    def pr_nondecreasing(self, grid=None):
-        """Sampled check of the Lemma-2.3 hypothesis that p*r is
-        nondecreasing (grants the kernel bound |w| <= 1)."""
-        if grid is None:
-            hi = self.c + 20.0 if np.isinf(self.b) else self.b
-            grid = graded_grid(self.a, hi, 400, 1e-6)
-        vals = self.p_val(grid) * self.r_val(grid)
-        return bool(np.all(np.diff(vals) >= -1e-12 * np.abs(vals[:-1])))
-
     def fingerprint(self):
         return (self.a, self.b, self.c, self.p.printed(), self.r.printed())
 
@@ -117,7 +105,7 @@ def _inner_mass(f, lo, hi, n_panels=24, n_gl=8):
     return panel_integrate(f, bp, n_gl)
 
 
-def classify_boundary(problem, endpoint, quad_cfg=QuadConfig()):
+def classify_boundary(problem, endpoint):
     """Feller classification of one endpoint via the iterated integrals
 
         I = int int (scale-to-endpoint) r dy,   J = the transposed one,
@@ -150,8 +138,8 @@ def classify_boundary(problem, endpoint, quad_cfg=QuadConfig()):
     else:
         raise errors.ParamOutOfRange("endpoint must be 'left' or 'right'")
 
-    res_I = improper_quad(gI, c, e, quad_cfg)
-    res_J = improper_quad(gJ, c, e, quad_cfg)
+    res_I = improper_quad(gI, c, e)
+    res_J = improper_quad(gJ, c, e)
     if res_I.finite and res_J.finite:
         kind = "regular"
     elif res_I.finite:
@@ -164,10 +152,10 @@ def classify_boundary(problem, endpoint, quad_cfg=QuadConfig()):
                          I_value=abs(res_I.value), J_value=abs(res_J.value))
 
 
-def validate_left_endpoint(problem, quad_cfg=QuadConfig()):
+def validate_left_endpoint(problem):
     """Reject problems whose left endpoint is exit or natural (the kernel
     construction requires a regular or entrance left endpoint)."""
-    bc = classify_boundary(problem, "left", quad_cfg)
+    bc = classify_boundary(problem, "left")
     if bc.kind not in ("regular", "entrance"):
         raise errors.ParamOutOfRange(
             "left endpoint is %s; the kernel requires regular or entrance"
@@ -207,12 +195,12 @@ class StandardForm:
         return self.aprime_over_a_at_x(self.inverse(xi))
 
 
-def to_standard_form(problem, grid_cfg=GridConfig()):
+def to_standard_form(problem):
+    """Tabulate gamma on _STD_POINTS points of (a, c + 20] (or (a, b),
+    offset _STD_EPS_REL of the span from a finite b)."""
     a, b, c = problem.a, problem.b, problem.c
-    x_max = grid_cfg.x_max
-    if x_max is None:
-        x_max = (c + 20.0) if np.isinf(b) else b - (b - a) * grid_cfg.eps_rel
-    n = grid_cfg.n
+    x_max = (c + 20.0) if np.isinf(b) else b - (b - a) * _STD_EPS_REL
+    n = _STD_POINTS
 
     log_r, log_p = problem.r.log(), problem.p.log()
 
@@ -222,7 +210,7 @@ def to_standard_form(problem, grid_cfg=GridConfig()):
         with np.errstate(all="ignore"):
             return np.exp(0.5 * (log_r(x, check=False) - log_p(x, check=False)))
 
-    left = graded_grid(a, c, n // 2, grid_cfg.eps_rel)
+    left = graded_grid(a, c, n // 2, _STD_EPS_REL)
     right = np.linspace(c, x_max, n - n // 2 + 1)[1:]
     grid = np.unique(np.concatenate([left, [c], right]))
     # cumulative gamma over the grid, 8-point GL per cell

@@ -1,14 +1,23 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run_cli(*args):
+    # the subprocess does not see pytest's pythonpath setting, so it gets
+    # the checkout's src on PYTHONPATH explicitly
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     res = subprocess.run([sys.executable, "-m", "slconv.cli", *args],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     return res.returncode, res.stdout, res.stderr
 
 

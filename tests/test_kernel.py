@@ -1,9 +1,21 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from slconv import errors, families, kernel
+from slconv import errors, families, kernel, slmodel
+from slconv.expr import CoeffExpr
+
+
+def _whittaker0():
+    return families.make_family("whittaker", {"alpha": 0.0}).problem
+
+
+def _unit_problem():
+    # p = r = 1 on a finite interval: w = cos(sqrt(lam) x)
+    return slmodel.SLProblem(a=0.0, b=3.14159, p=CoeffExpr("1"),
+                             r=CoeffExpr("1"), c=1.0)
 
 
 def test_cosine_kernel_closed_form():
@@ -90,3 +102,72 @@ def test_kernel_derivative_consistent_with_fd():
     fd = (w[2] - w[0]) / (2 * eps)
     # w1 is the p-weighted derivative p w'; here p = (1+x)^2
     assert w1[1] / prob.p_val(x) == pytest.approx(fd, rel=1e-6)
+
+
+def test_one_engine_per_problem():
+    whit, unit = _whittaker0(), _unit_problem()
+    kernel.clear_engine_cache()
+    assert kernel.get_engine(whit, 0.8) is kernel.get_engine(whit, 91.0)
+    assert kernel.get_engine(unit, 0.8) is kernel.get_engine(unit, 3.1)
+    with pytest.raises(errors.ValidationError):
+        kernel.get_engine(unit, 3.14159)
+    kernel.clear_engine_cache()
+    for x_top in np.linspace(0.5, 3.0, 20):
+        xs = np.linspace(0.1, x_top, 5)
+        np.testing.assert_allclose(kernel.kernel_row(unit, 2.0, xs),
+                                   np.cos(math.sqrt(2.0) * xs), atol=1e-10)
+    assert len(kernel._ENGINE_CACHE) == 1
+
+
+def test_grown_engine_matches_straight_build():
+    prob = _whittaker0()
+    xs = np.array([0.05, 0.3, 0.5, 0.8])
+    lams = (0.3, 5.0, 25.0)
+    kernel.clear_engine_cache()
+    grown = kernel.get_engine(prob, 0.8)
+    before = [grown.eval_many(lam, xs) for lam in lams]
+    kernel.get_engine(prob, 91.0)
+    after = [grown.eval_many(lam, xs) for lam in lams]
+    kernel.clear_engine_cache()
+    straight = kernel.get_engine(prob, 91.0)
+    assert straight is not grown
+    for b, a, lam in zip(before, after, lams):
+        s = straight.eval_many(lam, xs)
+        for k in (0, 1):        # w and w1
+            assert np.array_equal(b[k], a[k])
+            assert np.array_equal(a[k], s[k])
+
+
+def test_kernel_row_independent_of_other_points():
+    prob = _whittaker0()
+    xs = np.array([0.05, 0.3, 0.5, 0.8])
+    kernel.clear_engine_cache()
+    for lam in (5.0, 25.0):
+        alone = kernel.kernel_row(prob, lam, xs)
+        with_far = kernel.kernel_row(prob, lam, np.append(xs, 91.0))[:4]
+        np.testing.assert_allclose(alone, with_far, rtol=0, atol=1e-13)
+
+
+def test_whittaker_kernel_against_mpmath_with_far_point():
+    # w = e^{1/(2x)} W_{0, i tau}(1/x), lam = tau^2 + 1/4
+    prob = _whittaker0()
+    xs = np.array([1e-3, 0.05, 0.12, 0.5])
+    for lam in (5.0, 25.0):
+        got = kernel.kernel_row(prob, lam, np.append(xs, 91.0))[:4]
+        tau = mpmath.sqrt(mpmath.mpf(lam) - 0.25)
+        z = [1 / mpmath.mpf(x) for x in xs]
+        want = [float(mpmath.re(mpmath.exp(zk / 2)
+                                * mpmath.whitw(0, 1j * tau, zk)))
+                for zk in z]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+
+
+def test_engine_cache_is_bounded():
+    prob = families.make_family("hankel", {"alpha": 0.0}).problem
+    kernel.clear_engine_cache()
+    first = kernel.eval_kernel_truncated(prob, 1.0, 1.0, 0.5)
+    for m in range(2, 13):
+        kernel.eval_kernel_truncated(prob, 1.0, 1.0, 2.0 ** -m)
+    assert len(kernel._ENGINE_CACHE) <= 8
+    # the first cut's engine was evicted; a rebuild gives the same value
+    assert kernel.eval_kernel_truncated(prob, 1.0, 1.0, 0.5) == first

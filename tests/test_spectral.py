@@ -112,3 +112,14 @@ def test_spectral_measure_density_conversion():
     want = fam.spectral.tau_density(np.array([tau]))[0] / (2 * tau)
     got = fam.spectral.density(np.array([lam]))[0]
     assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_measure_transform_closed_kernel_atom_at_left_end():
+    # whittaker's closed form is singular at x = a; w = 1 there on both paths
+    fam = families.make_family("whittaker", {"alpha": 0.0})
+    mu = measures.MeasureRepr(atoms=((0.0, 0.3), (1.0, 0.7)))
+    closed = spectral.measure_transform(fam.problem, mu, 2.0,
+                                        fam.closed_kernel)
+    numeric = spectral.measure_transform(fam.problem, mu, 2.0)
+    assert np.isfinite(closed)
+    assert closed == pytest.approx(numeric, rel=0, abs=1e-8)
