@@ -67,19 +67,20 @@ def solve_spectral(family, h, x_grid, y_grid, x_support=None, tol=1e-8,
     x_grid = np.asarray(x_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
     x_max = max(float(np.max(x_grid)), float(np.max(y_grid)), 1.0)
-    same = (len(x_grid) == len(y_grid)
-            and np.allclose(x_grid, y_grid, rtol=0.0, atol=0.0))
+    nx, ny = len(x_grid), len(y_grid)
+    same = nx == ny and np.allclose(x_grid, y_grid, rtol=0.0, atol=0.0)
+    # one kernel table over both axes
+    pts = x_grid if same else np.concatenate([x_grid, y_grid])
 
-    def coef(lam):
-        return spectral.forward_transform(prob, h, lam, x_support=x_support,
+    def coef(lams):
+        return spectral.forward_transform(prob, h, lams, x_support=x_support,
                                           closed_kernel=ck)
 
-    def row(lam):
-        wx = kernel.kernel_row(prob, lam, x_grid, ck)
-        wy = wx if same else kernel.kernel_row(prob, lam, y_grid, ck)
-        return np.outer(wx, wy)
+    def rows(lams):
+        w = kernel.kernel_table(prob, lams, pts, ck)
+        return w[:, :nx, None] * w[:, -ny:][:, None, :]
 
-    vals, stop = spectral.synthesize(family, coef, row, x_max, tol,
+    vals, stop = spectral.synthesize(family, coef, rows, x_max, tol,
                                      max_windows, nodes_per_unit)
     values = np.broadcast_to(vals, (len(x_grid), len(y_grid))).copy()
     return Field2D(x_grid, y_grid, values, "spectral", stop=stop)

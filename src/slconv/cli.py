@@ -135,9 +135,8 @@ def _cmd_transform(args):
     ck = fam.closed_kernel if fam and fam.prefer_closed_kernel else None
     out = _Writer(args)
     out.row("lambda", "value")
-    for lam in lam_grid:
-        val = spectral.forward_transform(problem, h, float(lam),
-                                         closed_kernel=ck)
+    vals = spectral.forward_transform(problem, h, lam_grid, closed_kernel=ck)
+    for lam, val in zip(lam_grid, vals):
         out.row(lam, val)
     out.flush()
     return 0

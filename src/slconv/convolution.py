@@ -115,19 +115,12 @@ def verify_product_formula(family, x, y, lambda_grid, use_closed_kernel=False):
     atom_locs = np.asarray([loc for loc, _ in atoms])
     atom_m = np.asarray([m for _, m in atoms])
     mass = float(np.sum(wts)) + float(np.sum(atom_m))
-    lhs = np.empty_like(lambda_grid)
-    rhs = np.empty_like(lambda_grid)
     ck = family.closed_kernel if use_closed_kernel else None
-    all_pts = np.concatenate([[x], [y], nodes, atom_locs])
-    for i, lam in enumerate(lambda_grid):
-        wv = kernel.kernel_row(family.problem, float(lam), all_pts, ck)
-        lhs[i] = wv[0] * wv[1]
-        rv = 0.0
-        if len(nodes):
-            rv += float(np.sum(wts * wv[2:2 + len(nodes)]))
-        if len(atom_locs):
-            rv += float(np.sum(atom_m * wv[2 + len(nodes):]))
-        rhs[i] = rv
+    n = len(nodes)
+    wv = kernel.kernel_table(family.problem, lambda_grid,
+                             np.concatenate([[x], [y], nodes, atom_locs]), ck)
+    lhs = wv[:, 0] * wv[:, 1]
+    rhs = wv[:, 2:2 + n] @ wts + wv[:, 2 + n:] @ atom_m
     return ConvReport(lambda_grid=lambda_grid, lhs=lhs, rhs=rhs,
                       max_abs_err=float(np.max(np.abs(lhs - rhs))),
                       mass=mass)

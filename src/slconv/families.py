@@ -385,11 +385,11 @@ def _make_whittaker(params):
         x = np.atleast_1d(np.asarray(x, float))
         t2 = lam - shift
         mu = 1j * math.sqrt(t2) if t2 >= 0.0 else math.sqrt(-t2)
-        # w = 1 at x = a = 0, the limit of the formula
-        out = np.array([x_ ** alpha * math.exp(0.5 / x_)
-                        * specfun.whittaker_w(alpha, mu, 1.0 / x_)
-                        if x_ > 0.0 else 1.0 for x_ in x])
-        return out if out.size > 1 else float(out[0])
+        # w = 1 at x = a = 0, the limit of the formula; a 1-D array even
+        # for one point
+        return np.array([x_ ** alpha * math.exp(0.5 / x_)
+                         * specfun.whittaker_w(alpha, mu, 1.0 / x_)
+                         if x_ > 0.0 else 1.0 for x_ in x])
 
     # Plancherel density (validated by the transform round-trip test,
     # marked experimental); the alpha = 0 case reduces to the classical

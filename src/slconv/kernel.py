@@ -20,15 +20,26 @@ coefficient layers (r ~ exp(-1/x) type):
   asymptotic expansion driven by the symbolic logarithmic derivatives of
   r, accurate where |d2(log r)| / (d(log r))^2 is tiny.
 
+kernel_table(problem, lams, xs) and the engine routine behind it,
+KernelEngine.eval_table, are the one way to get kernel values; kernel_row,
+eval_kernel and the other entry points are their one-lam case.  A table
+evaluates all lam of a call
+together: the rows eta_j(xs) are computed once and each lam's series is
+a Vandermonde product with them, sum_j (-lam)^j eta_j, masked to its own
+x below the switch point; beyond it, one solve_ivp integrates the 2L
+components (w, w^[1]) of every lam at once.
+
 Each problem has one engine (get_engine, an LRU cache keyed by the
 problem).  Its deep region (x_min, x_w] is decided once, by one vectorized
 probe of those ratios; its main panels start at x_w and grow forward, whole
 panels at a time, when a caller needs a larger x.  Panels already laid
 never change and every table is a left-to-right prefix sum, so w_lam(x)
-does not depend on the call history; the other points of a call reach it
-only through the ODE solver's steps, at the rounding of its dense output.
+does not depend on the call history; the other points and lam of a call
+reach it only through the ODE solver's shared steps and the series' term
+count, at the level of the solver's tolerance.
 """
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -42,7 +53,7 @@ from .slmodel import SLProblem
 __all__ = [
     "KernelValue", "EtaTable", "MomentFns",
     "eval_kernel", "eval_kernel_many", "eval_kernel_many_full",
-    "kernel_row", "eval_kernel_truncated",
+    "kernel_table", "kernel_row", "eval_kernel_truncated",
     "eta_sequence", "moment_functions", "get_engine", "clear_engine_cache",
 ]
 
@@ -341,85 +352,122 @@ class KernelEngine:
         return out
 
     def switch_x(self, lam):
-        """Largest grid point where |lam| * eta_1 <= _SWITCH_BOUND."""
+        """Largest grid point where |lam| * eta_1 <= _SWITCH_BOUND (one per
+        lam when lam is an array)."""
         self._ensure_levels(1)
-        if lam == 0:
-            return self.bp[-1]
         cb = self.levels[1].cf.cum_bounds
-        thr = _SWITCH_BOUND / abs(lam)
-        idx = int(np.searchsorted(cb, thr, side="right")) - 1
-        idx = max(idx, 1)
-        return self.bp[min(idx, len(self.bp) - 1)]
+        with np.errstate(divide="ignore"):
+            thr = _SWITCH_BOUND / np.abs(np.asarray(lam, dtype=float))
+        idx = np.clip(np.searchsorted(cb, thr, side="right") - 1,
+                      1, len(self.bp) - 1)
+        out = self.bp[idx]
+        return out if out.ndim else float(out)
 
-    def series_eval(self, lam, xs):
-        """Alternating-series evaluation; valid where |lam|*eta1 is within
-        the switch bound.  Returns (w, w1, err)."""
+    def series_eval(self, lams, xs, with_w1=True):
+        """Alternating series for every lam at once: the rows eta_j(xs)
+        (and F_{j+1}(xs) when with_w1) are computed once, and each lam's
+        values are sum_j (-lam)^j eta_j, taken only at its own points
+        x <= switch_x(lam).  Terms are added until every lam has met
+        _TERM_TOL there.  Returns (w, w1, err), each (L, N); entries
+        beyond a lam's switch point are left at w = 1, w1 = 0, err = 0,
+        and w1 is None unless with_w1."""
+        lams = np.atleast_1d(np.asarray(lams, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        w = np.ones_like(xs)
-        acc = np.abs(w).copy()
+        held = xs[None, :] <= self.switch_x(lams)[:, None]
+        w = np.ones(held.shape)
+        acc = np.ones(held.shape)
         # w1 = -lam * sum_j (-lam)^j F_{j+1}
-        s1 = np.exp(self.F_log_at(1, xs))
-        w1sum = s1.copy()
-        term = np.ones_like(xs)
-        tail = np.zeros_like(xs)
+        w1sum = (np.where(held, np.exp(self.F_log_at(1, xs)), 0.0)
+                 if with_w1 else None)
         j = 0
-        while True:
-            j += 1
-            if j > _J_CAP:
-                raise errors.QuadratureBudgetExceeded(
-                    "kernel series did not converge within %d terms"
-                    % _J_CAP)
-            term = ((-lam) ** j) * self.eta_at(j, xs)
-            f_term = ((-lam) ** j) * np.exp(self.F_log_at(j + 1, xs))
-            w += term
-            acc += np.abs(term)
-            w1sum += f_term
-            tail = np.abs(term)
-            if np.all(tail <= _TERM_TOL * np.maximum(acc, 1.0)) \
-                    and j >= 2:
-                break
-        w1 = -lam * w1sum
-        err = tail + 1e-13 * acc + 5e-12
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                j += 1
+                if j > _J_CAP:
+                    raise errors.QuadratureBudgetExceeded(
+                        "kernel series did not converge within %d terms"
+                        % _J_CAP)
+                power = ((-lams) ** j)[:, None]
+                term = np.where(held, power * self.eta_at(j, xs), 0.0)
+                w += term
+                tail = np.abs(term)
+                acc += tail
+                if with_w1:
+                    w1sum += np.where(
+                        held, power * np.exp(self.F_log_at(j + 1, xs)), 0.0)
+                if j >= 2 and np.all(tail <= _TERM_TOL
+                                     * np.maximum(acc, 1.0)):
+                    break
+        w1 = -lams[:, None] * w1sum if with_w1 else None
+        err = np.where(held, tail + 1e-13 * acc + 5e-12, 0.0)
         return w, w1, err
 
-    def eval_many(self, lam, xs):
-        """Kernel w, w1, err at points xs in (a, bp[-1]]."""
+    def eval_table(self, lams, xs, with_w1=True):
+        """Kernel w, w1, err for every lam (rows) at points xs in
+        (a, bp[-1]] (columns): the series up to each lam's switch point,
+        then one ODE continuation of (w, w1) for all lam that need it,
+        started at the smallest of their switch points.  scipy's RK error
+        norm is the RMS over the 2L components; scaling the tolerances by
+        1/sqrt(L) bounds each component by sqrt(2) times them, as the
+        one-lam solve (2 components, unscaled) does.  w1 is None unless
+        with_w1."""
+        lams = np.atleast_1d(np.asarray(lams, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if lam == 0.0:
-            z = np.zeros_like(xs)
-            return np.ones_like(xs), z, z + 1e-15
-        xsw = self.switch_x(lam)
-        w = np.empty_like(xs)
-        w1 = np.empty_like(xs)
-        err = np.empty_like(xs)
-        m = xs <= xsw
-        if np.any(m):
-            w[m], w1[m], err[m] = self.series_eval(lam, xs[m])
-        if np.any(~m):
-            ws, w1s, es = self.series_eval(lam, np.asarray([xsw]))
-            y0 = [float(ws[0]), float(w1s[0])]
-            xb = xs[~m]
-            order = np.argsort(xb)
-            t_eval = xb[order]
+        w = np.ones((len(lams), len(xs)))
+        w1 = np.zeros_like(w) if with_w1 else None
+        err = np.full_like(w, 1e-15)
+        live = np.flatnonzero(lams != 0.0)     # w = 1 for lam = 0
+        if not len(live):
+            return w, w1, err
+        lv = lams[live]
+        sw = self.switch_x(lv)
+        cols = xs <= np.max(sw)
+        if np.any(cols):
+            ws, w1s, es = self.series_eval(lv, xs[cols], with_w1)
+            w[np.ix_(live, cols)] = ws
+            err[np.ix_(live, cols)] = es
+            if with_w1:
+                w1[np.ix_(live, cols)] = w1s
+        beyond = xs[None, :] > sw[:, None]
+        ode = np.flatnonzero(np.any(beyond, axis=1))
+        if len(ode):
+            lo = lv[ode]
+            k = len(lo)
+            x0 = float(np.min(sw[ode]))
+            ws, w1s, es = self.series_eval(lo, np.asarray([x0]))
+            on = np.flatnonzero(xs > x0)
+            t_eval, inv = np.unique(xs[on], return_inverse=True)
             p, r = self.problem.p_val, self.problem.r_val
+            neg = -lo
 
             def rhs(t, y):
-                return [y[1] / float(p(t)), -lam * float(r(t)) * y[0]]
+                dy = np.empty_like(y)
+                np.divide(y[k:], float(p(t)), out=dy[:k])
+                np.multiply(neg * float(r(t)), y[:k], out=dy[k:])
+                return dy
 
-            sol = solve_ivp(rhs, (xsw, float(t_eval[-1])), y0,
-                            t_eval=t_eval, rtol=_ODE_RTOL,
-                            atol=_ODE_ATOL, method="RK45")
+            scale = 1.0 / math.sqrt(k)
+            sol = solve_ivp(rhs, (x0, float(t_eval[-1])),
+                            np.concatenate([ws[:, 0], w1s[:, 0]]),
+                            t_eval=t_eval, rtol=_ODE_RTOL * scale,
+                            atol=_ODE_ATOL * scale, method="RK45")
             if not sol.success:
                 raise errors.StepSizeUnderflow(
                     "ODE continuation failed: %s" % sol.message)
-            wb = np.empty_like(xb)
-            w1b = np.empty_like(xb)
-            wb[order] = sol.y[0]
-            w1b[order] = sol.y[1]
-            w[~m] = wb
-            w1[~m] = w1b
-            err[~m] = float(es[0]) + 1e-10 * (1.0 + np.abs(xb - xsw))
+            # only a lam's own points beyond its switch take ODE values
+            take = beyond[np.ix_(ode, on)]
+            blk = np.ix_(live[ode], on)
+            w[blk] = np.where(take, sol.y[:k][:, inv], w[blk])
+            if with_w1:
+                w1[blk] = np.where(take, sol.y[k:][:, inv], w1[blk])
+            err[blk] = np.where(
+                take, es[:, :1] + 1e-10 * (1.0 + np.abs(xs[on] - x0)),
+                err[blk])
         return w, w1, err
+
+    def eval_many(self, lam, xs):
+        """eval_table for the one value lam: (w, w1, err) over xs."""
+        return tuple(v[0] for v in self.eval_table([lam], xs))
 
 
 # ---------------------------------------------------------------------------
@@ -461,24 +509,27 @@ def eval_kernel(problem, lam, x):
     return KernelValue(float(w[0]), float(w1[0]), float(err[0]))
 
 
-def eval_kernel_many(problem, lam, xs):
-    """Vectorized kernel w values over an array of x (single lambda)."""
+def kernel_table(problem, lams, xs, closed_kernel=None):
+    """w_lam(x) for every lam in lams (rows) and x in xs (columns), shape
+    (L, N): the closed form when one is given (each returns w = 1 at
+    x = a itself), otherwise one batched evaluation on the problem's
+    engine, with w = 1 at x <= a."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
     xs = np.asarray(xs, dtype=float)
-    eng = get_engine(problem, float(np.max(xs)))
-    return eng.eval_many(float(lam), xs)[0]
+    if closed_kernel is not None:
+        return np.array([np.real(np.asarray(closed_kernel(lam, xs)))
+                         for lam in lams.tolist()])
+    out = np.ones((len(lams),) + xs.shape)
+    pos = xs > problem.a
+    if np.any(pos):
+        eng = get_engine(problem, float(np.max(xs[pos])))
+        out[:, pos] = eng.eval_table(lams, xs[pos], with_w1=False)[0]
+    return out
 
 
 def kernel_row(problem, lam, xs, closed_kernel=None):
-    """w_lam over the array xs: the closed form when one is given (each
-    returns w = 1 at x = a itself), otherwise the numeric kernel, with
-    w = 1 at x <= a."""
-    if closed_kernel is not None:
-        return np.real(np.asarray(closed_kernel(lam, xs)))
-    pos = xs > problem.a
-    out = np.ones_like(xs)
-    if np.any(pos):
-        out[pos] = eval_kernel_many(problem, lam, xs[pos])
-    return out
+    """w_lam over the array xs: kernel_table for the one value lam."""
+    return kernel_table(problem, [lam], xs, closed_kernel)[0]
 
 
 def eval_kernel_many_full(problem, lam, xs):
@@ -486,6 +537,11 @@ def eval_kernel_many_full(problem, lam, xs):
     xs = np.asarray(xs, dtype=float)
     eng = get_engine(problem, float(np.max(xs)))
     return eng.eval_many(float(lam), xs)
+
+
+def eval_kernel_many(problem, lam, xs):
+    """Vectorized kernel w values over an array of x (single lambda)."""
+    return eval_kernel_many_full(problem, lam, xs)[0]
 
 
 def eval_kernel_truncated(problem, lam, x, a_m):

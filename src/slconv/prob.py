@@ -108,16 +108,20 @@ def levy_khintchine_exponent(family, triple, lam):
 # ---------------------------------------------------------------------------
 # spectral synthesis over an x grid
 
-def _synthesize(family, phi, x_grid, tol):
-    """sum over the spectral measure of phi(lam) w_lam(x) on x_grid:
-    (values, SynthesisStop)."""
+def _synthesize(family, coef, x_grid, tol):
+    """sum over the spectral measure of coef(lam) w_lam(x) on x_grid, coef
+    taking an array of lam: (values, SynthesisStop)."""
     prob = family.problem
     ck = family.closed_kernel if family.prefer_closed_kernel else None
     x_grid = np.asarray(x_grid, dtype=float)
     x_max = max(float(np.max(np.abs(x_grid))), 1.0)
     return spectral.synthesize(
-        family, lambda lam: float(np.real(phi(lam))),
-        lambda lam: kernel.kernel_row(prob, lam, x_grid, ck), x_max, tol)
+        family, coef, lambda lams: kernel.kernel_table(prob, lams, x_grid, ck),
+        x_max, tol)
+
+
+def _stop_meta(stop):
+    return "stop=%s tail=%.3e" % (stop.reason, stop.tail_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +129,15 @@ def _synthesize(family, phi, x_grid, tol):
 
 def semigroup_measure(family, psi, t, x_grid, tol=1e-9):
     """Measure mu_t with transform exp(-t psi(lam)): inverse transform on
-    x_grid (density stored w.r.t. dx, i.e. spectral density times r)."""
+    x_grid (density stored w.r.t. dx, i.e. spectral density times r).
+    psi takes one lambda value."""
     if t <= 0.0:
         raise errors.ParamOutOfRange("time must be positive")
     psi_f = psi.psi if isinstance(psi, Exponent) else psi
     x_grid = np.asarray(x_grid, dtype=float)
     dens, stop = _synthesize(
-        family, lambda lam: math.exp(-t * float(psi_f(lam))), x_grid, tol)
+        family, lambda lams: np.exp(-t * np.array(
+            [float(psi_f(lam)) for lam in lams.tolist()])), x_grid, tol)
     prob = family.problem
     with np.errstate(all="ignore"):
         rv = np.asarray(prob.r_val(x_grid), dtype=float) * np.ones_like(
@@ -154,28 +160,35 @@ def semigroup_measure(family, psi, t, x_grid, tol=1e-9):
     return measures.MeasureRepr(
         segments=(measures.Segment(seg.l, seg.u, seg.grid,
                                    seg.density / mass),),
-        meta="semigroup t=%g clipped_mass=%.3e renorm=%.3e stop=%s "
-             "tail=%.3e" % (t, clipped, mass - 1.0, stop.reason,
-                            stop.tail_ratio))
+        meta="semigroup t=%g clipped_mass=%.3e renorm=%.3e %s"
+             % (t, clipped, mass - 1.0, _stop_meta(stop)))
 
 
-def diffusion_density(family, t, x, y_grid, tol=1e-9):
-    """Fundamental solution p(t, x, y) = sum over the spectral measure of
-    exp(-t lam) w_lam(x) w_lam(y), sampled over y_grid (w.r.t. r dy)."""
+def _diffusion_synthesis(family, t, x, y_grid, tol):
+    """p(t, x, .) on y_grid w.r.t. r dy: (values, SynthesisStop)."""
     if t <= 0.0:
         raise errors.ParamOutOfRange("time must be positive")
     prob = family.problem
     xs = np.asarray([float(x)])
     ck = family.closed_kernel if family.prefer_closed_kernel else None
 
-    def phi(lam):
-        return math.exp(-t * lam) * kernel.kernel_row(prob, lam, xs, ck)[0]
+    def coef(lams):
+        return np.exp(-t * lams) * kernel.kernel_table(prob, lams, xs,
+                                                       ck)[:, 0]
 
-    return _synthesize(family, phi, y_grid, tol)[0]
+    return _synthesize(family, coef, y_grid, tol)
+
+
+def diffusion_density(family, t, x, y_grid, tol=1e-9):
+    """Fundamental solution p(t, x, y) = sum over the spectral measure of
+    exp(-t lam) w_lam(x) w_lam(y), sampled over y_grid (w.r.t. r dy)."""
+    return _diffusion_synthesis(family, t, x, y_grid, tol)[0]
 
 
 def _transition_measure(family, t, x, y_grid, tol=1e-9):
-    dens = diffusion_density(family, t, x, y_grid, tol=tol)
+    """The transition law from x over time t on y_grid; its meta records
+    how the synthesis stopped."""
+    dens, stop = _diffusion_synthesis(family, t, x, y_grid, tol)
     prob = family.problem
     y_grid = np.asarray(y_grid, dtype=float)
     with np.errstate(all="ignore"):
@@ -190,7 +203,8 @@ def _transition_measure(family, t, x, y_grid, tol=1e-9):
         raise errors.MassDeficit("transition density mass %.6f" % mass)
     return measures.MeasureRepr(
         segments=(measures.Segment(seg.l, seg.u, seg.grid,
-                                   seg.density / mass),))
+                                   seg.density / mass),),
+        meta="transition t=%g x=%g %s" % (t, x, _stop_meta(stop)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,16 @@ synthesis against a family-supplied spectral measure.
 
 `synthesize` is the single tau-window driver: every sum over the spectral
 measure (inverse transform, Cauchy field, semigroup and diffusion
-densities) goes through it.  Its contract: coef(lam) is a real scalar
-(e.g. phi(lam), or the transform (Fh)(lam)); row(lam) is the kernel
-product to be weighted by it (w_lam over a grid, or the outer product
-w_lam(x) w_lam(y)), an array of the same shape for every lam.  row is
-not evaluated at a quadrature node whose weighted coefficient is 0."""
+densities) goes through it.  It evaluates each window as a batch, in
+blocks of at most LAMBDA_BLOCK lam values: coef(lams) returns one real
+coefficient per lam, shape (L,) (e.g. phi(lam), or the transform
+(Fh)(lam)); rows(lams) returns the kernel products to be weighted by
+them, shape (L, *shape) (w_lam over a grid, or the outer product
+w_lam(x) w_lam(y)), usually one kernel.kernel_table call.  The block is
+summed with tensordot.  rows is not asked for a lam whose weighted
+coefficient is 0.  The block bound caps the memory of a window's table.
+`forward_transform` takes an array of lam the same way, on one shared x
+quadrature per window."""
 
 import math
 from dataclasses import dataclass
@@ -22,6 +27,7 @@ __all__ = ["SpectralMeasure", "SynthesisStop", "forward_transform",
 
 TAU0 = 8.0           # the first tau window is [0, TAU0]
 NOISE_FLOOR = 1e-4   # a stalled tail this small (relative) ends synthesis
+LAMBDA_BLOCK = 64    # most lam values synthesize passes to coef and rows
 
 
 @dataclass(frozen=True)
@@ -57,12 +63,15 @@ class SynthesisStop:
 
 def forward_transform(problem, h, lam, x_support=None, tol=1e-11,
                       max_doublings=24, closed_kernel=None):
-    """Integral of h(x) w_lam(x) r(x) dx over [a, b).  h is a callable;
-    the integration window grows until the tail contribution is below
-    tol (TailNotDecaying if it never is).  Oscillation-aware: panel
-    lengths resolve the local kernel wavelength pi / (tau sqrt(r/p))."""
+    """Integral of h(x) w_lam(x) r(x) dx over [a, b), for a scalar lam (a
+    float) or an array of them (an array).  h is a callable; the
+    integration window grows until the tail contribution of every lam is
+    below tol (TailNotDecaying if it never is).  All lam share one x
+    quadrature per window, its panel lengths resolving the local kernel
+    wavelength pi / (tau sqrt(r/p)) of the largest tau."""
     a, b = problem.a, problem.b
-    tau = math.sqrt(max(float(lam), 0.0))
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    tau = math.sqrt(float(np.max(lams, initial=0.0)))
 
     def window_value(lo, hi):
         # panel sizing: resolve oscillation and keep enough panels
@@ -81,34 +90,42 @@ def forward_transform(problem, h, lam, x_support=None, tol=1e-11,
             x = min(x + dx, hi)
             edges.append(x)
         nodes, wts = map(np.ravel, quadrature.gl_panels(edges))
-        wvals = kernel.kernel_row(problem, lam, nodes, closed_kernel)
         with np.errstate(all="ignore"):
             rv = problem.r_val(nodes) * np.ones_like(nodes)
             hv = np.asarray(h(nodes), dtype=float) * np.ones_like(nodes)
-            contrib = np.where(np.isfinite(rv), hv * wvals * rv, 0.0)
-        return math.fsum((contrib * wts).tolist())
+            # in place: a window's (L, N) table is the largest array here
+            contrib = kernel.kernel_table(problem, lams, nodes, closed_kernel)
+            contrib *= hv
+            contrib *= rv
+        contrib[:, ~np.isfinite(rv)] = 0.0
+        contrib *= wts
+        return np.array([math.fsum(c.tolist()) for c in contrib])
+
+    def result(total):
+        return float(total[0]) if np.ndim(lam) == 0 else total
 
     if x_support is not None:
         lo, hi = x_support
-        return window_value(max(lo, a), min(hi, b if np.isfinite(b) else hi))
+        return result(window_value(max(lo, a),
+                                   min(hi, b if np.isfinite(b) else hi)))
 
     hi = a + 1.0 if np.isinf(b) else b
     total = window_value(a, hi)
     if not np.isinf(b):
-        return total
-    scale = max(abs(total), 1e-12)
+        return result(total)
+    scale = np.maximum(np.abs(total), 1e-12)
     for _ in range(max_doublings):
         new_hi = a + 2.0 * (hi - a)
         tail = window_value(hi, new_hi)
         total += tail
         hi = new_hi
-        scale = max(scale, abs(total))
-        if abs(tail) < tol * scale:
+        scale = np.maximum(scale, np.abs(total))
+        if np.all(np.abs(tail) < tol * scale):
             # one confirming extra octave
             tail2 = window_value(hi, a + 2.0 * (hi - a))
             total += tail2
-            if abs(tail2) < tol * scale:
-                return total
+            if np.all(np.abs(tail2) < tol * scale):
+                return result(total)
             hi = a + 2.0 * (hi - a)
     raise errors.TailNotDecaying(
         "integrand tail did not fall below tolerance")
@@ -136,7 +153,7 @@ def measure_transform(problem, mu, lam, closed_kernel=None):
     return math.fsum(parts)
 
 
-def synthesize(family, coef, row, x_max, tol, max_windows=28,
+def synthesize(family, coef, rows, x_max, tol, max_windows=28,
                nodes_per_unit=1.5):
     """Sum of coef(lam) * row(lam) over the family's spectral measure:
     the atoms, then tau windows [0, TAU0], then windows of width TAU0 / 2
@@ -144,17 +161,29 @@ def synthesize(family, coef, row, x_max, tol, max_windows=28,
     nodes_per_unit * x_max per unit of tau.  Stops when a window's
     largest contribution falls below tol times the largest value so far,
     or, once the tail stops decaying, at the noise floor (at or below
-    NOISE_FLOOR times that scale); SlowDecay otherwise.
+    NOISE_FLOOR times that scale); SlowDecay otherwise.  coef and rows
+    take arrays of at most LAMBDA_BLOCK lam values (see the module
+    docstring).
 
-    Returns (values, SynthesisStop).  values has the shape of row(lam);
+    Returns (values, SynthesisStop).  values has the shape of one row;
     it is the scalar 0.0 if no row was ever needed."""
     sm = family.spectral
     if sm is None:
         raise errors.SpectralMeasureUnavailable(
             "family %r supplies no spectral measure" % (family.id,))
-    vals = 0.0
-    for lam, mass in sm.atoms:
-        vals += mass * coef(lam) * row(lam)
+
+    def weighted_sum(lams, wts):
+        acc = 0.0
+        for s in range(0, len(lams), LAMBDA_BLOCK):
+            lb = lams[s:s + LAMBDA_BLOCK]
+            c = wts[s:s + LAMBDA_BLOCK] * np.asarray(coef(lb), dtype=float)
+            nz = c != 0.0
+            if np.any(nz):
+                acc = acc + np.tensordot(c[nz], rows(lb[nz]), axes=1)
+        return acc
+
+    atoms = np.asarray(sm.atoms, dtype=float).reshape(-1, 2)
+    vals = weighted_sum(atoms[:, 0], atoms[:, 1])
 
     def window(t_lo, t_hi):
         n_panels = max(4, int(math.ceil((t_hi - t_lo) * nodes_per_unit
@@ -162,13 +191,7 @@ def synthesize(family, coef, row, x_max, tol, max_windows=28,
         tn, tw = map(np.ravel, quadrature.gl_panels(
             np.linspace(t_lo, t_hi, n_panels + 1)))
         dens = np.asarray(sm.tau_density(tn), dtype=float)
-        acc = 0.0
-        for t, wq, d in zip(tn, tw, dens):
-            lam = t * t + sm.lam_shift
-            c = wq * d * coef(lam)
-            if c == 0.0:
-                continue
-            acc += c * row(lam)
+        acc = weighted_sum(tn * tn + sm.lam_shift, tw * dens)
         # tail size measured by the window's actual contribution: for
         # growing spectral densities the kernel decay is what makes the
         # integral converge, so a |w| <= 1 bound would never settle
@@ -203,12 +226,13 @@ def synthesize(family, coef, row, x_max, tol, max_windows=28,
 def inverse_transform(family, phi, x, tol=1e-9):
     """Inverse transform: integral of phi(lambda) w_lambda(x) against the
     family's spectral measure, plus its atoms (SlowDecay unless the tail
-    falls below tol)."""
+    falls below tol).  phi takes one lambda value."""
     ck = family.closed_kernel if family.prefer_closed_kernel else None
     xs = np.asarray([float(x)])
     val, stop = synthesize(
-        family, lambda lam: float(np.real(phi(lam))),
-        lambda lam: kernel.kernel_row(family.problem, lam, xs, ck)[0],
+        family,
+        lambda lams: [float(np.real(phi(lam))) for lam in lams.tolist()],
+        lambda lams: kernel.kernel_table(family.problem, lams, xs, ck)[:, 0],
         max(abs(float(x)), 1.0), tol)
     if stop.reason != "tol":
         raise errors.SlowDecay(

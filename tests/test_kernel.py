@@ -171,3 +171,65 @@ def test_engine_cache_is_bounded():
     assert len(kernel._ENGINE_CACHE) <= 8
     # the first cut's engine was evicted; a rebuild gives the same value
     assert kernel.eval_kernel_truncated(prob, 1.0, 1.0, 0.5) == first
+
+
+def _whittaker0_mp(lam, x):
+    # w = e^{1/(2x)} W_{0, mu}(1/x), mu = sqrt(1/4 - lam)
+    t2 = lam - 0.25
+    mu = mpmath.mpc(0, mpmath.sqrt(t2)) if t2 >= 0 else mpmath.sqrt(-t2)
+    with mpmath.workdps(30):
+        z = 1 / mpmath.mpf(x)
+        return float(mpmath.re(mpmath.exp(z / 2) * mpmath.whitw(0, mu, z)))
+
+
+def test_kernel_table_whittaker_against_mpmath():
+    prob = _whittaker0()
+    lams = np.array([0.0, 0.3, 5.0, 25.0, 144.0])
+    xs = np.array([1e-3, 0.05, 0.5, 3.5, 91.0])
+    got = kernel.kernel_table(prob, lams, xs)
+    assert got.shape == (5, 5)
+    want = [[_whittaker0_mp(lam, x) for x in xs] for lam in lams]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+
+
+def test_kernel_table_rows_match_one_lambda():
+    prob = _whittaker0()
+    lams = np.linspace(0.3, 144.0, 48)
+    xs = np.array([1e-3, 0.05, 0.5, 0.8, 3.5])
+    table = kernel.kernel_table(prob, lams, xs)
+    alone = np.array([kernel.kernel_row(prob, lam, xs) for lam in lams])
+    np.testing.assert_allclose(table, alone, rtol=0, atol=1e-11)
+
+
+def test_kernel_table_ode_tolerance_covers_every_lambda():
+    # one RK solve for 48 lam: scipy's error norm is the RMS over its 96
+    # components, so tolerances not scaled to the batch let single
+    # components drift (6.8e-11 here, against 9e-12 with the scaling)
+    prob = families.make_family("cosine").problem
+    lams = np.linspace(0.5, 60.0, 48)
+    xs = np.linspace(0.1, 10.0, 40)
+    got = kernel.kernel_table(prob, lams, xs)
+    want = np.cos(np.sqrt(lams)[:, None] * xs)
+    np.testing.assert_allclose(got, want, rtol=0, atol=2e-11)
+
+
+def test_kernel_row_is_table_row():
+    prob = _whittaker0()
+    xs = np.array([0.0, 0.05, 0.5, 0.8, 91.0])
+    for lam in (0.0, 5.0, 25.0):
+        assert np.array_equal(kernel.kernel_row(prob, lam, xs),
+                              kernel.kernel_table(prob, [lam], xs)[0])
+    fam = families.make_family("hankel", {"alpha": 1.0})
+    assert np.array_equal(
+        kernel.kernel_row(fam.problem, 5.0, xs, fam.closed_kernel),
+        kernel.kernel_table(fam.problem, [5.0], xs, fam.closed_kernel)[0])
+
+
+def test_whittaker_closed_kernel_one_point_is_array():
+    fam = families.make_family("whittaker", {"alpha": 0.0})
+    row = kernel.kernel_row(fam.problem, 2.0, np.array([0.5]),
+                            fam.closed_kernel)
+    assert row.shape == (1,)
+    assert row[0] == pytest.approx(_whittaker0_mp(2.0, 0.5), abs=1e-9)
+    assert kernel.kernel_table(fam.problem, [1.0, 2.0], np.array([0.5]),
+                               fam.closed_kernel).shape == (2, 1)

@@ -103,6 +103,17 @@ def test_diffusion_density_folded_gaussian(cosine):
     np.testing.assert_allclose(p, want, atol=1e-10)
 
 
+def test_transition_measure_reports_stop(cosine):
+    yg = np.linspace(0.0, 8.0, 401)
+    mu = prob._transition_measure(cosine, 0.25, 0.8, yg)
+    assert "stop=tol" in mu.meta
+    tail = float(mu.meta.split("tail=")[1])
+    assert tail < 1e-9
+    assert measures.total_mass(mu) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(errors.ParamOutOfRange):
+        prob._transition_measure(cosine, 0.0, 0.8, yg)
+
+
 def test_walk_two_step_exact(cosine):
     rng = np.random.default_rng(3)
     term = prob.walk_ensemble(cosine, measures.dirac(1.0), 2, 4000, rng)

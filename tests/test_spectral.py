@@ -83,11 +83,11 @@ def test_synthesize_reports_stop_reason():
     fam = families.make_family("cosine")
     xs = np.array([0.0, 0.5])
 
-    def row(lam):
-        return kernel.kernel_row(fam.problem, lam, xs, fam.closed_kernel)
+    def rows(lams):
+        return kernel.kernel_table(fam.problem, lams, xs, fam.closed_kernel)
 
     vals, stop = spectral.synthesize(
-        fam, lambda lam: math.exp(-lam), row, 1.0, 1e-9)
+        fam, lambda lams: np.exp(-lams), rows, 1.0, 1e-9)
     assert stop.reason == "tol"
     assert stop.tail_ratio < 1e-9
     # folded heat kernel at t = 1
@@ -96,13 +96,51 @@ def test_synthesize_reports_stop_reason():
     # a constant 1e-9 floor: the tail stops decaying far above tol but
     # below the noise floor, and the stop says so
     vals, stop = spectral.synthesize(
-        fam, lambda lam: math.exp(-lam) + 1e-9, row, 1.0, 1e-9)
+        fam, lambda lams: np.exp(-lams) + 1e-9, rows, 1.0, 1e-9)
     assert stop.reason == "noise_floor"
     assert 1e-9 < stop.tail_ratio <= spectral.NOISE_FLOOR
     assert np.allclose(vals, want, rtol=1e-6)
     with pytest.raises(errors.SlowDecay):
         spectral.inverse_transform(fam, lambda lam: math.exp(-lam) + 1e-9,
                                    0.0)
+
+
+def test_synthesize_passes_bounded_blocks():
+    # x_max = 10 puts 1440 tau nodes in the first window alone
+    fam = families.make_family("cosine")
+    xs = np.array([0.0, 0.5, 3.0])
+    coef_sizes, row_sizes = [], []
+
+    def coef(lams):
+        coef_sizes.append(len(lams))
+        return np.exp(-lams)
+
+    def rows(lams):
+        row_sizes.append(len(lams))
+        return kernel.kernel_table(fam.problem, lams, xs, fam.closed_kernel)
+
+    vals, stop = spectral.synthesize(fam, coef, rows, 10.0, 1e-9)
+    assert max(coef_sizes) == max(row_sizes) == spectral.LAMBDA_BLOCK
+    assert sum(row_sizes) > 20 * spectral.LAMBDA_BLOCK
+    assert stop.reason == "tol"
+    want = np.exp(-xs ** 2 / 4.0) / math.sqrt(math.pi)
+    np.testing.assert_allclose(vals, want, rtol=1e-9)
+
+
+def test_forward_transform_lambda_array_matches_scalar():
+    prob = families.make_family("cosine").problem
+
+    def h(x):
+        return np.exp(-np.asarray(x, dtype=float) ** 2)
+
+    lams = np.array([0.0, 1.0, 4.0, 10.0])
+    got = spectral.forward_transform(prob, h, lams)
+    assert got.shape == (4,)
+    want = 0.5 * math.sqrt(math.pi) * np.exp(-lams / 4.0)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+    one = spectral.forward_transform(prob, h, 4.0)
+    assert isinstance(one, float)
+    assert one == pytest.approx(got[2], rel=1e-12)
 
 
 def test_spectral_measure_density_conversion():
