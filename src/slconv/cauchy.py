@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import errors, kernel, quadrature, spectral
+from . import errors, quadrature, spectral
 
 __all__ = ["Field2D", "TriangleGrid", "solve_spectral",
            "solve_characteristics", "degenerate_limit_study",
@@ -62,8 +62,6 @@ def solve_spectral(family, h, x_grid, y_grid, x_support=None, tol=1e-8,
     measure, evaluated tensorized over x_grid x y_grid.  The lambda
     quadrature grid is shared with the transform Fh; the field's stop
     says whether the synthesis reached tol or ended at the noise floor."""
-    prob = family.problem
-    ck = family.closed_kernel if family.prefer_closed_kernel else None
     x_grid = np.asarray(x_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
     x_max = max(float(np.max(x_grid)), float(np.max(y_grid)), 1.0)
@@ -73,11 +71,11 @@ def solve_spectral(family, h, x_grid, y_grid, x_support=None, tol=1e-8,
     pts = x_grid if same else np.concatenate([x_grid, y_grid])
 
     def coef(lams):
-        return spectral.forward_transform(prob, h, lams, x_support=x_support,
-                                          closed_kernel=ck)
+        return spectral.forward_transform(family, h, lams,
+                                          x_support=x_support)
 
     def rows(lams):
-        w = kernel.kernel_table(prob, lams, pts, ck)
+        w = family.kernel(lams, pts)
         return w[:, :nx, None] * w[:, -ny:][:, None, :]
 
     vals, stop = spectral.synthesize(family, coef, rows, x_max, tol,

@@ -66,21 +66,21 @@ def _step_law(text):
 
 
 def _resolve(args):
-    """Return (family_or_None, problem) from --family/--problem flags."""
+    """The Family named by the --family/--problem flags; a custom problem
+    file gives families.from_problem (numeric kernel, no spectral or
+    convolution measure)."""
     if getattr(args, "problem", None):
         d = slmodel.load_problem_dict(args.problem)
         if "family" in d:
-            fam = families.load_family(d)
-            return fam, fam.problem
-        return None, slmodel.custom_problem_from_dict(d)
+            return families.load_family(d)
+        return families.from_problem(slmodel.custom_problem_from_dict(d))
     if getattr(args, "family", None):
         params = {}
         if getattr(args, "alpha", None) is not None:
             params["alpha"] = args.alpha
         if getattr(args, "beta", None) is not None:
             params["beta"] = args.beta
-        fam = families.make_family(args.family, params)
-        return fam, fam.problem
+        return families.make_family(args.family, params)
     raise errors.ParamOutOfRange("need --family or --problem")
 
 
@@ -111,31 +111,26 @@ class _Writer:
 # subcommands
 
 def _cmd_kernel(args):
-    fam, problem = _resolve(args)
-    if args.lam < 0:
-        raise errors.ParamOutOfRange("lambda must be >= 0")
-    out = _Writer(args)
-    out.row("w", "w1", "err")
+    problem = _resolve(args).problem
     if args.truncate is not None:
         kv = kernel.eval_kernel_truncated(problem, args.lam, args.x,
                                           args.truncate)
-        out.row(kv.w, kv.w1, kv.err_est)
     else:
-        w, w1, err = kernel.eval_kernel_many_full(
-            problem, args.lam, np.asarray([args.x]))
-        out.row(w[0], w1[0], err[0])
+        kv = kernel.eval_kernel(problem, args.lam, args.x)
+    out = _Writer(args)
+    out.row("w", "w1", "err")
+    out.row(kv.w, kv.w1, kv.err_est)
     out.flush()
     return 0
 
 
 def _cmd_transform(args):
-    fam, problem = _resolve(args)
+    fam = _resolve(args)
     h = _expr_fn(args.h)
     lam_grid = _grid_spec(args.lambda_grid)
-    ck = fam.closed_kernel if fam and fam.prefer_closed_kernel else None
     out = _Writer(args)
     out.row("lambda", "value")
-    vals = spectral.forward_transform(problem, h, lam_grid, closed_kernel=ck)
+    vals = spectral.forward_transform(fam, h, lam_grid)
     for lam, val in zip(lam_grid, vals):
         out.row(lam, val)
     out.flush()
@@ -143,7 +138,7 @@ def _cmd_transform(args):
 
 
 def _cmd_convolve(args):
-    fam, _ = _resolve(args)
+    fam = _resolve(args)
     nu = families.family_convolution_measure(fam, args.x, args.y)
     body = measures.measure_to_json(nu)
     if args.out:
@@ -155,7 +150,7 @@ def _cmd_convolve(args):
 
 
 def _cmd_product_check(args):
-    fam, _ = _resolve(args)
+    fam = _resolve(args)
     lam_grid = _grid_spec(args.lambda_grid)
     rep = convolution.verify_product_formula(fam, args.x, args.y, lam_grid)
     out = _Writer(args)
@@ -169,7 +164,7 @@ def _cmd_product_check(args):
 
 
 def _cmd_cauchy(args):
-    fam, _ = _resolve(args)
+    fam = _resolve(args)
     h = _expr_fn(args.h)
     grid = _grid_spec(args.grid)
     if args.method == "spectral":
@@ -190,7 +185,7 @@ def _cmd_cauchy(args):
 
 
 def _cmd_semigroup(args):
-    fam, _ = _resolve(args)
+    fam = _resolve(args)
     psi = _expr_fn(args.psi, var="lambda")
     x_grid = _grid_spec(args.x_grid)
     mu = prob.semigroup_measure(fam, lambda lam: float(psi(lam)),
@@ -205,7 +200,7 @@ def _cmd_semigroup(args):
 
 
 def _cmd_walk(args):
-    fam, _ = _resolve(args)
+    fam = _resolve(args)
     law = _step_law(args.step)
     rng = np.random.default_rng(args.seed)
     term = prob.walk_ensemble(fam, law, args.n, args.paths, rng)
@@ -219,7 +214,7 @@ def _cmd_walk(args):
 
 
 def _cmd_classify(args):
-    _, problem = _resolve(args)
+    problem = _resolve(args).problem
     left = slmodel.classify_boundary(problem, "left")
     right = slmodel.classify_boundary(problem, "right")
     sys.stdout.write("left=%s right=%s\n" % (left.kind, right.kind))
@@ -227,7 +222,7 @@ def _cmd_classify(args):
 
 
 def _cmd_validate_family(args):
-    fam, _ = _resolve(args)
+    fam = _resolve(args)
     rng = np.random.default_rng(args.seed)
     lam_grid = np.linspace(0.0, 25.0, 26)
     lo = fam.problem.a

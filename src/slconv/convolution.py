@@ -3,11 +3,11 @@ translation, product-formula verification, and the Young inequality
 check."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import errors, families, kernel, measures, quadrature
+from . import errors, families, measures, quadrature
 
 __all__ = ["ConvCfg", "ConvReport", "convolve_measures", "translate",
            "convolve_functions", "verify_product_formula", "young_check"]
@@ -108,17 +108,18 @@ def convolve_functions(family, h, g, x_grid, y_support, n_panels=24):
 
 def verify_product_formula(family, x, y, lambda_grid, use_closed_kernel=False):
     """ConvReport comparing w_lam(x) w_lam(y) with the transform of the
-    two-point convolution measure over lambda_grid."""
+    two-point convolution measure over lambda_grid, on the family's closed
+    kernel if use_closed_kernel (and it has one), on the numeric kernel
+    otherwise, whichever the family prefers."""
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     nodes, wts, atoms = families.family_convolution_quadrature(
         family, float(x), float(y))
     atom_locs = np.asarray([loc for loc, _ in atoms])
     atom_m = np.asarray([m for _, m in atoms])
     mass = float(np.sum(wts)) + float(np.sum(atom_m))
-    ck = family.closed_kernel if use_closed_kernel else None
     n = len(nodes)
-    wv = kernel.kernel_table(family.problem, lambda_grid,
-                             np.concatenate([[x], [y], nodes, atom_locs]), ck)
+    wv = replace(family, prefer_closed_kernel=use_closed_kernel).kernel(
+        lambda_grid, np.concatenate([[x], [y], nodes, atom_locs]))
     lhs = wv[:, 0] * wv[:, 1]
     rhs = wv[:, 2:2 + n] @ wts + wv[:, 2 + n:] @ atom_m
     return ConvReport(lambda_grid=lambda_grid, lhs=lhs, rhs=rhs,

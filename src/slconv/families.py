@@ -1,7 +1,8 @@
 """Built-in coefficient families on (0, inf): closed-form kernels,
 Plancherel (spectral) densities, and the associated convolution measures
 (two-atom, atom+density, and pure-density forms, including the
-full-support case with superexponentially decaying density)."""
+full-support case with superexponentially decaying density).
+from_problem makes a custom problem a Family too."""
 
 import functools
 import math
@@ -11,13 +12,13 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import loggamma, roots_jacobi
 
-from . import errors, measures, specfun
+from . import errors, kernel, measures, specfun
 from .expr import CoeffExpr
 from .slmodel import SLProblem
 from .spectral import SpectralMeasure
 
-__all__ = ["Family", "make_family", "load_family", "FAMILY_NAMES",
-           "family_convolution_measure", "eval_special"]
+__all__ = ["Family", "make_family", "load_family", "from_problem",
+           "FAMILY_NAMES", "family_convolution_measure", "eval_special"]
 
 FAMILY_NAMES = ("cosine", "squared_weight", "hankel", "jacobi",
                 "whittaker", "degenerate_custom")
@@ -44,6 +45,18 @@ class Family:
 
     def tau(self, lam):
         return math.sqrt(max(float(lam) - self.lam_shift, 0.0))
+
+    def kernel(self, lams, xs):
+        """w_lam(x) for every lam in lams (rows) and x in xs (columns),
+        shape (L, *xs.shape): the closed form, one call per lam, when the
+        family has one and prefers it (each returns w = 1 at x = a
+        itself), otherwise kernel.kernel_table on the problem's engine."""
+        lams = np.atleast_1d(np.asarray(lams, dtype=float))
+        xs = np.asarray(xs, dtype=float)
+        if self.prefer_closed_kernel and self.closed_kernel is not None:
+            return np.array([np.real(np.asarray(self.closed_kernel(lam, xs)))
+                             for lam in lams.tolist()])
+        return kernel.kernel_table(self.problem, lams, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +535,7 @@ def _make_degenerate_custom(params):
     problem = SLProblem(a=0.0, b=np.inf, p=p, r=r, c=1.0,
                         name="degenerate_custom")
     return Family("degenerate_custom",
-                  (("izeta", izeta_src), ("kappa", kappa)), problem, 0.0,
-                  None, None, None, None, prefer_closed_kernel=False)
+                  (("izeta", izeta_src), ("kappa", kappa)), problem, 0.0)
 
 
 _BUILDERS = {
@@ -554,6 +566,12 @@ def load_family(d):
     """Family from a problem-JSON dictionary {"family": name, "params":
     {...}}."""
     return make_family(d["family"], d.get("params", {}))
+
+
+def from_problem(problem):
+    """A custom problem as a family: id "custom", the numeric kernel, and
+    no spectral or convolution measure."""
+    return Family("custom", (), problem, 0.0)
 
 
 # ---------------------------------------------------------------------------

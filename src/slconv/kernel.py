@@ -21,13 +21,14 @@ coefficient layers (r ~ exp(-1/x) type):
   r, accurate where |d2(log r)| / (d(log r))^2 is tiny.
 
 kernel_table(problem, lams, xs) and the engine routine behind it,
-KernelEngine.eval_table, are the one way to get kernel values; kernel_row,
-eval_kernel and the other entry points are their one-lam case.  A table
-evaluates all lam of a call
-together: the rows eta_j(xs) are computed once and each lam's series is
-a Vandermonde product with them, sum_j (-lam)^j eta_j, masked to its own
-x below the switch point; beyond it, one solve_ivp integrates the 2L
-components (w, w^[1]) of every lam at once.
+KernelEngine.eval_table, are the one way to get numeric kernel values;
+eval_kernel and eval_kernel_many_full are their one-lam case, and
+families.Family.kernel chooses between kernel_table and a family's closed
+form.  A table evaluates all lam of a call together: the rows eta_j(xs)
+are computed once and each lam's series is a Vandermonde product with
+them, sum_j (-lam)^j eta_j, masked to its own x below the switch point;
+beyond it, one solve_ivp integrates the 2L components (w, w^[1]) of every
+lam at once.
 
 Each problem has one engine (get_engine, an LRU cache keyed by the
 problem).  Its deep region (x_min, x_w] is decided once, by one vectorized
@@ -52,8 +53,8 @@ from .slmodel import SLProblem
 
 __all__ = [
     "KernelValue", "EtaTable", "MomentFns",
-    "eval_kernel", "eval_kernel_many", "eval_kernel_many_full",
-    "kernel_table", "kernel_row", "eval_kernel_truncated",
+    "eval_kernel", "eval_kernel_many_full", "kernel_table",
+    "eval_kernel_truncated",
     "eta_sequence", "moment_functions", "get_engine", "clear_engine_cache",
 ]
 
@@ -509,16 +510,12 @@ def eval_kernel(problem, lam, x):
     return KernelValue(float(w[0]), float(w1[0]), float(err[0]))
 
 
-def kernel_table(problem, lams, xs, closed_kernel=None):
-    """w_lam(x) for every lam in lams (rows) and x in xs (columns), shape
-    (L, N): the closed form when one is given (each returns w = 1 at
-    x = a itself), otherwise one batched evaluation on the problem's
+def kernel_table(problem, lams, xs):
+    """Numeric w_lam(x) for every lam in lams (rows) and x in xs
+    (columns), shape (L, N): one batched evaluation on the problem's
     engine, with w = 1 at x <= a."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     xs = np.asarray(xs, dtype=float)
-    if closed_kernel is not None:
-        return np.array([np.real(np.asarray(closed_kernel(lam, xs)))
-                         for lam in lams.tolist()])
     out = np.ones((len(lams),) + xs.shape)
     pos = xs > problem.a
     if np.any(pos):
@@ -527,21 +524,11 @@ def kernel_table(problem, lams, xs, closed_kernel=None):
     return out
 
 
-def kernel_row(problem, lam, xs, closed_kernel=None):
-    """w_lam over the array xs: kernel_table for the one value lam."""
-    return kernel_table(problem, [lam], xs, closed_kernel)[0]
-
-
 def eval_kernel_many_full(problem, lam, xs):
     """Vectorized kernel evaluation returning (w, w1, err_est) arrays."""
     xs = np.asarray(xs, dtype=float)
     eng = get_engine(problem, float(np.max(xs)))
     return eng.eval_many(float(lam), xs)
-
-
-def eval_kernel_many(problem, lam, xs):
-    """Vectorized kernel w values over an array of x (single lambda)."""
-    return eval_kernel_many_full(problem, lam, xs)[0]
 
 
 def eval_kernel_truncated(problem, lam, x, a_m):

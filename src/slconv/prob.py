@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import convolution, errors, kernel, measures, spectral
+from . import convolution, errors, families, kernel, measures, spectral
 
 __all__ = ["Exponent", "LevyTriple", "WalkPath", "compound_poisson",
            "levy_khintchine_exponent", "semigroup_measure",
@@ -99,9 +99,7 @@ def levy_khintchine_exponent(family, triple, lam):
     nu_mass = measures.total_mass(nu)
     if not np.isfinite(nu_mass):
         raise errors.IntegralDiverges("Levy measure mass not finite")
-    ck = family.closed_kernel if family.prefer_closed_kernel else None
-    nu_hat = spectral.measure_transform(family.problem, nu, lam,
-                                        closed_kernel=ck) if nu_mass else 0.0
+    nu_hat = spectral.measure_transform(family, nu, lam) if nu_mass else 0.0
     return triple.gaussian_scale * lam + (nu_mass - nu_hat)
 
 
@@ -111,13 +109,10 @@ def levy_khintchine_exponent(family, triple, lam):
 def _synthesize(family, coef, x_grid, tol):
     """sum over the spectral measure of coef(lam) w_lam(x) on x_grid, coef
     taking an array of lam: (values, SynthesisStop)."""
-    prob = family.problem
-    ck = family.closed_kernel if family.prefer_closed_kernel else None
     x_grid = np.asarray(x_grid, dtype=float)
     x_max = max(float(np.max(np.abs(x_grid))), 1.0)
     return spectral.synthesize(
-        family, coef, lambda lams: kernel.kernel_table(prob, lams, x_grid, ck),
-        x_max, tol)
+        family, coef, lambda lams: family.kernel(lams, x_grid), x_max, tol)
 
 
 def _stop_meta(stop):
@@ -168,13 +163,10 @@ def _diffusion_synthesis(family, t, x, y_grid, tol):
     """p(t, x, .) on y_grid w.r.t. r dy: (values, SynthesisStop)."""
     if t <= 0.0:
         raise errors.ParamOutOfRange("time must be positive")
-    prob = family.problem
     xs = np.asarray([float(x)])
-    ck = family.closed_kernel if family.prefer_closed_kernel else None
 
     def coef(lams):
-        return np.exp(-t * lams) * kernel.kernel_table(prob, lams, xs,
-                                                       ck)[:, 0]
+        return np.exp(-t * lams) * family.kernel(lams, xs)[:, 0]
 
     return _synthesize(family, coef, y_grid, tol)
 
@@ -225,7 +217,7 @@ def _step_positions(family, s, xnew, u):
     for i, (si, xi, ui) in enumerate(zip(np.atleast_1d(s),
                                          np.atleast_1d(xnew),
                                          np.atleast_1d(u))):
-        nu = family.conv_sampled(float(si), float(xi))
+        nu = families.family_convolution_measure(family, si, xi)
         cdf = measures.build_cdf(nu, floor=family.problem.a)
         out[i] = measures.quantile(cdf, float(ui))
     return out

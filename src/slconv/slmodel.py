@@ -64,9 +64,6 @@ class SLProblem:
     def r_val(self, x):
         return self.r(x, check=False)
 
-    def q_val(self, x):
-        return 1.0 / self.p(x, check=False)
-
     def fingerprint(self):
         return (self.a, self.b, self.c, self.p.printed(), self.r.printed())
 
@@ -117,8 +114,11 @@ def classify_boundary(problem, endpoint):
     c = problem.c if problem.c != problem.a else \
         (problem.a + 1.0 if np.isinf(problem.b)
          else 0.5 * (problem.a + problem.b))
-    q = problem.q_val
     r = problem.r_val
+
+    def q(x):
+        return 1.0 / problem.p(x, check=False)
+
     if endpoint == "left":
         e = problem.a
 

@@ -9,18 +9,19 @@ blocks of at most LAMBDA_BLOCK lam values: coef(lams) returns one real
 coefficient per lam, shape (L,) (e.g. phi(lam), or the transform
 (Fh)(lam)); rows(lams) returns the kernel products to be weighted by
 them, shape (L, *shape) (w_lam over a grid, or the outer product
-w_lam(x) w_lam(y)), usually one kernel.kernel_table call.  The block is
-summed with tensordot.  rows is not asked for a lam whose weighted
-coefficient is 0.  The block bound caps the memory of a window's table.
+w_lam(x) w_lam(y)), usually one family.kernel call.  The block is summed
+with tensordot.  rows is not asked for a lam whose weighted coefficient
+is 0.  The block bound caps the memory of a window's table.
 `forward_transform` takes an array of lam the same way, on one shared x
-quadrature per window."""
+quadrature per window.  Every function takes a families.Family and gets
+kernel values from family.kernel, closed form or numeric."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import errors, kernel, quadrature
+from . import errors, quadrature
 
 __all__ = ["SpectralMeasure", "SynthesisStop", "forward_transform",
            "measure_transform", "synthesize", "inverse_transform"]
@@ -61,14 +62,15 @@ class SynthesisStop:
     tail_ratio: float
 
 
-def forward_transform(problem, h, lam, x_support=None, tol=1e-11,
-                      max_doublings=24, closed_kernel=None):
+def forward_transform(family, h, lam, x_support=None, tol=1e-11,
+                      max_doublings=24):
     """Integral of h(x) w_lam(x) r(x) dx over [a, b), for a scalar lam (a
     float) or an array of them (an array).  h is a callable; the
     integration window grows until the tail contribution of every lam is
     below tol (TailNotDecaying if it never is).  All lam share one x
     quadrature per window, its panel lengths resolving the local kernel
     wavelength pi / (tau sqrt(r/p)) of the largest tau."""
+    problem = family.problem
     a, b = problem.a, problem.b
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     tau = math.sqrt(float(np.max(lams, initial=0.0)))
@@ -94,7 +96,7 @@ def forward_transform(problem, h, lam, x_support=None, tol=1e-11,
             rv = problem.r_val(nodes) * np.ones_like(nodes)
             hv = np.asarray(h(nodes), dtype=float) * np.ones_like(nodes)
             # in place: a window's (L, N) table is the largest array here
-            contrib = kernel.kernel_table(problem, lams, nodes, closed_kernel)
+            contrib = family.kernel(lams, nodes)
             contrib *= hv
             contrib *= rv
         contrib[:, ~np.isfinite(rv)] = 0.0
@@ -131,7 +133,7 @@ def forward_transform(problem, h, lam, x_support=None, tol=1e-11,
         "integrand tail did not fall below tolerance")
 
 
-def measure_transform(problem, mu, lam, closed_kernel=None):
+def measure_transform(family, mu, lam):
     """Transform of a finite measure: sum of mass * w_lam(loc) over atoms
     plus the integral of w_lam against each density segment (3-point
     Gauss-Legendre per cell of the segment's own grid, with the density
@@ -140,15 +142,14 @@ def measure_transform(problem, mu, lam, closed_kernel=None):
     masses = np.asarray([m for _, m in mu.atoms])
     parts = []
     if locs:
-        wv = kernel.kernel_row(problem, lam, np.asarray(locs, float),
-                               closed_kernel)
+        wv = family.kernel([lam], locs)[0]
         parts.extend((masses * wv).tolist())
     u, _ = quadrature.gl_nodes(3)
     for seg in mu.segments:
         g, d = seg.grid, seg.density
         nodes, wts = quadrature.gl_panels(g, 3)
         dens = d[:-1, None] + (d[1:] - d[:-1])[:, None] * u
-        wv = kernel.kernel_row(problem, lam, nodes.ravel(), closed_kernel)
+        wv = family.kernel([lam], nodes.ravel())[0]
         parts.append(float(np.sum(wts.ravel() * dens.ravel() * wv)))
     return math.fsum(parts)
 
@@ -227,12 +228,11 @@ def inverse_transform(family, phi, x, tol=1e-9):
     """Inverse transform: integral of phi(lambda) w_lambda(x) against the
     family's spectral measure, plus its atoms (SlowDecay unless the tail
     falls below tol).  phi takes one lambda value."""
-    ck = family.closed_kernel if family.prefer_closed_kernel else None
     xs = np.asarray([float(x)])
     val, stop = synthesize(
         family,
         lambda lams: [float(np.real(phi(lam))) for lam in lams.tolist()],
-        lambda lams: kernel.kernel_table(family.problem, lams, xs, ck)[:, 0],
+        lambda lams: family.kernel(lams, xs)[:, 0],
         max(abs(float(x)), 1.0), tol)
     if stop.reason != "tol":
         raise errors.SlowDecay(

@@ -46,7 +46,7 @@ def test_criterion_01_kernel_vs_closed_form():
             xs = fam.problem.a + np.linspace(0.14798841672240715,
                                              2.8841409175695407, 20)
         for lam in lam_grid:
-            wn = kernel.eval_kernel_many(fam.problem, float(lam), xs)
+            wn = kernel.kernel_table(fam.problem, [float(lam)], xs)[0]
             wc = np.real(np.asarray(fam.closed_kernel(float(lam), xs)))
             rel = np.max(np.abs(wn - wc) / np.maximum(np.abs(wc), 1e-30))
             worst = max(worst, float(rel))
@@ -67,7 +67,7 @@ def test_criterion_02_kernel_boundedness():
         a = fam.problem.a
         for lam in rng.uniform(0.0, 50.0, 100):
             xs = a + rng.uniform(1e-3, 3.0, 100)
-            w = kernel.eval_kernel_many(fam.problem, float(lam), xs)
+            w = kernel.kernel_table(fam.problem, [float(lam)], xs)[0]
             worst = max(worst, float(np.max(np.abs(w))))
     _report(2, "kernel-boundedness", worst <= 1.0 + 1e-12,
             "max |w| = 1 %+.2e over 7e4 random (x, lambda)" % (worst - 1.0))
@@ -130,13 +130,9 @@ def test_criterion_05_transform_trivialization():
         cfg = convolution.ConvCfg(max_pairs=64)
         conv = convolution.convolve_measures(fam, mu, nu, cfg)
         for lam in lam_grid:
-            lhs = spectral.measure_transform(fam.problem, conv, float(lam),
-                                             closed_kernel=fam.closed_kernel)
-            rhs = (spectral.measure_transform(fam.problem, mu, float(lam),
-                                              closed_kernel=fam.closed_kernel)
-                   * spectral.measure_transform(
-                       fam.problem, nu, float(lam),
-                       closed_kernel=fam.closed_kernel))
+            lhs = spectral.measure_transform(fam, conv, float(lam))
+            rhs = (spectral.measure_transform(fam, mu, float(lam))
+                   * spectral.measure_transform(fam, nu, float(lam)))
             worst = max(worst, abs(lhs - rhs))
     _report(5, "transform-trivialization", worst <= 1e-6,
             "max |(mu*nu)^ - mu^ nu^| = %.2e <= 1e-6" % worst)
@@ -250,8 +246,7 @@ def test_criterion_09_diffusion_semigroup():
     mass_err = abs(measures.total_mass(mu_p) - 1.0)
     hat_err = 0.0
     for lam in (1.0, 4.0, 9.0, 16.0):
-        mh = spectral.measure_transform(fam.problem, mu_p, lam,
-                                        closed_kernel=fam.closed_kernel)
+        mh = spectral.measure_transform(fam, mu_p, lam)
         hat_err = max(hat_err, abs(mh - math.exp(-t * lam)
                                    * math.cos(math.sqrt(lam) * x0)))
     # Chapman-Kolmogorov at (s, t) = (0.3, 0.7)
@@ -279,10 +274,8 @@ def test_criterion_10_compound_poisson():
     m = measures.total_mass(mu)
     hat_err = 0.0
     for lam in (0.3, 1.0, 4.0, 9.0):
-        lhs = spectral.measure_transform(fam.problem, e_mu, lam,
-                                         closed_kernel=fam.closed_kernel)
-        mu_hat = spectral.measure_transform(fam.problem, mu, lam,
-                                            closed_kernel=fam.closed_kernel)
+        lhs = spectral.measure_transform(fam, e_mu, lam)
+        mu_hat = spectral.measure_transform(fam, mu, lam)
         hat_err = max(hat_err, abs(lhs - math.exp(mu_hat - m)))
     # Monte Carlo with the cosine fast path, fixed seed
     rng = np.random.default_rng(7)

@@ -117,3 +117,62 @@ def test_semigroup_density_csv():
     # density at the origin: 2 / sqrt(4 pi t) with t = 0.5
     assert float(first[1]) == pytest.approx(
         2.0 / math.sqrt(4 * math.pi * 0.5), rel=1e-6)
+
+
+def test_kernel_outside_interval_is_validation_error():
+    rc, out, err = run_cli("kernel", "--family", "cosine",
+                           "--lambda", "4", "--x", "-1")
+    assert rc == 1
+    assert json.loads(err)["error"] == "ParamOutOfRange"
+    assert out == ""
+    rc, out, _ = run_cli("kernel", "--family", "cosine",
+                         "--lambda", "4", "--x", "0")
+    assert rc == 0
+    assert out.splitlines()[2] == "1,0,0"
+
+
+@pytest.fixture(scope="module")
+def cubic_problem(tmp_path_factory):
+    # p = r = x^3: the hankel alpha = 1 operator as a custom problem
+    path = tmp_path_factory.mktemp("problem") / "cubic.json"
+    path.write_text(json.dumps(
+        {"p": "x^3", "r": "x^3", "a": 0, "b": "inf", "c": 1}))
+    return str(path)
+
+
+@pytest.mark.parametrize("args, error", [
+    (("product-check", "--x", "1", "--y", "1.2", "--lambda-grid", "0:1:2"),
+     "ParamOutOfRange"),
+    (("convolve", "--x", "1", "--y", "1.2"), "ParamOutOfRange"),
+    (("semigroup", "--psi", "lambda", "--t", "0.5", "--x-grid", "0:0.5:2"),
+     "SpectralMeasureUnavailable"),
+    (("walk", "--step", "delta:1", "--n", "2", "--paths", "5"),
+     "ParamOutOfRange"),
+    (("cauchy", "--h", "exp(-x^2)", "--grid", "0:0.5:1"),
+     "SpectralMeasureUnavailable"),
+    (("validate-family",), "ParamOutOfRange"),
+], ids=["product-check", "convolve", "semigroup", "walk", "cauchy",
+        "validate-family"])
+def test_custom_problem_without_measures_is_validation_error(
+        cubic_problem, args, error):
+    rc, out, err = run_cli(*args, "--problem", cubic_problem)
+    assert rc == 1
+    payload = json.loads(err)
+    assert payload["kind"] == "validation"
+    assert payload["error"] == error
+    assert out == ""
+
+
+def test_custom_problem_cauchy_characteristic(tmp_path):
+    # the squared_weight operator as a custom problem marches to the same
+    # field as the family itself
+    path = tmp_path / "sq.json"
+    path.write_text(json.dumps({"p": "(1+x)^2", "r": "(1+x)^2", "a": 0,
+                                "b": "inf", "c": 1}))
+    common = ("cauchy", "--h", "exp(-x^2)", "--method", "characteristic",
+              "--grid", "0:0.1:0.5")
+    rc, out, _ = run_cli(*common, "--problem", str(path))
+    rc_f, out_f, _ = run_cli(*common, "--family", "squared_weight")
+    assert rc == rc_f == 0
+    assert len(out.splitlines()) > 3
+    assert out.splitlines()[1:] == out_f.splitlines()[1:]

@@ -35,10 +35,8 @@ def test_convolve_commutative():
     ab = convolution.convolve_measures(fam, mu, nu, cfg)
     ba = convolution.convolve_measures(fam, nu, mu, cfg)
     for lam in (0.5, 2.0, 7.0):
-        va = spectral.measure_transform(fam.problem, ab, lam,
-                                        closed_kernel=fam.closed_kernel)
-        vb = spectral.measure_transform(fam.problem, ba, lam,
-                                        closed_kernel=fam.closed_kernel)
+        va = spectral.measure_transform(fam, ab, lam)
+        vb = spectral.measure_transform(fam, ba, lam)
         assert va == pytest.approx(vb, abs=1e-10)
 
 

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from slconv import errors, families, measures
+from slconv import convolution, errors, families, kernel, measures
 
 
 def test_make_family_unknown_name():
@@ -91,3 +92,58 @@ def test_eval_special_dispatch():
     assert val == pytest.approx(math.sin(1.0), rel=1e-12)
     with pytest.raises(errors.ValidationError):
         families.eval_special("nope", [], 1.0)
+
+
+_EVERY_FAMILY = [("cosine", {}), ("squared_weight", {}),
+                 ("hankel", {"alpha": 1.0}),
+                 ("jacobi", {"alpha": 1.0, "beta": 0.0}),
+                 ("whittaker", {"alpha": 0.0}),
+                 ("degenerate_custom", {"izeta": "log(x)"})]
+
+
+def test_family_kernel_routing():
+    lams = [0.0, 2.5, 9.0]
+    xs = np.array([0.0, 0.4, 1.3])
+    for name, params in _EVERY_FAMILY:
+        fam = families.make_family(name, params)
+        got = fam.kernel(lams, xs)
+        assert got.shape == (3, 3), name
+        if name in ("whittaker", "degenerate_custom"):
+            want = kernel.kernel_table(fam.problem, lams, xs)
+        else:
+            want = np.array([np.real(np.asarray(fam.closed_kernel(lam, xs)))
+                             for lam in lams])
+            # a copy with a wrapped closed form sends every lam through it
+            calls = []
+
+            def counting(lam, x, ck=fam.closed_kernel):
+                calls.append(lam)
+                return ck(lam, x)
+
+            wrapped = dataclasses.replace(fam, closed_kernel=counting)
+            assert np.array_equal(wrapped.kernel(lams, xs), want), name
+            assert calls == lams, name
+        assert np.array_equal(got, want), name
+    # the last case's problem (degenerate_custom) as a custom family
+    custom = families.from_problem(fam.problem)
+    assert custom.id == "custom"
+    assert np.array_equal(custom.kernel(lams, xs), want)
+
+
+def test_product_check_closed_kernel_override_counts_calls():
+    # whittaker prefers the numeric kernel; use_closed_kernel=True still
+    # reaches its closed form, once per lam, through a wrapped copy
+    fam = families.make_family("whittaker", {"alpha": 0.0})
+    calls = []
+
+    def counting(lam, x):
+        calls.append(lam)
+        return fam.closed_kernel(lam, x)
+
+    wrapped = dataclasses.replace(fam, closed_kernel=counting)
+    convolution.verify_product_formula(wrapped, 0.9, 1.1, [1.0],
+                                       use_closed_kernel=True)
+    assert calls == [1.0]
+    convolution.verify_product_formula(wrapped, 0.9, 1.1, [1.0])
+    assert calls == [1.0]
+

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -42,7 +43,7 @@ def test_kernel_lambda_zero_is_one():
     for name, params in (("hankel", {"alpha": 0.5}),
                          ("squared_weight", {})):
         prob = families.make_family(name, params).problem
-        w = kernel.eval_kernel_many(prob, 0.0, np.linspace(0.3, 2.0, 7))
+        w = kernel.kernel_table(prob, [0.0], np.linspace(0.3, 2.0, 7))[0]
         np.testing.assert_allclose(w, 1.0, atol=1e-10)
 
 
@@ -114,7 +115,7 @@ def test_one_engine_per_problem():
     kernel.clear_engine_cache()
     for x_top in np.linspace(0.5, 3.0, 20):
         xs = np.linspace(0.1, x_top, 5)
-        np.testing.assert_allclose(kernel.kernel_row(unit, 2.0, xs),
+        np.testing.assert_allclose(kernel.kernel_table(unit, [2.0], xs)[0],
                                    np.cos(math.sqrt(2.0) * xs), atol=1e-10)
     assert len(kernel._ENGINE_CACHE) == 1
 
@@ -143,8 +144,8 @@ def test_kernel_row_independent_of_other_points():
     xs = np.array([0.05, 0.3, 0.5, 0.8])
     kernel.clear_engine_cache()
     for lam in (5.0, 25.0):
-        alone = kernel.kernel_row(prob, lam, xs)
-        with_far = kernel.kernel_row(prob, lam, np.append(xs, 91.0))[:4]
+        alone = kernel.kernel_table(prob, [lam], xs)[0]
+        with_far = kernel.kernel_table(prob, [lam], np.append(xs, 91.0))[0, :4]
         np.testing.assert_allclose(alone, with_far, rtol=0, atol=1e-13)
 
 
@@ -153,7 +154,7 @@ def test_whittaker_kernel_against_mpmath_with_far_point():
     prob = _whittaker0()
     xs = np.array([1e-3, 0.05, 0.12, 0.5])
     for lam in (5.0, 25.0):
-        got = kernel.kernel_row(prob, lam, np.append(xs, 91.0))[:4]
+        got = kernel.kernel_table(prob, [lam], np.append(xs, 91.0))[0, :4]
         tau = mpmath.sqrt(mpmath.mpf(lam) - 0.25)
         z = [1 / mpmath.mpf(x) for x in xs]
         want = [float(mpmath.re(mpmath.exp(zk / 2)
@@ -197,7 +198,8 @@ def test_kernel_table_rows_match_one_lambda():
     lams = np.linspace(0.3, 144.0, 48)
     xs = np.array([1e-3, 0.05, 0.5, 0.8, 3.5])
     table = kernel.kernel_table(prob, lams, xs)
-    alone = np.array([kernel.kernel_row(prob, lam, xs) for lam in lams])
+    alone = np.array([kernel.kernel_table(prob, [lam], xs)[0]
+                      for lam in lams])
     np.testing.assert_allclose(table, alone, rtol=0, atol=1e-11)
 
 
@@ -213,23 +215,11 @@ def test_kernel_table_ode_tolerance_covers_every_lambda():
     np.testing.assert_allclose(got, want, rtol=0, atol=2e-11)
 
 
-def test_kernel_row_is_table_row():
-    prob = _whittaker0()
-    xs = np.array([0.0, 0.05, 0.5, 0.8, 91.0])
-    for lam in (0.0, 5.0, 25.0):
-        assert np.array_equal(kernel.kernel_row(prob, lam, xs),
-                              kernel.kernel_table(prob, [lam], xs)[0])
-    fam = families.make_family("hankel", {"alpha": 1.0})
-    assert np.array_equal(
-        kernel.kernel_row(fam.problem, 5.0, xs, fam.closed_kernel),
-        kernel.kernel_table(fam.problem, [5.0], xs, fam.closed_kernel)[0])
-
-
 def test_whittaker_closed_kernel_one_point_is_array():
-    fam = families.make_family("whittaker", {"alpha": 0.0})
-    row = kernel.kernel_row(fam.problem, 2.0, np.array([0.5]),
-                            fam.closed_kernel)
+    fam = dataclasses.replace(families.make_family("whittaker",
+                                                   {"alpha": 0.0}),
+                              prefer_closed_kernel=True)
+    row = fam.kernel([2.0], np.array([0.5]))[0]
     assert row.shape == (1,)
     assert row[0] == pytest.approx(_whittaker0_mp(2.0, 0.5), abs=1e-9)
-    assert kernel.kernel_table(fam.problem, [1.0, 2.0], np.array([0.5]),
-                               fam.closed_kernel).shape == (2, 1)
+    assert fam.kernel([1.0, 2.0], np.array([0.5])).shape == (2, 1)

@@ -12,8 +12,7 @@ def cosine():
 
 
 def _hat(fam, mu, lam):
-    return spectral.measure_transform(fam.problem, mu, lam,
-                                      closed_kernel=fam.closed_kernel)
+    return spectral.measure_transform(fam, mu, lam)
 
 
 def test_compound_poisson_zero_measure_is_unit(cosine):
@@ -120,6 +119,15 @@ def test_walk_two_step_exact(cosine):
     vals, counts = np.unique(term, return_counts=True)
     assert set(vals.tolist()) == {0.0, 2.0}
     assert abs(counts[0] / 4000 - 0.5) < 0.05
+
+
+def test_walk_needs_convolution_measure(cosine):
+    custom = families.from_problem(cosine.problem)
+    rng = np.random.default_rng(0)
+    with pytest.raises(errors.ParamOutOfRange):
+        prob.walk_ensemble(custom, measures.dirac(1.0), 2, 5, rng)
+    with pytest.raises(errors.ParamOutOfRange):
+        prob.sample_walk(custom, [measures.dirac(1.0)], 2, rng)
 
 
 def test_sample_walk_path_shape(cosine):

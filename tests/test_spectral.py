@@ -1,53 +1,57 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import smooth_bump
-from slconv import errors, families, kernel, measures, spectral
+from slconv import errors, families, measures, spectral
+
+
+def _numeric_cosine():
+    # the cosine problem without its closed form: the numeric kernel
+    return families.from_problem(families.make_family("cosine").problem)
 
 
 def test_forward_transform_cosine_gaussian():
     # integral of exp(-x^2) cos(sqrt(lam) x) dx = sqrt(pi)/2 exp(-lam/4)
-    prob = families.make_family("cosine").problem
+    fam = _numeric_cosine()
     for lam in (0.0, 1.0, 4.0, 10.0):
         got = spectral.forward_transform(
-            prob, lambda x: np.exp(-np.asarray(x, dtype=float) ** 2), lam)
+            fam, lambda x: np.exp(-np.asarray(x, dtype=float) ** 2), lam)
         want = 0.5 * math.sqrt(math.pi) * math.exp(-lam / 4.0)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_forward_transform_x_support_window():
-    prob = families.make_family("cosine").problem
+    fam = _numeric_cosine()
     h = smooth_bump
-    full = spectral.forward_transform(prob, h, 2.0)
-    windowed = spectral.forward_transform(prob, h, 2.0,
+    full = spectral.forward_transform(fam, h, 2.0)
+    windowed = spectral.forward_transform(fam, h, 2.0,
                                           x_support=(0.0, 2.0))
     assert windowed == pytest.approx(full, rel=1e-10)
 
 
 def test_forward_transform_closed_kernel_agrees():
     fam = families.make_family("hankel", {"alpha": 0.5})
-    v1 = spectral.forward_transform(fam.problem, smooth_bump, 3.0,
+    v1 = spectral.forward_transform(families.from_problem(fam.problem),
+                                    smooth_bump, 3.0, x_support=(0.0, 2.0))
+    v2 = spectral.forward_transform(fam, smooth_bump, 3.0,
                                     x_support=(0.0, 2.0))
-    v2 = spectral.forward_transform(fam.problem, smooth_bump, 3.0,
-                                    x_support=(0.0, 2.0),
-                                    closed_kernel=fam.closed_kernel)
     assert v1 == pytest.approx(v2, rel=1e-8)
 
 
 def test_forward_transform_tail_not_decaying():
-    prob = families.make_family("cosine").problem
+    fam = _numeric_cosine()
     with pytest.raises(errors.TailNotDecaying):
-        spectral.forward_transform(prob, lambda x: np.ones_like(
+        spectral.forward_transform(fam, lambda x: np.ones_like(
             np.asarray(x, dtype=float)), 0.0)
 
 
 def test_measure_transform_atoms():
     fam = families.make_family("cosine")
     mu = measures.MeasureRepr(atoms=((1.0, 0.5), (2.0, 0.5)))
-    got = spectral.measure_transform(fam.problem, mu, 4.0,
-                                     closed_kernel=fam.closed_kernel)
+    got = spectral.measure_transform(fam, mu, 4.0)
     want = 0.5 * math.cos(2.0) + 0.5 * math.cos(4.0)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -58,7 +62,8 @@ def test_measure_transform_at_zero_is_mass():
     mu = measures.MeasureRepr(
         atoms=((0.3, 0.25),),
         segments=(measures.Segment(0.5, 1.5, g, np.full(21, 0.75)),))
-    got = spectral.measure_transform(fam.problem, mu, 0.0)
+    got = spectral.measure_transform(families.from_problem(fam.problem),
+                                     mu, 0.0)
     assert got == pytest.approx(measures.total_mass(mu), rel=1e-12)
 
 
@@ -84,7 +89,7 @@ def test_synthesize_reports_stop_reason():
     xs = np.array([0.0, 0.5])
 
     def rows(lams):
-        return kernel.kernel_table(fam.problem, lams, xs, fam.closed_kernel)
+        return fam.kernel(lams, xs)
 
     vals, stop = spectral.synthesize(
         fam, lambda lams: np.exp(-lams), rows, 1.0, 1e-9)
@@ -117,7 +122,7 @@ def test_synthesize_passes_bounded_blocks():
 
     def rows(lams):
         row_sizes.append(len(lams))
-        return kernel.kernel_table(fam.problem, lams, xs, fam.closed_kernel)
+        return fam.kernel(lams, xs)
 
     vals, stop = spectral.synthesize(fam, coef, rows, 10.0, 1e-9)
     assert max(coef_sizes) == max(row_sizes) == spectral.LAMBDA_BLOCK
@@ -128,17 +133,17 @@ def test_synthesize_passes_bounded_blocks():
 
 
 def test_forward_transform_lambda_array_matches_scalar():
-    prob = families.make_family("cosine").problem
+    fam = _numeric_cosine()
 
     def h(x):
         return np.exp(-np.asarray(x, dtype=float) ** 2)
 
     lams = np.array([0.0, 1.0, 4.0, 10.0])
-    got = spectral.forward_transform(prob, h, lams)
+    got = spectral.forward_transform(fam, h, lams)
     assert got.shape == (4,)
     want = 0.5 * math.sqrt(math.pi) * np.exp(-lams / 4.0)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
-    one = spectral.forward_transform(prob, h, 4.0)
+    one = spectral.forward_transform(fam, h, 4.0)
     assert isinstance(one, float)
     assert one == pytest.approx(got[2], rel=1e-12)
 
@@ -156,8 +161,8 @@ def test_measure_transform_closed_kernel_atom_at_left_end():
     # whittaker's closed form is singular at x = a; w = 1 there on both paths
     fam = families.make_family("whittaker", {"alpha": 0.0})
     mu = measures.MeasureRepr(atoms=((0.0, 0.3), (1.0, 0.7)))
-    closed = spectral.measure_transform(fam.problem, mu, 2.0,
-                                        fam.closed_kernel)
-    numeric = spectral.measure_transform(fam.problem, mu, 2.0)
+    closed = spectral.measure_transform(
+        dataclasses.replace(fam, prefer_closed_kernel=True), mu, 2.0)
+    numeric = spectral.measure_transform(fam, mu, 2.0)
     assert np.isfinite(closed)
     assert closed == pytest.approx(numeric, rel=0, abs=1e-8)
