@@ -87,7 +87,7 @@ def _resolve(args):
 class _Writer:
     def __init__(self, args):
         self.path = getattr(args, "out", None)
-        cmd = " ".join(sys.argv[1:]) if sys.argv[1:] else args.command
+        cmd = " ".join(args.argv)
         self.lines = ["# slconv v%s seed=%d cmd=%s"
                       % (__version__, getattr(args, "seed", 0), cmd)]
 
@@ -337,12 +337,14 @@ def _build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = _build_parser()
     try:
         try:
             args = ap.parse_args(argv)
         except _ArgError as ex:
             raise errors.ParamOutOfRange(str(ex))
+        args.argv = argv
         return args.fn(args)
     except errors.ValidationError as ex:
         sys.stderr.write(json.dumps(

@@ -13,10 +13,12 @@ __all__ = ["ConvCfg", "ConvReport", "convolve_measures", "translate",
            "convolve_functions", "verify_product_formula", "young_check"]
 
 
+_SEG_NODES = 16                 # point-mass panels per density segment
+
+
 @dataclass(frozen=True)
 class ConvCfg:
     max_pairs: int = 512        # budget on (x, y) support pairs
-    seg_nodes: int = 16         # point-mass nodes per density segment
     grid_points: int = 800      # target grid for merging densities
 
 
@@ -29,7 +31,7 @@ class ConvReport:
     mass: float
 
 
-def _measure_point_masses(mu, seg_nodes):
+def _measure_point_masses(mu):
     """Measure reduced to weighted point masses (atoms exact, density
     segments by per-interval Gauss-Legendre with the linear density)."""
     locs = [loc for loc, _ in mu.atoms]
@@ -37,9 +39,9 @@ def _measure_point_masses(mu, seg_nodes):
     for seg in mu.segments:
         g, d = seg.grid, seg.density
         # subsample long segments: GL nodes per interval of a coarsened grid
-        if len(g) > seg_nodes + 1:
+        if len(g) > _SEG_NODES + 1:
             idx = np.unique(np.linspace(0, len(g) - 1,
-                                        seg_nodes + 1).astype(int))
+                                        _SEG_NODES + 1).astype(int))
             cg = g[idx]
             cd = np.interp(cg, g, d)
         else:
@@ -55,8 +57,8 @@ def convolve_measures(family, mu, nu, cfg=ConvCfg()):
     """Mixture construction of the measure convolution: the product of the
     two supports maps pairwise through the family's two-point convolution
     measures.  Result mass = mass(mu) * mass(nu)."""
-    xs, xw = _measure_point_masses(mu, cfg.seg_nodes)
-    ys, yw = _measure_point_masses(nu, cfg.seg_nodes)
+    xs, xw = _measure_point_masses(mu)
+    ys, yw = _measure_point_masses(nu)
     n_pairs = len(xs) * len(ys)
     if n_pairs > cfg.max_pairs:
         raise errors.GridOverflow(

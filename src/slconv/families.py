@@ -1,18 +1,32 @@
 """Built-in coefficient families on (0, inf): closed-form kernels,
-Plancherel (spectral) densities, and the associated convolution measures
-(two-atom, atom+density, and pure-density forms, including the
-full-support case with superexponentially decaying density).
-from_problem makes a custom problem a Family too."""
+Plancherel (spectral) densities, and the convolution measures nu_{x,y} of
+the product formula w_lam(x) w_lam(y) = integral of w_lam d(nu_{x,y}).
+from_problem makes a custom problem a Family too.
+
+Each family states nu_{x,y} once, as law(x, y) -> (atoms, density), with
+density None (a purely atomic law), an _EdgeDensity (a smooth factor times
+Jacobi edge powers in a substituted variable: squared_weight, hankel,
+jacobi) or a _CellDensity (full support on log-spaced cells: whittaker).
+_convolution derives the two representations a Family carries, and applies
+nu_{a,y} = delta_y and nu_{x,a} = delta_x for both:
+
+- conv_quad(x, y) -> (nodes, weights, atoms), a Gauss rule exact up to its
+  order, for product checks and translation;
+- conv_sampled(x, y) -> MeasureRepr, mass-exact cells with piecewise-linear
+  density, for walks, measure convolution and `slconv convolve`.
+
+The rule's node cloud is not itself the measure: the CDF of an n-node
+Gauss rule is pinned only to within about one Gauss weight
+(Chebyshev-Markov-Stieltjes), so the sampled form gets its own cells."""
 
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import loggamma, roots_jacobi
 
-from . import errors, kernel, measures, specfun
+from . import errors, kernel, measures, quadrature, specfun
 from .expr import CoeffExpr
 from .slmodel import SLProblem
 from .spectral import SpectralMeasure
@@ -23,8 +37,6 @@ __all__ = ["Family", "make_family", "load_family", "from_problem",
 FAMILY_NAMES = ("cosine", "squared_weight", "hankel", "jacobi",
                 "whittaker", "degenerate_custom")
 
-_GL6_N, _GL6_W = leggauss(6)
-_GL12_N, _GL12_W = leggauss(12)
 _ATOL_BOUNDARY = 1e-14
 
 
@@ -43,9 +55,6 @@ class Family:
     def param(self, key, default=None):
         return dict(self.params).get(key, default)
 
-    def tau(self, lam):
-        return math.sqrt(max(float(lam) - self.lam_shift, 0.0))
-
     def kernel(self, lams, xs):
         """w_lam(x) for every lam in lams (rows) and x in xs (columns),
         shape (L, *xs.shape): the closed form, one call per lam, when the
@@ -60,98 +69,152 @@ class Family:
 
 
 # ---------------------------------------------------------------------------
-# quadrature helpers for convolution densities
+# convolution measures: one law per family, two derived representations
 
 @functools.lru_cache(maxsize=64)
 def _jacobi_rule(n, alpha, beta):
     return roots_jacobi(n, alpha, beta)
 
 
-def _edge_quad(l, u, edge_pow, smooth, n=200):
-    """Nodes/weights integrating smooth(xi) * [(xi-l)(u-xi)]^edge_pow
-    over [l, u] exactly for the edge powers (Gauss-Jacobi rule)."""
-    s, v = _jacobi_rule(n, edge_pow, edge_pow)
-    half = 0.5 * (u - l)
-    xi = 0.5 * (u + l) + half * s
-    w = v * half ** (2.0 * edge_pow + 1.0) * smooth(xi)
-    return xi, w
+@dataclass(frozen=True)
+class _EdgeDensity:
+    """The density smooth(t) * [(t - l)(u - t)]^edge_pow on [l, u] in a
+    variable t; the position is xi = to_xi(t), increasing in t, and
+    dt/dxi = dt_dxi(xi)."""
+    l: float
+    u: float
+    edge_pow: float
+    smooth: object
+    to_xi: object
+    dt_dxi: object
+
+    def rule(self, n=200):
+        """Gauss-Jacobi nodes (in xi) and weights, exact for the edge
+        powers."""
+        s, v = _jacobi_rule(n, self.edge_pow, self.edge_pow)
+        half = 0.5 * (self.u - self.l)
+        t = 0.5 * (self.u + self.l) + half * s
+        return self.to_xi(t), \
+            v * half ** (2.0 * self.edge_pow + 1.0) * self.smooth(t)
+
+    def cells(self, n_cells=400):
+        """(edges in xi, cell masses, density in xi at the edges) on the
+        cells t = l + (u - l) sin^2(theta / 2), theta uniform.  The masses
+        are 12-point Gauss-Legendre in theta, where the edge powers are
+        smooth, and one-sided Gauss-Jacobi on the two edge cells."""
+        l, u, ep = self.l, self.u, self.edge_pow
+        span = u - l
+        theta = np.linspace(0.0, np.pi, n_cells + 1)
+        t_edges = l + span * np.sin(0.5 * theta) ** 2
+        tn, wn = quadrature.gl_panels(theta, 12)
+        sn, cn = np.sin(0.5 * tn), np.cos(0.5 * tn)
+        jac = span ** (2.0 * ep + 1.0) * (sn * cn) ** (2.0 * ep + 1.0)
+        masses = np.sum(wn * self.smooth(l + span * sn * sn) * jac, axis=1)
+        s, v = _jacobi_rule(12, 0.0, ep)
+        h = t_edges[1] - t_edges[0]
+        t = l + h * 0.5 * (1.0 + s)
+        masses[0] = np.sum(v * self.smooth(t) * (u - t) ** ep) \
+            * (0.5 * h) ** (ep + 1.0)
+        s, v = _jacobi_rule(12, ep, 0.0)
+        h = t_edges[-1] - t_edges[-2]
+        t = u - h * 0.5 * (1.0 - s)
+        masses[-1] = np.sum(v * self.smooth(t) * (t - l) ** ep) \
+            * (0.5 * h) ** (ep + 1.0)
+        xi = self.to_xi(t_edges)
+        with np.errstate(all="ignore"):
+            dens = (self.smooth(t_edges) * ((t_edges - l) * (u - t_edges))
+                    ** ep * self.dt_dxi(xi))
+        return xi, masses, dens
 
 
-def _cells_to_measure(edges, cell_mass, density_at):
-    """Mass-exact piecewise-linear segments: each cell becomes a 3-point
-    segment whose trapezoid mass equals the true cell mass (midpoint value
-    adjusted), so cumulative operations are faithful."""
+@dataclass(frozen=True)
+class _CellDensity:
+    """A density on contiguous cells in xi: the cell edges, a quadrature
+    rule per cell (nodes and weights of shape (cells, n)), and the density
+    itself, read at the edges."""
+    edges: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray
+    density: object
+
+    def rule(self):
+        return self.nodes.ravel(), self.weights.ravel()
+
+    def cells(self):
+        return self.edges, self.weights.sum(axis=1), self.density(self.edges)
+
+
+def _cells_to_measure(edges, masses, dens):
+    """Mass-exact piecewise-linear segments: each cell gets the points
+    (x0, mid, x1), the density at its edges (mass/width where that is not
+    finite or over 50 times it) and the midpoint value that makes its
+    trapezoid mass exact (flat if negative).  One Segment per run of
+    adjoining cells whose shared edge values agree."""
+    x0, x1 = edges[:-1], edges[1:]
+    keep = (masses > 0.0) & (x1 > x0)
+    if not np.any(keep):
+        return ()
+    x0, x1, m = x0[keep], x1[keep], masses[keep]
+    h = x1 - x0
+    flat = m / h
+
+    def edge_value(f):
+        with np.errstate(invalid="ignore"):
+            ok = np.isfinite(f) & (f >= 0.0) & ~(f > 50.0 * flat)
+        return np.where(ok, f, flat)
+
+    f0, f1 = edge_value(dens[:-1][keep]), edge_value(dens[1:][keep])
+    fm = 2.0 * m / h - 0.5 * (f0 + f1)
+    neg = fm < 0.0
+    f0, f1, fm = (np.where(neg, flat, f) for f in (f0, f1, fm))
+    xm = 0.5 * (x0 + x1)
+    starts = np.flatnonzero((x1[:-1] != x0[1:]) | (f1[:-1] != f0[1:])) + 1
     segs = []
-    for k in range(len(edges) - 1):
-        x0, x1 = float(edges[k]), float(edges[k + 1])
-        m = float(cell_mass[k])
-        if m <= 0.0 or x1 <= x0:
-            continue
-        h = x1 - x0
-        xm = 0.5 * (x0 + x1)
-        f0, f1 = float(density_at(x0)), float(density_at(x1))
-        flat = m / h
-        if not (np.isfinite(f0) and f0 >= 0.0) or f0 > 50.0 * flat:
-            f0 = flat
-        if not (np.isfinite(f1) and f1 >= 0.0) or f1 > 50.0 * flat:
-            f1 = flat
-        fm = 2.0 * m / h - 0.5 * (f0 + f1)
-        if fm < 0.0:
-            f0 = f1 = fm = flat
-        segs.append(measures.Segment(x0, x1,
-                                     np.array([x0, xm, x1]),
-                                     np.array([f0, fm, f1])))
+    for i, j in zip(np.r_[0, starts], np.r_[starts, len(x0)]):
+        grid = np.append(np.column_stack((x0[i:j], xm[i:j])).ravel(),
+                         x1[j - 1])
+        vals = np.append(np.column_stack((f0[i:j], fm[i:j])).ravel(),
+                         f1[j - 1])
+        segs.append(measures.Segment(x0[i], x1[j - 1], grid, vals))
     return tuple(segs)
 
 
-def _edge_sampled_substituted(l, u, edge_pow, smooth, to_xi, density_xi,
-                              n_cells=400):
-    """Sampled measure for a density that is smooth(t)*[(t-l)(u-t)]^edge_pow
-    in a substituted variable t, mapped back to the position variable
-    xi = to_xi(t) (monotone increasing).  Cell masses are computed in t
-    (where the quadrature is accurate); segment grids live in xi."""
-    span = u - l
-    theta = np.linspace(0.0, np.pi, n_cells + 1)
-    half_t = np.sin(0.5 * theta)
-    t_edges = l + span * half_t * half_t
-    masses = np.empty(n_cells)
-    for k in range(n_cells):
-        t0, t1 = theta[k], theta[k + 1]
-        tm, th = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-        tn = tm + th * _GL12_N
-        sn, cn = np.sin(0.5 * tn), np.cos(0.5 * tn)
-        t = l + span * sn * sn
-        jac = span ** (2.0 * edge_pow + 1.0) * (sn * cn) ** (
-            2.0 * edge_pow + 1.0)
-        masses[k] = th * float(np.sum(_GL12_W * smooth(t) * jac))
-    # edge cells carry the fractional powers: use one-sided Gauss-Jacobi
-    # so the cell masses are exact there too
-    s_lo, v_lo = _jacobi_rule(12, 0.0, edge_pow)
-    h0 = t_edges[1] - t_edges[0]
-    t0n = l + h0 * 0.5 * (1.0 + s_lo)
-    masses[0] = float(np.sum(
-        v_lo * smooth(t0n) * (u - t0n) ** edge_pow)) \
-        * (0.5 * h0) ** (edge_pow + 1.0)
-    s_hi, v_hi = _jacobi_rule(12, edge_pow, 0.0)
-    h1 = t_edges[-1] - t_edges[-2]
-    t1n = u - h1 * 0.5 * (1.0 - s_hi)
-    masses[-1] = float(np.sum(
-        v_hi * smooth(t1n) * (t1n - l) ** edge_pow)) \
-        * (0.5 * h1) ** (edge_pow + 1.0)
-    return measures.MeasureRepr(
-        segments=_cells_to_measure(to_xi(t_edges), masses, density_xi))
+def _convolution(law, a):
+    """(conv_quad, conv_sampled) of law(x, y) -> (atoms, density or
+    None), with nu_{a,y} = delta_y and nu_{x,a} = delta_x."""
+    def unit(x, y):
+        if abs(x - a) <= _ATOL_BOUNDARY:
+            return ((y, 1.0),)
+        if abs(y - a) <= _ATOL_BOUNDARY:
+            return ((x, 1.0),)
+        return None
+
+    def conv_quad(x, y):
+        atoms = unit(x, y)
+        if atoms is None:
+            atoms, dens = law(x, y)
+            if dens is not None:
+                return (*dens.rule(), atoms)
+        return np.empty(0), np.empty(0), atoms
+
+    def conv_sampled(x, y):
+        atoms = unit(x, y)
+        if atoms is not None:
+            return measures.MeasureRepr(atoms=atoms, meta="dirac")
+        atoms, dens = law(x, y)
+        segs = () if dens is None else _cells_to_measure(*dens.cells())
+        return measures.MeasureRepr(atoms=atoms, segments=segs)
+
+    return conv_quad, conv_sampled
+
+
+def _two_atom_law(x, y):
+    """Half at |x - y|, half at x + y: cosine, and hankel alpha = -1/2."""
+    return ((abs(x - y), 0.5), (x + y, 0.5)), None
 
 
 # ---------------------------------------------------------------------------
 # family constructions
-
-def _boundary_shortcut(a, x, y):
-    if abs(x - a) <= _ATOL_BOUNDARY:
-        return measures.dirac(y)
-    if abs(y - a) <= _ATOL_BOUNDARY:
-        return measures.dirac(x)
-    return None
-
 
 def _make_cosine(params):
     problem = SLProblem(a=0.0, b=np.inf, p=CoeffExpr("1"), r=CoeffExpr("1"),
@@ -163,20 +226,8 @@ def _make_cosine(params):
     spectral = SpectralMeasure(
         tau_density=lambda t: np.full_like(np.asarray(t, float), 2.0 / np.pi),
         lam_shift=0.0, support_note="half-line, lambda = tau^2")
-
-    def conv_atoms(x, y):
-        return ((abs(x - y), 0.5), (x + y, 0.5))
-
-    def conv_quad(x, y):
-        return np.empty(0), np.empty(0), conv_atoms(x, y)
-
-    def conv_sampled(x, y):
-        short = _boundary_shortcut(0.0, x, y)
-        return short if short is not None else \
-            measures.MeasureRepr(atoms=conv_atoms(x, y))
-
     return Family("cosine", (), problem, 0.0, ck, spectral,
-                  conv_quad, conv_sampled)
+                  *_convolution(_two_atom_law, problem.a))
 
 
 def _make_squared_weight(params):
@@ -194,31 +245,16 @@ def _make_squared_weight(params):
         tau_density=lambda t: (2.0 / np.pi) * t * t / (1.0 + t * t),
         lam_shift=0.0, support_note="half-line, lambda = tau^2")
 
-    def _pieces(x, y):
+    def law(x, y):
+        # atoms at both ends and the linear density (1 + xi) norm between
         l, u = abs(x - y), x + y
         norm = 1.0 / (2.0 * (1.0 + x) * (1.0 + y))
-        atoms = (((l, (1.0 + l) * norm),) if (1.0 + l) * norm > 0 else ()) \
-            + ((u, (1.0 + u) * norm),)
-        return l, u, norm, atoms
-
-    def conv_quad(x, y):
-        l, u, norm, atoms = _pieces(x, y)
-        mid, half = 0.5 * (l + u), 0.5 * (u - l)
-        xi = mid + half * _GL12_N
-        w = half * _GL12_W * (1.0 + xi) * norm
-        return xi, w, atoms
-
-    def conv_sampled(x, y):
-        short = _boundary_shortcut(0.0, x, y)
-        if short is not None:
-            return short
-        l, u, norm, atoms = _pieces(x, y)
-        grid = np.linspace(l, u, 101)
-        seg = measures.Segment(l, u, grid, (1.0 + grid) * norm)
-        return measures.MeasureRepr(atoms=atoms, segments=(seg,))
+        return (((l, (1.0 + l) * norm), (u, (1.0 + u) * norm)),
+                _EdgeDensity(l, u, 0.0, lambda t: (1.0 + t) * norm,
+                             lambda t: t, np.ones_like))
 
     return Family("squared_weight", (), problem, 0.0, ck, spectral,
-                  conv_quad, conv_sampled)
+                  *_convolution(law, problem.a))
 
 
 def _make_hankel(params):
@@ -243,47 +279,21 @@ def _make_hankel(params):
 
     if alpha == -0.5:
         # the density formula degenerates; the exact limit is atomic
-        def conv_quad(x, y):
-            return np.empty(0), np.empty(0), \
-                ((abs(x - y), 0.5), (x + y, 0.5))
-
-        def conv_sampled(x, y):
-            short = _boundary_shortcut(0.0, x, y)
-            return short if short is not None else measures.MeasureRepr(
-                atoms=((abs(x - y), 0.5), (x + y, 0.5)))
+        law = _two_atom_law
     else:
-        # in the variable t = xi^2 the density is exactly a constant times
-        # the Jacobi weight [(t - l^2)(u^2 - t)]^(alpha - 1/2), so the
-        # quadrature is exact and the x = y case needs no special care
+        # in t = xi^2 the density is a constant times the Jacobi weight
+        # [(t - l^2)(u^2 - t)]^(alpha - 1/2): the rule is exact, x = y too
         c_alpha = (2.0 ** (1.0 - 2.0 * alpha) * specfun.gamma_fn(alpha + 1.0)
-                   / (math.sqrt(math.pi)
-                      * specfun.gamma_fn(alpha + 0.5)))
-        ep = alpha - 0.5
+                   / (math.sqrt(math.pi) * specfun.gamma_fn(alpha + 0.5)))
 
-        def conv_quad(x, y):
-            l2, u2 = (x - y) ** 2, (x + y) ** 2
+        def law(x, y):
             pref = 0.5 * c_alpha * (x * y) ** (-2.0 * alpha)
-            t, w = _edge_quad(l2, u2, ep, lambda tt: np.full_like(tt, pref))
-            return np.sqrt(t), w, ()
-
-        def conv_sampled(x, y):
-            short = _boundary_shortcut(0.0, x, y)
-            if short is not None:
-                return short
-            l2, u2 = (x - y) ** 2, (x + y) ** 2
-            pref = 0.5 * c_alpha * (x * y) ** (-2.0 * alpha)
-
-            def density_xi(xi):
-                xi = np.asarray(xi, dtype=float)
-                with np.errstate(all="ignore"):
-                    return (2.0 * pref * xi
-                            * ((xi * xi - l2) * (u2 - xi * xi)) ** ep)
-            return _edge_sampled_substituted(
-                l2, u2, ep, lambda tt: np.full_like(tt, pref),
-                np.sqrt, density_xi)
+            return (), _EdgeDensity((x - y) ** 2, (x + y) ** 2, alpha - 0.5,
+                                    lambda t: np.full_like(t, pref),
+                                    np.sqrt, lambda xi: 2.0 * xi)
 
     return Family("hankel", (("alpha", alpha),), problem, 0.0, ck, spectral,
-                  conv_quad, conv_sampled)
+                  *_convolution(law, problem.a))
 
 
 def _make_jacobi(params):
@@ -337,51 +347,29 @@ def _make_jacobi(params):
     c_big = (specfun.gamma_fn(alpha + 1.0)
              / (math.sqrt(math.pi) * specfun.gamma_fn(alpha + 0.5)))
 
-    def _t_form(x, y):
+    def law(x, y):
         """Density in the variable t = cosh(xi): the factor 1 - Z^2
         factors exactly as (t - t_l)(t_u - t) * Q(t) with Q smooth, so
         Gauss-Jacobi quadrature in t handles the edges (including x = y)."""
         chx, chy = math.cosh(x), math.cosh(y)
-        t_l, t_u = math.cosh(abs(x - y)), math.cosh(x + y)
         pref = (c_big * (chx * chy) ** (alpha - beta - 1.0)
                 * (math.sinh(x) * math.sinh(y)) ** (-2.0 * alpha))
 
-        def smooth_t(t):
-            t = np.asarray(t, dtype=float)
+        def smooth(t):
             denom = 2.0 * chx * chy * t
             Z = (chx * chx + chy * chy - 1.0 + t * t) / denom
             Q = (t * t + 2.0 * chx * chy * t
                  + chx * chx + chy * chy - 1.0) / (denom * denom)
-            one_m = np.clip(1.0 - Z, 0.0, 2.0)
-            hyp = np.array([np.real(specfun.gauss_2f1(
-                alpha + beta, alpha - beta, alpha + 0.5, 0.5 * v))
-                for v in np.atleast_1d(one_m)])
-            return (pref * t ** (alpha + beta) * Q ** ep
-                    * hyp.reshape(np.shape(t)))
+            hyp = np.real(specfun.gauss_2f1(
+                alpha + beta, alpha - beta, alpha + 0.5,
+                0.5 * np.clip(1.0 - Z, 0.0, 2.0)))
+            return pref * t ** (alpha + beta) * Q ** ep * hyp
 
-        def density_xi(xi):
-            xi = np.asarray(xi, dtype=float)
-            t = np.cosh(xi)
-            with np.errstate(all="ignore"):
-                return (smooth_t(t) * ((t - t_l) * (t_u - t)) ** ep
-                        * np.sinh(xi))
-        return t_l, t_u, smooth_t, density_xi
-
-    def conv_quad(x, y):
-        t_l, t_u, smooth_t, _ = _t_form(x, y)
-        t, w = _edge_quad(t_l, t_u, ep, smooth_t)
-        return np.arccosh(t), w, ()
-
-    def conv_sampled(x, y):
-        short = _boundary_shortcut(0.0, x, y)
-        if short is not None:
-            return short
-        t_l, t_u, smooth_t, density_xi = _t_form(x, y)
-        return _edge_sampled_substituted(t_l, t_u, ep, smooth_t,
-                                         np.arccosh, density_xi)
+        return (), _EdgeDensity(math.cosh(abs(x - y)), math.cosh(x + y), ep,
+                                smooth, np.arccosh, np.sinh)
 
     return Family("jacobi", (("alpha", alpha), ("beta", beta)), problem,
-                  shift, ck, spectral, conv_quad, conv_sampled)
+                  shift, ck, spectral, *_convolution(law, problem.a))
 
 
 def _make_whittaker(params):
@@ -423,86 +411,52 @@ def _make_whittaker(params):
 
     log_pref_c = -(1.0 + alpha) * math.log(2.0) - 0.5 * math.log(math.pi)
 
-    def _log_density(x, y):
+    def law(x, y):
+        """Full support: 6-point Gauss-Legendre cells of width 0.05 in
+        s = log(xi), grown outward from the mode until a new cell on each
+        side holds below 1e-10 of the mass so far."""
         base = (log_pref_c + (alpha - 0.5) * math.log(x * y)
                 + 1.0 / x + 1.0 / y)
 
         def logf(xi):
-            xi = np.asarray(xi, dtype=float)
             arg = (x + y + xi) / np.sqrt(2.0 * x * y * xi)
-            dval = specfun.parabolic_d(2.0 * alpha, arg)
+            dval = specfun.parabolic_d(2.0 * alpha,
+                                       arg.ravel()).reshape(arg.shape)
             with np.errstate(all="ignore"):
                 return (base - (0.5 + alpha) * np.log(xi)
                         - (x + y + xi) ** 2 / (8.0 * x * y * xi)
                         + np.log(np.maximum(dval, 1e-300)))
-        return logf
 
-    def _whittaker_cells(x, y, dt=0.05, tail_rel=1e-10, max_cells=6000):
-        """log-spaced cells covering the full-support density, expanded
-        outward from the mode until both tails are negligible."""
-        logf = _log_density(x, y)
-        t_probe = np.linspace(math.log(1e-3 * (x + y)),
+        def cell_rule(edges):
+            sn, wn = quadrature.gl_panels(edges, 6)
+            xi = np.exp(sn)
+            return xi, wn * np.exp(logf(xi)) * xi
+
+        s_probe = np.linspace(math.log(1e-3 * (x + y)),
                               math.log(1e3 * (x + y)), 400)
-        lf = logf(np.exp(t_probe)) + t_probe     # include d(xi) = e^t dt
-        t0 = float(t_probe[int(np.argmax(lf))])
-
-        def cell_mass(tl, tr):
-            tn = 0.5 * (tl + tr) + 0.5 * (tr - tl) * _GL6_N
-            xi = np.exp(tn)
-            return 0.5 * (tr - tl) * float(
-                np.sum(_GL6_W * np.exp(logf(xi)) * xi))
-
-        cells = [(t0, t0 + dt, cell_mass(t0, t0 + dt))]
-        acc = cells[0][2]
-        lo, hi = t0, t0 + dt
-        grow_lo, grow_hi = True, True
-        while grow_lo or grow_hi:
-            if len(cells) > max_cells:
+        # the density in s carries d(xi) = e^s ds
+        s0 = float(s_probe[int(np.argmax(logf(np.exp(s_probe)) + s_probe))])
+        ds = 0.05
+        grown = {1: [s0 + ds], -1: [s0]}      # side -> its outer edges
+        growing = [1, -1]
+        acc = float(np.sum(cell_rule([s0, s0 + ds])[1]))
+        while growing:
+            if len(grown[1]) + len(grown[-1]) - 1 > 6000:
                 raise errors.TruncationFailed(
                     "full-support density truncation did not converge")
-            if grow_hi:
-                m = cell_mass(hi, hi + dt)
-                cells.append((hi, hi + dt, m))
-                hi += dt
+            for side in tuple(growing):
+                grown[side].append(grown[side][-1] + side * ds)
+                m = float(np.sum(cell_rule(sorted(grown[side][-2:]))[1]))
                 acc += m
-                if m < tail_rel * acc:
-                    grow_hi = False
-            if grow_lo:
-                m = cell_mass(lo - dt, lo)
-                cells.append((lo - dt, lo, m))
-                lo -= dt
-                acc += m
-                if m < tail_rel * acc:
-                    grow_lo = False
-        cells.sort()
-        return cells, logf
-
-    def conv_quad(x, y):
-        cells, logf = _whittaker_cells(x, y)
-        nodes = []
-        wts = []
-        for tl, tr, _ in cells:
-            tn = 0.5 * (tl + tr) + 0.5 * (tr - tl) * _GL6_N
-            xi = np.exp(tn)
-            nodes.append(xi)
-            wts.append(0.5 * (tr - tl) * _GL6_W * np.exp(logf(xi)) * xi)
-        return np.concatenate(nodes), np.concatenate(wts), ()
-
-    def conv_sampled(x, y):
-        short = _boundary_shortcut(0.0, x, y)
-        if short is not None:
-            return short
-        cells, logf = _whittaker_cells(x, y)
-        edges = np.array([c[0] for c in cells] + [cells[-1][1]])
-        masses = np.array([c[2] for c in cells])
-
-        def density_at(xi):
-            return np.exp(logf(xi))
-        return measures.MeasureRepr(
-            segments=_cells_to_measure(np.exp(edges), masses, density_at))
+                if m < 1e-10 * acc:
+                    growing.remove(side)
+        edges = np.array(grown[-1][::-1] + grown[1])
+        xi, wts = cell_rule(edges)
+        return (), _CellDensity(np.exp(edges), xi, wts,
+                                lambda z: np.exp(logf(z)))
 
     return Family("whittaker", (("alpha", alpha),), problem, shift, ck,
-                  spectral, conv_quad, conv_sampled,
+                  spectral, *_convolution(law, problem.a),
                   prefer_closed_kernel=False)
 
 
@@ -588,16 +542,11 @@ def family_convolution_measure(family, x, y):
 
 
 def family_convolution_quadrature(family, x, y):
-    """Quadrature rule (nodes, weights, atoms) integrating the
-    convolution measure of the pair (x, y) exactly up to the rule order;
-    this is the accurate route used by the product-formula check."""
+    """nu_{x,y} as a quadrature rule (nodes, weights, atoms), exact up to
+    the rule's order: the accurate route of the product-formula check."""
     if family.conv_quad is None:
         raise errors.ParamOutOfRange(
             "family %r has no closed convolution measure" % (family.id,))
-    a = family.problem.a
-    short = _boundary_shortcut(a, x, y)
-    if short is not None:
-        return np.empty(0), np.empty(0), tuple(short.atoms)
     return family.conv_quad(float(x), float(y))
 
 

@@ -6,23 +6,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betaincinv
 
 from . import convolution, errors, families, kernel, measures, spectral
 
-__all__ = ["Exponent", "LevyTriple", "WalkPath", "compound_poisson",
+__all__ = ["LevyTriple", "WalkPath", "compound_poisson",
            "levy_khintchine_exponent", "semigroup_measure",
            "diffusion_density", "sample_walk", "walk_ensemble",
            "sample_diffusion", "diffusion_ensemble",
            "gaussian_criterion_probe", "lln_experiment"]
-
-
-@dataclass(frozen=True)
-class Exponent:
-    psi: object                   # callable lam -> value, psi(0) = 0
-    kind: str = "composite"
-
-    def __call__(self, lam):
-        return self.psi(lam)
 
 
 @dataclass(frozen=True)
@@ -128,11 +120,10 @@ def semigroup_measure(family, psi, t, x_grid, tol=1e-9):
     psi takes one lambda value."""
     if t <= 0.0:
         raise errors.ParamOutOfRange("time must be positive")
-    psi_f = psi.psi if isinstance(psi, Exponent) else psi
     x_grid = np.asarray(x_grid, dtype=float)
     dens, stop = _synthesize(
         family, lambda lams: np.exp(-t * np.array(
-            [float(psi_f(lam)) for lam in lams.tolist()])), x_grid, tol)
+            [float(psi(lam)) for lam in lams.tolist()])), x_grid, tol)
     prob = family.problem
     with np.errstate(all="ignore"):
         rv = np.asarray(prob.r_val(x_grid), dtype=float) * np.ones_like(
@@ -204,15 +195,18 @@ def _transition_measure(family, t, x, y_grid, tol=1e-9):
 
 def _step_positions(family, s, xnew, u):
     """Vectorized one-step update S' with S' ~ quantile(nu_{s, x}, u);
-    closed-form paths for the atomic / alpha = 1/2 families, generic
+    closed forms for cosine and for hankel alpha > -1/2, generic
     inverse-CDF of the sampled convolution measure otherwise."""
     fam_id = family.id
     if fam_id == "cosine":
         return np.where(u < 0.5, np.abs(s - xnew), s + xnew)
-    if fam_id == "hankel" and abs(family.param("alpha") - 0.5) < 1e-14:
+    if fam_id == "hankel" and family.param("alpha") > -0.5:
+        # in t = xi^2, nu_{s,x} is l^2 + (hi^2 - l^2) B with
+        # B ~ Beta(alpha + 1/2, alpha + 1/2)
+        c = family.param("alpha") + 0.5
         l = np.abs(s - xnew)
         hi = s + xnew
-        return np.sqrt(l * l + u * (hi * hi - l * l))
+        return np.sqrt(l * l + (hi * hi - l * l) * betaincinv(c, c, u))
     out = np.empty_like(np.asarray(s, dtype=float))
     for i, (si, xi, ui) in enumerate(zip(np.atleast_1d(s),
                                          np.atleast_1d(xnew),

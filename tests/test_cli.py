@@ -176,3 +176,14 @@ def test_custom_problem_cauchy_characteristic(tmp_path):
     assert rc == rc_f == 0
     assert len(out.splitlines()) > 3
     assert out.splitlines()[1:] == out_f.splitlines()[1:]
+
+
+def test_header_records_the_argv_given_to_main(tmp_path):
+    from slconv import cli
+    path = str(tmp_path / "k.csv")
+    argv = ["kernel", "--family", "cosine", "--lambda", "4", "--x", "1.25",
+            "--out", path]
+    assert cli.main(argv) == 0
+    with open(path) as fh:
+        first = fh.readline().rstrip("\n")
+    assert first.endswith("cmd=" + " ".join(argv))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from slconv import convolution, errors, families, kernel, measures
+from slconv import convolution, errors, families, kernel, measures, spectral
 
 
 def test_make_family_unknown_name():
@@ -147,3 +147,32 @@ def test_product_check_closed_kernel_override_counts_calls():
     convolution.verify_product_formula(wrapped, 0.9, 1.1, [1.0])
     assert calls == [1.0]
 
+
+
+_CONVOLUTION_FAMILIES = [("cosine", {}), ("squared_weight", {})] + [
+    ("hankel", {"alpha": alpha}) for alpha in (-0.5, 0.0, 0.5, 1.0, 2.0)] + [
+    ("jacobi", {"alpha": 1.0, "beta": 0.0}), ("whittaker", {"alpha": 0.0})]
+
+
+def test_conv_rule_and_sampled_measure_are_one_law():
+    # conv_quad and conv_sampled both derive from the family's one law:
+    # the same mass and the same transform, and the sampled cells join into
+    # a few long segments
+    lams = [1.0, 4.0, 9.0]
+    for name, params in _CONVOLUTION_FAMILIES:
+        fam = families.make_family(name, params)
+        for x, y in ((0.8, 1.3), (1.0, 1.0), (0.3, 2.1)):
+            nodes, wts, atoms = fam.conv_quad(x, y)
+            nu = fam.conv_sampled(x, y)
+            case = (name, params, x, y)
+            rule_mass = float(np.sum(wts)) + sum(m for _, m in atoms)
+            assert rule_mass == pytest.approx(measures.total_mass(nu),
+                                              abs=1e-12), case
+            locs = np.asarray([loc for loc, _ in atoms])
+            masses = np.asarray([m for _, m in atoms])
+            rule_hat = (fam.kernel(lams, nodes) @ wts
+                        + fam.kernel(lams, locs) @ masses)
+            for lam, want in zip(lams, rule_hat):
+                got = spectral.measure_transform(fam, nu, lam)
+                assert got == pytest.approx(want, abs=1e-6), (case, lam)
+            assert len(nu.segments) <= 3, case

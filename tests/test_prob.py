@@ -138,17 +138,21 @@ def test_sample_walk_path_shape(cosine):
 
 
 def test_walk_hankel_half_fast_path_matches_quantile():
-    fam = families.make_family("hankel", {"alpha": 0.5})
-    # the closed-form update xi = sqrt(l^2 + u (u^2_hi - l^2)) must agree
-    # with the generic inverse-CDF of the convolution measure
+    # the walk's closed-form hankel update, xi^2 = l^2 + (hi^2 - l^2) B with
+    # B ~ Beta(alpha + 1/2, alpha + 1/2), must agree with the generic
+    # inverse-CDF of the sampled convolution measure
     s, x = 1.0, 0.7
-    nu = fam.conv_sampled(s, x)
-    cdf = measures.build_cdf(nu, floor=0.0)
-    for u in (0.1, 0.5, 0.9):
-        fast = math.sqrt((s - x) ** 2
-                         + u * ((s + x) ** 2 - (s - x) ** 2))
-        generic = measures.quantile(cdf, u)
-        assert generic == pytest.approx(fast, abs=2e-3)
+    us = np.array([0.1, 0.5, 0.9])
+    for alpha in (0.0, 0.5, 1.0, 2.0):
+        fam = families.make_family("hankel", {"alpha": alpha})
+        fast = prob._step_positions(fam, np.full(3, s), np.full(3, x), us)
+        cdf = measures.build_cdf(fam.conv_sampled(s, x), floor=0.0)
+        generic = measures.quantile(cdf, us)
+        np.testing.assert_allclose(fast, generic, rtol=0.0, atol=2e-3)
+        if alpha == 0.5:
+            # Beta(1, 1) is uniform: xi^2 = l^2 + u (hi^2 - l^2) exactly
+            assert np.array_equal(fast, np.sqrt(
+                (s - x) ** 2 + us * ((s + x) ** 2 - (s - x) ** 2)))
 
 
 def test_diffusion_ensemble_cosine_fast_path(cosine):
