@@ -38,18 +38,6 @@ def _grid_spec(text):
     return lo + step * np.arange(n + 1)
 
 
-def _expr_fn(src, var="x"):
-    """Compile an expression in the named variable to a callable."""
-    if var != "x":
-        src = src.replace(var, "x")
-    ast = expr.parse(src)
-
-    def fn(x):
-        return expr.evaluate(ast, np.asarray(x, dtype=float))
-
-    return fn
-
-
 def _step_law(text):
     """Parse a step-law spec: 'delta:LOC', 'uniform:LO,HI'."""
     kind, _, rest = text.partition(":")
@@ -126,7 +114,7 @@ def _cmd_kernel(args):
 
 def _cmd_transform(args):
     fam = _resolve(args)
-    h = _expr_fn(args.h)
+    h = expr.CoeffExpr(args.h)
     lam_grid = _grid_spec(args.lambda_grid)
     out = _Writer(args)
     out.row("lambda", "value")
@@ -165,7 +153,7 @@ def _cmd_product_check(args):
 
 def _cmd_cauchy(args):
     fam = _resolve(args)
-    h = _expr_fn(args.h)
+    h = expr.CoeffExpr(args.h)
     grid = _grid_spec(args.grid)
     if args.method == "spectral":
         field = cauchy.solve_spectral(fam, h, grid, grid,
@@ -186,7 +174,7 @@ def _cmd_cauchy(args):
 
 def _cmd_semigroup(args):
     fam = _resolve(args)
-    psi = _expr_fn(args.psi, var="lambda")
+    psi = expr.CoeffExpr(args.psi.replace("lambda", "x"))
     x_grid = _grid_spec(args.x_grid)
     mu = prob.semigroup_measure(fam, lambda lam: float(psi(lam)),
                                 args.t, x_grid)

@@ -14,6 +14,7 @@ __all__ = ["ConvCfg", "ConvReport", "convolve_measures", "translate",
 
 
 _SEG_NODES = 16                 # point-mass panels per density segment
+_PANELS = 32                    # Gauss-Legendre panels over a support
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,13 @@ def translate(family, h, y, x_grid):
     return out
 
 
-def convolve_functions(family, h, g, x_grid, y_support, n_panels=24):
+def convolve_functions(family, h, g, x_grid, y_support):
     """(h * g)(x) = integral over y of (T^y h)(x) g(y) r(y) dy, sampled on
     x_grid.  y_support bounds the effective support of g."""
     lo, hi = y_support
     prob = family.problem
     ys, yw = map(np.ravel, quadrature.gl_panels(
-        np.linspace(lo, hi, n_panels + 1)))
+        np.linspace(lo, hi, _PANELS + 1)))
     with np.errstate(all="ignore"):
         rv = np.asarray(prob.r_val(ys), dtype=float) * np.ones_like(ys)
     gv = np.asarray(g(ys), dtype=float) * np.ones_like(ys)
@@ -136,7 +137,7 @@ def _norm(vals, weights, p):
     return float(np.sum(weights * vals ** p) ** (1.0 / p))
 
 
-def young_check(family, h, g, p1, p2, support=(0.0, 6.0), n_panels=32):
+def young_check(family, h, g, p1, p2, support=(0.0, 6.0)):
     """Young inequality ||h * g||_s <= ||h||_p1 ||g||_p2 with
     1/s = 1/p1 + 1/p2 - 1 (norms weighted by r(x) dx)."""
     inv_s = 1.0 / p1 + 1.0 / p2 - 1.0
@@ -147,7 +148,7 @@ def young_check(family, h, g, p1, p2, support=(0.0, 6.0), n_panels=32):
     lo, hi = support
     prob = family.problem
     xs, xw = map(np.ravel, quadrature.gl_panels(
-        np.linspace(lo, hi, n_panels + 1)))
+        np.linspace(lo, hi, _PANELS + 1)))
     with np.errstate(all="ignore"):
         rv = np.asarray(prob.r_val(xs), dtype=float) * np.ones_like(xs)
     wts = xw * rv
@@ -158,11 +159,10 @@ def young_check(family, h, g, p1, p2, support=(0.0, 6.0), n_panels=32):
     # support of the convolution extends to at most lo' .. 2*hi for the
     # built-in families (support of nu_{x,y} within [|x-y|, x+y] or decaying)
     cxs, cxw = map(np.ravel, quadrature.gl_panels(
-        np.linspace(lo, 2.0 * hi, n_panels + 1)))
+        np.linspace(lo, 2.0 * hi, _PANELS + 1)))
     with np.errstate(all="ignore"):
         crv = np.asarray(prob.r_val(cxs), dtype=float) * np.ones_like(cxs)
-    conv_vals = convolve_functions(family, h, g, cxs, support,
-                                   n_panels=n_panels)
+    conv_vals = convolve_functions(family, h, g, cxs, support)
     norm_conv = _norm(conv_vals, cxw * crv, s)
     bound = norm_h * norm_g
     return {

@@ -13,7 +13,9 @@ nu_{a,y} = delta_y and nu_{x,a} = delta_x for both:
 - conv_quad(x, y) -> (nodes, weights, atoms), a Gauss rule exact up to its
   order, for product checks and translation;
 - conv_sampled(x, y) -> MeasureRepr, mass-exact cells with piecewise-linear
-  density, for walks, measure convolution and `slconv convolve`.
+  density, for walks, measure convolution and `slconv convolve`;
+- conv_draw(s, x, u) -> positions, an exact draw for all walk paths at
+  once (cosine, hankel); family_step falls back to conv_sampled without it.
 
 The rule's node cloud is not itself the measure: the CDF of an n-node
 Gauss rule is pinned only to within about one Gauss weight
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma, roots_jacobi
+from scipy.special import betaincinv, loggamma, roots_jacobi
 
 from . import errors, kernel, measures, quadrature, specfun
 from .expr import CoeffExpr
@@ -32,12 +34,15 @@ from .slmodel import SLProblem
 from .spectral import SpectralMeasure
 
 __all__ = ["Family", "make_family", "load_family", "from_problem",
-           "FAMILY_NAMES", "family_convolution_measure", "eval_special"]
+           "FAMILY_NAMES", "family_convolution_measure", "family_step",
+           "eval_special"]
 
 FAMILY_NAMES = ("cosine", "squared_weight", "hankel", "jacobi",
                 "whittaker", "degenerate_custom")
 
 _ATOL_BOUNDARY = 1e-14
+_RULE_NODES = 200       # Gauss-Jacobi nodes of an edge density's rule
+_SAMPLED_CELLS = 400    # cells of an edge density's sampled measure
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,7 @@ class Family:
     spectral: object = None       # SpectralMeasure or None
     conv_quad: object = None      # callable (x, y) -> (nodes, wts, atoms)
     conv_sampled: object = None   # callable (x, y) -> MeasureRepr
+    conv_draw: object = None      # callable (s, x, u) -> positions
     prefer_closed_kernel: bool = True
 
     def param(self, key, default=None):
@@ -88,23 +94,23 @@ class _EdgeDensity:
     to_xi: object
     dt_dxi: object
 
-    def rule(self, n=200):
+    def rule(self):
         """Gauss-Jacobi nodes (in xi) and weights, exact for the edge
         powers."""
-        s, v = _jacobi_rule(n, self.edge_pow, self.edge_pow)
+        s, v = _jacobi_rule(_RULE_NODES, self.edge_pow, self.edge_pow)
         half = 0.5 * (self.u - self.l)
         t = 0.5 * (self.u + self.l) + half * s
         return self.to_xi(t), \
             v * half ** (2.0 * self.edge_pow + 1.0) * self.smooth(t)
 
-    def cells(self, n_cells=400):
+    def cells(self):
         """(edges in xi, cell masses, density in xi at the edges) on the
         cells t = l + (u - l) sin^2(theta / 2), theta uniform.  The masses
         are 12-point Gauss-Legendre in theta, where the edge powers are
         smooth, and one-sided Gauss-Jacobi on the two edge cells."""
         l, u, ep = self.l, self.u, self.edge_pow
         span = u - l
-        theta = np.linspace(0.0, np.pi, n_cells + 1)
+        theta = np.linspace(0.0, np.pi, _SAMPLED_CELLS + 1)
         t_edges = l + span * np.sin(0.5 * theta) ** 2
         tn, wn = quadrature.gl_panels(theta, 12)
         sn, cn = np.sin(0.5 * tn), np.cos(0.5 * tn)
@@ -208,9 +214,39 @@ def _convolution(law, a):
     return conv_quad, conv_sampled
 
 
+def _exact_convolution(law, a):
+    """(conv_quad, conv_sampled, conv_draw) of a law that takes arrays of
+    (x, y) and states each nu as atoms alone or as an _EdgeDensity with a
+    constant smooth factor."""
+    def conv_draw(s, x, u):
+        """Positions drawn from nu_{s,x} at the uniforms u, for arrays of
+        one shape: an atom picked by cumulative mass, or in t the Beta
+        inverse l + (u - l) B with B ~ Beta(edge_pow + 1, edge_pow + 1)."""
+        at_a = np.abs(s - a) <= _ATOL_BOUNDARY
+        out = np.where(at_a, x, s)
+        inner = ~at_a & (np.abs(x - a) > _ATOL_BOUNDARY)
+        if not np.any(inner):
+            return out
+        atoms, dens = law(s[inner], x[inner])
+        u = u[inner]
+        if dens is None:
+            locs, masses = (np.broadcast_arrays(u, *col)[1:]
+                            for col in zip(*atoms))
+            cum = np.cumsum(masses, axis=0)
+            k = np.sum(u * cum[-1] > cum[:-1], axis=0)
+            out[inner] = np.take_along_axis(np.array(locs), k[None], 0)[0]
+        else:
+            c = dens.edge_pow + 1.0
+            out[inner] = dens.to_xi(
+                dens.l + (dens.u - dens.l) * betaincinv(c, c, u))
+        return out
+
+    return (*_convolution(law, a), conv_draw)
+
+
 def _two_atom_law(x, y):
     """Half at |x - y|, half at x + y: cosine, and hankel alpha = -1/2."""
-    return ((abs(x - y), 0.5), (x + y, 0.5)), None
+    return ((np.abs(x - y), 0.5), (x + y, 0.5)), None
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +263,7 @@ def _make_cosine(params):
         tau_density=lambda t: np.full_like(np.asarray(t, float), 2.0 / np.pi),
         lam_shift=0.0, support_note="half-line, lambda = tau^2")
     return Family("cosine", (), problem, 0.0, ck, spectral,
-                  *_convolution(_two_atom_law, problem.a))
+                  *_exact_convolution(_two_atom_law, problem.a))
 
 
 def _make_squared_weight(params):
@@ -293,7 +329,7 @@ def _make_hankel(params):
                                     np.sqrt, lambda xi: 2.0 * xi)
 
     return Family("hankel", (("alpha", alpha),), problem, 0.0, ck, spectral,
-                  *_convolution(law, problem.a))
+                  *_exact_convolution(law, problem.a))
 
 
 def _make_jacobi(params):
@@ -539,6 +575,20 @@ def family_convolution_measure(family, x, y):
     if not (x >= a and y >= a):
         raise errors.ParamOutOfRange("x, y must lie in [a, b)")
     return family.conv_sampled(float(x), float(y))
+
+
+def family_step(family, s, x, u):
+    """One walk step for every path: positions drawn from nu_{s,x} at the
+    uniforms u (arrays of one shape), by the family's exact draw if it has
+    one, else by the inverse CDF of its sampled measure, pair by pair."""
+    if family.conv_draw is not None:
+        return family.conv_draw(s, x, u)
+    out = np.empty(np.shape(s))
+    for i, (si, xi, ui) in enumerate(zip(s, x, u)):
+        cdf = measures.build_cdf(family_convolution_measure(family, si, xi),
+                                 floor=family.problem.a)
+        out[i] = measures.quantile(cdf, float(ui))
+    return out
 
 
 def family_convolution_quadrature(family, x, y):

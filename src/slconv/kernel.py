@@ -22,7 +22,7 @@ coefficient layers (r ~ exp(-1/x) type):
 
 kernel_table(problem, lams, xs) and the engine routine behind it,
 KernelEngine.eval_table, are the one way to get numeric kernel values;
-eval_kernel and eval_kernel_many_full are their one-lam case, and
+eval_kernel and KernelEngine.eval_many are their one-lam case, and
 families.Family.kernel chooses between kernel_table and a family's closed
 form.  A table evaluates all lam of a call together: the rows eta_j(xs)
 are computed once and each lam's series is a Vandermonde product with
@@ -52,10 +52,9 @@ from . import errors
 from .slmodel import SLProblem
 
 __all__ = [
-    "KernelValue", "EtaTable", "MomentFns",
-    "eval_kernel", "eval_kernel_many_full", "kernel_table",
-    "eval_kernel_truncated",
-    "eta_sequence", "moment_functions", "get_engine", "clear_engine_cache",
+    "KernelValue", "MomentFns", "eval_kernel", "kernel_table",
+    "eval_kernel_truncated", "moment_functions", "get_engine",
+    "clear_engine_cache",
 ]
 
 
@@ -133,12 +132,6 @@ class KernelValue:
     w: float
     w1: float
     err_est: float
-
-
-@dataclass(frozen=True)
-class EtaTable:
-    x_grid: np.ndarray
-    values: np.ndarray      # shape (j_max+1, len(x_grid)); row j = eta_j
 
 
 @dataclass(frozen=True)
@@ -524,13 +517,6 @@ def kernel_table(problem, lams, xs):
     return out
 
 
-def eval_kernel_many_full(problem, lam, xs):
-    """Vectorized kernel evaluation returning (w, w1, err_est) arrays."""
-    xs = np.asarray(xs, dtype=float)
-    eng = get_engine(problem, float(np.max(xs)))
-    return eng.eval_many(float(lam), xs)
-
-
 def eval_kernel_truncated(problem, lam, x, a_m):
     """Kernel of the truncated problem on (a_m, b) with w(a_m) = 1,
     w^[1](a_m) = 0 (the a_m -> a limit recovers eval_kernel)."""
@@ -540,15 +526,6 @@ def eval_kernel_truncated(problem, lam, x, a_m):
     sub = SLProblem(a=float(a_m), b=problem.b, p=problem.p, r=problem.r,
                     c=c_new, name=problem.name + "_trunc")
     return eval_kernel(sub, lam, x)
-
-
-def eta_sequence(problem, x_grid, j_max):
-    x_grid = np.asarray(x_grid, dtype=float)
-    eng = get_engine(problem, float(np.max(x_grid)))
-    rows = [np.ones_like(x_grid)]
-    for j in range(1, j_max + 1):
-        rows.append(eng.eta_at(j, x_grid))
-    return EtaTable(x_grid=x_grid, values=np.vstack(rows))
 
 
 def moment_functions(problem):

@@ -166,7 +166,11 @@ def quantile(cdf, u):
             s_quad = np.where(qa != 0.0,
                               (np.sqrt(disc) - a0) / (2.0 * qa), s_lin)
         s = np.where(lin, s_lin, s_quad)
-        out[dens] = x0 + np.clip(s, 0.0, h)
+        # a target at the cell's cumulative end is its right edge exactly:
+        # where the density vanishes there, rounding in rem moves s by
+        # the square root of an ulp
+        out[dens] = np.where(target[dens] >= cdf.F[i + 1], cdf.edges_hi[i],
+                             x0 + np.clip(s, 0.0, h))
     out[target <= 0.0] = cdf.floor
     out = np.maximum(out, cdf.floor)
     return float(out[0]) if scalar else out

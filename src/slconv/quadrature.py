@@ -1,4 +1,4 @@
-"""Quadrature toolkit: Gauss-Legendre panels, adaptive bisection, and
+"""Quadrature toolkit: Gauss-Legendre panels, pairwise summation, and
 improper integrals with divergence detection over geometric cut-offs.
 
 All integrand callables are expected to accept numpy arrays.
@@ -60,31 +60,6 @@ def cascade_sum(terms):
             t = np.concatenate([t, [0.0]])
         t = t[0::2] + t[1::2]
     return float(t[0]) if t.size else 0.0
-
-
-def adaptive_quad(f, a, b, rtol=1e-11, atol=1e-13, max_splits=2000):
-    """Adaptive bisection with embedded GL8/GL16 error estimate."""
-    if a == b:
-        return 0.0
-    stack = [(float(a), float(b))]
-    total = 0.0
-    err_scale = max(atol, abs(gl_integrate(f, a, b, 16)) * rtol)
-    splits = 0
-    while stack:
-        lo, hi = stack.pop()
-        coarse = gl_integrate(f, lo, hi, 8)
-        fine = gl_integrate(f, lo, hi, 16)
-        if abs(fine - coarse) <= err_scale * max(1e-3, (hi - lo) / (b - a)):
-            total += fine
-        else:
-            splits += 1
-            if splits > max_splits:
-                raise errors.QuadratureBudgetExceeded(
-                    "adaptive quadrature exceeded %d splits" % max_splits)
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-    return total
 
 
 # improper-integral shells and divergence detection

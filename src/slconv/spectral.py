@@ -29,6 +29,7 @@ __all__ = ["SpectralMeasure", "SynthesisStop", "forward_transform",
 TAU0 = 8.0           # the first tau window is [0, TAU0]
 NOISE_FLOOR = 1e-4   # a stalled tail this small (relative) ends synthesis
 LAMBDA_BLOCK = 64    # most lam values synthesize passes to coef and rows
+_MAX_DOUBLINGS = 24  # x windows forward_transform adds on a half-line
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,7 @@ class SynthesisStop:
     tail_ratio: float
 
 
-def forward_transform(family, h, lam, x_support=None, tol=1e-11,
-                      max_doublings=24):
+def forward_transform(family, h, lam, x_support=None, tol=1e-11):
     """Integral of h(x) w_lam(x) r(x) dx over [a, b), for a scalar lam (a
     float) or an array of them (an array).  h is a callable; the
     integration window grows until the tail contribution of every lam is
@@ -116,7 +116,7 @@ def forward_transform(family, h, lam, x_support=None, tol=1e-11,
     if not np.isinf(b):
         return result(total)
     scale = np.maximum(np.abs(total), 1e-12)
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         new_hi = a + 2.0 * (hi - a)
         tail = window_value(hi, new_hi)
         total += tail

@@ -72,6 +72,28 @@ def test_walk_deterministic_given_seed():
     assert "seed=42" in out1.splitlines()[0]
 
 
+_WALK_GOLDEN = [
+    (["--family", "hankel", "--alpha", "1", "--step", "uniform:0.5,1.5",
+      "--n", "3", "--paths", "16", "--seed", "1"],
+     "3,16,1.7039953090297506,0.49729373612613192,1.0323267986644242,"
+     "1.7494329997289872,2.1751140506944737"),
+    (["--family", "jacobi", "--alpha", "1", "--beta", "0",
+      "--step", "uniform:0.5,1.5", "--n", "2", "--paths", "8",
+      "--seed", "1"],
+     "2,8,1.5546590681661687,0.32059686359631195,1.1683342554822596,"
+     "1.5794531183718776,1.9444996027897676"),
+]
+
+
+@pytest.mark.parametrize("argv,row", _WALK_GOLDEN, ids=["hankel", "jacobi"])
+def test_walk_rows_are_golden(argv, row):
+    # pinned to the bit: hankel walks take the family's exact draw,
+    # jacobi walks the inverse CDF of the sampled measure
+    rc, out, _ = run_cli("walk", *argv)
+    assert rc == 0
+    assert out.splitlines()[1:] == ["n,paths,mean,std,p10,p50,p90", row]
+
+
 def test_transform_gaussian():
     rc, out, _ = run_cli("transform", "--family", "cosine",
                          "--h", "exp(-x^2)", "--lambda-grid", "0:2:4")

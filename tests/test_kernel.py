@@ -22,8 +22,9 @@ def _unit_problem():
 def test_cosine_kernel_closed_form():
     prob = families.make_family("cosine").problem
     xs = np.linspace(0.2, 3.0, 15)
+    eng = kernel.get_engine(prob, float(xs[-1]))
     for lam in (0.5, 4.0, 25.0):
-        w, w1, err = kernel.eval_kernel_many_full(prob, lam, xs)
+        w, w1, err = eng.eval_many(lam, xs)
         want = np.cos(math.sqrt(lam) * xs)
         np.testing.assert_allclose(w, want, atol=1e-10)
         np.testing.assert_allclose(w1, -math.sqrt(lam)
@@ -69,10 +70,10 @@ def test_eta_sequence_cosine():
     # cosine: eta_j(x) = x^(2j) / (2j)!
     prob = families.make_family("cosine").problem
     xs = np.linspace(0.2, 2.0, 8)
-    tab = kernel.eta_sequence(prob, xs, 3)
+    eng = kernel.get_engine(prob, float(xs[-1]))
     for j in (1, 2, 3):
         want = xs ** (2 * j) / math.factorial(2 * j)
-        np.testing.assert_allclose(tab.values[j], want, rtol=1e-9)
+        np.testing.assert_allclose(eng.eta_at(j, xs), want, rtol=1e-9)
 
 
 def test_moment_functions_cosine():
@@ -98,8 +99,8 @@ def test_kernel_derivative_consistent_with_fd():
     lam = 3.0
     x = 1.2
     eps = 1e-5
-    w, w1, _ = kernel.eval_kernel_many_full(
-        prob, lam, np.array([x - eps, x, x + eps]))
+    w, w1, _ = kernel.get_engine(prob, x + eps).eval_many(
+        lam, np.array([x - eps, x, x + eps]))
     fd = (w[2] - w[0]) / (2 * eps)
     # w1 is the p-weighted derivative p w'; here p = (1+x)^2
     assert w1[1] / prob.p_val(x) == pytest.approx(fd, rel=1e-6)

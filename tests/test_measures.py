@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slconv import errors, measures
+from slconv import errors, families, measures
 
 
 def _uniform(lo, hi, mass=1.0, n=41):
@@ -51,6 +51,18 @@ def test_quantile_vectorized_monotone():
     us = np.linspace(0.0, 1.0, 101)
     qs = measures.quantile(cdf, us)
     assert np.all(np.diff(qs) >= -1e-12)
+
+
+@pytest.mark.parametrize("name,params,x,y", [
+    ("hankel", {"alpha": 2.0}, 0.8, 1.3),
+    ("jacobi", {"alpha": 1.0, "beta": 0.0}, 0.3, 2.1)],
+    ids=["hankel", "jacobi"])
+def test_quantile_one_is_the_support_end(name, params, x, y):
+    # the density vanishes at x + y, where rounding in the last cell's
+    # quadratic solve once landed about 1e-8 short
+    fam = families.make_family(name, params)
+    cdf = measures.build_cdf(fam.conv_sampled(x, y), floor=0.0)
+    assert measures.quantile(cdf, 1.0) == x + y
 
 
 def test_sample_requires_probability_measure():

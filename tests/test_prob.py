@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from slconv import errors, families, measures, prob, spectral
 
@@ -59,6 +61,14 @@ def test_semigroup_measure_is_markov_kernel(cosine):
     assert np.all(mu.segments[0].density >= 0.0)
 
 
+def test_semigroup_measure_rejects_negative_density(cosine):
+    # exp(-t lam^2) is not the transform of a positive measure: the
+    # synthesized density dips to about -0.07
+    xg = np.linspace(0.0, 10.0, 2001)
+    with pytest.raises(errors.MassDeficit):
+        prob.semigroup_measure(cosine, lambda lam: lam ** 2, 0.5, xg)
+
+
 def test_semigroup_property_via_transforms(cosine):
     # mu_s * mu_t = mu_{s+t} checked on the transform side
     xg = np.linspace(0.0, 10.0, 4001)
@@ -106,11 +116,15 @@ def test_transition_measure_reports_stop(cosine):
     yg = np.linspace(0.0, 8.0, 401)
     mu = prob._transition_measure(cosine, 0.25, 0.8, yg)
     assert "stop=tol" in mu.meta
+    assert "clipped_mass=" in mu.meta and "renorm=" in mu.meta
     tail = float(mu.meta.split("tail=")[1])
     assert tail < 1e-9
     assert measures.total_mass(mu) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(errors.ParamOutOfRange):
         prob._transition_measure(cosine, 0.0, 0.8, yg)
+    with pytest.raises(errors.ParamOutOfRange):
+        prob.diffusion_ensemble(cosine, 0.8, -0.25, 5,
+                                np.random.default_rng(0))
 
 
 def test_walk_two_step_exact(cosine):
@@ -138,24 +152,42 @@ def test_sample_walk_path_shape(cosine):
 
 
 def test_walk_hankel_half_fast_path_matches_quantile():
-    # the walk's closed-form hankel update, xi^2 = l^2 + (hi^2 - l^2) B with
-    # B ~ Beta(alpha + 1/2, alpha + 1/2), must agree with the generic
-    # inverse-CDF of the sampled convolution measure
+    # every exact draw (an atom picked by cumulative mass, or for hankel
+    # xi^2 = l^2 + (hi^2 - l^2) B with B ~ Beta(alpha + 1/2, alpha + 1/2))
+    # must agree with the generic inverse-CDF of the sampled measure
     s, x = 1.0, 0.7
     us = np.array([0.1, 0.5, 0.9])
-    for alpha in (0.0, 0.5, 1.0, 2.0):
-        fam = families.make_family("hankel", {"alpha": alpha})
-        fast = prob._step_positions(fam, np.full(3, s), np.full(3, x), us)
+    cases = [("cosine", {})] + [("hankel", {"alpha": alpha})
+                                for alpha in (-0.5, 0.0, 0.5, 1.0, 2.0)]
+    for name, params in cases:
+        fam = families.make_family(name, params)
+        assert fam.conv_draw is not None
+        fast = families.family_step(fam, np.full(3, s), np.full(3, x), us)
         cdf = measures.build_cdf(fam.conv_sampled(s, x), floor=0.0)
         generic = measures.quantile(cdf, us)
         np.testing.assert_allclose(fast, generic, rtol=0.0, atol=2e-3)
-        if alpha == 0.5:
+        if params.get("alpha") == 0.5:
             # Beta(1, 1) is uniform: xi^2 = l^2 + u (hi^2 - l^2) exactly
             assert np.array_equal(fast, np.sqrt(
                 (s - x) ** 2 + us * ((s + x) ** 2 - (s - x) ** 2)))
 
 
-def test_diffusion_ensemble_cosine_fast_path(cosine):
+def test_family_step_at_the_left_end_is_the_other_point():
+    # nu_{a,x} = delta_x and nu_{s,a} = delta_s, with the law never
+    # evaluated at a
+    s = np.array([0.0, 0.0, 1.3])
+    x = np.array([0.6, 1.1, 0.0])
+    u = np.array([0.2, 0.7, 0.4])
+    for name, params in (("cosine", {}), ("hankel", {"alpha": 1.0}),
+                         ("jacobi", {"alpha": 1.0, "beta": 0.0})):
+        fam = families.make_family(name, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = families.family_step(fam, s, x, u)
+        np.testing.assert_array_equal(got, [0.6, 1.1, 1.3])
+
+
+def test_diffusion_ensemble_cosine_from_origin_is_folded_gaussian(cosine):
     rng = np.random.default_rng(5)
     xs = prob.diffusion_ensemble(cosine, 0.0, 1.0, 50000, rng)
     # |N(0, 2t)|: E|X| = sqrt(2 sigma^2 / pi) with sigma^2 = 2
@@ -179,9 +211,14 @@ def test_sample_diffusion_markov_consistency(cosine):
 
 
 def test_gaussian_criterion_probe_diffusion_vanishes(cosine):
-    rep = prob.gaussian_criterion_probe(cosine, lambda lam: lam, 1.0,
-                                        [0.2, 0.1, 0.05])
+    # psi = lam is reflected Brownian motion |N(0, 2t)|: its mass beyond 1
+    # is erfc(1 / (2 sqrt t))
+    ts = [0.2, 0.1, 0.05]
+    rep = prob.gaussian_criterion_probe(cosine, lambda lam: lam, 1.0, ts)
     assert rep["trend"] == "vanishing"
+    got = [row["ratio"] for row in rep["rows"]]
+    want = [erfc(0.5 / math.sqrt(t)) / t for t in ts]
+    np.testing.assert_allclose(got, want, rtol=5e-3)
 
 
 def test_lln_variant_guard(cosine):

@@ -32,13 +32,6 @@ def test_panel_integrate_matches_gl():
     assert split == pytest.approx(math.exp(3.0) - 1.0, rel=1e-13)
 
 
-def test_adaptive_quad_peaked():
-    # narrow Gaussian needs adaptive splitting
-    val = q.adaptive_quad(lambda x: np.exp(-((x - 0.7) / 0.01) ** 2),
-                          0.0, 1.0)
-    assert val == pytest.approx(0.01 * math.sqrt(math.pi), rel=1e-9)
-
-
 def test_cascade_sum_compensates():
     terms = [1.0, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16] * 2
     assert q.cascade_sum(terms) == pytest.approx(2.0 + 1e-15, rel=1e-16)
