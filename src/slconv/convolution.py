@@ -33,24 +33,25 @@ class ConvReport:
 
 
 def _measure_point_masses(mu):
-    """Measure reduced to weighted point masses (atoms exact, density
-    segments by per-interval Gauss-Legendre with the linear density)."""
+    """Measure reduced to weighted point masses: atoms exact; a density
+    segment as 12-point Gauss-Legendre nodes on at most _SEG_NODES panels
+    over its grid, weighted by the segment's own linear density and
+    scaled so each panel carries its exact trapezoid mass."""
     locs = [loc for loc, _ in mu.atoms]
     wts = [m for _, m in mu.atoms]
     for seg in mu.segments:
-        g, d = seg.grid, seg.density
-        # subsample long segments: GL nodes per interval of a coarsened grid
-        if len(g) > _SEG_NODES + 1:
-            idx = np.unique(np.linspace(0, len(g) - 1,
-                                        _SEG_NODES + 1).astype(int))
-            cg = g[idx]
-            cd = np.interp(cg, g, d)
-        else:
-            cg, cd = g, d
-        nodes, w = map(np.ravel, quadrature.gl_panels(cg))
-        w = w * np.interp(nodes, cg, cd)
-        locs.extend(nodes.tolist())
-        wts.extend(w.tolist())
+        g, d = seg.grid, np.maximum(seg.density, 0.0)
+        idx = np.unique(np.linspace(0, len(g) - 1,
+                                    min(len(g), _SEG_NODES + 1)).astype(int))
+        nodes, w = quadrature.gl_panels(g[idx])
+        w = w * np.interp(nodes, g, d)
+        cum = np.concatenate([[0.0],
+                              np.cumsum(0.5 * (d[:-1] + d[1:]) * np.diff(g))])
+        got = w.sum(axis=1)
+        w *= np.divide(np.diff(cum[idx]), got, out=np.zeros_like(got),
+                       where=got > 0.0)[:, None]
+        locs.extend(nodes.ravel().tolist())
+        wts.extend(w.ravel().tolist())
     return np.asarray(locs), np.asarray(wts)
 
 

@@ -49,6 +49,7 @@ from numpy.polynomial import legendre as npleg
 from scipy.integrate import solve_ivp
 
 from . import errors
+from .quadrature import gl_nodes
 from .slmodel import SLProblem
 
 __all__ = [
@@ -62,9 +63,7 @@ __all__ = [
 # Gauss-Legendre panel machinery (12 nodes per panel, Legendre partials)
 
 _M = 12
-_U, _W = npleg.leggauss(_M)
-_U = (_U + 1.0) / 2.0          # nodes on [0,1]
-_W = _W / 2.0
+_U, _W = gl_nodes(_M)          # nodes on [0,1]
 # coefficients of the degree-11 interpolant in the shifted Legendre basis
 _LVINV = np.linalg.inv(npleg.legvander(2.0 * _U - 1.0, _M - 1))
 # partial-integral matrix: node_partials = vals @ _NODE_PART.T

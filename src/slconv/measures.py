@@ -98,35 +98,22 @@ class CDF:
 
 
 def build_cdf(mu, floor=0.0):
-    events = []
-    for loc, m in mu.atoms:
-        events.append((loc, "atom", m, None))
-    for seg in mu.segments:
-        g, d = seg.grid, np.maximum(seg.density, 0.0)
-        piece = 0.5 * (d[:-1] + d[1:]) * np.diff(g)
-        for i in range(len(g) - 1):
-            events.append((g[i], "cell", float(piece[i]),
-                           (g[i], g[i + 1], float(d[i]), float(d[i + 1]))))
-    events.sort(key=lambda e: (e[0], e[1] == "cell"))
-    lo, hi, masses, dd0, dd1 = [], [], [], [], []
-    for pos, kind, m, extra in events:
-        if kind == "atom":
-            lo.append(pos)
-            hi.append(pos)
-            masses.append(m)
-            dd0.append(0.0)
-            dd1.append(0.0)
-        else:
-            g0, g1, a0, a1 = extra
-            lo.append(g0)
-            hi.append(g1)
-            masses.append(m)
-            dd0.append(a0)
-            dd1.append(a1)
-    F = np.concatenate([[0.0], np.cumsum(masses)]) if masses else \
-        np.array([0.0])
-    return CDF(edges_lo=np.asarray(lo), edges_hi=np.asarray(hi), F=F,
-               d0=np.asarray(dd0), d1=np.asarray(dd1), floor=float(floor))
+    """The CDF of mu: atoms as zero-width cells, then every segment's grid
+    cells, in one stable order by position with atoms first at a tie."""
+    atoms = np.asarray(mu.atoms, dtype=float).reshape(-1, 2)
+    grids = [s.grid for s in mu.segments]
+    dens = [np.maximum(s.density, 0.0) for s in mu.segments]
+    zeros = np.zeros(len(atoms))
+    lo = np.concatenate([atoms[:, 0]] + [g[:-1] for g in grids])
+    hi = np.concatenate([atoms[:, 0]] + [g[1:] for g in grids])
+    d0 = np.concatenate([zeros] + [d[:-1] for d in dens])
+    d1 = np.concatenate([zeros] + [d[1:] for d in dens])
+    masses = 0.5 * (d0 + d1) * (hi - lo)
+    masses[:len(atoms)] = atoms[:, 1]
+    order = np.lexsort((np.arange(len(lo)) >= len(atoms), lo))
+    F = np.concatenate([[0.0], np.cumsum(masses[order])])
+    return CDF(edges_lo=lo[order], edges_hi=hi[order], F=F,
+               d0=d0[order], d1=d1[order], floor=float(floor))
 
 
 def quantile(cdf, u):
@@ -188,84 +175,60 @@ def sample(mu, n, rng, floor=0.0):
 # ---------------------------------------------------------------------------
 # combination
 
-def _coalesce_blocks(segments, tol):
-    """Join a measure's contiguous segments (cells sharing an endpoint,
-    where the shared density value agrees) into single blocks."""
-    if not segments:
-        return []
-    segs = sorted(segments, key=lambda s: s.l)
-    blocks = []
-    grid = [segs[0].grid]
-    dens = [segs[0].density]
-    for s in segs[1:]:
-        if abs(s.l - float(grid[-1][-1])) <= tol:
-            grid.append(s.grid[1:])
-            dens.append(s.density[1:])
-        else:
-            blocks.append((np.concatenate(grid), np.concatenate(dens)))
-            grid, dens = [s.grid], [s.density]
-    blocks.append((np.concatenate(grid), np.concatenate(dens)))
-    return blocks
-
-
 def merge_measures(measures, weights=None, grid_points=800):
     """Weighted sum of measures.  Atoms at (nearly) equal locations are
-    combined.  Density segments are split at every block boundary so the
-    covering set is constant on each output segment; the piecewise-linear
-    densities then add exactly (jumps between touching blocks land on
-    segment boundaries instead of being averaged away)."""
+    combined.  Densities are cut at every segment end, so the covering set
+    is constant on each output segment and the piecewise-linear densities
+    add exactly (a jump between touching segments lands on a segment
+    boundary instead of being averaged away).  Each output segment's grid
+    is its ends, the covering segments' grid points and the points of a
+    grid_points-point fill of the whole support that fall inside."""
     if weights is None:
         weights = [1.0] * len(measures)
     atom_map = {}
-    blocks = []                  # (grid, density, weight)
-    lo = np.inf
-    hi = -np.inf
+    blocks = []                  # (segment, weight)
     for mu, wgt in zip(measures, weights):
         if wgt == 0.0:
             continue
         for loc, m in mu.atoms:
             key = round(loc, 12)
             atom_map[key] = atom_map.get(key, 0.0) + wgt * m
-        if mu.segments:
-            lo = min(lo, min(s.l for s in mu.segments))
-            hi = max(hi, max(s.u for s in mu.segments))
+        blocks.extend((s, wgt) for s in mu.segments)
     atoms = tuple(sorted((loc, m) for loc, m in atom_map.items() if m > 0))
-    if not np.isfinite(lo):
+    if not blocks:
         return MeasureRepr(atoms=atoms, meta="merge")
+    starts = np.array([s.grid[0] for s, _ in blocks])
+    stops = np.array([s.grid[-1] for s, _ in blocks])
+    lo, hi = starts.min(), stops.max()
     tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-    for mu, wgt in zip(measures, weights):
-        if wgt == 0.0:
-            continue
-        for g, d in _coalesce_blocks(mu.segments, tol):
-            blocks.append((g, d, wgt))
-    # breakpoints: all block endpoints (deduplicated)
-    cuts = []
-    for g, _, _ in blocks:
-        cuts.extend((float(g[0]), float(g[-1])))
-    cuts = sorted(set(cuts))
-    dedup = [cuts[0]]
-    for c in cuts[1:]:
-        if c - dedup[-1] > tol:
-            dedup.append(c)
-    cuts = dedup
-    fill = np.linspace(lo, hi, grid_points)
-    segments = []
-    for b0, b1 in zip(cuts[:-1], cuts[1:]):
-        cover = [(g, d, w) for g, d, w in blocks
-                 if g[0] <= b0 + tol and g[-1] >= b1 - tol]
-        if not cover:
-            continue
-        pts = {b0, b1}
-        pts.update(float(f) for f in fill if b0 < f < b1)
-        for g, _, _ in cover:
-            pts.update(float(v) for v in g if b0 < v < b1)
-        grid = np.array(sorted(pts))
-        dens = np.zeros_like(grid)
-        for g, d, w in cover:
-            dens += w * np.interp(grid, g, d)
-        segments.append(Segment(l=float(b0), u=float(b1),
-                                grid=grid, density=dens))
-    return MeasureRepr(atoms=atoms, segments=tuple(segments), meta="merge")
+    # cuts: every segment end, an end within tol of the previous a duplicate
+    cuts = np.unique(np.concatenate([starts, stops]))
+    cuts = cuts[np.concatenate([[True], np.diff(cuts) > tol])]
+    # segment k covers the output intervals [ka[k], kb[k])
+    ka = np.searchsorted(cuts, starts - tol, side="left")
+    kb = np.maximum(ka, np.searchsorted(cuts, stops + tol, side="right") - 1)
+    depth = np.cumsum(np.bincount(ka, minlength=len(cuts))
+                      - np.bincount(kb, minlength=len(cuts)))
+    covered = np.flatnonzero(depth[:-1] > 0)
+    pts = np.unique(np.concatenate([cuts, np.linspace(lo, hi, grid_points)]
+                                   + [s.grid for s, _ in blocks]))
+    at = np.searchsorted(pts, cuts)
+    # the output grid: interval k holds pts[at[k] : at[k+1] + 1], laid end
+    # to end (an end shared by two intervals appears in both)
+    sizes = np.zeros(len(cuts) - 1, dtype=int)
+    sizes[covered] = at[covered + 1] - at[covered] + 1
+    off = np.concatenate([[0], np.cumsum(sizes)])
+    first = np.repeat(at[:-1] - off[:-1], sizes)
+    grid = pts[first + np.arange(off[-1])]
+    dens = np.zeros(off[-1])
+    for (s, wgt), a, b in zip(blocks, ka, kb):
+        part = slice(off[a], off[b])
+        dens[part] += wgt * np.interp(grid[part], s.grid, s.density)
+    segments = tuple(
+        Segment(l=float(cuts[k]), u=float(cuts[k + 1]),
+                grid=grid[off[k]:off[k + 1]], density=dens[off[k]:off[k + 1]])
+        for k in covered)
+    return MeasureRepr(atoms=atoms, segments=segments, meta="merge")
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ class WalkPath:
 
 _SYNTH_TOL = 1e-9      # semigroup and transition synthesis tolerance
 _POISSON_TOL = 1e-10   # compound Poisson's certified tail, and its budget
+_POISSON_CAP = 400     # most jumps a compound Poisson sum may take
 _POISSON_CFG = convolution.ConvCfg(max_pairs=20000, grid_points=600)
 _PATH_GRID, _ENSEMBLE_GRID = 600, 800    # transition grid points
 _PROBE_SPAN, _PROBE_GRID = 12.0, 1200    # probe grid: [a, a + 12]
@@ -43,34 +44,33 @@ _PROBE_SPAN, _PROBE_GRID = 12.0, 1200    # probe grid: [a, a + 12]
 # ---------------------------------------------------------------------------
 # compound Poisson
 
-def _poisson_tail_kmax(m, tol=1e-10, hard_cap=400):
-    """Smallest k with exp(-m) * sum_{j>k} m^j / j! < tol."""
+def _poisson_tail_kmax(m):
+    """Smallest k with exp(-m) * sum_{j>k} m^j / j! < _POISSON_TOL;
+    TailTooLarge if that k exceeds _POISSON_CAP."""
     if m <= 0.0:
         return 0
     logterm = -m
     tail = 1.0 - math.exp(-m)
     k = 0
-    while tail > tol and k < hard_cap:
+    while tail > _POISSON_TOL:
+        if k == _POISSON_CAP:
+            raise errors.TailTooLarge(
+                "Poisson tail %.3g above %g at k=%d (jump mass %g)"
+                % (tail, _POISSON_TOL, k, m))
         k += 1
         logterm += math.log(m) - math.log(k)
         tail -= math.exp(logterm)
     return k
 
 
-def compound_poisson(family, mu, k_max=None):
+def compound_poisson(family, mu):
     """e(mu) = exp(-|mu|) sum_k mu^{*k} / k! truncated with a certified
     Poisson tail bound; transform satisfies exp(mu_hat - |mu|)."""
     m = measures.total_mass(mu)
     a = family.problem.a
     if m == 0.0:
         return measures.dirac(a, meta="compound_poisson")
-    k_need = _poisson_tail_kmax(m, _POISSON_TOL)
-    if k_max is None:
-        k_max = k_need
-    elif k_max < k_need:
-        raise errors.TailTooLarge(
-            "Poisson tail bound above %g at k_max=%d (need %d)"
-            % (_POISSON_TOL, k_max, k_need))
+    k_max = _poisson_tail_kmax(m)
     mu1 = measures.scale(mu, 1.0 / m)       # normalized jump law
     parts = [measures.dirac(a)]
     weights = [math.exp(-m)]

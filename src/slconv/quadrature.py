@@ -1,5 +1,5 @@
-"""Quadrature toolkit: Gauss-Legendre panels, pairwise summation, and
-improper integrals with divergence detection over geometric cut-offs.
+"""Quadrature toolkit: Gauss-Legendre panels, and improper integrals with
+divergence detection over geometric cut-offs.
 
 All integrand callables are expected to accept numpy arrays.
 """
@@ -32,34 +32,6 @@ def gl_panels(edges, n=12):
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     return mid[:, None] + half[:, None] * x, half[:, None] * w
-
-
-def gl_integrate(f, a, b, n=32):
-    """Fixed-order Gauss-Legendre on one panel."""
-    u, w = gl_nodes(n)
-    xs = a + (b - a) * u
-    return (b - a) * float(np.dot(w, f(xs)))
-
-
-def panel_integrate(f, breakpoints, n=16):
-    """Composite Gauss-Legendre over consecutive panels; cascade-summed."""
-    bp = np.asarray(breakpoints, dtype=float)
-    u, w = gl_nodes(n)
-    widths = np.diff(bp)
-    xs = bp[:-1, None] + widths[:, None] * u[None, :]
-    vals = f(xs.ravel()).reshape(xs.shape)
-    contribs = widths * (vals @ w)
-    return cascade_sum(contribs)
-
-
-def cascade_sum(terms):
-    """Pairwise summation to control cancellation in long signed sums."""
-    t = np.asarray(terms, dtype=float)
-    while t.size > 1:
-        if t.size % 2:
-            t = np.concatenate([t, [0.0]])
-        t = t[0::2] + t[1::2]
-    return float(t[0]) if t.size else 0.0
 
 
 # improper-integral shells and divergence detection

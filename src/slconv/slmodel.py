@@ -15,7 +15,7 @@ from scipy.interpolate import PchipInterpolator
 
 from . import errors
 from .expr import CoeffExpr
-from .quadrature import gl_nodes, improper_quad, panel_integrate
+from .quadrature import gl_nodes, gl_panels, improper_quad
 
 
 # standard-form tabulation: points, and relative offset from a singular end
@@ -98,8 +98,8 @@ def _inner_mass(f, lo, hi, n_panels=24, n_gl=8):
     if hi <= lo:
         return 0.0
     t = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, n_panels)])
-    bp = lo + (hi - lo) * t
-    return panel_integrate(f, bp, n_gl)
+    nodes, wts = gl_panels(lo + (hi - lo) * t, n_gl)
+    return float(wts.ravel() @ f(nodes.ravel()))
 
 
 def classify_boundary(problem, endpoint):

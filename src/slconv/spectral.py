@@ -137,21 +137,19 @@ def measure_transform(family, mu, lam):
     """Transform of a finite measure: sum of mass * w_lam(loc) over atoms
     plus the integral of w_lam against each density segment (3-point
     Gauss-Legendre per cell of the segment's own grid, with the density
-    linear on each cell, matching the measure's mass convention)."""
-    locs = [loc for loc, _ in mu.atoms]
-    masses = np.asarray([m for _, m in mu.atoms])
-    parts = []
-    if locs:
-        wv = family.kernel([lam], locs)[0]
-        parts.extend((masses * wv).tolist())
+    linear on each cell, matching the measure's mass convention), from
+    one kernel call and one exactly rounded sum."""
     u, _ = quadrature.gl_nodes(3)
+    locs = [np.array([loc for loc, _ in mu.atoms])]
+    wts = [np.array([m for _, m in mu.atoms])]
     for seg in mu.segments:
-        g, d = seg.grid, seg.density
-        nodes, wts = quadrature.gl_panels(g, 3)
-        dens = d[:-1, None] + (d[1:] - d[:-1])[:, None] * u
-        wv = family.kernel([lam], nodes.ravel())[0]
-        parts.append(float(np.sum(wts.ravel() * dens.ravel() * wv)))
-    return math.fsum(parts)
+        d = seg.density
+        nodes, w = quadrature.gl_panels(seg.grid, 3)
+        locs.append(nodes.ravel())
+        wts.append((w * (d[:-1, None] + (d[1:] - d[:-1])[:, None] * u))
+                   .ravel())
+    wv = family.kernel([lam], np.concatenate(locs))[0]
+    return math.fsum((np.concatenate(wts) * wv).tolist())
 
 
 def synthesize(family, coef, rows, x_max, tol, max_windows=28,

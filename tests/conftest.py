@@ -15,6 +15,24 @@ def gl_panels(lo, hi, n_panels, n=16):
             (half[:, None] * wts).ravel())
 
 
+def measure_integral(mu, f):
+    """Integral of f against a MeasureRepr: the atoms exactly, and 8-point
+    Gauss-Legendre on every grid cell of a segment with its linear
+    density.  f maps N points to values of shape (..., N)."""
+    x8, w8 = leggauss(8)
+    locs = [np.array([loc for loc, _ in mu.atoms])]
+    wts = [np.array([m for _, m in mu.atoms])]
+    for seg in mu.segments:
+        g = seg.grid
+        half = 0.5 * np.diff(g)
+        nodes = (0.5 * (g[:-1] + g[1:]))[:, None] + half[:, None] * x8
+        locs.append(nodes.ravel())
+        wts.append((half[:, None] * w8
+                    * np.interp(nodes, g, seg.density)).ravel())
+    return np.asarray(f(np.concatenate(locs)), dtype=float) \
+        @ np.concatenate(wts)
+
+
 def smooth_bump(x, center=1.0, width=0.6):
     """C-infinity bump supported on [center-width, center+width]."""
     x = np.asarray(x, dtype=float)

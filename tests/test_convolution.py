@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import smooth_bump
+from conftest import measure_integral, smooth_bump
 from slconv import convolution, errors, families, measures, spectral
 
 
@@ -25,6 +25,24 @@ def test_convolve_unit_element():
         out = convolution.convolve_measures(fam, measures.dirac(a), mu,
                                             convolution.ConvCfg())
         assert dict(out.atoms) == pytest.approx(dict(mu.atoms))
+    # a density comes back as its point-mass reduction: the mass exact,
+    # the transform to the reduction's quadrature error
+    for name, params, tol in (("hankel", {"alpha": 0.0}, 1e-4),
+                              ("hankel", {"alpha": 1.0}, 1e-8),
+                              ("jacobi", {"alpha": 1.0, "beta": 0.0}, 1e-8),
+                              ("whittaker", {"alpha": 0.0}, 1e-6)):
+        fam = families.make_family(name, params)
+        a = fam.problem.a
+        nu = fam.conv_sampled(a + 0.8, a + 1.3)
+        out = convolution.convolve_measures(fam, measures.dirac(a), nu,
+                                            convolution.ConvCfg())
+        assert measures.total_mass(out) == pytest.approx(
+            measures.total_mass(nu), abs=1e-13)
+
+        def w(x):
+            return fam.kernel([1.0, 4.0, 9.0], x)
+        np.testing.assert_allclose(measure_integral(out, w),
+                                   measure_integral(nu, w), rtol=0, atol=tol)
 
 
 def test_convolve_commutative():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from slconv import errors, families, measures
+from conftest import measure_integral
+from slconv import convolution, errors, families, measures
 
 
 def _uniform(lo, hi, mass=1.0, n=41):
@@ -83,6 +84,22 @@ def test_merge_preserves_mass_exactly():
     nu = _uniform(0.5, 2.0, 0.6, n=17)
     out = measures.merge_measures([mu, nu])
     assert measures.total_mass(out) == pytest.approx(1.0, abs=1e-13)
+    # touching segments with a density jump at the shared point
+    jump = measures.MeasureRepr(segments=_uniform(0.0, 1.0, 1.0, n=3).segments
+                                + _uniform(1.0, 2.0, 3.0, n=3).segments)
+    out = measures.merge_measures([jump])
+    assert measures.total_mass(out) == pytest.approx(4.0, abs=1e-13)
+    assert measure_integral(out, np.exp) == pytest.approx(
+        measure_integral(jump, np.exp), abs=1e-13)
+    # hankel alpha = 0: a two-step convolution, whose measure has touching
+    # segments, mixed with the unit
+    fam = families.make_family("hankel", {"alpha": 0.0})
+    mu = measures.MeasureRepr(atoms=((0.7, 0.5), (1.3, 0.5)))
+    p2 = convolution.convolve_measures(fam, mu, mu)
+    out = measures.merge_measures([measures.dirac(0.0), p2], [0.5, 0.5])
+    for f in (np.ones_like, np.exp):
+        assert measure_integral(out, f) == pytest.approx(
+            0.5 * f(0.0) + 0.5 * measure_integral(p2, f), abs=1e-13)
 
 
 def test_merge_adds_overlapping_densities_pointwise():

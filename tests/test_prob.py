@@ -32,9 +32,10 @@ def test_compound_poisson_transform_identity(cosine):
 
 
 def test_compound_poisson_tail_guard(cosine):
-    mu = measures.MeasureRepr(atoms=((1.0, 5.0),))
+    # the tail still holds nearly all the mass after the 400 jumps allowed
+    mu = measures.MeasureRepr(atoms=((1.0, 500.0),))
     with pytest.raises(errors.TailTooLarge):
-        prob.compound_poisson(cosine, mu, k_max=3)
+        prob.compound_poisson(cosine, mu)
 
 
 def test_levy_khintchine_exponent(cosine):

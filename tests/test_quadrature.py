@@ -1,15 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
 from slconv import quadrature as q
-
-
-def test_gl_integrate_polynomial_exact():
-    # GL with n nodes is exact through degree 2n-1
-    val = q.gl_integrate(lambda x: x ** 5 - 2 * x ** 2 + 1, 0.0, 2.0, n=8)
-    assert val == pytest.approx(64.0 / 6 - 16.0 / 3 + 2.0, rel=1e-14)
 
 
 def test_gl_panels_degree_23_exact_on_uneven_edges():
@@ -22,19 +14,6 @@ def test_gl_panels_degree_23_exact_on_uneven_edges():
     val = float(np.sum(wts * (nodes ** 23 - 3.0 * nodes ** 7 + 1.0)))
     want = 2.5 ** 24 / 24.0 - 3.0 * 2.5 ** 8 / 8.0 + 2.5
     assert val == pytest.approx(want, rel=1e-13)
-
-
-def test_panel_integrate_matches_gl():
-    f = np.exp
-    whole = q.gl_integrate(f, 0.0, 3.0, n=32)
-    split = q.panel_integrate(f, [0.0, 1.0, 2.5, 3.0])
-    assert split == pytest.approx(whole, rel=1e-13)
-    assert split == pytest.approx(math.exp(3.0) - 1.0, rel=1e-13)
-
-
-def test_cascade_sum_compensates():
-    terms = [1.0, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16] * 2
-    assert q.cascade_sum(terms) == pytest.approx(2.0 + 1e-15, rel=1e-16)
 
 
 def test_improper_quad_convergent():
