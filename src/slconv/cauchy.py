@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import errors, quadrature, spectral
+from . import errors, spectral
 
 __all__ = ["Field2D", "TriangleGrid", "solve_spectral",
            "solve_characteristics", "degenerate_limit_study",
@@ -87,38 +87,25 @@ def solve_spectral(family, h, x_grid, y_grid, x_support=None, tol=1e-8,
 # ---------------------------------------------------------------------------
 # characteristic-grid marcher
 
-def _standard_coords(problem, x_lo, x_hi, n_fine=4000):
-    """gamma(x) = int_{x_lo}^{x} sqrt(r/p), its inverse, and the drift
-    g(xi) = d/dxi log sqrt(p r), tabulated on [x_lo, x_hi]."""
-    xs = np.linspace(x_lo, x_hi, n_fine + 1)
-    nodes, wts = quadrature.gl_panels(xs)
-    with np.errstate(all="ignore"):
-        integ = np.sqrt(problem.r_val(nodes) / problem.p_val(nodes))
-    if not np.all(np.isfinite(integ)):
+_COORD_CELLS = 4000     # cells of the marcher's gamma table
+
+
+def _standard_coords(problem, x_lo, x_hi):
+    """The table (xs, gamma) of gamma(x) = int_{x_lo}^{x} sqrt(r/p) on
+    _COORD_CELLS + 1 equispaced points of [x_lo, x_hi]."""
+    xs = np.linspace(x_lo, x_hi, _COORD_CELLS + 1)
+    cells = problem.gamma_cells(xs)
+    if not np.all(np.isfinite(cells)):
         raise errors.SingularCoefficient(
             "sqrt(r/p) not integrable on the marching window")
-    gamma = np.concatenate([[0.0], np.cumsum((integ * wts).sum(axis=1))])
-    dlp = problem.p.dlog()
-    dlr = problem.r.dlog()
-
-    def x_of_xi(xi):
-        return np.interp(xi, gamma, xs)
-
-    def g_of_xi(xi):
-        x = np.interp(xi, gamma, xs)
-        with np.errstate(all="ignore"):
-            gx = 0.5 * (np.asarray(dlp(x, check=False), float)
-                        + np.asarray(dlr(x, check=False), float))
-            out = gx * np.sqrt(problem.p_val(x) / problem.r_val(x))
-        return out
-
-    return gamma[-1], x_of_xi, g_of_xi
+    return xs, np.concatenate([[0.0], np.cumsum(cells)])
 
 
 def solve_characteristics(problem, h, tri):
     """Second-order leapfrog marcher for f_xixi + g(xi) f_xi =
     f_etaeta + g(eta) f_eta in standard-form coordinates, with Neumann
-    data on the initial line eta = 0 (y = c) and reflecting left edge."""
+    data on the initial line eta = 0 (y = c) and reflecting left edge;
+    the drift g is A'/A."""
     if tri.cfl > 1.0 + 1e-12 or tri.cfl <= 0.0:
         raise errors.CFLViolation("need 0 < cfl <= 1 (got %g)" % tri.cfl)
     c = float(tri.c)
@@ -132,18 +119,15 @@ def solve_characteristics(problem, h, tri):
     # that far beyond the vertex; iterate since gamma is nonlinear
     x_hi_phys = x0 + (y0 - c) / tri.cfl + 8.0 * dxi
     for _ in range(60):
-        xi_span, x_of_xi, g_of_xi = _standard_coords(problem, c, x_hi_phys)
-        xi_probe = np.linspace(0.0, xi_span, 4000)
-        x_probe = x_of_xi(xi_probe)
-        gamma_x0 = float(np.interp(x0, x_probe, xi_probe))
-        gamma_y0 = float(np.interp(y0, x_probe, xi_probe))
+        xs, gamma = _standard_coords(problem, c, x_hi_phys)
+        xi_span = gamma[-1]
+        gamma_x0, gamma_y0 = np.interp([x0, y0], xs, gamma)
         deficit = gamma_x0 + gamma_y0 / tri.cfl + 6.0 * dxi - xi_span
         if deficit <= 0.0:
             break
-        # extend by the local slope dx/dxi = sqrt(p/r) at the right edge
-        with np.errstate(all="ignore"):
-            slope = math.sqrt(float(problem.p_val(x_hi_phys))
-                              / float(problem.r_val(x_hi_phys)))
+        # extend by the local slope dx/dxi = 1/sqrt(r/p) at the right edge
+        with np.errstate(divide="ignore"):
+            slope = float(1.0 / problem.sqrt_r_over_p(x_hi_phys))
         if not np.isfinite(slope) or slope <= 0.0:
             slope = 1.0
         x_hi_phys += 1.1 * deficit * slope
@@ -153,11 +137,11 @@ def solve_characteristics(problem, h, tri):
     n_eta = int(math.ceil(gamma_y0 / deta)) + 1
     n_xi = int(math.ceil(xi_span / dxi)) + 1
     xi = np.arange(n_xi) * dxi
-    g_xi = np.asarray(g_of_xi(xi), dtype=float)
+    x_nodes = np.interp(xi, gamma, xs)
+    g_xi = problem.aprime_over_a(x_nodes)
     if not np.all(np.isfinite(g_xi)):
         raise errors.SingularCoefficient(
             "drift g(xi) singular on the grid; shift the initial line")
-    x_nodes = x_of_xi(xi)
     hv = np.asarray(h(x_nodes), dtype=float)
 
     levels = np.empty((n_eta + 1, n_xi))
@@ -175,17 +159,17 @@ def solve_characteristics(problem, h, tri):
 
     # second-order first step using f_eta = 0 on the initial line
     levels[1] = levels[0] + 0.5 * deta * deta * rhs_space(levels[0])
+    eta = np.arange(n_eta + 1) * deta
+    y_nodes = np.interp(eta, gamma, xs)     # the same map for y
+    g_eta = problem.aprime_over_a(y_nodes)
     for n in range(1, n_eta):
-        g_eta = float(g_of_xi(np.asarray(n * deta)))
-        beta = 0.5 * deta * g_eta
+        beta = 0.5 * deta * g_eta[n]
         levels[n + 1] = (2.0 * levels[n] - levels[n - 1]
                          + deta * deta * rhs_space(levels[n])
                          + beta * levels[n - 1]) / (1.0 + beta)
 
     # trim to the numerical dependence cone: the right-edge copy pollutes
     # one xi cell per eta step, so only xi <= xi_span - n_eta * dxi is valid
-    eta = np.arange(n_eta + 1) * deta
-    y_nodes = x_of_xi(eta)     # same transformation for the y coordinate
     keep = xi <= xi_span - (n_eta + 1) * dxi
     if not np.any(keep):
         raise errors.ParamOutOfRange("triangle too small for the vertex")
@@ -197,16 +181,14 @@ def solve_characteristics(problem, h, tri):
 # degenerate limit study and audits
 
 def degenerate_limit_study(family, h, a_m_seq, probes=((0.8, 0.5),),
-                           step=0.01, ref_field=None, x_support=None):
+                           step=0.01):
     """Solve the Cauchy problem with the initial line shifted to each
     a_m > a (grid marcher on the shifted domain) and report pointwise gaps
     to the unshifted spectral solution at the probe points."""
     probes = [(float(px), float(py)) for px, py in probes]
     xs = sorted({p[0] for p in probes})
     ys = sorted({p[1] for p in probes})
-    if ref_field is None:
-        ref_field = solve_spectral(family, h, np.asarray(xs), np.asarray(ys),
-                                   x_support=x_support)
+    ref_field = solve_spectral(family, h, np.asarray(xs), np.asarray(ys))
     rows = []
     for a_m in a_m_seq:
         x0 = max(p[0] for p in probes)
@@ -228,14 +210,18 @@ def degenerate_limit_study(family, h, a_m_seq, probes=((0.8, 0.5),),
     return {"probes": probes, "rows": rows}
 
 
-def positivity_audit(field, h_bounds=(0.0, None), tol=1e-8):
+_AUDIT_TOL = 1e-8       # slack of positivity_audit's bounds
+
+
+def positivity_audit(field, h_bounds=(0.0, None)):
     """Maximum-principle audit: nonnegative data must give a nonnegative
-    field; data bounded by C must keep the field at or below C."""
+    field; data bounded by C must keep the field at or below C (each to
+    within _AUDIT_TOL)."""
     vmin = float(np.min(field.values))
     vmax = float(np.max(field.values))
     lo, hi = h_bounds
     report = {"min": vmin, "max": vmax,
-              "nonnegative_ok": bool(vmin >= -tol)}
+              "nonnegative_ok": bool(vmin >= -_AUDIT_TOL)}
     if hi is not None:
-        report["upper_ok"] = bool(vmax <= hi + tol)
+        report["upper_ok"] = bool(vmax <= hi + _AUDIT_TOL)
     return report

@@ -50,7 +50,6 @@ class Family:
     id: str
     params: tuple                 # sorted (key, value) pairs
     problem: SLProblem
-    lam_shift: float              # lambda = tau^2 + lam_shift
     closed_kernel: object = None  # callable (lam, x-array) -> values
     spectral: object = None       # SpectralMeasure or None
     conv_quad: object = None      # callable (x, y) -> (nodes, wts, atoms)
@@ -260,9 +259,8 @@ def _make_cosine(params):
         return np.cos(math.sqrt(max(lam, 0.0)) * np.asarray(x, float))
 
     spectral = SpectralMeasure(
-        tau_density=lambda t: np.full_like(np.asarray(t, float), 2.0 / np.pi),
-        lam_shift=0.0, support_note="half-line, lambda = tau^2")
-    return Family("cosine", (), problem, 0.0, ck, spectral,
+        tau_density=lambda t: np.full_like(np.asarray(t, float), 2.0 / np.pi))
+    return Family("cosine", (), problem, ck, spectral,
                   *_exact_convolution(_two_atom_law, problem.a))
 
 
@@ -278,8 +276,7 @@ def _make_squared_weight(params):
         return (np.cos(tau * x) + x * np.sinc(tau * x / np.pi)) / (1.0 + x)
 
     spectral = SpectralMeasure(
-        tau_density=lambda t: (2.0 / np.pi) * t * t / (1.0 + t * t),
-        lam_shift=0.0, support_note="half-line, lambda = tau^2")
+        tau_density=lambda t: (2.0 / np.pi) * t * t / (1.0 + t * t))
 
     def law(x, y):
         # atoms at both ends and the linear density (1 + xi) norm between
@@ -289,7 +286,7 @@ def _make_squared_weight(params):
                 _EdgeDensity(l, u, 0.0, lambda t: (1.0 + t) * norm,
                              lambda t: t, np.ones_like))
 
-    return Family("squared_weight", (), problem, 0.0, ck, spectral,
+    return Family("squared_weight", (), problem, ck, spectral,
                   *_convolution(law, problem.a))
 
 
@@ -310,8 +307,7 @@ def _make_hankel(params):
     norm_c = (2.0 ** alpha * specfun.gamma_fn(alpha + 1.0)) ** 2
 
     spectral = SpectralMeasure(
-        tau_density=lambda t: np.asarray(t, float) ** expo / norm_c,
-        lam_shift=0.0, support_note="half-line, lambda = tau^2")
+        tau_density=lambda t: np.asarray(t, float) ** expo / norm_c)
 
     if alpha == -0.5:
         # the density formula degenerates; the exact limit is atomic
@@ -328,7 +324,7 @@ def _make_hankel(params):
                                     lambda t: np.full_like(t, pref),
                                     np.sqrt, lambda xi: 2.0 * xi)
 
-    return Family("hankel", (("alpha", alpha),), problem, 0.0, ck, spectral,
+    return Family("hankel", (("alpha", alpha),), problem, ck, spectral,
                   *_exact_convolution(law, problem.a))
 
 
@@ -357,7 +353,7 @@ def _make_jacobi(params):
         return np.real(vals)
 
     # Plancherel density via the Harish-Chandra c-function (validated by
-    # the transform round-trip test, marked experimental)
+    # the transform round-trip test)
     log_gam_a1 = float(loggamma(alpha + 1.0))
 
     def tau_density(t):
@@ -372,9 +368,7 @@ def _make_jacobi(params):
                    * np.exp(-2.0 * log_abs_c))
         return np.where(t > 0.0, out, 0.0)
 
-    spectral = SpectralMeasure(tau_density=tau_density, lam_shift=shift,
-                               support_note="lambda = tau^2 + sigma^2",
-                               status="experimental")
+    spectral = SpectralMeasure(tau_density=tau_density, lam_shift=shift)
 
     ep = alpha - 0.5
     # the prefactor 2^(-2 sigma) as printed integrates to total mass
@@ -405,7 +399,7 @@ def _make_jacobi(params):
                                 smooth, np.arccosh, np.sinh)
 
     return Family("jacobi", (("alpha", alpha), ("beta", beta)), problem,
-                  shift, ck, spectral, *_convolution(law, problem.a))
+                  ck, spectral, *_convolution(law, problem.a))
 
 
 def _make_whittaker(params):
@@ -428,9 +422,8 @@ def _make_whittaker(params):
                          * specfun.whittaker_w(alpha, mu, 1.0 / x_)
                          if x_ > 0.0 else 1.0 for x_ in x])
 
-    # Plancherel density (validated by the transform round-trip test,
-    # marked experimental); the alpha = 0 case reduces to the classical
-    # (2/pi) tau sinh(pi tau) density
+    # Plancherel density (validated by the transform round-trip test); the
+    # alpha = 0 case reduces to the classical (2/pi) tau sinh(pi tau) density
     def tau_density(t):
         t = np.asarray(t, dtype=float)
         with np.errstate(all="ignore"):
@@ -441,9 +434,7 @@ def _make_whittaker(params):
             out = (1.0 / np.pi ** 2) * np.exp(log_g + np.log(t) + log_sh)
         return np.where(t > 0.0, out, 0.0)
 
-    spectral = SpectralMeasure(tau_density=tau_density, lam_shift=shift,
-                               support_note="lambda = tau^2 + (1/2-alpha)^2",
-                               status="experimental")
+    spectral = SpectralMeasure(tau_density=tau_density, lam_shift=shift)
 
     log_pref_c = -(1.0 + alpha) * math.log(2.0) - 0.5 * math.log(math.pi)
 
@@ -491,8 +482,8 @@ def _make_whittaker(params):
         return (), _CellDensity(np.exp(edges), xi, wts,
                                 lambda z: np.exp(logf(z)))
 
-    return Family("whittaker", (("alpha", alpha),), problem, shift, ck,
-                  spectral, *_convolution(law, problem.a),
+    return Family("whittaker", (("alpha", alpha),), problem, ck, spectral,
+                  *_convolution(law, problem.a),
                   prefer_closed_kernel=False)
 
 
@@ -500,7 +491,7 @@ def _make_degenerate_custom(params):
     kappa = float(params.get("kappa", 1.0))
     if kappa <= 0.0:
         raise errors.ParamOutOfRange("degenerate_custom requires kappa > 0")
-    izeta_src = params.get("izeta", "0")
+    izeta_src = params.get("izeta", "log(x)")
     izeta = CoeffExpr(izeta_src)
     # zeta(x) = x * d izeta / dx must be nonnegative, decreasing, with a
     # divergent log-integral (probed numerically on a geometric grid)
@@ -525,7 +516,7 @@ def _make_degenerate_custom(params):
     problem = SLProblem(a=0.0, b=np.inf, p=p, r=r, c=1.0,
                         name="degenerate_custom")
     return Family("degenerate_custom",
-                  (("izeta", izeta_src), ("kappa", kappa)), problem, 0.0)
+                  (("izeta", izeta_src), ("kappa", kappa)), problem)
 
 
 _BUILDERS = {
@@ -561,7 +552,7 @@ def load_family(d):
 def from_problem(problem):
     """A custom problem as a family: id "custom", the numeric kernel, and
     no spectral or convolution measure."""
-    return Family("custom", (), problem, 0.0)
+    return Family("custom", (), problem)
 
 
 # ---------------------------------------------------------------------------

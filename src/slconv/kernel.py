@@ -50,7 +50,7 @@ from scipy.integrate import solve_ivp
 
 from . import errors
 from .quadrature import gl_nodes
-from .slmodel import SLProblem
+from .slmodel import SLProblem, eval_coeff
 
 __all__ = [
     "KernelValue", "MomentFns", "eval_kernel", "kernel_table",
@@ -84,13 +84,13 @@ class CumField:
 
     __slots__ = ("bp", "widths", "node_x", "vals", "cum_bounds", "cum_nodes")
 
-    def __init__(self, bp, node_x, vals, start=0.0):
+    def __init__(self, bp, node_x, vals):
         self.bp = bp
         self.widths = np.diff(bp)
         self.node_x = node_x
         self.vals = vals
         fulls = self.widths * (vals @ _W)
-        self.cum_bounds = start + np.concatenate([[0.0], np.cumsum(fulls)])
+        self.cum_bounds = np.concatenate([[0.0], np.cumsum(fulls)])
         self.cum_nodes = (self.cum_bounds[:-1, None]
                           + self.widths[:, None] * (vals @ _NODE_PART.T))
 
@@ -154,31 +154,23 @@ class KernelEngine:
 
     def __init__(self, problem, x_need):
         self.problem = problem
-        self.phi_r = problem.r.log()
-        self.phi_p = problem.p.log()
-        self.dphi_r = problem.r.dlog()
-        self.dphi_p = problem.p.dlog()
+        self.phi_p, self.phi_r, self.dphi_p, self.dphi_r = problem.logs
         self.d2phi_r = self.dphi_r.diff()
         self.d3phi_r = self.d2phi_r.diff()
         self._build_deep()
         self.cover(x_need)
 
     # -- helpers ----------------------------------------------------------
-    @staticmethod
-    def _safe(fn, x):
-        with np.errstate(all="ignore"):
-            return np.asarray(fn(x, check=False), float) * np.ones_like(x)
-
     def _watson_logF(self, x, eta, etap):
         """log F_j(x) = log int_a^x eta_{j-1} r by the asymptotic expansion
         around the right limit (valid on the deep region)."""
         x = np.asarray(x, float)
-        s1 = self._safe(self.dphi_r, x)
-        s2 = self._safe(self.d2phi_r, x)
-        s3 = self._safe(self.d3phi_r, x)
+        s1 = eval_coeff(self.dphi_r, x)
+        s2 = eval_coeff(self.d2phi_r, x)
+        s3 = eval_coeff(self.d3phi_r, x)
         t0 = 1.0 / s1 + s2 / s1 ** 3 - s3 / s1 ** 4 + 3.0 * s2 ** 2 / s1 ** 5
         val = np.maximum(eta * t0 - etap / s1 ** 2, 1e-300)
-        return self._safe(self.phi_r, x) + np.log(val)
+        return eval_coeff(self.phi_r, x) + np.log(val)
 
     # -- grid construction -------------------------------------------------
     def _build_deep(self):
@@ -191,9 +183,9 @@ class KernelEngine:
         ref = c - a if c > a else 1.0
         x_min = a + _X_MIN_REL * ref
         probe = a + np.geomspace(x_min - a, ref, _PROBE_POINTS + 1)[1:]
-        s1 = self._safe(self.dphi_r, probe)
-        s2 = self._safe(self.d2phi_r, probe)
-        s3 = self._safe(self.d3phi_r, probe)
+        s1 = eval_coeff(self.dphi_r, probe)
+        s2 = eval_coeff(self.d2phi_r, probe)
+        s3 = eval_coeff(self.d3phi_r, probe)
         with np.errstate(all="ignore"):
             ok = ((s1 > 0.0) & np.isfinite(s1)
                   & (np.abs(s2) <= _WATSON_CHI * s1 * s1)
@@ -248,8 +240,8 @@ class KernelEngine:
         self.bp = np.concatenate([self.bp, edges])
         self.widths = np.diff(self.bp)
         self.node_x = self.bp[:-1, None] + self.widths[:, None] * _U[None, :]
-        self._phir_nodes = self._safe(self.phi_r, self.node_x)
-        self._phip_nodes = self._safe(self.phi_p, self.node_x)
+        self._phir_nodes = eval_coeff(self.phi_r, self.node_x)
+        self._phip_nodes = eval_coeff(self.phi_p, self.node_x)
         # main panels only
         self._refs = np.max(self._phir_nodes[self.n_deep:], axis=1)
         self.levels = [None]        # levels[j] for j >= 1
@@ -297,7 +289,7 @@ class KernelEngine:
         if not np.all(np.isfinite(vals)):
             raise errors.SingularCoefficient(
                 "non-finite eta integrand at level %d" % j)
-        cf = CumField(self.bp, self.node_x, vals, start=0.0)
+        cf = CumField(self.bp, self.node_x, vals)
         self.levels.append(_Level(cf, logF_bounds))
 
     # -- evaluation ---------------------------------------------------------
@@ -320,7 +312,7 @@ class KernelEngine:
             if j >= 2:
                 with np.errstate(all="ignore"):
                     gp = np.exp(self.F_log_at(j - 1, xd)
-                                - self._safe(self.phi_p, xd))
+                                - eval_coeff(self.phi_p, xd))
             else:
                 gp = np.zeros_like(xd)
             out[deep] = self._watson_logF(xd, eta, gp)
@@ -531,16 +523,6 @@ def moment_functions(problem):
     """kappa = lim A'(xi)/A(xi) at the right end plus the moment functions
     phi1 = kappa*eta1, phi2 = 2*(kappa*eta2 + eta1)."""
     a, b, c = problem.a, problem.b, problem.c
-    phi_p, phi_r = problem.p.log(), problem.r.log()
-    dphi_p, dphi_r = problem.p.dlog(), problem.r.dlog()
-
-    def quotient(x):
-        with np.errstate(all="ignore"):
-            amp = np.exp(0.5 * (float(phi_p(x, check=False))
-                                - float(phi_r(x, check=False))))
-            return amp * 0.5 * (float(dphi_p(x, check=False))
-                                + float(dphi_r(x, check=False)))
-
     x0 = c if c > a else a + 1.0
     vals = []
     kappa = None
@@ -549,7 +531,7 @@ def moment_functions(problem):
             xk = a + (x0 - a) * 2.0 ** k
         else:
             xk = b - (b - x0) * 0.5 ** k
-        v = quotient(xk)
+        v = float(problem.aprime_over_a(xk))
         if not np.isfinite(v):
             break
         vals.append(v)

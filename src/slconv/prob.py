@@ -30,7 +30,6 @@ class LevyTriple:
 class WalkPath:
     states: np.ndarray
     times: np.ndarray
-    rng_seed: object = None
 
 
 _SYNTH_TOL = 1e-9      # semigroup and transition synthesis tolerance

@@ -9,18 +9,22 @@ point c.
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import errors
 from .expr import CoeffExpr
-from .quadrature import gl_nodes, gl_panels, improper_quad
+from .quadrature import gl_panels, improper_quad
 
 
 # standard-form tabulation: points, and relative offset from a singular end
 _STD_POINTS = 600
 _STD_EPS_REL = 1e-8
+# _inner_mass: panels graded toward the moving limit, GL nodes per panel
+_INNER_PANELS = 24
+_INNER_GL = 8
 
 
 def graded_grid(lo, hi, n, eps_rel=1e-8):
@@ -46,9 +50,7 @@ class SLProblem:
                 "reference point c=%r outside [a, b)" % (self.c,))
         hi = self.c + 3.0 if np.isinf(self.b) else self.b
         probe = graded_grid(self.a, hi, 64, 1e-6)
-        with np.errstate(all="ignore"):
-            pv = np.asarray(self.p(probe, check=False), float) * np.ones_like(probe)
-            rv = np.asarray(self.r(probe, check=False), float) * np.ones_like(probe)
+        pv, rv = eval_coeff(self.p, probe), eval_coeff(self.r, probe)
         # allow underflow-to-0 / overflow-to-inf near singular endpoints,
         # but reject NaN, negative values, or identically nonpositive data
         for tag, v in (("p", pv), ("r", rv)):
@@ -66,6 +68,40 @@ class SLProblem:
 
     def fingerprint(self):
         return (self.a, self.b, self.c, self.p.printed(), self.r.printed())
+
+    # -- standard form: xi = gamma(x) = int sqrt(r/p), A = sqrt(p r) ------
+    @cached_property
+    def logs(self):
+        """(log p, log r, (log p)', (log r)'), decomposed structurally so
+        they stay representable where p and r under- or overflow."""
+        return self.p.log(), self.r.log(), self.p.dlog(), self.r.dlog()
+
+    def sqrt_r_over_p(self, x):
+        """sqrt(r/p) = d(xi)/dx, from the logs."""
+        log_p, log_r, _, _ = self.logs
+        with np.errstate(all="ignore"):
+            return np.exp(0.5 * (eval_coeff(log_r, x) - eval_coeff(log_p, x)))
+
+    def aprime_over_a(self, x):
+        """A'/A = d/dxi log sqrt(p r) at the point x (not at xi), from the
+        logs: (1/2) ((log p)' + (log r)') sqrt(p/r)."""
+        log_p, log_r, dlog_p, dlog_r = self.logs
+        with np.errstate(all="ignore"):
+            return (np.exp(0.5 * (eval_coeff(log_p, x) - eval_coeff(log_r, x)))
+                    * 0.5 * (eval_coeff(dlog_p, x) + eval_coeff(dlog_r, x)))
+
+    def gamma_cells(self, edges):
+        """int sqrt(r/p) over each cell [edges[k], edges[k+1]], by 12-point
+        Gauss-Legendre."""
+        nodes, wts = gl_panels(edges)
+        return (self.sqrt_r_over_p(nodes) * wts).sum(axis=1)
+
+
+def eval_coeff(fn, x):
+    """A coefficient expression at x, unchecked, broadcast to x's shape
+    (fn may be a constant); over/underflow to inf or 0 is allowed."""
+    with np.errstate(all="ignore"):
+        return np.asarray(fn(x, check=False), float) * np.ones_like(x)
 
 
 def custom_problem_from_dict(d):
@@ -92,13 +128,13 @@ class BoundaryClass:
     J_value: float
 
 
-def _inner_mass(f, lo, hi, n_panels=24, n_gl=8):
+def _inner_mass(f, lo, hi):
     """Proper integral with panels graded toward lo (possible integrable
     singularity at the moving limit)."""
     if hi <= lo:
         return 0.0
-    t = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, n_panels)])
-    nodes, wts = gl_panels(lo + (hi - lo) * t, n_gl)
+    t = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, _INNER_PANELS)])
+    nodes, wts = gl_panels(lo + (hi - lo) * t, _INNER_GL)
     return float(wts.ravel() @ f(nodes.ravel()))
 
 
@@ -179,20 +215,12 @@ class StandardForm:
 
     def A(self, xi):
         x = self.inverse(xi)
-        return np.sqrt(self.problem.p_val(x) * self.problem.r_val(x))
-
-    def aprime_over_a_at_x(self, x):
-        """A'(xi)/A(xi) expressed through x = gamma^{-1}(xi), computed
-        symbolically: (d/dx log sqrt(pr)) * dx/dxi."""
-        pr = self.problem
-        pv = pr.p_val(x)
-        rv = pr.r_val(x)
-        dp = pr.p.diff()(x, check=False)
-        dr = pr.r.diff()(x, check=False)
-        return np.sqrt(pv / rv) * (dp * rv + pv * dr) / (2.0 * pv * rv)
+        log_p, log_r, _, _ = self.problem.logs
+        with np.errstate(all="ignore"):
+            return np.exp(0.5 * (eval_coeff(log_p, x) + eval_coeff(log_r, x)))
 
     def aprime_over_a(self, xi):
-        return self.aprime_over_a_at_x(self.inverse(xi))
+        return self.problem.aprime_over_a(self.inverse(xi))
 
 
 def to_standard_form(problem):
@@ -201,32 +229,16 @@ def to_standard_form(problem):
     a, b, c = problem.a, problem.b, problem.c
     x_max = (c + 20.0) if np.isinf(b) else b - (b - a) * _STD_EPS_REL
     n = _STD_POINTS
-
-    log_r, log_p = problem.r.log(), problem.p.log()
-
-    def sq(x):
-        # sqrt(r/p) via structural logs: immune to separate over/underflow
-        # of r and p near singular endpoints
-        with np.errstate(all="ignore"):
-            return np.exp(0.5 * (log_r(x, check=False) - log_p(x, check=False)))
-
     left = graded_grid(a, c, n // 2, _STD_EPS_REL)
     right = np.linspace(c, x_max, n - n // 2 + 1)[1:]
     grid = np.unique(np.concatenate([left, [c], right]))
-    # cumulative gamma over the grid, 8-point GL per cell
-    u, w = gl_nodes(8)
-    lo = grid[:-1]
-    widths = np.diff(grid)
-    xs = lo[:, None] + widths[:, None] * u[None, :]
-    vals = sq(xs.ravel()).reshape(xs.shape)
-    cell = widths * (vals @ w)
-    gamma_vals = np.concatenate([[0.0], np.cumsum(cell)])
+    gamma_vals = np.concatenate([[0.0], np.cumsum(problem.gamma_cells(grid))])
     # shift so gamma(c) = 0
     ic = int(np.searchsorted(grid, c))
     gamma_vals = gamma_vals - gamma_vals[ic]
     if np.any(np.diff(gamma_vals) <= 0):
         raise errors.NonMonotone("gamma not strictly increasing on the grid")
-    res = improper_quad(sq, c, a)
+    res = improper_quad(problem.sqrt_r_over_p, c, a)
     gamma_a = res.value if res.finite else -np.inf
     gamma = PchipInterpolator(grid, gamma_vals, extrapolate=True)
     inverse = PchipInterpolator(gamma_vals, grid, extrapolate=True)
@@ -280,7 +292,7 @@ def _finite_absmax(v):
     return np.abs(v[np.isfinite(v)]).max(initial=0.0)
 
 
-def check_mp_assumption(problem, eta, grid=None, standard_form=None):
+def check_mp_assumption(problem, eta):
     """Check Assumption MP for the candidate eta (a CoeffExpr in the
     standard-form coordinate): eta >= 0, phi = A'/A - eta >= 0, and both
     phi and psi = eta'/2 - eta^2/4 + (A'/2A) eta nonincreasing on the grid.
@@ -305,13 +317,10 @@ def check_mp_assumption(problem, eta, grid=None, standard_form=None):
     with that sensitivity near the endpoint and is a few eps of the terms
     elsewhere.  A point whose value or budget is NaN, or whose budget is
     infinite, is a violation."""
-    sf = standard_form if standard_form is not None else to_standard_form(problem)
-    if grid is None:
-        lo = max(sf.xi_grid[0], sf.gamma_a if np.isfinite(sf.gamma_a)
-                 else sf.xi_grid[0])
-        grid = np.linspace(lo + 1e-6 * (sf.xi_grid[-1] - lo),
-                           sf.xi_grid[-1], 200)
-    grid = np.asarray(grid, dtype=float)
+    sf = to_standard_form(problem)
+    lo = max(sf.xi_grid[0], sf.gamma_a if np.isfinite(sf.gamma_a)
+             else sf.xi_grid[0])
+    grid = np.linspace(lo + 1e-6 * (sf.xi_grid[-1] - lo), sf.xi_grid[-1], 200)
     eta = CoeffExpr(eta)
     steps = np.arange(-_MP_ULPS, _MP_ULPS + 1, dtype=float)[:, None]
     xis = grid[None, :] + steps * np.spacing(np.abs(grid))[None, :]

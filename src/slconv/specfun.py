@@ -25,6 +25,12 @@ from . import errors
 __all__ = ["gamma_fn", "jn_normalized", "gauss_2f1", "whittaker_w",
            "parabolic_d", "whittaker_ode_residual"]
 
+_F21_TOL = 1e-16         # last 2F1 series term, relative to the sum
+_F21_TERMS = 500000      # most terms of the plain 2F1 series
+_F21_LOG_TERMS = 400     # most terms of the logarithmic connection series
+_LAPLACE_UMAX = 6.5      # Laplace integrals run over u in [-6.5, 6.5]
+_D_NODES = 1200          # nodes of D_nu's Laplace integral
+
 
 def jn_normalized(alpha, z):
     """J-Bessel normalized to 1 at the origin:
@@ -47,15 +53,15 @@ def jn_normalized(alpha, z):
     return out if out.ndim else float(out)
 
 
-def _f21_series(a, b, c, z, max_terms=500000, tol=1e-16):
+def _f21_series(a, b, c, z):
     """Plain hypergeometric power series at 0 <= z < 1 (complex a, b)."""
     term = 1.0 + 0j
     total = 1.0 + 0j
-    for k in range(1, max_terms):
+    for k in range(1, _F21_TERMS):
         term = term * ((a + k - 1.0) * (b + k - 1.0)
                        / ((c + k - 1.0) * k)) * z
         total += term
-        if abs(term) <= tol * max(abs(total), 1.0):
+        if abs(term) <= _F21_TOL * max(abs(total), 1.0):
             return total
     raise errors.SlowDecay("2F1 series did not converge (z too close to 1)")
 
@@ -79,7 +85,7 @@ def _digamma_c(z):
     return acc + np.log(z) - 0.5 / z - tail
 
 
-def _f21_log_case(a, b, m, w, max_terms=400, tol=1e-16):
+def _f21_log_case(a, b, m, w):
     """2F1(a, b; a+b+m; 1-w) for integer m >= 0 and small w > 0 by the
     logarithmic connection series."""
     c = a + b + m
@@ -101,7 +107,7 @@ def _f21_log_case(a, b, m, w, max_terms=400, tol=1e-16):
     psi2 = _digamma_c(m + 1.0)
     coef = 1.0 / gamma_fn(m + 1.0)
     s2 = coef * (lw - psi1 - psi2 + psi_a + psi_b)
-    for n in range(1, max_terms):
+    for n in range(1, _F21_LOG_TERMS):
         coef = coef * ((a + m + n - 1.0) * (b + m + n - 1.0)
                        / (n * (n + m))) * w
         psi1 += 1.0 / n
@@ -110,7 +116,7 @@ def _f21_log_case(a, b, m, w, max_terms=400, tol=1e-16):
         psi_b += 1.0 / (b + m + n - 1.0)
         term = coef * (lw - psi1 - psi2 + psi_a + psi_b)
         s2 += term
-        if abs(term) <= tol * max(abs(s2), 1.0):
+        if abs(term) <= _F21_TOL * max(abs(s2), 1.0):
             break
     return total + pref * s2
 
@@ -174,15 +180,14 @@ def gauss_2f1(a, b, c, z):
 # ---------------------------------------------------------------------------
 # Tricomi confluent function / Whittaker W
 
-def _tricomi_u(a, b, z, n_nodes=None, umax=6.5):
+def _tricomi_u(a, b, z):
     """U(a, b, z) = (1/Gamma(a)) int_0^inf e^{-zt} t^{a-1} (1+t)^{b-a-1} dt
     for complex a with Re a > 0, real z > 0, via a double-exponential
     substitution t = exp(sinh u) evaluated in log space."""
-    if n_nodes is None:
-        # the factor t^{Im a} oscillates with frequency |Im a| cosh(u) in
-        # the transformed variable; resolve it across the live window
-        n_nodes = 2000 + int(2500 * abs(np.imag(a)))
-    u = np.linspace(-umax, umax, n_nodes)
+    # the factor t^{Im a} oscillates with frequency |Im a| cosh(u) in the
+    # transformed variable; resolve it across the live window
+    n_nodes = 2000 + int(2500 * abs(np.imag(a)))
+    u = np.linspace(-_LAPLACE_UMAX, _LAPLACE_UMAX, n_nodes)
     h = u[1] - u[0]
     s = np.sinh(u)
     logt = s
@@ -232,12 +237,12 @@ def whittaker_ode_residual(kappa, mu, z, h=None):
 # ---------------------------------------------------------------------------
 # Parabolic cylinder D_nu
 
-def _d_negative(nu, z, n_nodes=1200, umax=6.5):
+def _d_negative(nu, z):
     """D_nu(z) for nu < 0 via
     D_nu(z) = e^{-z^2/4} / Gamma(-nu) * int_0^inf e^{-zt - t^2/2} t^{-nu-1} dt
     (vectorized over z)."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    u = np.linspace(-umax, umax, n_nodes)
+    u = np.linspace(-_LAPLACE_UMAX, _LAPLACE_UMAX, _D_NODES)
     h = u[1] - u[0]
     s = np.sinh(u)
     t = np.exp(s)

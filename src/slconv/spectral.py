@@ -40,8 +40,6 @@ class SpectralMeasure:
     tau_density: object
     lam_shift: float = 0.0
     atoms: tuple = ()
-    support_note: str = ""
-    status: str = "validated"      # or "experimental"
 
     def density(self, lam):
         """Density w.r.t. d(lambda) on lam > lam_shift."""

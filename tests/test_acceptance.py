@@ -151,7 +151,7 @@ def test_criterion_06_plancherel():
         dens = np.asarray(fam.spectral.tau_density(tn), dtype=float)
         rhs = 0.0
         for t, wq, d in zip(tn, tw, dens):
-            lam = t * t + fam.lam_shift
+            lam = t * t + fam.spectral.lam_shift
             wk = np.real(np.asarray(fam.closed_kernel(float(lam), xs)))
             fh = float(np.sum(xw * hv * wk * rv))
             rhs += wq * d * fh * fh

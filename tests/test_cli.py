@@ -40,6 +40,12 @@ def test_classify_hankel_zero():
     assert out.strip() == "left=entrance right=natural"
 
 
+def test_classify_degenerate_custom_defaults():
+    rc, out, _ = run_cli("classify", "--family", "degenerate_custom")
+    assert rc == 0
+    assert out.strip() == "left=entrance right=natural"
+
+
 def test_classify_cosine():
     rc, out, _ = run_cli("classify", "--family", "cosine")
     assert rc == 0

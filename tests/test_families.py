@@ -101,6 +101,19 @@ _EVERY_FAMILY = [("cosine", {}), ("squared_weight", {}),
                  ("degenerate_custom", {"izeta": "log(x)"})]
 
 
+def test_degenerate_custom_default_is_whittaker_zero():
+    # the default izeta = log(x) is zeta = 1; with kappa = 1 the operator
+    # is whittaker alpha = 0's
+    fam = families.make_family("degenerate_custom")
+    assert fam.param("izeta") == "log(x)"
+    whit = families.make_family("whittaker", {"alpha": 0.0})
+    lams = [0.0, 0.3, 2.5, 9.0]
+    xs = np.array([0.05, 0.4, 1.3, 3.0])
+    np.testing.assert_allclose(
+        kernel.kernel_table(fam.problem, lams, xs),
+        kernel.kernel_table(whit.problem, lams, xs), rtol=0.0, atol=1e-10)
+
+
 def test_family_kernel_routing():
     lams = [0.0, 2.5, 9.0]
     xs = np.array([0.0, 0.4, 1.3])

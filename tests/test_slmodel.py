@@ -38,6 +38,33 @@ def test_to_standard_form_cosine_identity():
     np.testing.assert_allclose(sf.A(xs), np.ones_like(xs), rtol=1e-12)
 
 
+def test_standard_form_quantities_custom():
+    # p = 1, r = (1+x)^2: A = sqrt(p r) = 1 + x, so A'/A = (1+x)^-2 in xi,
+    # and xi = int_1^x sqrt(r/p) = x + x^2/2 - 3/2
+    prob = slmodel.custom_problem_from_dict(
+        {"p": "1", "r": "(1 + x)^2", "a": 0.0, "b": "inf", "c": 1.0})
+    xs = np.linspace(1.0, 5.0, 41)
+    np.testing.assert_allclose(prob.aprime_over_a(xs), (1.0 + xs) ** -2,
+                               rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(np.cumsum(prob.gamma_cells(xs)),
+                               xs[1:] + 0.5 * xs[1:] ** 2 - 1.5,
+                               rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("whittaker", {"alpha": 0.0}), ("whittaker", {"alpha": -0.5}),
+    ("degenerate_custom", {})])
+def test_check_mp_assumption_degenerate_examples(name, params):
+    # p and r both underflow toward a = 0 (factor exp(-1/x)), yet
+    # A'/A = 1 - 2 alpha + 1/x (kappa = 1 for degenerate_custom's default)
+    # is finite, positive and decreasing: eta = 0 is admissible
+    prob = families.make_family(name, params).problem
+    rep = slmodel.check_mp_assumption(prob, "0")
+    assert np.all(np.isfinite(rep.phi_eta))
+    assert rep.admissible
+    assert not rep.violations
+
+
 def test_check_mp_assumption_builtin():
     # hankel alpha=1/2: the standard coordinate is xi = x - 1 (gamma is
     # anchored at c = 1), so A = (xi + 1)^2 and eta = A'/A = 2/(xi + 1)
