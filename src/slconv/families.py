@@ -34,8 +34,7 @@ from .slmodel import SLProblem
 from .spectral import SpectralMeasure
 
 __all__ = ["Family", "make_family", "load_family", "from_problem",
-           "FAMILY_NAMES", "family_convolution_measure", "family_step",
-           "eval_special"]
+           "FAMILY_NAMES", "family_convolution_measure", "family_step"]
 
 FAMILY_NAMES = ("cosine", "squared_weight", "hankel", "jacobi",
                 "whittaker", "degenerate_custom")
@@ -50,7 +49,7 @@ class Family:
     id: str
     params: tuple                 # sorted (key, value) pairs
     problem: SLProblem
-    closed_kernel: object = None  # callable (lam, x-array) -> values
+    closed_kernel: object = None  # callable (lams, xs) -> (L, *xs.shape)
     spectral: object = None       # SpectralMeasure or None
     conv_quad: object = None      # callable (x, y) -> (nodes, wts, atoms)
     conv_sampled: object = None   # callable (x, y) -> MeasureRepr
@@ -62,15 +61,21 @@ class Family:
 
     def kernel(self, lams, xs):
         """w_lam(x) for every lam in lams (rows) and x in xs (columns),
-        shape (L, *xs.shape): the closed form, one call per lam, when the
-        family has one and prefers it (each returns w = 1 at x = a
-        itself), otherwise kernel.kernel_table on the problem's engine."""
+        shape (L, *xs.shape): the closed form, one table call, when the
+        family has one and prefers it (w = 1 at x = a itself), otherwise
+        kernel.kernel_table on the problem's engine."""
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         xs = np.asarray(xs, dtype=float)
         if self.prefer_closed_kernel and self.closed_kernel is not None:
-            return np.array([np.real(np.asarray(self.closed_kernel(lam, xs)))
-                             for lam in lams.tolist()])
+            return self.closed_kernel(lams, xs)
         return kernel.kernel_table(self.problem, lams, xs)
+
+
+def _index(lams, shift, xs):
+    """The index mu = sqrt(shift - lam), imaginary above the shift, shaped
+    (L, 1, ...) to broadcast against xs."""
+    mu = np.sqrt((shift - np.asarray(lams, dtype=float)) + 0j)
+    return mu.reshape(mu.shape + (1,) * np.ndim(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +260,8 @@ def _make_cosine(params):
     problem = SLProblem(a=0.0, b=np.inf, p=CoeffExpr("1"), r=CoeffExpr("1"),
                         c=1.0, name="cosine")
 
-    def ck(lam, x):
-        return np.cos(math.sqrt(max(lam, 0.0)) * np.asarray(x, float))
+    def ck(lams, xs):
+        return np.cos(np.multiply.outer(np.sqrt(np.maximum(lams, 0.0)), xs))
 
     spectral = SpectralMeasure(
         tau_density=lambda t: np.full_like(np.asarray(t, float), 2.0 / np.pi))
@@ -268,12 +273,9 @@ def _make_squared_weight(params):
     problem = SLProblem(a=0.0, b=np.inf, p=CoeffExpr("(1+x)^2"),
                         r=CoeffExpr("(1+x)^2"), c=1.0, name="squared_weight")
 
-    def ck(lam, x):
-        x = np.asarray(x, float)
-        tau = math.sqrt(max(lam, 0.0))
-        if tau == 0.0:
-            return np.ones_like(x)
-        return (np.cos(tau * x) + x * np.sinc(tau * x / np.pi)) / (1.0 + x)
+    def ck(lams, xs):
+        tx = np.multiply.outer(np.sqrt(np.maximum(lams, 0.0)), xs)
+        return (np.cos(tx) + xs * np.sinc(tx / np.pi)) / (1.0 + xs)
 
     spectral = SpectralMeasure(
         tau_density=lambda t: (2.0 / np.pi) * t * t / (1.0 + t * t))
@@ -299,10 +301,9 @@ def _make_hankel(params):
     problem = SLProblem(a=0.0, b=np.inf, p=coeff, r=coeff, c=1.0,
                         name="hankel")
 
-    def ck(lam, x):
-        return specfun.jn_normalized(alpha,
-                                     math.sqrt(max(lam, 0.0))
-                                     * np.asarray(x, float))
+    def ck(lams, xs):
+        return specfun.jn_normalized(
+            alpha, np.multiply.outer(np.sqrt(np.maximum(lams, 0.0)), xs))
 
     norm_c = (2.0 ** alpha * specfun.gamma_fn(alpha + 1.0)) ** 2
 
@@ -344,13 +345,11 @@ def _make_jacobi(params):
                         name="jacobi")
     shift = sigma * sigma
 
-    def ck(lam, x):
-        x = np.asarray(x, float)
-        t2 = lam - shift
-        mu = 1j * math.sqrt(t2) if t2 >= 0.0 else math.sqrt(-t2)
-        vals = specfun.gauss_2f1(0.5 * (sigma - mu), 0.5 * (sigma + mu),
-                                 alpha + 1.0, -np.sinh(x) ** 2)
-        return np.real(vals)
+    def ck(lams, xs):
+        mu = _index(lams, shift, xs)
+        return np.real(specfun.gauss_2f1(0.5 * (sigma - mu),
+                                         0.5 * (sigma + mu), alpha + 1.0,
+                                         -np.sinh(xs) ** 2))
 
     # Plancherel density via the Harish-Chandra c-function (validated by
     # the transform round-trip test)
@@ -412,15 +411,15 @@ def _make_whittaker(params):
                         c=1.0, name="whittaker")
     shift = (0.5 - alpha) ** 2
 
-    def ck(lam, x):
-        x = np.atleast_1d(np.asarray(x, float))
-        t2 = lam - shift
-        mu = 1j * math.sqrt(t2) if t2 >= 0.0 else math.sqrt(-t2)
-        # w = 1 at x = a = 0, the limit of the formula; a 1-D array even
-        # for one point
-        return np.array([x_ ** alpha * math.exp(0.5 / x_)
-                         * specfun.whittaker_w(alpha, mu, 1.0 / x_)
-                         if x_ > 0.0 else 1.0 for x_ in x])
+    def ck(lams, xs):
+        # w = 1 at x = a = 0, the limit of the formula
+        pos = xs > 0.0
+        x = np.where(pos, xs, 1.0)
+        if np.any(0.5 / x > 709.0):
+            raise errors.RangeNotValidated("x below 1/1418 (exp overflow)")
+        w = x ** alpha * np.exp(0.5 / x) * specfun.whittaker_w(
+            alpha, _index(lams, shift, xs), 1.0 / x)
+        return np.where(pos, w, 1.0)
 
     # Plancherel density (validated by the transform round-trip test); the
     # alpha = 0 case reduces to the classical (2/pi) tau sinh(pi tau) density
@@ -589,25 +588,3 @@ def family_convolution_quadrature(family, x, y):
         raise errors.ParamOutOfRange(
             "family %r has no closed convolution measure" % (family.id,))
     return family.conv_quad(float(x), float(y))
-
-
-_SPECIAL = {
-    "gamma_fn": lambda params, z: float(specfun.gamma_fn(z)),
-    "bessel_j_normalized":
-        lambda params, z: float(specfun.jn_normalized(params[0], z)),
-    "gauss_2f1":
-        lambda params, z: specfun.gauss_2f1(params[0], params[1],
-                                            params[2], z),
-    "whittaker_w":
-        lambda params, z: specfun.whittaker_w(
-            params[0], params[1] * 1j if len(params) > 2 and params[2]
-            else params[1], z),
-    "parabolic_d":
-        lambda params, z: float(specfun.parabolic_d(params[0], z)),
-}
-
-
-def eval_special(fn_id, params, z):
-    if fn_id not in _SPECIAL:
-        raise errors.ParamOutOfRange("unknown special function %r" % fn_id)
-    return _SPECIAL[fn_id](list(params or ()), z)

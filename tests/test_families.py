@@ -1,6 +1,6 @@
 import dataclasses
-import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,14 +21,14 @@ def test_family_cache_returns_same_object():
 def test_cosine_closed_kernel():
     fam = families.make_family("cosine")
     xs = np.linspace(0.0, 3.0, 10)
-    np.testing.assert_allclose(np.real(fam.closed_kernel(4.0, xs)),
+    np.testing.assert_allclose(fam.closed_kernel([4.0], xs)[0],
                                np.cos(2.0 * xs), rtol=1e-13)
 
 
 def test_hankel_half_closed_kernel_is_sinc():
     fam = families.make_family("hankel", {"alpha": 0.5})
     xs = np.linspace(0.1, 3.0, 10)
-    np.testing.assert_allclose(np.real(fam.closed_kernel(9.0, xs)),
+    np.testing.assert_allclose(fam.closed_kernel([9.0], xs)[0],
                                np.sin(3.0 * xs) / (3.0 * xs), rtol=1e-12)
 
 
@@ -87,13 +87,6 @@ def test_load_family_round_trip():
     assert fam.param("alpha") == 0.5
 
 
-def test_eval_special_dispatch():
-    val = families.eval_special("bessel_j_normalized", [0.5], 1.0)
-    assert val == pytest.approx(math.sin(1.0), rel=1e-12)
-    with pytest.raises(errors.ValidationError):
-        families.eval_special("nope", [], 1.0)
-
-
 _EVERY_FAMILY = [("cosine", {}), ("squared_weight", {}),
                  ("hankel", {"alpha": 1.0}),
                  ("jacobi", {"alpha": 1.0, "beta": 0.0}),
@@ -124,18 +117,18 @@ def test_family_kernel_routing():
         if name in ("whittaker", "degenerate_custom"):
             want = kernel.kernel_table(fam.problem, lams, xs)
         else:
-            want = np.array([np.real(np.asarray(fam.closed_kernel(lam, xs)))
-                             for lam in lams])
-            # a copy with a wrapped closed form sends every lam through it
+            want = fam.closed_kernel(lams, xs)
+            # a copy with a wrapped closed form sends all lams through it
+            # in one call
             calls = []
 
             def counting(lam, x, ck=fam.closed_kernel):
-                calls.append(lam)
+                calls.append(list(lam))
                 return ck(lam, x)
 
             wrapped = dataclasses.replace(fam, closed_kernel=counting)
             assert np.array_equal(wrapped.kernel(lams, xs), want), name
-            assert calls == lams, name
+            assert calls == [lams], name
         assert np.array_equal(got, want), name
     # the last case's problem (degenerate_custom) as a custom family
     custom = families.from_problem(fam.problem)
@@ -145,21 +138,62 @@ def test_family_kernel_routing():
 
 def test_product_check_closed_kernel_override_counts_calls():
     # whittaker prefers the numeric kernel; use_closed_kernel=True still
-    # reaches its closed form, once per lam, through a wrapped copy
+    # reaches its closed form, one call for all lams, through a wrapped copy
     fam = families.make_family("whittaker", {"alpha": 0.0})
     calls = []
 
     def counting(lam, x):
-        calls.append(lam)
+        calls.append(list(lam))
         return fam.closed_kernel(lam, x)
 
     wrapped = dataclasses.replace(fam, closed_kernel=counting)
-    convolution.verify_product_formula(wrapped, 0.9, 1.1, [1.0],
+    convolution.verify_product_formula(wrapped, 0.9, 1.1, [1.0, 2.0],
                                        use_closed_kernel=True)
-    assert calls == [1.0]
-    convolution.verify_product_formula(wrapped, 0.9, 1.1, [1.0])
-    assert calls == [1.0]
+    assert calls == [[1.0, 2.0]]
+    convolution.verify_product_formula(wrapped, 0.9, 1.1, [1.0, 2.0])
+    assert calls == [[1.0, 2.0]]
 
+
+def test_jacobi_kernel_table_against_mpmath():
+    # w_lam(x) = 2F1((2 - mu)/2, (2 + mu)/2; 2; -sinh^2 x), mu^2 = 4 - lam:
+    # lam = 0 terminates (w = 1), lam = 3 and 4 reach the logarithmic
+    # connection (m = 1, 0), lam = 10 the general one; x on both sides of
+    # tanh^2 x = 0.75 (x ~ 1.317) runs both branches after the Pfaff step
+    fam = families.make_family("jacobi", {"alpha": 1.0, "beta": 0.0})
+    lams = [0.0, 3.0, 4.0, 10.0]
+    xs = np.array([[0.0, 0.4, 1.2], [1.4, 2.5, 4.0]])
+    got = fam.closed_kernel(lams, xs)
+    assert got.shape == (4, 2, 3)
+    mp.mp.dps = 30
+    for lam, row in zip(lams, got):
+        mu = mp.sqrt(mp.mpc(4.0 - lam))
+        for x, val in zip(xs.ravel(), row.ravel()):
+            want = float(mp.re(mp.hyp2f1((2 - mu) / 2, (2 + mu) / 2, 2,
+                                         -mp.sinh(x) ** 2)))
+            assert abs(val - want) <= 1e-9 * max(1.0, abs(want)), (lam, x)
+
+
+def test_whittaker_kernel_table_against_mpmath():
+    # one call per alpha: the lams need different Laplace node counts
+    # (|Im mu| from 0 to ~5), and x = 0 gives exactly 1
+    lams = [0.1, 1.0, 6.0, 25.0]
+    xs = np.array([0.0, 0.05, 0.3, 1.0, 3.3, 20.0])
+    mp.mp.dps = 30
+    for alpha in (0.0, -0.5):
+        fam = families.make_family("whittaker", {"alpha": alpha})
+        got = fam.closed_kernel(lams, xs)
+        assert got.shape == (4, 6)
+        assert np.all(got[:, 0] == 1.0)
+        for lam, row in zip(lams, got):
+            mu = mp.sqrt(mp.mpc((0.5 - alpha) ** 2 - lam))
+            for x, val in zip(xs[1:], row[1:]):
+                z = 1 / mp.mpf(x)
+                want = float(mp.re(mp.mpf(x) ** alpha * mp.exp(z / 2)
+                                   * mp.whitw(alpha, mu, z)))
+                assert abs(val - want) <= 1e-9 * max(1.0, abs(want)), \
+                    (alpha, lam, x)
+        with pytest.raises(errors.RangeNotValidated):
+            fam.closed_kernel(lams, np.array([1.0, 5e-4]))
 
 
 _CONVOLUTION_FAMILIES = [("cosine", {}), ("squared_weight", {})] + [

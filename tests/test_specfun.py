@@ -54,6 +54,30 @@ def test_gauss_2f1_integer_balanced_case():
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
+def test_gauss_2f1_array_takes_each_branch():
+    # array calls (one per c) whose elements take the terminating, Pfaff,
+    # plain, general-connection and logarithmic (c - a - b = 0, 1, 2, -1)
+    # branches; a 0-d call still gives a scalar
+    mp.mp.dps = 30
+    a = np.array([-2.0, 0.5 + 2.0j, 0.25, 0.25, 0.5 + 1.5j, 0.5 + 1.5j,
+                  0.5 + 1.5j, 1.0])
+    b = np.array([1.5, 0.5 - 2.0j, 0.75, 0.75, 0.5 - 1.5j, 0.5 - 1.5j,
+                  0.5 - 1.5j, 1.0])
+    c = np.array([1.0, 1.0, 1.5, 1.5, 1.0, 2.0, 3.0, 1.0])
+    z = np.array([3.0, -4.0, 0.5, 0.9, 0.95, 0.8, 0.9, 0.85])
+    for cv in np.unique(c):
+        k = c == cv
+        got = specfun.gauss_2f1(a[k, None], b[k, None], cv, z[k, None])
+        assert got.shape == (int(k.sum()), 1)
+        for ai, bi, zi, gi in zip(a[k], b[k], z[k], got[:, 0]):
+            want = complex(mp.hyp2f1(ai, bi, cv, zi))
+            assert abs(gi - want) <= 1e-10 * max(1.0, abs(want)), (ai, bi,
+                                                                   cv, zi)
+    assert isinstance(specfun.gauss_2f1(0.5, 1.5, 2.0, 0.3), complex)
+    with pytest.raises(errors.RangeNotValidated):
+        specfun.gauss_2f1(0.5, 1.5, 2.0, np.array([0.3, 1.5]))
+
+
 def test_whittaker_w_against_mpmath():
     mp.mp.dps = 30
     for kappa in (0.0, -0.5):
@@ -63,11 +87,6 @@ def test_whittaker_w_against_mpmath():
                 want = complex(mp.whitw(kappa, complex(0, tau), z))
                 assert abs(got - want.real) <= 1e-9 * max(1.0, abs(want)), \
                     (kappa, tau, z)
-
-
-def test_whittaker_ode_residual_small():
-    res = specfun.whittaker_ode_residual(0.0, complex(0, 2.0), 1.5)
-    assert abs(res) < 1e-6
 
 
 def test_parabolic_d_against_mpmath():
