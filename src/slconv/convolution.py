@@ -2,7 +2,6 @@
 translation, product-formula verification, and the Young inequality
 check."""
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -11,7 +10,6 @@ from . import errors, families, measures, quadrature
 
 __all__ = ["ConvCfg", "ConvReport", "convolve_measures", "translate",
            "convolve_functions", "verify_product_formula", "young_check"]
-
 
 _SEG_NODES = 16                 # point-mass panels per density segment
 _PANELS = 32                    # Gauss-Legendre panels over a support
@@ -37,8 +35,7 @@ def _measure_point_masses(mu):
     segment as 12-point Gauss-Legendre nodes on at most _SEG_NODES panels
     over its grid, weighted by the segment's own linear density and
     scaled so each panel carries its exact trapezoid mass."""
-    locs = [loc for loc, _ in mu.atoms]
-    wts = [m for _, m in mu.atoms]
+    rows = [([loc for loc, _ in mu.atoms], [m for _, m in mu.atoms])]
     for seg in mu.segments:
         g, d = seg.grid, np.maximum(seg.density, 0.0)
         idx = np.unique(np.linspace(0, len(g) - 1,
@@ -50,9 +47,8 @@ def _measure_point_masses(mu):
         got = w.sum(axis=1)
         w *= np.divide(np.diff(cum[idx]), got, out=np.zeros_like(got),
                        where=got > 0.0)[:, None]
-        locs.extend(nodes.ravel().tolist())
-        wts.extend(w.ravel().tolist())
-    return np.asarray(locs), np.asarray(wts)
+        rows.append((nodes.ravel(), w.ravel()))
+    return tuple(np.concatenate(c) for c in zip(*rows))
 
 
 def convolve_measures(family, mu, nu, cfg=ConvCfg()):
@@ -66,48 +62,37 @@ def convolve_measures(family, mu, nu, cfg=ConvCfg()):
         raise errors.GridOverflow(
             "convolution mixture needs %d support pairs (budget %d)"
             % (n_pairs, cfg.max_pairs))
-    parts = []
-    weights = []
-    for x, wx in zip(xs, xw):
-        for y, wy in zip(ys, yw):
-            parts.append(families.family_convolution_measure(family, x, y))
-            weights.append(wx * wy)
-    return measures.merge_measures(parts, weights,
+    parts = [families.family_convolution_measure(family, x, y)
+             for x in xs for y in ys]
+    return measures.merge_measures(parts, np.outer(xw, yw).ravel(),
                                    grid_points=cfg.grid_points)
 
 
 def translate(family, h, y, x_grid):
     """Generalized translation (T^y h)(x) = integral of h against the
-    two-point convolution measure, sampled on x_grid."""
-    out = np.empty(len(x_grid))
-    for i, x in enumerate(np.asarray(x_grid, dtype=float)):
-        nodes, wts, atoms = families.family_convolution_quadrature(
-            family, float(x), float(y))
-        total = math.fsum((wts * np.asarray(h(nodes), dtype=float)).tolist()) \
-            if len(nodes) else 0.0
-        total += sum(m * float(h(np.asarray(loc))) for loc, m in atoms)
-        out[i] = total
-    return out
+    two-point convolution measure, sampled on x_grid: one rule for all
+    the pairs (x, y) and one call of h on its nodes and atoms."""
+    nodes, wts = families.rule_table(*families.family_convolution_quadrature(
+        family, np.asarray(x_grid, dtype=float), y))
+    return np.sum(wts * np.asarray(h(nodes), dtype=float), axis=-1)
+
+
+def _r_panels(problem, lo, hi):
+    """_PANELS 12-point Gauss-Legendre panels on [lo, hi]: (nodes, w r)."""
+    nodes, wts = map(np.ravel, quadrature.gl_panels(
+        np.linspace(lo, hi, _PANELS + 1)))
+    with np.errstate(all="ignore"):
+        return nodes, wts * np.asarray(problem.r_val(nodes), dtype=float)
 
 
 def convolve_functions(family, h, g, x_grid, y_support):
     """(h * g)(x) = integral over y of (T^y h)(x) g(y) r(y) dy, sampled on
     x_grid.  y_support bounds the effective support of g."""
-    lo, hi = y_support
-    prob = family.problem
-    ys, yw = map(np.ravel, quadrature.gl_panels(
-        np.linspace(lo, hi, _PANELS + 1)))
-    with np.errstate(all="ignore"):
-        rv = np.asarray(prob.r_val(ys), dtype=float) * np.ones_like(ys)
-    gv = np.asarray(g(ys), dtype=float) * np.ones_like(ys)
-    out = np.zeros(len(x_grid))
-    # accumulate column by column: for each y node, T^y h over the x grid
-    for j, yval in enumerate(ys):
-        coeff = yw[j] * gv[j] * rv[j]
-        if coeff == 0.0:
-            continue
-        out += coeff * translate(family, h, float(yval), x_grid)
-    return out
+    ys, yw = _r_panels(family.problem, *y_support)
+    # one translation over the x grid per y node where g r is nonzero
+    return sum((c * translate(family, h, float(yv), x_grid)
+                for yv, c in zip(ys, yw * np.asarray(g(ys), dtype=float))
+                if c != 0.0), np.zeros(len(x_grid)))
 
 
 def verify_product_formula(family, x, y, lambda_grid, use_closed_kernel=False):
@@ -116,23 +101,19 @@ def verify_product_formula(family, x, y, lambda_grid, use_closed_kernel=False):
     kernel if use_closed_kernel (and it has one), on the numeric kernel
     otherwise, whichever the family prefers."""
     lambda_grid = np.asarray(lambda_grid, dtype=float)
-    nodes, wts, atoms = families.family_convolution_quadrature(
-        family, float(x), float(y))
-    atom_locs = np.asarray([loc for loc, _ in atoms])
-    atom_m = np.asarray([m for _, m in atoms])
-    mass = float(np.sum(wts)) + float(np.sum(atom_m))
-    n = len(nodes)
+    nodes, wts = families.rule_table(
+        *families.family_convolution_quadrature(family, x, y))
     wv = replace(family, prefer_closed_kernel=use_closed_kernel).kernel(
-        lambda_grid, np.concatenate([[x], [y], nodes, atom_locs]))
+        lambda_grid, np.concatenate([[x], [y], nodes]))
     lhs = wv[:, 0] * wv[:, 1]
-    rhs = wv[:, 2:2 + n] @ wts + wv[:, 2 + n:] @ atom_m
+    rhs = wv[:, 2:] @ wts
     return ConvReport(lambda_grid=lambda_grid, lhs=lhs, rhs=rhs,
                       max_abs_err=float(np.max(np.abs(lhs - rhs))),
-                      mass=mass)
+                      mass=float(np.sum(wts)))
 
 
 def _norm(vals, weights, p):
-    vals = np.abs(vals)
+    vals = np.abs(np.asarray(vals, dtype=float)) * np.ones_like(weights)
     if np.isinf(p):
         return float(np.max(vals))
     return float(np.sum(weights * vals ** p) ** (1.0 / p))
@@ -147,24 +128,13 @@ def young_check(family, h, g, p1, p2, support=(0.0, 6.0)):
             "Young exponents need 1 <= 1/p1 + 1/p2 <= 2")
     s = np.inf if inv_s <= 1e-12 else 1.0 / inv_s
     lo, hi = support
-    prob = family.problem
-    xs, xw = map(np.ravel, quadrature.gl_panels(
-        np.linspace(lo, hi, _PANELS + 1)))
-    with np.errstate(all="ignore"):
-        rv = np.asarray(prob.r_val(xs), dtype=float) * np.ones_like(xs)
-    wts = xw * rv
-    hv = np.asarray(h(xs), dtype=float) * np.ones_like(xs)
-    gv = np.asarray(g(xs), dtype=float) * np.ones_like(xs)
-    norm_h = _norm(hv, wts, p1)
-    norm_g = _norm(gv, wts, p2)
+    xs, wts = _r_panels(family.problem, lo, hi)
+    norm_h = _norm(h(xs), wts, p1)
+    norm_g = _norm(g(xs), wts, p2)
     # support of the convolution extends to at most lo' .. 2*hi for the
     # built-in families (support of nu_{x,y} within [|x-y|, x+y] or decaying)
-    cxs, cxw = map(np.ravel, quadrature.gl_panels(
-        np.linspace(lo, 2.0 * hi, _PANELS + 1)))
-    with np.errstate(all="ignore"):
-        crv = np.asarray(prob.r_val(cxs), dtype=float) * np.ones_like(cxs)
-    conv_vals = convolve_functions(family, h, g, cxs, support)
-    norm_conv = _norm(conv_vals, cxw * crv, s)
+    cxs, cw = _r_panels(family.problem, lo, 2.0 * hi)
+    norm_conv = _norm(convolve_functions(family, h, g, cxs, support), cw, s)
     bound = norm_h * norm_g
     return {
         "s": float(s), "p1": float(p1), "p2": float(p2),

@@ -3,17 +3,19 @@ Plancherel (spectral) densities, and the convolution measures nu_{x,y} of
 the product formula w_lam(x) w_lam(y) = integral of w_lam d(nu_{x,y}).
 from_problem makes a custom problem a Family too.
 
-Each family states nu_{x,y} once, as law(x, y) -> (atoms, density), with
-density None (a purely atomic law), an _EdgeDensity (a smooth factor times
-Jacobi edge powers in a substituted variable: squared_weight, hankel,
-jacobi) or a _CellDensity (full support on log-spaced cells: whittaker).
+Each family states nu_{x,y} once, as law(x, y) -> (atoms, density) on
+pair arrays x, y of one shape (or two floats): atoms are (loc, mass)
+pairs, and density is None (a purely atomic law), an _EdgeDensity (a
+smooth factor times Jacobi edge powers in a substituted variable:
+squared_weight, hankel, jacobi) or a _CellDensity (full support on
+log-spaced cells: whittaker), its fields broadcasting over the pairs.
 _convolution derives the two representations a Family carries, and applies
 nu_{a,y} = delta_y and nu_{x,a} = delta_x for both:
 
 - conv_quad(x, y) -> (nodes, weights, atoms), a Gauss rule exact up to its
-  order, for product checks and translation;
+  order for all pairs at once, for product checks and translation;
 - conv_sampled(x, y) -> MeasureRepr, mass-exact cells with piecewise-linear
-  density, for walks, measure convolution and `slconv convolve`;
+  density for one pair, for walks, measure convolution and `slconv convolve`;
 - conv_draw(s, x, u) -> positions, an exact draw for all walk paths at
   once (cosine, hankel); family_step falls back to conv_sampled without it.
 
@@ -34,10 +36,8 @@ from .slmodel import SLProblem
 from .spectral import SpectralMeasure
 
 __all__ = ["Family", "make_family", "load_family", "from_problem",
-           "FAMILY_NAMES", "family_convolution_measure", "family_step"]
-
-FAMILY_NAMES = ("cosine", "squared_weight", "hankel", "jacobi",
-                "whittaker", "degenerate_custom")
+           "FAMILY_NAMES", "family_convolution_measure", "family_step",
+           "family_convolution_quadrature", "rule_table"]
 
 _ATOL_BOUNDARY = 1e-14
 _RULE_NODES = 200       # Gauss-Jacobi nodes of an edge density's rule
@@ -89,10 +89,10 @@ def _jacobi_rule(n, alpha, beta):
 @dataclass(frozen=True)
 class _EdgeDensity:
     """The density smooth(t) * [(t - l)(u - t)]^edge_pow on [l, u] in a
-    variable t; the position is xi = to_xi(t), increasing in t, and
-    dt/dxi = dt_dxi(xi)."""
-    l: float
-    u: float
+    variable t, per pair (smooth takes t with a first axis of nodes); the
+    position is xi = to_xi(t), increasing in t, and dt/dxi = dt_dxi(xi)."""
+    l: object
+    u: object
     edge_pow: float
     smooth: object
     to_xi: object
@@ -100,18 +100,19 @@ class _EdgeDensity:
 
     def rule(self):
         """Gauss-Jacobi nodes (in xi) and weights, exact for the edge
-        powers."""
-        s, v = _jacobi_rule(_RULE_NODES, self.edge_pow, self.edge_pow)
+        powers, of shape pairs + (n,)."""
+        s, v = (c.reshape(c.shape + (1,) * np.ndim(self.l)) for c in
+                _jacobi_rule(_RULE_NODES, self.edge_pow, self.edge_pow))
         half = 0.5 * (self.u - self.l)
         t = 0.5 * (self.u + self.l) + half * s
-        return self.to_xi(t), \
-            v * half ** (2.0 * self.edge_pow + 1.0) * self.smooth(t)
+        return np.moveaxis(self.to_xi(t), 0, -1), np.moveaxis(
+            v * half ** (2.0 * self.edge_pow + 1.0) * self.smooth(t), 0, -1)
 
     def cells(self):
         """(edges in xi, cell masses, density in xi at the edges) on the
-        cells t = l + (u - l) sin^2(theta / 2), theta uniform.  The masses
-        are 12-point Gauss-Legendre in theta, where the edge powers are
-        smooth, and one-sided Gauss-Jacobi on the two edge cells."""
+        cells t = l + (u - l) sin^2(theta / 2), theta uniform, one pair.
+        The masses are 12-point Gauss-Legendre in theta, where the edge
+        powers are smooth, and one-sided Gauss-Jacobi on the edge cells."""
         l, u, ep = self.l, self.u, self.edge_pow
         span = u - l
         theta = np.linspace(0.0, np.pi, _SAMPLED_CELLS + 1)
@@ -140,18 +141,19 @@ class _EdgeDensity:
 @dataclass(frozen=True)
 class _CellDensity:
     """A density on contiguous cells in xi: the cell edges, a quadrature
-    rule per cell (nodes and weights of shape (cells, n)), and the density
-    itself, read at the edges."""
+    rule per cell (nodes and weights of shape pairs + (cells, n), zero off
+    a pair's own cells), and the density itself, read at the edges."""
     edges: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
     density: object
 
     def rule(self):
-        return self.nodes.ravel(), self.weights.ravel()
+        shape = self.nodes.shape[:-2] + (-1,)
+        return self.nodes.reshape(shape), self.weights.reshape(shape)
 
     def cells(self):
-        return self.edges, self.weights.sum(axis=1), self.density(self.edges)
+        return self.edges, self.weights.sum(axis=-1), self.density(self.edges)
 
 
 def _cells_to_measure(edges, masses, dens):
@@ -189,28 +191,36 @@ def _cells_to_measure(edges, masses, dens):
     return tuple(segs)
 
 
+def _unit(x, y, a):
+    """Which pairs have nu_{a,y} = delta_y or nu_{x,a} = delta_x, and
+    where each pair's unit mass would sit."""
+    at_x = np.abs(x - a) <= _ATOL_BOUNDARY
+    return at_x | (np.abs(y - a) <= _ATOL_BOUNDARY), np.where(at_x, y, x)
+
+
 def _convolution(law, a):
     """(conv_quad, conv_sampled) of law(x, y) -> (atoms, density or
     None), with nu_{a,y} = delta_y and nu_{x,a} = delta_x."""
-    def unit(x, y):
-        if abs(x - a) <= _ATOL_BOUNDARY:
-            return ((y, 1.0),)
-        if abs(y - a) <= _ATOL_BOUNDARY:
-            return ((x, 1.0),)
-        return None
-
     def conv_quad(x, y):
-        atoms = unit(x, y)
-        if atoms is None:
+        unit, loc = _unit(x, y, a)
+        empty = np.empty(loc.shape + (0,))
+        if np.all(unit):
+            return empty, empty, ((loc, 1.0),)
+        if not np.any(unit):
             atoms, dens = law(x, y)
-            if dens is not None:
-                return (*dens.rule(), atoms)
-        return np.empty(0), np.empty(0), atoms
+            return (*(dens.rule() if dens else (empty, empty)), atoms)
+        # some pairs are units: one atom for them, one table for the rest
+        inner = ~unit
+        nodes, wts = rule_table(*conv_quad(x[inner], y[inner]))
+        table = np.repeat(loc[..., None], nodes.shape[-1], axis=-1)
+        weights = np.zeros(table.shape)
+        table[inner], weights[inner] = nodes, wts
+        return table, weights, ((loc, unit.astype(float)),)
 
     def conv_sampled(x, y):
-        atoms = unit(x, y)
-        if atoms is not None:
-            return measures.MeasureRepr(atoms=atoms, meta="dirac")
+        at_x = abs(x - a) <= _ATOL_BOUNDARY
+        if at_x or abs(y - a) <= _ATOL_BOUNDARY:
+            return measures.dirac(y if at_x else x)
         atoms, dens = law(x, y)
         segs = () if dens is None else _cells_to_measure(*dens.cells())
         return measures.MeasureRepr(atoms=atoms, segments=segs)
@@ -218,17 +228,15 @@ def _convolution(law, a):
     return conv_quad, conv_sampled
 
 
-def _exact_convolution(law, a):
-    """(conv_quad, conv_sampled, conv_draw) of a law that takes arrays of
-    (x, y) and states each nu as atoms alone or as an _EdgeDensity with a
-    constant smooth factor."""
+def _exact_draw(law, a):
+    """conv_draw of a law that states each nu as atoms alone or as an
+    _EdgeDensity with a constant smooth factor."""
     def conv_draw(s, x, u):
         """Positions drawn from nu_{s,x} at the uniforms u, for arrays of
         one shape: an atom picked by cumulative mass, or in t the Beta
         inverse l + (u - l) B with B ~ Beta(edge_pow + 1, edge_pow + 1)."""
-        at_a = np.abs(s - a) <= _ATOL_BOUNDARY
-        out = np.where(at_a, x, s)
-        inner = ~at_a & (np.abs(x - a) > _ATOL_BOUNDARY)
+        unit, out = _unit(s, x, a)
+        inner = ~unit
         if not np.any(inner):
             return out
         atoms, dens = law(s[inner], x[inner])
@@ -245,7 +253,7 @@ def _exact_convolution(law, a):
                 dens.l + (dens.u - dens.l) * betaincinv(c, c, u))
         return out
 
-    return (*_convolution(law, a), conv_draw)
+    return conv_draw
 
 
 def _two_atom_law(x, y):
@@ -266,7 +274,8 @@ def _make_cosine(params):
     spectral = SpectralMeasure(
         tau_density=lambda t: np.full_like(np.asarray(t, float), 2.0 / np.pi))
     return Family("cosine", (), problem, ck, spectral,
-                  *_exact_convolution(_two_atom_law, problem.a))
+                  *_convolution(_two_atom_law, problem.a),
+                  _exact_draw(_two_atom_law, problem.a))
 
 
 def _make_squared_weight(params):
@@ -282,7 +291,7 @@ def _make_squared_weight(params):
 
     def law(x, y):
         # atoms at both ends and the linear density (1 + xi) norm between
-        l, u = abs(x - y), x + y
+        l, u = np.abs(x - y), x + y
         norm = 1.0 / (2.0 * (1.0 + x) * (1.0 + y))
         return (((l, (1.0 + l) * norm), (u, (1.0 + u) * norm)),
                 _EdgeDensity(l, u, 0.0, lambda t: (1.0 + t) * norm,
@@ -322,11 +331,11 @@ def _make_hankel(params):
         def law(x, y):
             pref = 0.5 * c_alpha * (x * y) ** (-2.0 * alpha)
             return (), _EdgeDensity((x - y) ** 2, (x + y) ** 2, alpha - 0.5,
-                                    lambda t: np.full_like(t, pref),
+                                    lambda t: pref * np.ones_like(t),
                                     np.sqrt, lambda xi: 2.0 * xi)
 
     return Family("hankel", (("alpha", alpha),), problem, ck, spectral,
-                  *_exact_convolution(law, problem.a))
+                  *_convolution(law, problem.a), _exact_draw(law, problem.a))
 
 
 def _make_jacobi(params):
@@ -380,9 +389,12 @@ def _make_jacobi(params):
         """Density in the variable t = cosh(xi): the factor 1 - Z^2
         factors exactly as (t - t_l)(t_u - t) * Q(t) with Q smooth, so
         Gauss-Jacobi quadrature in t handles the edges (including x = y)."""
-        chx, chy = math.cosh(x), math.cosh(y)
+        # math's for one pair, whose last bits golden walk rows pin
+        cosh, sinh = (math.cosh, math.sinh) if np.ndim(x) == 0 else \
+            (np.cosh, np.sinh)
+        chx, chy = cosh(x), cosh(y)
         pref = (c_big * (chx * chy) ** (alpha - beta - 1.0)
-                * (math.sinh(x) * math.sinh(y)) ** (-2.0 * alpha))
+                * (sinh(x) * sinh(y)) ** (-2.0 * alpha))
 
         def smooth(t):
             denom = 2.0 * chx * chy * t
@@ -394,7 +406,7 @@ def _make_jacobi(params):
                 0.5 * np.clip(1.0 - Z, 0.0, 2.0)))
             return pref * t ** (alpha + beta) * Q ** ep * hyp
 
-        return (), _EdgeDensity(math.cosh(abs(x - y)), math.cosh(x + y), ep,
+        return (), _EdgeDensity(cosh(np.abs(x - y)), cosh(x + y), ep,
                                 smooth, np.arccosh, np.sinh)
 
     return Family("jacobi", (("alpha", alpha), ("beta", beta)), problem,
@@ -437,49 +449,55 @@ def _make_whittaker(params):
 
     log_pref_c = -(1.0 + alpha) * math.log(2.0) - 0.5 * math.log(math.pi)
 
+    def logf(xi, x, y, base):
+        """log of the density in xi, all arguments broadcasting."""
+        arg = (x + y + xi) / np.sqrt(2.0 * x * y * xi)
+        dval = specfun.parabolic_d(2.0 * alpha,
+                                   arg.ravel()).reshape(arg.shape)
+        with np.errstate(all="ignore"):
+            return (base - (0.5 + alpha) * np.log(xi)
+                    - (x + y + xi) ** 2 / (8.0 * x * y * xi)
+                    + np.log(np.maximum(dval, 1e-300)))
+
     def law(x, y):
         """Full support: 6-point Gauss-Legendre cells of width 0.05 in
-        s = log(xi), grown outward from the mode until a new cell on each
-        side holds below 1e-10 of the mass so far."""
-        base = (log_pref_c + (alpha - 0.5) * math.log(x * y)
-                + 1.0 / x + 1.0 / y)
-
-        def logf(xi):
-            arg = (x + y + xi) / np.sqrt(2.0 * x * y * xi)
-            dval = specfun.parabolic_d(2.0 * alpha,
-                                       arg.ravel()).reshape(arg.shape)
-            with np.errstate(all="ignore"):
-                return (base - (0.5 + alpha) * np.log(xi)
-                        - (x + y + xi) ** 2 / (8.0 * x * y * xi)
-                        + np.log(np.maximum(dval, 1e-300)))
-
-        def cell_rule(edges):
-            sn, wn = quadrature.gl_panels(edges, 6)
-            xi = np.exp(sn)
-            return xi, wn * np.exp(logf(xi)) * xi
-
-        s_probe = np.linspace(math.log(1e-3 * (x + y)),
-                              math.log(1e3 * (x + y)), 400)
+        s = log(xi), laid from the mode by cumulative addition across the
+        probe window [log(1e-3 (x + y)), log(1e3 (x + y))] and evaluated
+        at once; each side keeps its cells up to the first below 1e-10 of
+        the window's mass (TruncationFailed if none is)."""
+        x, y = (np.asarray(v, dtype=float)[..., None] for v in (x, y))
+        base = log_pref_c + (alpha - 0.5) * np.log(x * y) + 1.0 / x + 1.0 / y
+        s_probe = np.linspace(np.log(1e-3 * (x + y)), np.log(1e3 * (x + y)),
+                              400, axis=-1)[..., 0, :]
         # the density in s carries d(xi) = e^s ds
-        s0 = float(s_probe[int(np.argmax(logf(np.exp(s_probe)) + s_probe))])
-        ds = 0.05
-        grown = {1: [s0 + ds], -1: [s0]}      # side -> its outer edges
-        growing = [1, -1]
-        acc = float(np.sum(cell_rule([s0, s0 + ds])[1]))
-        while growing:
-            if len(grown[1]) + len(grown[-1]) - 1 > 6000:
-                raise errors.TruncationFailed(
-                    "full-support density truncation did not converge")
-            for side in tuple(growing):
-                grown[side].append(grown[side][-1] + side * ds)
-                m = float(np.sum(cell_rule(sorted(grown[side][-2:]))[1]))
-                acc += m
-                if m < 1e-10 * acc:
-                    growing.remove(side)
-        edges = np.array(grown[-1][::-1] + grown[1])
-        xi, wts = cell_rule(edges)
-        return (), _CellDensity(np.exp(edges), xi, wts,
-                                lambda z: np.exp(logf(z)))
+        peak = np.argmax(logf(np.exp(s_probe), x, y, base) + s_probe, axis=-1)
+        s0 = np.take_along_axis(s_probe, peak[..., None], axis=-1)
+        k = int(np.max(s_probe[..., -1] - s_probe[..., 0]) / 0.05) + 1
+        steps = np.full(s0.shape[:-1] + (k,), 0.05)
+        # 2k cells, cell k = [s0, s0 + 0.05]
+        edges = np.concatenate((np.add.accumulate(np.concatenate(
+            (s0, -steps), -1), -1)[..., :0:-1], np.add.accumulate(
+            np.concatenate((s0, steps), -1), -1)), -1)
+        inside = ((edges[..., :-1] >= s_probe[..., :1])
+                  & (edges[..., 1:] <= s_probe[..., -1:]))
+        sn, wn = quadrature.gl_panels(edges, 6)
+        xi, wts = np.exp(sn), np.zeros(sn.shape)
+        cell = np.nonzero(inside)
+        wts[cell] = wn[cell] * np.exp(logf(xi[cell], *(
+            v[cell[:-1]] for v in (x, y, base)))) * xi[cell]
+        mass = wts.sum(axis=-1)
+        small = inside & (mass < 1e-10 * mass.sum(axis=-1, keepdims=True))
+        if not np.all(small[..., :k].any(axis=-1) & small[..., k:].any(-1)):
+            raise errors.TruncationFailed(
+                "full-support density reaches the probe window's edge")
+        lo = k - 1 - np.argmax(small[..., k - 1::-1], axis=-1)
+        hi = k + np.argmax(small[..., k:], axis=-1)
+        j = np.arange(2 * k)
+        wts[(j < lo[..., None]) | (j > hi[..., None])] = 0.0
+        run = slice(lo.min(), hi.max() + 1)
+        return (), _CellDensity(
+            np.exp(edges[..., lo.min():hi.max() + 2]), xi[..., run, :],
+            wts[..., run, :], lambda z: np.exp(logf(z, x, y, base)))
 
     return Family("whittaker", (("alpha", alpha),), problem, ck, spectral,
                   *_convolution(law, problem.a),
@@ -503,9 +521,7 @@ def _make_degenerate_custom(params):
         raise errors.ParamOutOfRange("zeta must be finite and nonnegative")
     if np.any(np.diff(zeta) > 1e-10 * np.maximum(np.abs(zeta[:-1]), 1.0)):
         raise errors.ParamOutOfRange("zeta must be nonincreasing")
-    i_far = float(izeta(np.array([1e10]), check=False)[0]
-                  if np.ndim(izeta(1e10, check=False)) else
-                  izeta(1e10, check=False))
+    i_far = float(izeta(1e10, check=False))
     i_mid = float(np.asarray(izeta(1e5, check=False), float))
     if not (i_far > i_mid + 1e-8):
         raise errors.ParamOutOfRange(
@@ -526,6 +542,7 @@ _BUILDERS = {
     "whittaker": _make_whittaker,
     "degenerate_custom": _make_degenerate_custom,
 }
+FAMILY_NAMES = tuple(_BUILDERS)
 
 
 @functools.lru_cache(maxsize=64)
@@ -583,8 +600,20 @@ def family_step(family, s, x, u):
 
 def family_convolution_quadrature(family, x, y):
     """nu_{x,y} as a quadrature rule (nodes, weights, atoms), exact up to
-    the rule's order: the accurate route of the product-formula check."""
+    the rule's order, for floats or for arrays (each pair of x and y
+    broadcast together): the accurate route of the product-formula check."""
     if family.conv_quad is None:
         raise errors.ParamOutOfRange(
             "family %r has no closed convolution measure" % (family.id,))
-    return family.conv_quad(float(x), float(y))
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    return family.conv_quad(x[()], y[()])    # one pair: two floats
+
+
+def rule_table(nodes, weights, atoms):
+    """A (nodes, weights, atoms) rule as one (nodes, weights) table, the
+    atoms as further columns."""
+    shape = np.shape(weights)[:-1]
+    return tuple(np.concatenate([col] + [
+        np.broadcast_to(atom[i], shape)[..., None] for atom in atoms], axis=-1)
+        for i, col in enumerate((nodes, weights)))

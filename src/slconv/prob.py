@@ -272,8 +272,6 @@ def lln_experiment(family, law, variant, cfg, rng):
     cfg keys: n (steps), n_paths, and r_n exponent "rate_pow" (variants
     I/III) or "theta" (II/IV)."""
     mf = kernel.moment_functions(family.problem)
-    if mf is None or not np.isfinite(mf.kappa):
-        raise errors.MomentProbeFailed("moment functions unavailable")
     n = int(cfg["n"])
     n_paths = int(cfg.get("n_paths", 1000))
     # moment probe: finite-support law => E[phi_2(X)^q] finite, but probe

@@ -25,13 +25,13 @@ def gl_nodes(n):
 
 
 def gl_panels(edges, n=12):
-    """n-point Gauss-Legendre rule on each panel [edges[k], edges[k+1]]:
-    (nodes, weights), both of shape (panels, n)."""
+    """n-point Gauss-Legendre rule on each panel [edges[..., k],
+    edges[..., k+1]]: (nodes, weights), both of shape (..., panels, n)."""
     edges = np.asarray(edges, dtype=float)
     x, w = _legendre(n)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return mid[:, None] + half[:, None] * x, half[:, None] * w
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    return mid[..., None] + half[..., None] * x, half[..., None] * w
 
 
 # improper-integral shells and divergence detection

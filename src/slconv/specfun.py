@@ -262,17 +262,23 @@ def whittaker_w(kappa, mu, z):
 def _d_negative(nu, z):
     """D_nu(z) for nu < 0 via
     D_nu(z) = e^{-z^2/4} / Gamma(-nu) * int_0^inf e^{-zt - t^2/2} t^{-nu-1} dt
-    (vectorized over z)."""
+    (vectorized over z, in z-blocks of at most 2^16 integrand entries)."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     u = np.linspace(-_LAPLACE_UMAX, _LAPLACE_UMAX, _D_NODES)
     h = u[1] - u[0]
     s = np.sinh(u)
     t = np.exp(s)
+    half_t2, power, jac = 0.5 * t * t, (-nu) * s, np.log(np.cosh(u))
+    integral = np.empty(len(z))
+    step = max(1, (1 << 16) // _D_NODES)
     with np.errstate(all="ignore"):
-        le = (-np.outer(z, t) - 0.5 * t * t
-              + (-nu) * s + np.log(np.cosh(u)))
-        vals = np.where(le < -745.0, 0.0, np.exp(le))
-    integral = h * vals.sum(axis=1)
+        for j in range(0, len(z), step):
+            le = np.multiply.outer(-z[j:j + step], t)
+            le -= half_t2
+            le += power
+            le += jac
+            vals = np.where(le < -745.0, 0.0, np.exp(le, out=le))
+            integral[j:j + step] = h * vals.sum(axis=1)
     return np.exp(-0.25 * z * z) / gamma_fn(-nu) * integral
 
 

@@ -30,6 +30,8 @@ TAU0 = 8.0           # the first tau window is [0, TAU0]
 NOISE_FLOOR = 1e-4   # a stalled tail this small (relative) ends synthesis
 LAMBDA_BLOCK = 64    # most lam values synthesize passes to coef and rows
 _MAX_DOUBLINGS = 24  # x windows forward_transform adds on a half-line
+_FORWARD_TOL = 1e-11  # forward_transform's x tail, relative to the sum
+_INVERSE_TOL = 1e-9   # inverse_transform's tau tail, relative to scale
 
 
 @dataclass(frozen=True)
@@ -61,13 +63,13 @@ class SynthesisStop:
     tail_ratio: float
 
 
-def forward_transform(family, h, lam, x_support=None, tol=1e-11):
+def forward_transform(family, h, lam, x_support=None):
     """Integral of h(x) w_lam(x) r(x) dx over [a, b), for a scalar lam (a
     float) or an array of them (an array).  h is a callable; the
     integration window grows until the tail contribution of every lam is
-    below tol (TailNotDecaying if it never is).  All lam share one x
-    quadrature per window, its panel lengths resolving the local kernel
-    wavelength pi / (tau sqrt(r/p)) of the largest tau."""
+    below _FORWARD_TOL of its sum (TailNotDecaying if it never is).  All
+    lam share one x quadrature per window, its panel lengths resolving the
+    local kernel wavelength pi / (tau sqrt(r/p)) of the largest tau."""
     problem = family.problem
     a, b = problem.a, problem.b
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -120,11 +122,11 @@ def forward_transform(family, h, lam, x_support=None, tol=1e-11):
         total += tail
         hi = new_hi
         scale = np.maximum(scale, np.abs(total))
-        if np.all(np.abs(tail) < tol * scale):
+        if np.all(np.abs(tail) < _FORWARD_TOL * scale):
             # one confirming extra octave
             tail2 = window_value(hi, a + 2.0 * (hi - a))
             total += tail2
-            if np.all(np.abs(tail2) < tol * scale):
+            if np.all(np.abs(tail2) < _FORWARD_TOL * scale):
                 return result(total)
             hi = a + 2.0 * (hi - a)
     raise errors.TailNotDecaying(
@@ -220,16 +222,16 @@ def synthesize(family, coef, rows, x_max, tol, max_windows=28,
     raise errors.SlowDecay("spectral-synthesis tail did not settle")
 
 
-def inverse_transform(family, phi, x, tol=1e-9):
+def inverse_transform(family, phi, x):
     """Inverse transform: integral of phi(lambda) w_lambda(x) against the
     family's spectral measure, plus its atoms (SlowDecay unless the tail
-    falls below tol).  phi takes one lambda value."""
+    falls below _INVERSE_TOL).  phi takes one lambda value."""
     xs = np.asarray([float(x)])
     val, stop = synthesize(
         family,
         lambda lams: [float(np.real(phi(lam))) for lam in lams.tolist()],
         lambda lams: family.kernel(lams, xs)[:, 0],
-        max(abs(float(x)), 1.0), tol)
+        max(abs(float(x)), 1.0), _INVERSE_TOL)
     if stop.reason != "tol":
         raise errors.SlowDecay(
             "spectral integrand tail stalled at %.2e of scale, above tol"

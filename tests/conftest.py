@@ -4,6 +4,11 @@ from numpy.polynomial.legendre import leggauss
 
 _GL16_N, _GL16_W = leggauss(16)
 
+# every family with a convolution measure, and each of hankel's regimes
+CONVOLUTION_FAMILIES = [("cosine", {}), ("squared_weight", {})] + [
+    ("hankel", {"alpha": alpha}) for alpha in (-0.5, 0.0, 0.5, 1.0, 2.0)] + [
+    ("jacobi", {"alpha": 1.0, "beta": 0.0}), ("whittaker", {"alpha": 0.0})]
+
 
 def gl_panels(lo, hi, n_panels, n=16):
     """Composite Gauss-Legendre nodes and weights on [lo, hi]."""

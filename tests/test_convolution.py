@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import measure_integral, smooth_bump
+from conftest import CONVOLUTION_FAMILIES, measure_integral, smooth_bump
 from slconv import convolution, errors, families, measures, spectral
 
 
@@ -75,6 +76,46 @@ def test_translate_cosine_is_symmetric_shift():
     got = convolution.translate(fam, smooth_bump, y, xg)
     want = 0.5 * (smooth_bump(xg + y) + smooth_bump(np.abs(xg - y)))
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def _translate_per_point(family, h, y, x_grid):
+    """T^y h on x_grid one x at a time, each by exact summation: the
+    reference for the batched translate."""
+    out = np.empty(len(x_grid))
+    for i, x in enumerate(x_grid):
+        nodes, wts, atoms = families.family_convolution_quadrature(
+            family, float(x), float(y))
+        total = math.fsum((wts * np.asarray(h(nodes), dtype=float)).tolist()) \
+            if len(nodes) else 0.0
+        total += sum(m * float(h(np.asarray(loc))) for loc, m in atoms)
+        out[i] = total
+    return out
+
+
+def test_translate_matches_per_point_reference():
+    # one rule call for the whole x grid, equal to the per-point sums
+    def h(x):
+        return smooth_bump(x, center=1.2, width=1.0)
+
+    for name, params in CONVOLUTION_FAMILIES:
+        fam = families.make_family(name, params)
+        calls = []
+
+        def conv_quad(x, y, inner=fam.conv_quad):
+            calls.append(np.shape(x))
+            return inner(x, y)
+
+        counted = dataclasses.replace(fam, conv_quad=conv_quad)
+        a = fam.problem.a
+        xg = a + np.array([0.0, 0.3, 0.8, 1.0, 1.7, 2.5])
+        for y in (a + 1.0, a + 0.35, a):
+            want = _translate_per_point(fam, h, y, xg)
+            calls.clear()
+            got = convolution.translate(counted, h, y, xg)
+            assert calls == [xg.shape], (name, params, y)
+            np.testing.assert_allclose(
+                got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)),
+                err_msg=str((name, params, y)))
 
 
 def test_verify_product_formula_report_fields():

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import CONVOLUTION_FAMILIES
 from slconv import convolution, errors, families, kernel, measures, spectral
 
 
@@ -196,17 +197,12 @@ def test_whittaker_kernel_table_against_mpmath():
             fam.closed_kernel(lams, np.array([1.0, 5e-4]))
 
 
-_CONVOLUTION_FAMILIES = [("cosine", {}), ("squared_weight", {})] + [
-    ("hankel", {"alpha": alpha}) for alpha in (-0.5, 0.0, 0.5, 1.0, 2.0)] + [
-    ("jacobi", {"alpha": 1.0, "beta": 0.0}), ("whittaker", {"alpha": 0.0})]
-
-
 def test_conv_rule_and_sampled_measure_are_one_law():
     # conv_quad and conv_sampled both derive from the family's one law:
     # the same mass and the same transform, and the sampled cells join into
     # a few long segments
     lams = [1.0, 4.0, 9.0]
-    for name, params in _CONVOLUTION_FAMILIES:
+    for name, params in CONVOLUTION_FAMILIES:
         fam = families.make_family(name, params)
         for x, y in ((0.8, 1.3), (1.0, 1.0), (0.3, 2.1)):
             nodes, wts, atoms = fam.conv_quad(x, y)
@@ -223,3 +219,29 @@ def test_conv_rule_and_sampled_measure_are_one_law():
                 got = spectral.measure_transform(fam, nu, lam)
                 assert got == pytest.approx(want, abs=1e-6), (case, lam)
             assert len(nu.segments) <= 3, case
+
+
+def test_conv_quad_on_pair_arrays_matches_each_pair():
+    # one call on pair arrays (mixed with unit pairs, units only, and no
+    # units) gives every pair the rule that a call with its floats gives;
+    # zero weights (padding, unit rows) aside
+    def points(rule, i=()):
+        got = np.column_stack([c[i] for c in families.rule_table(*rule)])
+        return got[got[:, 1] != 0.0]
+
+    for name, params in CONVOLUTION_FAMILIES:
+        fam = families.make_family(name, params)
+        a = fam.problem.a
+        for x, y in (([[0.8, 1.0, 0.3], [0.0, 0.7, 2.5]],
+                      [[1.3, 1.0, 2.1], [1.2, 0.0, 0.4]]),
+                     ([0.0, 0.9], [1.1, 0.0]),
+                     ([0.05, 3.0], [0.07, 3.0])):
+            x, y = a + np.array(x), a + np.array(y)
+            rule = fam.conv_quad(x, y)
+            assert rule[0].shape == rule[1].shape
+            assert rule[0].shape[:-1] == x.shape
+            for i in np.ndindex(x.shape):
+                want = points(fam.conv_quad(float(x[i]), float(y[i])))
+                np.testing.assert_allclose(points(rule, i), want, rtol=1e-13,
+                                           atol=0.0,
+                                           err_msg=str((name, params, i)))

@@ -101,3 +101,14 @@ def test_parabolic_d_against_mpmath():
 def test_parabolic_d_range_guard():
     with pytest.raises(errors.RangeNotValidated):
         specfun.parabolic_d(1.5, 1.0)
+
+
+def test_parabolic_d_blocks_leave_values_unchanged():
+    # D_nu is built in z-blocks; a long call equals short ones bit for bit,
+    # on the Laplace integral (nu < 0) and the recurrence over it
+    z = np.linspace(1.0, 60.0, 2000)
+    for nu in (-1.0, -0.5, 0.5):
+        parts = [specfun.parabolic_d(nu, z[i:i + 100])
+                 for i in range(0, len(z), 100)]
+        assert np.array_equal(specfun.parabolic_d(nu, z),
+                              np.concatenate(parts)), nu
