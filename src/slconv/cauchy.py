@@ -57,30 +57,20 @@ class TriangleGrid:
 # spectral synthesis
 
 def solve_spectral(family, h, x_grid, y_grid, x_support=None, tol=1e-8,
-                   max_windows=28, nodes_per_unit=1.5):
+                   nodes_per_unit=1.5):
     """f(x, y) = integral of w_lam(x) w_lam(y) (Fh)(lam) over the spectral
     measure, evaluated tensorized over x_grid x y_grid.  The lambda
     quadrature grid is shared with the transform Fh; the field's stop
     says whether the synthesis reached tol or ended at the noise floor."""
     x_grid = np.asarray(x_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
-    x_max = max(float(np.max(x_grid)), float(np.max(y_grid)), 1.0)
-    nx, ny = len(x_grid), len(y_grid)
-    same = nx == ny and np.allclose(x_grid, y_grid, rtol=0.0, atol=0.0)
-    # one kernel table over both axes
-    pts = x_grid if same else np.concatenate([x_grid, y_grid])
 
     def coef(lams):
         return spectral.forward_transform(family, h, lams,
                                           x_support=x_support)
 
-    def rows(lams):
-        w = family.kernel(lams, pts)
-        return w[:, :nx, None] * w[:, -ny:][:, None, :]
-
-    vals, stop = spectral.synthesize(family, coef, rows, x_max, tol,
-                                     max_windows, nodes_per_unit)
-    values = np.broadcast_to(vals, (len(x_grid), len(y_grid))).copy()
+    values, stop = spectral.synthesize(family, coef, x_grid, y_grid, tol,
+                                       nodes_per_unit)
     return Field2D(x_grid, y_grid, values, "spectral", stop=stop)
 
 

@@ -102,21 +102,20 @@ def levy_khintchine_exponent(family, triple, lam):
 # ---------------------------------------------------------------------------
 # semigroup and diffusion densities
 
-def _grid_measure(family, coef, x_grid, label):
+def _grid_measure(family, coef, x0, x_grid, label):
     """The probability measure synthesized on x_grid from coef (taking an
-    array of lam), stored w.r.t. dx, i.e. the spectral sum times r.  A
-    density below -1e-10 of its scale or a mass off 1 by over 1e-6 is a
-    failed inversion (MassDeficit); the rest is clipped at 0 and
-    renormalized, and the meta records both and how the synthesis
-    stopped."""
+    array of lam) and the start point x0, stored w.r.t. dx, i.e. the
+    spectral sum times r.  A density below -1e-10 of its scale or a mass
+    off 1 by over 1e-6 is a failed inversion (MassDeficit); the rest is
+    clipped at 0 and renormalized, and the meta records both and how the
+    synthesis stopped."""
     x_grid = np.asarray(x_grid, dtype=float)
-    dens, stop = spectral.synthesize(
-        family, coef, lambda lams: family.kernel(lams, x_grid),
-        max(float(np.max(np.abs(x_grid))), 1.0), _SYNTH_TOL)
+    dens, stop = spectral.synthesize(family, coef, [float(x0)], x_grid,
+                                     _SYNTH_TOL)
     with np.errstate(all="ignore"):
         rv = np.asarray(family.problem.r_val(x_grid), dtype=float) \
             * np.ones_like(x_grid)
-    dens_dx = dens * np.where(np.isfinite(rv), rv, 0.0)
+    dens_dx = dens[0] * np.where(np.isfinite(rv), rv, 0.0)
     low = float(np.min(dens_dx))
     if low < -1e-10 * max(1.0, float(np.max(np.abs(dens_dx)))):
         raise errors.MassDeficit("%s: negative density (min %g) from the "
@@ -143,31 +142,26 @@ def semigroup_measure(family, psi, t, x_grid):
     return _grid_measure(
         family, lambda lams: np.exp(-t * np.array(
             [float(psi(lam)) for lam in lams.tolist()])),
-        x_grid, "semigroup t=%g" % t)
-
-
-def _heat_coef(family, t, x):
-    """lam -> exp(-t lam) w_lam(x), the spectral coefficient of
-    p(t, x, .)."""
-    if t <= 0.0:
-        raise errors.ParamOutOfRange("time must be positive")
-    xs = np.asarray([float(x)])
-    return lambda lams: np.exp(-t * lams) * family.kernel(lams, xs)[:, 0]
+        family.problem.a, x_grid, "semigroup t=%g" % t)
 
 
 def diffusion_density(family, t, x, y_grid):
     """Fundamental solution p(t, x, y) = sum over the spectral measure of
-    exp(-t lam) w_lam(x) w_lam(y), sampled over y_grid (w.r.t. r dy)."""
-    coef = _heat_coef(family, t, x)
-    y_grid = np.asarray(y_grid, dtype=float)
-    return spectral.synthesize(
-        family, coef, lambda lams: family.kernel(lams, y_grid),
-        max(float(np.max(np.abs(y_grid))), 1.0), _SYNTH_TOL)[0]
+    exp(-t lam) w_lam(x) w_lam(y), sampled over y_grid (w.r.t. r dy).
+
+    Returns (density, SynthesisStop), as spectral.synthesize does."""
+    if t <= 0.0:
+        raise errors.ParamOutOfRange("time must be positive")
+    dens, stop = spectral.synthesize(family, lambda lams: np.exp(-t * lams),
+                                     [float(x)], y_grid, _SYNTH_TOL)
+    return dens[0], stop
 
 
 def _transition_measure(family, t, x, y_grid):
     """The transition law from x over time t on y_grid."""
-    return _grid_measure(family, _heat_coef(family, t, x), y_grid,
+    if t <= 0.0:
+        raise errors.ParamOutOfRange("time must be positive")
+    return _grid_measure(family, lambda lams: np.exp(-t * lams), x, y_grid,
                          "transition t=%g x=%g" % (t, x))
 
 

@@ -155,24 +155,18 @@ def classify_boundary(problem, endpoint):
     def q(x):
         return 1.0 / problem.p(x, check=False)
 
-    if endpoint == "left":
-        e = problem.a
-
-        def gI(xs):
-            return q(xs) * np.array([_inner_mass(r, x, c) for x in np.atleast_1d(xs)])
-
-        def gJ(ys):
-            return r(ys) * np.array([_inner_mass(q, y, c) for y in np.atleast_1d(ys)])
-    elif endpoint == "right":
-        e = problem.b
-
-        def gI(xs):
-            return q(xs) * np.array([_inner_mass(r, c, x) for x in np.atleast_1d(xs)])
-
-        def gJ(ys):
-            return r(ys) * np.array([_inner_mass(q, c, y) for y in np.atleast_1d(ys)])
-    else:
+    if endpoint not in ("left", "right"):
         raise errors.ParamOutOfRange("endpoint must be 'left' or 'right'")
+    e = problem.a if endpoint == "left" else problem.b
+
+    # each inner integral runs between the point and c, lower limit first
+    def gI(xs):
+        return q(xs) * np.array([_inner_mass(r, *sorted((x, c)))
+                                 for x in np.atleast_1d(xs)])
+
+    def gJ(ys):
+        return r(ys) * np.array([_inner_mass(q, *sorted((y, c)))
+                                 for y in np.atleast_1d(ys)])
 
     res_I = improper_quad(gI, c, e)
     res_J = improper_quad(gJ, c, e)

@@ -4,14 +4,13 @@ synthesis against a family-supplied spectral measure.
 
 `synthesize` is the single tau-window driver: every sum over the spectral
 measure (inverse transform, Cauchy field, semigroup and diffusion
-densities) goes through it.  It evaluates each window as a batch, in
-blocks of at most LAMBDA_BLOCK lam values: coef(lams) returns one real
-coefficient per lam, shape (L,) (e.g. phi(lam), or the transform
-(Fh)(lam)); rows(lams) returns the kernel products to be weighted by
-them, shape (L, *shape) (w_lam over a grid, or the outer product
-w_lam(x) w_lam(y)), usually one family.kernel call.  The block is summed
-with tensordot.  rows is not asked for a lam whose weighted coefficient
-is 0.  The block bound caps the memory of a window's table.
+densities) is its bilinear sum of c(lam) w_lam(x) w_lam(y) over two point
+sets, and since w_lam(a) = 1 the one-sided sums are its x = a row.  It
+evaluates each window in blocks of at most LAMBDA_BLOCK lam values:
+coef(lams) returns one real coefficient per lam, shape (L,) (e.g.
+exp(-t lam), or the transform (Fh)(lam)); the block then takes one
+family.kernel call over the union of the two point sets and one matmul.
+The block bound caps the memory of a window's kernel table.
 `forward_transform` takes an array of lam the same way, on one shared x
 quadrature per window.  Every function takes a families.Family and gets
 kernel values from family.kernel, closed form or numeric."""
@@ -28,7 +27,8 @@ __all__ = ["SpectralMeasure", "SynthesisStop", "forward_transform",
 
 TAU0 = 8.0           # the first tau window is [0, TAU0]
 NOISE_FLOOR = 1e-4   # a stalled tail this small (relative) ends synthesis
-LAMBDA_BLOCK = 64    # most lam values synthesize passes to coef and rows
+LAMBDA_BLOCK = 64    # most lam values per coef and kernel call of synthesize
+MAX_WINDOWS = 28     # most tau windows synthesize adds after the first
 _MAX_DOUBLINGS = 24  # x windows forward_transform adds on a half-line
 _FORWARD_TOL = 1e-11  # forward_transform's x tail, relative to the sum
 _INVERSE_TOL = 1e-9   # inverse_transform's tau tail, relative to scale
@@ -152,33 +152,40 @@ def measure_transform(family, mu, lam):
     return math.fsum((np.concatenate(wts) * wv).tolist())
 
 
-def synthesize(family, coef, rows, x_max, tol, max_windows=28,
-               nodes_per_unit=1.5):
-    """Sum of coef(lam) * row(lam) over the family's spectral measure:
-    the atoms, then tau windows [0, TAU0], then windows of width TAU0 / 2
-    growing by 1.3, each with 12-point Gauss-Legendre panels, at least
-    nodes_per_unit * x_max per unit of tau.  Stops when a window's
-    largest contribution falls below tol times the largest value so far,
-    or, once the tail stops decaying, at the noise floor (at or below
-    NOISE_FLOOR times that scale); SlowDecay otherwise.  coef and rows
-    take arrays of at most LAMBDA_BLOCK lam values (see the module
-    docstring).
+def synthesize(family, coef, xs, ys, tol, nodes_per_unit=1.5):
+    """The table sum of coef(lam) w_lam(x) w_lam(y) over the family's
+    spectral measure, for x in xs (rows) and y in ys (columns): the atoms,
+    then tau windows [0, TAU0], then windows of width TAU0 / 2 growing by
+    1.3, each with 12-point Gauss-Legendre panels, at least
+    nodes_per_unit * max(|xs|, |ys|, 1) per unit of tau.  Stops when a
+    window's largest contribution falls below tol times the largest value
+    so far, or, once the tail stops decaying, at the noise floor (at or
+    below NOISE_FLOOR times that scale); SlowDecay otherwise, or after
+    MAX_WINDOWS windows.  coef takes an array of at most LAMBDA_BLOCK lam
+    values; no kernel is evaluated for a lam whose weighted coefficient
+    is 0.
 
-    Returns (values, SynthesisStop).  values has the shape of one row;
-    it is the scalar 0.0 if no row was ever needed."""
+    Returns (values, SynthesisStop), values of shape (len(xs), len(ys))."""
     sm = family.spectral
     if sm is None:
         raise errors.SpectralMeasureUnavailable(
             "family %r supplies no spectral measure" % (family.id,))
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    # one kernel table over both point sets, a shared point taken once
+    pts, inv = np.unique(np.concatenate([xs, ys]), return_inverse=True)
+    ix, iy = inv[:len(xs)], inv[len(xs):]
+    x_max = max(float(np.max(np.abs(pts))), 1.0)
 
     def weighted_sum(lams, wts):
-        acc = 0.0
+        acc = np.zeros((len(xs), len(ys)))
         for s in range(0, len(lams), LAMBDA_BLOCK):
             lb = lams[s:s + LAMBDA_BLOCK]
             c = wts[s:s + LAMBDA_BLOCK] * np.asarray(coef(lb), dtype=float)
             nz = c != 0.0
             if np.any(nz):
-                acc = acc + np.tensordot(c[nz], rows(lb[nz]), axes=1)
+                w = family.kernel(lb[nz], pts)
+                acc += (c[nz, None] * w[:, ix]).T @ w[:, iy]
         return acc
 
     atoms = np.asarray(sm.atoms, dtype=float).reshape(-1, 2)
@@ -202,7 +209,7 @@ def synthesize(family, coef, rows, x_max, tol, max_windows=28,
     scale = max(float(np.max(np.abs(vals))), 1e-12)
     prev = np.inf
     width = 0.5 * TAU0
-    for _ in range(max_windows):
+    for _ in range(MAX_WINDOWS):
         acc, budget = window(t_hi, t_hi + width)
         if budget < tol * scale:
             return vals + acc, SynthesisStop("tol", budget / scale)
@@ -226,14 +233,12 @@ def inverse_transform(family, phi, x):
     """Inverse transform: integral of phi(lambda) w_lambda(x) against the
     family's spectral measure, plus its atoms (SlowDecay unless the tail
     falls below _INVERSE_TOL).  phi takes one lambda value."""
-    xs = np.asarray([float(x)])
     val, stop = synthesize(
         family,
         lambda lams: [float(np.real(phi(lam))) for lam in lams.tolist()],
-        lambda lams: family.kernel(lams, xs)[:, 0],
-        max(abs(float(x)), 1.0), _INVERSE_TOL)
+        [family.problem.a], [float(x)], _INVERSE_TOL)
     if stop.reason != "tol":
         raise errors.SlowDecay(
             "spectral integrand tail stalled at %.2e of scale, above tol"
             % stop.tail_ratio)
-    return float(val)
+    return float(val[0, 0])

@@ -231,7 +231,7 @@ def test_criterion_09_diffusion_semigroup():
     fam = families.make_family("cosine")
     t, x0 = 0.3, 0.5
     yg = np.linspace(0.0, 12.0, 48001)
-    p = prob.diffusion_density(fam, t, x0, yg)
+    p, _ = prob.diffusion_density(fam, t, x0, yg)
     oracle = ((np.exp(-(yg - x0) ** 2 / (4 * t))
                + np.exp(-(yg + x0) ** 2 / (4 * t)))
               / math.sqrt(4 * math.pi * t))
@@ -247,12 +247,12 @@ def test_criterion_09_diffusion_semigroup():
     # Chapman-Kolmogorov at (s, t) = (0.3, 0.7)
     s_, t_ = 0.3, 0.7
     y_test = np.array([0.2, 1.0, 2.5])
-    p_st = prob.diffusion_density(fam, s_ + t_, x0, y_test)
+    p_st, _ = prob.diffusion_density(fam, s_ + t_, x0, y_test)
     zg = np.linspace(0.0, 12.0, 2401)
-    p_s = prob.diffusion_density(fam, s_, x0, zg)
+    p_s, _ = prob.diffusion_density(fam, s_, x0, zg)
     ck_err = 0.0
     for j, y in enumerate(y_test):
-        p_t = prob.diffusion_density(fam, t_, float(y), zg)
+        p_t, _ = prob.diffusion_density(fam, t_, float(y), zg)
         ck_err = max(ck_err, abs(float(np.trapezoid(p_s * p_t, zg))
                                  - p_st[j]))
     ok = (mass_err <= 1e-6 and hat_err <= 1e-8 and ck_err <= 1e-6

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slconv import cauchy, errors, families
+from slconv import cauchy, errors, families, spectral
 
 
 def _ebump(x, c=1.0, w=0.5):
@@ -70,7 +70,7 @@ def test_degenerate_limit_study_cosine():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_solve_spectral_slow_decay_guard():
+def test_solve_spectral_slow_decay_guard(monkeypatch):
     # data with a nonzero quasi-derivative at the endpoint makes the
     # transform decay like 1/tau^2: the tail loop must refuse
     fam = families.make_family("cosine")
@@ -79,6 +79,6 @@ def test_solve_spectral_slow_decay_guard():
     def bad(x):
         return np.exp(-np.asarray(x, dtype=float))
 
+    monkeypatch.setattr(spectral, "MAX_WINDOWS", 6)
     with pytest.raises(errors.NumericError):
-        cauchy.solve_spectral(fam, bad, grid, grid, x_support=(0.0, 40.0),
-                              max_windows=6)
+        cauchy.solve_spectral(fam, bad, grid, grid, x_support=(0.0, 40.0))

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import slconv
@@ -11,3 +13,23 @@ def test_every_export_exists():
         missing = [name for name in getattr(mod, "__all__", ())
                    if not hasattr(mod, name)]
         assert not missing, (info.name, missing)
+
+
+def test_no_unused_module_imports():
+    # every name a module-level import binds is used in the module or
+    # exported through __all__
+    for path in sorted(pathlib.Path(p) for d in slconv.__path__
+                       for p in pathlib.Path(d).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        bound = [(a.asname or a.name).split(".")[0]
+                 for node in tree.body
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for a in node.names]
+        unused = [name for name in bound if name not in used]
+        assert not unused, (path.name, unused)

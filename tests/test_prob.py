@@ -106,7 +106,8 @@ def test_infinite_divisibility_nth_root(cosine):
 def test_diffusion_density_folded_gaussian(cosine):
     t, x0 = 0.25, 0.8
     yg = np.linspace(0.0, 8.0, 801)
-    p = prob.diffusion_density(cosine, t, x0, yg)
+    p, stop = prob.diffusion_density(cosine, t, x0, yg)
+    assert stop.reason == "tol"
     want = ((np.exp(-(yg - x0) ** 2 / (4 * t))
              + np.exp(-(yg + x0) ** 2 / (4 * t)))
             / math.sqrt(4 * math.pi * t))

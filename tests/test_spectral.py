@@ -87,49 +87,84 @@ def test_inverse_transform_round_trip_cosine():
 def test_synthesize_reports_stop_reason():
     fam = families.make_family("cosine")
     xs = np.array([0.0, 0.5])
-
-    def rows(lams):
-        return fam.kernel(lams, xs)
-
     vals, stop = spectral.synthesize(
-        fam, lambda lams: np.exp(-lams), rows, 1.0, 1e-9)
+        fam, lambda lams: np.exp(-lams), [0.0], xs, 1e-9)
+    assert vals.shape == (1, 2)
     assert stop.reason == "tol"
     assert stop.tail_ratio < 1e-9
     # folded heat kernel at t = 1
     want = np.exp(-xs ** 2 / 4.0) / math.sqrt(math.pi)
-    assert np.allclose(vals, want, rtol=1e-9)
+    assert np.allclose(vals[0], want, rtol=1e-9)
     # a constant 1e-9 floor: the tail stops decaying far above tol but
     # below the noise floor, and the stop says so
     vals, stop = spectral.synthesize(
-        fam, lambda lams: np.exp(-lams) + 1e-9, rows, 1.0, 1e-9)
+        fam, lambda lams: np.exp(-lams) + 1e-9, [0.0], xs, 1e-9)
     assert stop.reason == "noise_floor"
     assert 1e-9 < stop.tail_ratio <= spectral.NOISE_FLOOR
-    assert np.allclose(vals, want, rtol=1e-6)
+    assert np.allclose(vals[0], want, rtol=1e-6)
     with pytest.raises(errors.SlowDecay):
         spectral.inverse_transform(fam, lambda lam: math.exp(-lam) + 1e-9,
                                    0.0)
 
 
+def _kernel_counted(fam, sizes):
+    """fam with its closed kernel wrapped to record each call's lam
+    count."""
+    ck = fam.closed_kernel
+
+    def counted(lams, xs):
+        sizes.append(len(lams))
+        return ck(lams, xs)
+    return dataclasses.replace(fam, closed_kernel=counted)
+
+
 def test_synthesize_passes_bounded_blocks():
-    # x_max = 10 puts 1440 tau nodes in the first window alone
-    fam = families.make_family("cosine")
-    xs = np.array([0.0, 0.5, 3.0])
+    # the point at 10 puts 1440 tau nodes in the first window alone
     coef_sizes, row_sizes = [], []
+    fam = _kernel_counted(families.make_family("cosine"), row_sizes)
+    xs = np.array([0.0, 0.5, 3.0])
 
     def coef(lams):
         coef_sizes.append(len(lams))
         return np.exp(-lams)
 
-    def rows(lams):
-        row_sizes.append(len(lams))
-        return fam.kernel(lams, xs)
-
-    vals, stop = spectral.synthesize(fam, coef, rows, 10.0, 1e-9)
+    vals, stop = spectral.synthesize(fam, coef, [0.0], np.r_[xs, 10.0],
+                                     1e-9)
     assert max(coef_sizes) == max(row_sizes) == spectral.LAMBDA_BLOCK
     assert sum(row_sizes) > 20 * spectral.LAMBDA_BLOCK
     assert stop.reason == "tol"
     want = np.exp(-xs ** 2 / 4.0) / math.sqrt(math.pi)
-    np.testing.assert_allclose(vals, want, rtol=1e-9)
+    np.testing.assert_allclose(vals[0, :3], want, rtol=1e-9)
+
+
+def test_synthesize_bilinear_is_folded_heat_kernel():
+    # cosine: sum of exp(-t lam) cos(tau x) cos(tau y) is the 2-D folded
+    # Gaussian; xs and ys overlap, are unsorted and repeat a point, and
+    # each lam block is one kernel call over their union
+    t = 0.3
+    coef_sizes, row_sizes = [], []
+    fam = _kernel_counted(families.make_family("cosine"), row_sizes)
+
+    def coef(lams):
+        coef_sizes.append(len(lams))
+        return np.exp(-t * lams)
+
+    xs = np.array([1.2, 0.0, 0.7, 0.7])
+    ys = np.array([0.7, 2.5, 0.0, 1.9, 0.3])
+    vals, stop = spectral.synthesize(fam, coef, xs, ys, 1e-10)
+    assert stop.reason == "tol"
+    assert row_sizes == coef_sizes
+
+    def heat(x, y):
+        return ((np.exp(-(x - y) ** 2 / (4 * t))
+                 + np.exp(-(x + y) ** 2 / (4 * t)))
+                / math.sqrt(4 * math.pi * t))
+
+    np.testing.assert_allclose(vals, heat(xs[:, None], ys[None, :]),
+                               rtol=0, atol=1e-10)
+    # the x = a row is the one-sided sum over ys
+    one, _ = spectral.synthesize(fam, coef, [0.0], ys, 1e-10)
+    np.testing.assert_allclose(vals[1], one[0], rtol=1e-13, atol=1e-15)
 
 
 def test_forward_transform_lambda_array_matches_scalar():
