@@ -8,8 +8,9 @@ Construction: the alternating series w = sum (-lam)^j eta_j with
     F_j(y)    = int_a^y eta_{j-1}(xi) r(xi) dxi,   eta_0 = 1,
 
 computed on a shared panel grid by cumulative Gauss-Legendre rules, then
-ODE continuation of (w, w^[1]) once |lam| * eta_1 exceeds the switch
-bound (alternating-series cancellation would otherwise eat precision).
+continuation of (w, w^[1]) by sixth-order Magnus steps once |lam| * eta_1
+exceeds the switch bound (alternating-series cancellation would otherwise
+eat precision).
 
 Two features make this robust for entrance boundaries with steep
 coefficient layers (r ~ exp(-1/x) type):
@@ -27,8 +28,9 @@ families.Family.kernel chooses between kernel_table and a family's closed
 form.  A table evaluates all lam of a call together: the rows eta_j(xs)
 are computed once and each lam's series is a Vandermonde product with
 them, sum_j (-lam)^j eta_j, masked to its own x below the switch point;
-beyond it, one solve_ivp integrates the 2L components (w, w^[1]) of every
-lam at once.
+beyond it, one Magnus propagation carries (w, w^[1]) of every lam over a
+step grid cut from the engine's panels, and a coarse pass over every other
+step edge gives the error estimate.
 
 Each problem has one engine (get_engine, an LRU cache keyed by the
 problem).  Its deep region (x_min, x_w] is decided once, by one vectorized
@@ -36,8 +38,9 @@ probe of those ratios; its main panels start at x_w and grow forward, whole
 panels at a time, when a caller needs a larger x.  Panels already laid
 never change and every table is a left-to-right prefix sum, so w_lam(x)
 does not depend on the call history; the other points and lam of a call
-reach it only through the ODE solver's shared steps and the series' term
-count, at the level of the solver's tolerance.
+reach it only through the propagator's step grid (sized at the largest lam
+and ending with the panel of the largest x) and the series' term count, at
+the level of the step tolerance.
 """
 
 import math
@@ -46,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
+# not called here: perfbench/tracer.py wraps kernel.solve_ivp by name
 from scipy.integrate import solve_ivp
 
 from . import errors
@@ -55,7 +59,7 @@ from .slmodel import SLProblem, eval_coeff
 __all__ = [
     "KernelValue", "MomentFns", "eval_kernel", "kernel_table",
     "eval_kernel_truncated", "moment_functions", "get_engine",
-    "clear_engine_cache",
+    "clear_engine_cache", "solve_ivp",
 ]
 
 
@@ -66,17 +70,18 @@ _M = 12
 _U, _W = gl_nodes(_M)          # nodes on [0,1]
 # coefficients of the degree-11 interpolant in the shifted Legendre basis
 _LVINV = np.linalg.inv(npleg.legvander(2.0 * _U - 1.0, _M - 1))
-# partial-integral matrix: node_partials = vals @ _NODE_PART.T
-_NODE_PART = 0.5 * npleg.legval(
-    2.0 * _U - 1.0, npleg.legint(_LVINV, lbnd=-1.0), tensor=True).T
-# _NODE_PART[k, j] = int_0^{u_k} L_j(u) du for the Lagrange basis L_j
+# their integrals from the left end, in the Legendre basis of degree 12
+_PART = npleg.legint(_LVINV, lbnd=-1.0)
 
 
-def _leg_partial(coeffs, t):
-    """Partial integrals int_0^t of interpolants with Legendre coefficient
-    rows `coeffs` (m, 12), evaluated at matching points t (m,)."""
-    ci = npleg.legint(coeffs.T, lbnd=-1.0)            # (13, m)
-    return 0.5 * npleg.legval(2.0 * np.asarray(t) - 1.0, ci, tensor=False)
+def _partial_weights(t):
+    """Weights (m, 12) taking node values to the partial integrals int_0^t
+    of their degree-11 interpolants on [0, 1], at the points t (m,)."""
+    return 0.5 * npleg.legvander(2.0 * np.asarray(t) - 1.0, _M) @ _PART
+
+
+# node_partials = vals @ _NODE_PART.T
+_NODE_PART = _partial_weights(_U)
 
 
 class CumField:
@@ -94,16 +99,23 @@ class CumField:
         self.cum_nodes = (self.cum_bounds[:-1, None]
                           + self.widths[:, None] * (vals @ _NODE_PART.T))
 
-    def at(self, x):
+    def at(self, x, loc=None):
+        """The integral at the points x; loc is _locate(bp, widths, x) when
+        the caller has it."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xf = np.atleast_1d(x)
-        idx = np.clip(np.searchsorted(self.bp, xf, side="right") - 1,
-                      0, len(self.widths) - 1)
-        t = np.clip((xf - self.bp[idx]) / self.widths[idx], 0.0, 1.0)
-        coeffs = self.vals[idx] @ _LVINV.T
-        out = self.cum_bounds[idx] + self.widths[idx] * _leg_partial(coeffs, t)
-        return float(out[0]) if scalar else out
+        idx, wts = loc or _locate(self.bp, self.widths, np.atleast_1d(x))
+        part = np.einsum("mk,mk->m", wts, self.vals[idx])
+        out = self.cum_bounds[idx] + self.widths[idx] * part
+        return float(out[0]) if x.ndim == 0 else out
+
+
+def _locate(bp, widths, x):
+    """Panel index of each point x (m,) on the grid bp and the weights
+    (_partial_weights) of its partial integral over that panel."""
+    idx = np.clip(np.searchsorted(bp, x, side="right") - 1,
+                  0, len(widths) - 1)
+    t = np.clip((x - bp[idx]) / widths[idx], 0.0, 1.0)
+    return idx, _partial_weights(t)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +124,11 @@ class CumField:
 _SWITCH_BOUND = 10.0    # switch series -> ODE where |lam| * eta_1 exceeds it
 _J_CAP = 80             # hard cap on series terms
 _TERM_TOL = 1e-18       # series truncation threshold
-_ODE_RTOL = 1e-11
-_ODE_ATOL = 1e-13
+_STEP_PHASE = 0.25      # max phase sqrt(lam r/p) h of a propagator step
+_STEP_DLOG = 0.1        # max variation of log p, log r over a step
+_STEP_TOL = 1e-12       # local error of a propagator step pair
+_STEP_COARSEN = 2.0     # max step growth over the pilot grid
+_STEP_BLOCK = 256       # propagator steps whose (L, steps) tables are held
 _X_MIN_REL = 1e-13      # grid start offset relative to the reference span
 _DPHI_CAP = 1.2         # max |d log coeff| variation per panel
 _STEP_FRAC = 0.2        # max panel width / distance to an endpoint
@@ -124,6 +139,88 @@ _PROBE_POINTS = 256     # geometric probe deciding the asymptotic region
 _ENGINE_CACHE_SIZE = 8  # engines kept, least recently used evicted first
 _KAPPA_PROBES = 60      # probe points of the A'/A limit toward b
 _KAPPA_TOL = 1e-4       # relative spread accepted as converged
+
+
+# ---------------------------------------------------------------------------
+# sixth-order Magnus steps for y' = A(x) y, A = [[0, 1/p], [-lam r, 0]]
+
+# the three Gauss-Legendre points of a step, on [0, 1]
+_MAGNUS_U = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
+
+
+def _magnus(lams, h, q, r):
+    """exp(Omega) of one sixth-order Magnus step (Blanes, Casas & Ros
+    2000) for every lam (rows) and step (columns), from the step lengths
+    h (S,) and q = 1/p and r at the points _MAGNUS_U of each step (S, 3).
+
+    With A_k = A at the k-th point, alpha1 = h A_2, alpha2 = sqrt(15) h
+    (A_3 - A_1) / 3, alpha3 = 10 h (A_3 - 2 A_2 + A_1) / 3, C1 = [alpha1,
+    alpha2] and C2 = -[alpha1, 2 alpha3 + C1] / 60,
+
+        Omega = alpha1 + alpha3 / 12
+                + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240.
+
+    Omega = [[a, b], [c, -a]] is traceless, its entries polynomials in lam
+    whose coefficients depend on the step alone, and exp(Omega) = cosh(s) I
+    + sinh(s) / s Omega with s^2 = a^2 + b c (cos/sin where s^2 < 0).
+    Returns the entries (m00, m01, m10, m11) of exp(Omega), each (L, S)."""
+    q1, q2, q3 = q.T
+    r1, r2, r3 = r.T
+    # alpha_k = [[0, Q_k], [-lam R_k, 0]]
+    qa, ra = h * q2, h * r2
+    h15 = math.sqrt(15.0) / 3.0 * h
+    qb, rb = h15 * (q3 - q1), h15 * (r3 - r1)
+    qc, rc = 10.0 / 3.0 * h * (q3 - 2.0 * q2 + q1), \
+        10.0 / 3.0 * h * (r3 - 2.0 * r2 + r1)
+    g = ra * qb - qa * rb                   # C1 = lam g diag(1, -1)
+    k = (ra * qc - qa * rc) / 30.0
+    qu, ru = 20.0 * qa + qc, 20.0 * ra + rc
+    a1 = (qu * rb - ru * qb) / 240.0
+    a2 = -g * (40.0 * qa * ra + qc * ra + rc * qa) / 7200.0
+    b0 = qa + qc / 12.0
+    b1 = (g * qb - qu * k) / 120.0
+    b2 = g * g * qa / 3600.0
+    c1 = -(ra + rc / 12.0)
+    c2 = (g * rb - ru * k) / 120.0
+    c3 = -g * g * ra / 3600.0
+    lam = np.asarray(lams, dtype=float)[:, None]
+    a = lam * (a1 + lam * a2)
+    b = b0 + lam * (b1 + lam * b2)
+    c = lam * (c1 + lam * (c2 + lam * c3))
+    s2 = a * a + b * c
+    th = np.sqrt(np.abs(s2))
+    ch = np.cos(th)
+    sh = np.sinc(th / np.pi)
+    grow = s2 > 0.0
+    if np.any(grow):
+        ch[grow] = np.cosh(th[grow])
+        sh[grow] = np.sinh(th[grow]) / th[grow]
+    return ch + sh * a, sh * b, sh * c, ch - sh * a
+
+
+def _apply(m, y):
+    """The 2x2 matrices with entry arrays m to the vectors y = (w, v)."""
+    return np.array([m[0] * y[0] + m[1] * y[1], m[2] * y[0] + m[3] * y[1]])
+
+
+def _mul(a, b):
+    """Products a b of 2x2 matrices given by their entry arrays."""
+    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+
+
+def _running_products(m):
+    """Running products M_j ... M_1 M_0 along the last axis of the entry
+    arrays m = (m00, m01, m10, m11), by recursive doubling (log2 S passes
+    of whole-array products)."""
+    m = [x.copy() for x in m]
+    d = 1
+    while d < m[0].shape[-1]:
+        new = _mul([x[..., d:] for x in m], [x[..., :-d] for x in m])
+        for x, v in zip(m, new):
+            x[..., d:] = v
+        d *= 2
+    return m
 
 
 @dataclass(frozen=True)
@@ -273,7 +370,12 @@ class KernelEngine:
                     np.asarray(self.x_w), eta_prev_xw, gprev_xw))
             else:
                 g_deep = np.zeros((0, _M))
-                logF0 = -np.inf
+                # F_1 on the cut (a, x_min] is (x_min - a) r to first
+                # order; higher levels vanish there to working precision
+                x_min = self.bp[0]
+                logF0 = (math.log(x_min - self.problem.a)
+                         + float(eval_coeff(self.phi_r, x_min))
+                         if j == 1 else -np.inf)
             sv = eta_prev[nd:] * np.exp(
                 self._phir_nodes[nd:] - self._refs[:, None])
             raw_full = self.widths[nd:] * (sv @ _W)
@@ -293,16 +395,18 @@ class KernelEngine:
         self.levels.append(_Level(cf, logF_bounds))
 
     # -- evaluation ---------------------------------------------------------
-    def eta_at(self, j, x):
+    def eta_at(self, j, x, loc=None):
         if j == 0:
             return np.ones_like(np.asarray(x, dtype=float))
         self._ensure_levels(j)
-        return self.levels[j].cf.at(x)
+        return self.levels[j].cf.at(x, loc)
 
-    def F_log_at(self, j, x):
-        """log F_j at points x (array), vectorized over the main region."""
+    def F_log_at(self, j, x, loc=None):
+        """log F_j at points x (array), vectorized over the main region;
+        loc as for CumField.at."""
         self._ensure_levels(max(j, 1))
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        idx, wts = loc or _locate(self.bp, self.widths, x)
         out = np.full(x.shape, -np.inf)
         nd = self.n_deep
         deep = x <= self.x_w if nd else np.zeros(x.shape, bool)
@@ -318,19 +422,15 @@ class KernelEngine:
             out[deep] = self._watson_logF(xd, eta, gp)
         main = ~deep
         if np.any(main):
-            xm = x[main]
-            idx = np.clip(np.searchsorted(self.bp, xm, side="right") - 1,
-                          nd, len(self.widths) - 1)
-            t = np.clip((xm - self.bp[idx]) / self.widths[idx], 0.0, 1.0)
+            idx = idx[main]
             if j == 1:
-                eta_prev = np.ones((len(xm), _M))
+                eta_prev = np.ones((len(idx), _M))
             else:
                 eta_prev = self.levels[j - 1].cf.cum_nodes[idx]
             ref = self._refs[idx - nd]
             with np.errstate(all="ignore"):
                 sv = eta_prev * np.exp(self._phir_nodes[idx] - ref[:, None])
-                coeffs = sv @ _LVINV.T
-                raw = self.widths[idx] * _leg_partial(coeffs, t)
+                raw = self.widths[idx] * np.einsum("mk,mk->m", wts[main], sv)
                 lf = self.levels[j].logF_bounds[idx - nd]
                 out[main] = np.logaddexp(
                     lf, ref + np.log(np.maximum(raw, 1e-300)))
@@ -359,10 +459,11 @@ class KernelEngine:
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         held = xs[None, :] <= self.switch_x(lams)[:, None]
+        loc = _locate(self.bp, self.widths, xs)
         w = np.ones(held.shape)
         acc = np.ones(held.shape)
         # w1 = -lam * sum_j (-lam)^j F_{j+1}
-        w1sum = (np.where(held, np.exp(self.F_log_at(1, xs)), 0.0)
+        w1sum = (np.where(held, np.exp(self.F_log_at(1, xs, loc)), 0.0)
                  if with_w1 else None)
         j = 0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -373,29 +474,31 @@ class KernelEngine:
                         "kernel series did not converge within %d terms"
                         % _J_CAP)
                 power = ((-lams) ** j)[:, None]
-                term = np.where(held, power * self.eta_at(j, xs), 0.0)
+                term = np.where(held, power * self.eta_at(j, xs, loc), 0.0)
                 w += term
                 tail = np.abs(term)
                 acc += tail
                 if with_w1:
                     w1sum += np.where(
-                        held, power * np.exp(self.F_log_at(j + 1, xs)), 0.0)
+                        held, power * np.exp(self.F_log_at(j + 1, xs, loc)),
+                        0.0)
                 if j >= 2 and np.all(tail <= _TERM_TOL
                                      * np.maximum(acc, 1.0)):
                     break
         w1 = -lams[:, None] * w1sum if with_w1 else None
-        err = np.where(held, tail + 1e-13 * acc + 5e-12, 0.0)
+        # rounding of the terms, plus the accuracy of the asymptotic
+        # region where the engine has one
+        floor = 5e-12 if self.n_deep else 0.0
+        err = np.where(held, tail + 1e-14 * acc + floor, 0.0)
         return w, w1, err
 
     def eval_table(self, lams, xs, with_w1=True):
         """Kernel w, w1, err for every lam (rows) at points xs in
         (a, bp[-1]] (columns): the series up to each lam's switch point,
-        then one ODE continuation of (w, w1) for all lam that need it,
-        started at the smallest of their switch points.  scipy's RK error
-        norm is the RMS over the 2L components; scaling the tolerances by
-        1/sqrt(L) bounds each component by sqrt(2) times them, as the
-        one-lam solve (2 components, unscaled) does.  w1 is None unless
-        with_w1."""
+        then one Magnus continuation of (w, w1) for all lam that need it
+        (_propagate), started at the smallest of their switch points; err
+        adds the series estimate there and the propagator's doubling
+        estimate.  w1 is None unless with_w1."""
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         w = np.ones((len(lams), len(xs)))
@@ -417,38 +520,142 @@ class KernelEngine:
         ode = np.flatnonzero(np.any(beyond, axis=1))
         if len(ode):
             lo = lv[ode]
-            k = len(lo)
             x0 = float(np.min(sw[ode]))
             ws, w1s, es = self.series_eval(lo, np.asarray([x0]))
             on = np.flatnonzero(xs > x0)
             t_eval, inv = np.unique(xs[on], return_inverse=True)
-            p, r = self.problem.p_val, self.problem.r_val
-            neg = -lo
-
-            def rhs(t, y):
-                dy = np.empty_like(y)
-                np.divide(y[k:], float(p(t)), out=dy[:k])
-                np.multiply(neg * float(r(t)), y[:k], out=dy[k:])
-                return dy
-
-            scale = 1.0 / math.sqrt(k)
-            sol = solve_ivp(rhs, (x0, float(t_eval[-1])),
-                            np.concatenate([ws[:, 0], w1s[:, 0]]),
-                            t_eval=t_eval, rtol=_ODE_RTOL * scale,
-                            atol=_ODE_ATOL * scale, method="RK45")
-            if not sol.success:
-                raise errors.StepSizeUnderflow(
-                    "ODE continuation failed: %s" % sol.message)
+            pw, pw1, perr = self._propagate(lo, ws[:, 0], w1s[:, 0],
+                                            x0, t_eval)
             # only a lam's own points beyond its switch take ODE values
             take = beyond[np.ix_(ode, on)]
             blk = np.ix_(live[ode], on)
-            w[blk] = np.where(take, sol.y[:k][:, inv], w[blk])
+            w[blk] = np.where(take, pw[:, inv], w[blk])
             if with_w1:
-                w1[blk] = np.where(take, sol.y[k:][:, inv], w1[blk])
-            err[blk] = np.where(
-                take, es[:, :1] + 1e-10 * (1.0 + np.abs(xs[on] - x0)),
-                err[blk])
+                w1[blk] = np.where(take, pw1[:, inv], w1[blk])
+            err[blk] = np.where(take, es[:, :1] + perr[:, inv], err[blk])
         return w, w1, err
+
+    def _steps(self, lam_max, x0, x_end):
+        """Fine step edges from the panel edge x0 to the right end of the
+        panel holding x_end, each panel cut into an even number of equal
+        steps.  A pilot grid keeps a step's phase sqrt(lam_max r/p) h
+        within _STEP_PHASE and the variation of log p and log r on it within
+        _STEP_DLOG; each panel's count is then scaled so that the doubling
+        estimate of its worst step pair at lam_max, taken on the pilot grid
+        and scaled as h^7, meets _STEP_TOL, the steps growing at most
+        _STEP_COARSEN times over the pilot's."""
+        i0 = int(np.searchsorted(self.bp, x0))
+        i1 = max(int(np.searchsorted(self.bp, x_end)), i0 + 1)
+        phir, phip = self._phir_nodes[i0:i1], self._phip_nodes[i0:i1]
+        with np.errstate(all="ignore"):
+            phase = math.sqrt(lam_max) * self.widths[i0:i1] * (
+                np.exp(0.5 * (phir - phip)) @ _W)
+            var = np.maximum(np.ptp(phir, axis=1), np.ptp(phip, axis=1))
+            n0 = 2 * np.ceil(0.5 * np.maximum(
+                np.maximum(phase / _STEP_PHASE, var / _STEP_DLOG), 1.0))
+        if not np.all(np.isfinite(n0)):
+            raise errors.SingularCoefficient(
+                "cannot size propagator steps on [%g, %g]" % (x0, x_end))
+        n0 = n0.astype(int)
+        pilot = self._edges(i0, i1, n0)
+        err = self._pair_errors(lam_max, pilot)
+        worst = np.maximum.reduceat(err, (np.cumsum(n0) - n0) // 2)
+        with np.errstate(all="ignore"):
+            scale = np.maximum((worst / _STEP_TOL) ** (1.0 / 7.0),
+                               1.0 / _STEP_COARSEN)
+        if not np.all(np.isfinite(scale)):
+            raise errors.SingularCoefficient(
+                "non-finite propagator step on [%g, %g]" % (x0, x_end))
+        n = 2 * np.ceil(0.5 * n0 * scale).astype(int)
+        return self._edges(i0, i1, n)
+
+    def _edges(self, i0, i1, n):
+        """Edges of n[i] equal steps on each panel i0 <= i < i1."""
+        panel = np.repeat(np.arange(len(n)), n)
+        j = np.arange(len(panel)) - np.repeat(np.cumsum(n) - n, n)
+        width = self.widths[i0 + panel]
+        return np.append(self.bp[i0 + panel] + width * (j / n[panel]),
+                         self.bp[i1])
+
+    def _magnus_steps(self, lams, starts, ends):
+        """_magnus for the steps [starts, ends] (p and r sampled in one
+        call each) and sqrt(p r) at the steps' middle points."""
+        h = ends - starts
+        nodes = starts[:, None] + h[:, None] * _MAGNUS_U
+        p = eval_coeff(self.problem.p, nodes)
+        r = eval_coeff(self.problem.r, nodes)
+        with np.errstate(all="ignore"):
+            return (_magnus(lams, h, 1.0 / p, r),
+                    np.sqrt(p[:, 1]) * np.sqrt(r[:, 1]))
+
+    def _pair_errors(self, lam, t):
+        """Doubling estimate of the local error of each pair of steps of the
+        grid t (an even number of steps) at the one value lam: the largest
+        entry of (M_1 M_0 - M_01) / 63 in the amplitude scaling diag(1,
+        1/sqrt(lam p r)), M_01 being one step over the pair."""
+        n = len(t) - 1
+        m, amp = self._magnus_steps(
+            [lam], np.append(t[:-1], t[:-1:2]), np.append(t[1:], t[2::2]))
+        m = [x[0] for x in m]
+        pair = _mul([x[1:n:2] for x in m], [x[0:n:2] for x in m])
+        d = [x - y[n:] for x, y in zip(pair, m)]
+        with np.errstate(all="ignore"):
+            kap = math.sqrt(lam) * amp[n:]
+            return np.maximum.reduce([np.abs(d[0]), np.abs(d[1]) * kap,
+                                      np.abs(d[2]) / kap, np.abs(d[3])]) / 63.0
+
+    def _propagate(self, lams, w0, v0, x0, xs):
+        """(w, w1, err) at the sorted points xs in (x0, bp[-1]] for every
+        lam (rows), continuing the state (w0, v0) at x0 by sixth-order
+        Magnus steps on the grid of _steps.  A point is a step end or a
+        partial step from the fine edge before it.  A coarse pass steps
+        over every other fine edge; err bounds the error of w by the
+        distance of the two passes in the amplitude norm
+        sqrt(dw^2 + (dw1 / sqrt(lam p r))^2).  The (L, steps) tables are
+        held for at most _STEP_BLOCK fine steps, or partial steps, at a
+        time."""
+        t = self._steps(float(np.max(lams)), x0, float(xs[-1]))
+        n_steps = len(t) - 1
+        k_of = np.minimum(np.searchsorted(t, xs, side="right") - 1,
+                          n_steps - 1)
+        states = [np.array([w0, v0], dtype=float) for _ in range(2)]
+        vals = np.empty((2, 2, len(lams), len(xs)))  # pass, (w, w1), lam, x
+        amp = np.empty(len(xs))     # sqrt(p r) halfway to xs from the edge
+        for k0 in range(0, n_steps, _STEP_BLOCK):
+            k1 = min(k0 + _STEP_BLOCK, n_steps)
+            nf = k1 - k0
+            # the block's fine steps, then its coarse steps
+            m, _ = self._magnus_steps(
+                lams, np.append(t[k0:k1], t[k0:k1:2]),
+                np.append(t[k0 + 1:k1 + 1], t[k0 + 2:k1 + 1:2]))
+            edges = []                  # states at every edge of the block
+            for i, cols in enumerate((slice(0, nf), slice(nf, None))):
+                steps = _running_products([x[:, cols] for x in m])
+                e = states[i][:, :, None]
+                edges.append(np.concatenate([e, _apply(steps, e)], axis=2))
+                states[i] = edges[i][:, :, -1]
+            # partial steps to the block's points, _STEP_BLOCK at a time
+            pts = np.flatnonzero((k_of >= k0) & (k_of < k1))
+            for c in range(0, len(pts), _STEP_BLOCK):
+                sub = pts[c:c + _STEP_BLOCK]
+                kf = k_of[sub]
+                kc = kf - kf % 2
+                m, amp_mid = self._magnus_steps(
+                    lams, np.append(t[kf], t[kc]), np.append(xs[sub], xs[sub]))
+                n = len(sub)
+                amp[sub] = amp_mid[:n]
+                vals[0][:, :, sub] = _apply([x[:, :n] for x in m],
+                                            edges[0][:, :, kf - k0])
+                vals[1][:, :, sub] = _apply([x[:, n:] for x in m],
+                                            edges[1][:, :, (kc - k0) // 2])
+        if not np.all(np.isfinite(vals[0])):
+            raise errors.SingularCoefficient(
+                "non-finite kernel continuation on [%g, %g]" % (x0, xs[-1]))
+        dw, dv = vals[0] - vals[1]
+        with np.errstate(all="ignore"):
+            dv /= np.sqrt(lams)[:, None] * amp
+            err = np.sqrt(dw * dw + dv * dv)
+        return vals[0][0], vals[0][1], err
 
     def eval_many(self, lam, xs):
         """eval_table for the one value lam: (w, w1, err) over xs."""
@@ -480,25 +687,33 @@ def get_engine(problem, x_need):
     return eng
 
 
+def _checked_lams(lams):
+    """lams as a 1-d float array, ParamOutOfRange unless every value is
+    finite and >= 0."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if not np.all(np.isfinite(lams) & (lams >= 0.0)):
+        raise errors.ParamOutOfRange("lambda must be finite and >= 0")
+    return lams
+
+
 def eval_kernel(problem, lam, x):
     """w_lambda(x) with w(a) = 1, w^[1](a) = 0 (KernelValue)."""
-    if lam < 0:
-        raise errors.ParamOutOfRange("lambda must be >= 0")
+    lam = float(_checked_lams(lam)[0])
     x = float(x)
     if x == problem.a:
         return KernelValue(1.0, 0.0, 0.0)
     if not (problem.a < x < problem.b):
         raise errors.ParamOutOfRange("x=%g outside (a, b)" % x)
     eng = get_engine(problem, x)
-    w, w1, err = eng.eval_many(float(lam), np.asarray([x]))
+    w, w1, err = eng.eval_many(lam, np.asarray([x]))
     return KernelValue(float(w[0]), float(w1[0]), float(err[0]))
 
 
 def kernel_table(problem, lams, xs):
     """Numeric w_lam(x) for every lam in lams (rows) and x in xs
     (columns), shape (L, N): one batched evaluation on the problem's
-    engine, with w = 1 at x <= a."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    engine, with w = 1 at x <= a.  Each lam must be finite and >= 0."""
+    lams = _checked_lams(lams)
     xs = np.asarray(xs, dtype=float)
     out = np.ones((len(lams),) + xs.shape)
     pos = xs > problem.a

@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import j1
 
 from slconv import errors, families, kernel, slmodel
 from slconv.expr import CoeffExpr
@@ -205,9 +206,9 @@ def test_kernel_table_rows_match_one_lambda():
 
 
 def test_kernel_table_ode_tolerance_covers_every_lambda():
-    # one RK solve for 48 lam: scipy's error norm is the RMS over its 96
-    # components, so tolerances not scaled to the batch let single
-    # components drift (6.8e-11 here, against 9e-12 with the scaling)
+    # one continuation for 48 lam: the shared step grid is sized at the
+    # largest lam, and each lam's own components must meet the bound, not
+    # just an average over the batch
     prob = families.make_family("cosine").problem
     lams = np.linspace(0.5, 60.0, 48)
     xs = np.linspace(0.1, 10.0, 40)
@@ -224,3 +225,60 @@ def test_whittaker_closed_kernel_one_point_is_array():
     assert row.shape == (1,)
     assert row[0] == pytest.approx(_whittaker0_mp(2.0, 0.5), abs=1e-9)
     assert fam.kernel([1.0, 2.0], np.array([0.5])).shape == (2, 1)
+
+
+def test_kernel_rejects_negative_or_non_finite_lambda():
+    prob = families.make_family("hankel", {"alpha": 1.0}).problem
+    xs = np.array([0.5, 1.0])
+    for lam in (-1.0, math.nan, math.inf):
+        with pytest.raises(errors.ParamOutOfRange):
+            kernel.kernel_table(prob, [2.0, lam], xs)
+        with pytest.raises(errors.ParamOutOfRange):
+            kernel.eval_kernel(prob, lam, 1.0)
+
+
+def _hankel1(lams, xs):
+    z = np.sqrt(np.asarray(lams, dtype=float))[:, None] * xs
+    return 2.0 * j1(z) / z
+
+
+def test_kernel_table_high_lambda_hankel():
+    prob = families.make_family("hankel", {"alpha": 1.0}).problem
+    lams = np.array([400.0, 1e4])
+    xs = np.linspace(1.0, 3.0, 41)
+    got = kernel.kernel_table(prob, lams, xs)
+    np.testing.assert_allclose(got, _hankel1(lams, xs), rtol=0, atol=1e-10)
+
+
+def test_kernel_err_est_bounds_the_error():
+    # the estimate holds the actual error and stays within 1e3 of it
+    xs = np.linspace(0.3, 3.0, 10)
+    cases = (("cosine", {},
+              lambda lam: np.cos(math.sqrt(lam) * xs)),
+             ("hankel", {"alpha": 1.0},
+              lambda lam: _hankel1([lam], xs)[0]))
+    for name, params, exact in cases:
+        prob = families.make_family(name, params).problem
+        for lam in (5.0, 144.0, 1e4):
+            kv = [kernel.eval_kernel(prob, lam, x) for x in xs]
+            est = np.array([v.err_est for v in kv])
+            actual = np.abs(np.array([v.w for v in kv]) - exact(lam))
+            assert np.all(est >= actual), (name, lam)
+            assert np.max(est) <= 1e-8
+            assert np.max(est) <= (1e3 * np.max(actual)
+                                   if np.max(actual) > 0 else 1e-13)
+
+
+def test_propagator_holds_bounded_step_blocks(monkeypatch):
+    sizes = []
+    products = kernel._running_products
+
+    def counted(m):
+        sizes.append(m[0].shape)
+        return products(m)
+
+    monkeypatch.setattr(kernel, "_running_products", counted)
+    lams = np.linspace(5.0, 144.0, 64)      # each continued to x = 91
+    kernel.kernel_table(_whittaker0(), lams, np.array([0.05, 3.5, 91.0]))
+    assert all(rows == 64 for rows, _ in sizes)
+    assert max(steps for _, steps in sizes) == kernel._STEP_BLOCK
