@@ -24,20 +24,13 @@ class Field2D:
     stop: spectral.SynthesisStop = None  # how a spectral synthesis ended
 
     def symmetry_gap(self):
-        """Max |f(x,y) - f(y,x)| over grid points common to both axes."""
-        xi = {round(float(v), 10): i for i, v in enumerate(self.x_grid)}
-        worst = 0.0
-        for j, y in enumerate(self.y_grid):
-            i = xi.get(round(float(y), 10))
-            if i is None:
-                continue
-            for j2, y2 in enumerate(self.y_grid):
-                i2 = xi.get(round(float(y2), 10))
-                if i2 is None:
-                    continue
-                worst = max(worst, abs(self.values[i, j2]
-                                       - self.values[i2, j]))
-        return worst
+        """Max |f(x,y) - f(y,x)| over grid points common to both axes
+        (matched to 10 decimals); 0.0 when no point is shared."""
+        _, i, j = np.intersect1d(np.round(self.x_grid, 10),
+                                 np.round(self.y_grid, 10),
+                                 return_indices=True)
+        s = self.values[np.ix_(i, j)]
+        return float(np.max(np.abs(s - s.T), initial=0.0))
 
     def initial_trace_gap(self, h):
         """Max |f(x, y_0) - h(x)| on the first y level."""

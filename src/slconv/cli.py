@@ -176,8 +176,7 @@ def _cmd_semigroup(args):
     fam = _resolve(args)
     psi = expr.CoeffExpr(args.psi.replace("lambda", "x"))
     x_grid = _grid_spec(args.x_grid)
-    mu = prob.semigroup_measure(fam, lambda lam: float(psi(lam)),
-                                args.t, x_grid)
+    mu = prob.semigroup_measure(fam, psi, args.t, x_grid)
     seg = mu.segments[0]
     out = _Writer(args)
     out.row("x", "density")

@@ -81,8 +81,7 @@ def _r_panels(problem, lo, hi):
     """_PANELS 12-point Gauss-Legendre panels on [lo, hi]: (nodes, w r)."""
     nodes, wts = map(np.ravel, quadrature.gl_panels(
         np.linspace(lo, hi, _PANELS + 1)))
-    with np.errstate(all="ignore"):
-        return nodes, wts * np.asarray(problem.r_val(nodes), dtype=float)
+    return nodes, wts * problem.r_val(nodes)
 
 
 def convolve_functions(family, h, g, x_grid, y_support):

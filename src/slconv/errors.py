@@ -78,10 +78,6 @@ class SlowDecay(NumericError):
     pass
 
 
-class StepSizeUnderflow(NumericError):
-    pass
-
-
 class KappaNotConverged(NumericError):
     pass
 

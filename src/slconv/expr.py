@@ -1,4 +1,5 @@
-"""Coefficient expression language: parser, printer, evaluator, derivative.
+"""Coefficient expression language: parser, printer, compiled evaluator,
+derivative.
 
 Grammar (ASCII, '^' right-associative, unary minus binds looser than '^'):
 
@@ -12,10 +13,12 @@ Grammar (ASCII, '^' right-associative, unary minus binds looser than '^'):
 ASTs are nested tuples: ('num', v), ('x',), ('neg', e), ('add', a, b),
 ('sub', a, b), ('mul', a, b), ('div', a, b), ('pow', a, b),
 ('call', name, e).  pow(a, b) is sugar for the '^' node, so it prints
-back in operator form.
+back in operator form.  A CoeffExpr compiles its AST once, at
+construction, into a tree of closures that `evaluate` calls.
 """
 
 import math
+import operator
 import re
 
 import numpy as np
@@ -45,7 +48,10 @@ def _tokenize(src):
                                      "unrecognized character %r at position %d"
                                      % (src[pos], pos))
         if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num")), m.start("num")))
+            val = float(m.group("num"))
+            if not math.isfinite(val):
+                raise errors.SyntaxError(m.start("num"), {"finite number"})
+            tokens.append(("num", val, m.start("num")))
         elif m.group("ident") is not None:
             tokens.append(("ident", m.group("ident"), m.start("ident")))
         else:
@@ -221,56 +227,52 @@ _FN_NUMPY = {
     "cosh": np.cosh, "tanh": np.tanh, "abs": np.abs,
 }
 
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+           "div": operator.truediv, "pow": np.power}
+
+
+def _compile(ast):
+    """The AST as a closure f(x, one): x is a float or a float array and
+    one is 1.0 or an array of ones of x's shape, so that a constant is a
+    float at a scalar x and a full array at an array x."""
+    op = ast[0]
+    if op == "num":
+        v = ast[1]
+        return lambda x, one: v * one
+    if op == "x":
+        return lambda x, one: x
+    if op == "neg":
+        f = _compile(ast[1])
+        return lambda x, one: -f(x, one)
+    if op == "call":
+        fn, f = _FN_NUMPY[ast[1]], _compile(ast[2])
+        return lambda x, one: fn(f(x, one))
+    if op not in _BINARY:
+        raise ValueError("bad AST node %r" % (op,))
+    fn, fa, fb = _BINARY[op], _compile(ast[1]), _compile(ast[2])
+    return lambda x, one: fn(fa(x, one), fb(x, one))
+
 
 def evaluate(ast, x, check=True):
-    """Evaluate the AST at x (scalar or ndarray).
+    """Evaluate a CoeffExpr (or a raw AST, compiled for this call) at x: a
+    float for a scalar x, a float array of x's shape for an array x.
 
     With check=True a non-finite result raises DomainError instead of
     silently returning NaN/inf.
     """
+    fn = ast.fn if isinstance(ast, CoeffExpr) else _compile(ast)
+    scalar = np.ndim(x) == 0
+    xv = float(x) if scalar else np.asarray(x, dtype=float)
     try:
         with np.errstate(all="ignore"):
-            val = _eval(ast, x)
+            val = fn(xv, 1.0 if scalar else np.ones_like(xv))
     except ZeroDivisionError:
-        if not check:
-            return math.nan
-        raise errors.DomainError("expression not finite at x=%r" % (x,))
-    if check:
-        if np.isscalar(val) or np.ndim(val) == 0:
-            if not math.isfinite(float(val)):
-                raise errors.DomainError(
-                    "expression not finite at x=%r" % (x,))
-        else:
-            if not np.all(np.isfinite(val)):
-                bad = np.asarray(x)[~np.isfinite(val)]
-                raise errors.DomainError(
-                    "expression not finite at x=%r" % (bad[:3],))
-    return val
-
-
-def _eval(ast, x):
-    op = ast[0]
-    if op == "num":
-        return ast[1] * np.ones_like(x, dtype=float) if np.ndim(x) else ast[1]
-    if op == "x":
-        return np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-    if op == "neg":
-        return -_eval(ast[1], x)
-    if op == "call":
-        return _FN_NUMPY[ast[1]](_eval(ast[2], x))
-    a = _eval(ast[1], x)
-    if op == "add":
-        return a + _eval(ast[2], x)
-    if op == "sub":
-        return a - _eval(ast[2], x)
-    if op == "mul":
-        return a * _eval(ast[2], x)
-    if op == "div":
-        return a / _eval(ast[2], x)
-    if op == "pow":
-        b = _eval(ast[2], x)
-        return np.power(a, b)
-    raise ValueError("bad AST node %r" % (op,))
+        val = math.nan
+    if check and not np.all(np.isfinite(val)):
+        bad = np.ravel(xv)[~np.isfinite(np.ravel(val))]
+        raise errors.DomainError(
+            "expression not finite at x=%r" % (bad[:3].tolist(),))
+    return float(val) if scalar else val
 
 
 # --- symbolic differentiation ---
@@ -289,8 +291,9 @@ def _is_const(ast):
 
 
 def diff(ast):
-    """Symbolic derivative d/dx of the AST (no simplification beyond
-    trivial constant/zero pruning)."""
+    """Symbolic derivative d/dx of the AST, with no simplification: every
+    rule applies literally and zero or unit factors stay in the tree
+    (d/dx of -1/x prints as (-0*x--1*1)/x^2)."""
     op = ast[0]
     if op == "num":
         return ("num", 0.0)
@@ -382,23 +385,27 @@ def dlog_ast(ast):
 
 
 class CoeffExpr:
-    """Parsed coefficient expression; immutable, callable, differentiable."""
+    """Parsed coefficient expression, compiled once at construction;
+    immutable, callable, differentiable."""
 
-    __slots__ = ("ast", "source")
+    __slots__ = ("ast", "source", "fn")
 
     def __init__(self, src_or_ast):
+        if isinstance(src_or_ast, CoeffExpr):
+            self.ast = src_or_ast.ast
+            self.source = src_or_ast.source
+            self.fn = src_or_ast.fn
+            return
         if isinstance(src_or_ast, str):
             self.ast = parse(src_or_ast)
             self.source = src_or_ast
-        elif isinstance(src_or_ast, CoeffExpr):
-            self.ast = src_or_ast.ast
-            self.source = src_or_ast.source
         else:
             self.ast = src_or_ast
             self.source = unparse(src_or_ast)
+        self.fn = _compile(self.ast)
 
     def __call__(self, x, check=True):
-        return evaluate(self.ast, x, check=check)
+        return evaluate(self, x, check=check)
 
     def diff(self):
         return CoeffExpr(diff(self.ast))

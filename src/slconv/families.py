@@ -515,14 +515,13 @@ def _make_degenerate_custom(params):
     dz = izeta.diff()
     probe = np.geomspace(1e-3, 1e8, 120)
     with np.errstate(all="ignore"):
-        zeta = probe * np.asarray(dz(probe, check=False), float) \
-            * np.ones_like(probe)
+        zeta = probe * dz(probe, check=False)
     if np.any(~np.isfinite(zeta)) or np.any(zeta < -1e-10):
         raise errors.ParamOutOfRange("zeta must be finite and nonnegative")
     if np.any(np.diff(zeta) > 1e-10 * np.maximum(np.abs(zeta[:-1]), 1.0)):
         raise errors.ParamOutOfRange("zeta must be nonincreasing")
-    i_far = float(izeta(1e10, check=False))
-    i_mid = float(np.asarray(izeta(1e5, check=False), float))
+    i_far = izeta(1e10, check=False)
+    i_mid = izeta(1e5, check=False)
     if not (i_far > i_mid + 1e-8):
         raise errors.ParamOutOfRange(
             "log-integral of zeta must diverge (probe found saturation)")

@@ -54,7 +54,7 @@ from scipy.integrate import solve_ivp
 
 from . import errors
 from .quadrature import gl_nodes
-from .slmodel import SLProblem, eval_coeff
+from .slmodel import SLProblem
 
 __all__ = [
     "KernelValue", "MomentFns", "eval_kernel", "kernel_table",
@@ -262,12 +262,12 @@ class KernelEngine:
         """log F_j(x) = log int_a^x eta_{j-1} r by the asymptotic expansion
         around the right limit (valid on the deep region)."""
         x = np.asarray(x, float)
-        s1 = eval_coeff(self.dphi_r, x)
-        s2 = eval_coeff(self.d2phi_r, x)
-        s3 = eval_coeff(self.d3phi_r, x)
+        s1 = self.dphi_r(x, check=False)
+        s2 = self.d2phi_r(x, check=False)
+        s3 = self.d3phi_r(x, check=False)
         t0 = 1.0 / s1 + s2 / s1 ** 3 - s3 / s1 ** 4 + 3.0 * s2 ** 2 / s1 ** 5
         val = np.maximum(eta * t0 - etap / s1 ** 2, 1e-300)
-        return eval_coeff(self.phi_r, x) + np.log(val)
+        return self.phi_r(x, check=False) + np.log(val)
 
     # -- grid construction -------------------------------------------------
     def _build_deep(self):
@@ -280,9 +280,9 @@ class KernelEngine:
         ref = c - a if c > a else 1.0
         x_min = a + _X_MIN_REL * ref
         probe = a + np.geomspace(x_min - a, ref, _PROBE_POINTS + 1)[1:]
-        s1 = eval_coeff(self.dphi_r, probe)
-        s2 = eval_coeff(self.d2phi_r, probe)
-        s3 = eval_coeff(self.d3phi_r, probe)
+        s1 = self.dphi_r(probe, check=False)
+        s2 = self.d2phi_r(probe, check=False)
+        s3 = self.d3phi_r(probe, check=False)
         with np.errstate(all="ignore"):
             ok = ((s1 > 0.0) & np.isfinite(s1)
                   & (np.abs(s2) <= _WATSON_CHI * s1 * s1)
@@ -305,7 +305,7 @@ class KernelEngine:
         dx = _STEP_FRAC * min(x - a, b - x)
         with np.errstate(all="ignore"):
             for dphi in (self.dphi_r, self.dphi_p):
-                d = abs(float(dphi(x, check=False)))
+                d = abs(dphi(x, check=False))
                 if np.isfinite(d) and d > 0:
                     dx = min(dx, _DPHI_CAP / d)
         return dx
@@ -337,8 +337,8 @@ class KernelEngine:
         self.bp = np.concatenate([self.bp, edges])
         self.widths = np.diff(self.bp)
         self.node_x = self.bp[:-1, None] + self.widths[:, None] * _U[None, :]
-        self._phir_nodes = eval_coeff(self.phi_r, self.node_x)
-        self._phip_nodes = eval_coeff(self.phi_p, self.node_x)
+        self._phir_nodes = self.phi_r(self.node_x, check=False)
+        self._phip_nodes = self.phi_p(self.node_x, check=False)
         # main panels only
         self._refs = np.max(self._phir_nodes[self.n_deep:], axis=1)
         self.levels = [None]        # levels[j] for j >= 1
@@ -374,7 +374,7 @@ class KernelEngine:
                 # order; higher levels vanish there to working precision
                 x_min = self.bp[0]
                 logF0 = (math.log(x_min - self.problem.a)
-                         + float(eval_coeff(self.phi_r, x_min))
+                         + self.phi_r(x_min, check=False)
                          if j == 1 else -np.inf)
             sv = eta_prev[nd:] * np.exp(
                 self._phir_nodes[nd:] - self._refs[:, None])
@@ -416,7 +416,7 @@ class KernelEngine:
             if j >= 2:
                 with np.errstate(all="ignore"):
                     gp = np.exp(self.F_log_at(j - 1, xd)
-                                - eval_coeff(self.phi_p, xd))
+                                - self.phi_p(xd, check=False))
             else:
                 gp = np.zeros_like(xd)
             out[deep] = self._watson_logF(xd, eta, gp)
@@ -582,8 +582,8 @@ class KernelEngine:
         call each) and sqrt(p r) at the steps' middle points."""
         h = ends - starts
         nodes = starts[:, None] + h[:, None] * _MAGNUS_U
-        p = eval_coeff(self.problem.p, nodes)
-        r = eval_coeff(self.problem.r, nodes)
+        p = self.problem.p(nodes, check=False)
+        r = self.problem.r(nodes, check=False)
         with np.errstate(all="ignore"):
             return (_magnus(lams, h, 1.0 / p, r),
                     np.sqrt(p[:, 1]) * np.sqrt(r[:, 1]))

@@ -112,9 +112,7 @@ def _grid_measure(family, coef, x0, x_grid, label):
     x_grid = np.asarray(x_grid, dtype=float)
     dens, stop = spectral.synthesize(family, coef, [float(x0)], x_grid,
                                      _SYNTH_TOL)
-    with np.errstate(all="ignore"):
-        rv = np.asarray(family.problem.r_val(x_grid), dtype=float) \
-            * np.ones_like(x_grid)
+    rv = family.problem.r_val(x_grid)
     dens_dx = dens[0] * np.where(np.isfinite(rv), rv, 0.0)
     low = float(np.min(dens_dx))
     if low < -1e-10 * max(1.0, float(np.max(np.abs(dens_dx)))):
@@ -263,8 +261,8 @@ def lln_experiment(family, law, variant, cfg, rng):
     """Strong-law experiment: simulates walk paths and reports the
     normalized statistic distribution at the terminal step.
 
-    cfg keys: n (steps), n_paths, and r_n exponent "rate_pow" (variants
-    I/III) or "theta" (II/IV)."""
+    variant is "I", "II", "III" or "IV".  cfg keys: n (steps), n_paths,
+    and r_n exponent "rate_pow" (variants I/III) or "theta" (II/IV)."""
     mf = kernel.moment_functions(family.problem)
     n = int(cfg["n"])
     n_paths = int(cfg.get("n_paths", 1000))
@@ -279,15 +277,15 @@ def lln_experiment(family, law, variant, cfg, rng):
     s_term = walk_ensemble(family, law, n, n_paths, rng)
     phi1_term = mf.phi1(s_term)
     phi2_term = mf.phi2(s_term)
-    if variant in ("7.13.I", "I"):
+    if variant == "I":
         stat = (phi1_term - np.mean(phi1_term)) \
             / math.sqrt(float(n) ** cfg.get("rate_pow", 1.5))
-    elif variant in ("7.13.II", "II"):
+    elif variant == "II":
         theta = float(cfg.get("theta", 1.5))
         stat = (phi1_term - n * e_phi1) / float(n) ** (1.0 / theta)
-    elif variant in ("7.13.III", "III"):
+    elif variant == "III":
         stat = phi2_term / float(n) ** cfg.get("rate_pow", 1.5)
-    elif variant in ("7.13.IV", "IV"):
+    elif variant == "IV":
         theta = float(cfg.get("theta", 0.9))
         stat = phi2_term / float(n) ** (1.0 / theta)
     else:

@@ -50,7 +50,7 @@ class SLProblem:
                 "reference point c=%r outside [a, b)" % (self.c,))
         hi = self.c + 3.0 if np.isinf(self.b) else self.b
         probe = graded_grid(self.a, hi, 64, 1e-6)
-        pv, rv = eval_coeff(self.p, probe), eval_coeff(self.r, probe)
+        pv, rv = self.p(probe, check=False), self.r(probe, check=False)
         # allow underflow-to-0 / overflow-to-inf near singular endpoints,
         # but reject NaN, negative values, or identically nonpositive data
         for tag, v in (("p", pv), ("r", rv)):
@@ -80,28 +80,24 @@ class SLProblem:
         """sqrt(r/p) = d(xi)/dx, from the logs."""
         log_p, log_r, _, _ = self.logs
         with np.errstate(all="ignore"):
-            return np.exp(0.5 * (eval_coeff(log_r, x) - eval_coeff(log_p, x)))
+            return np.exp(0.5 * (log_r(x, check=False)
+                                 - log_p(x, check=False)))
 
     def aprime_over_a(self, x):
         """A'/A = d/dxi log sqrt(p r) at the point x (not at xi), from the
         logs: (1/2) ((log p)' + (log r)') sqrt(p/r)."""
         log_p, log_r, dlog_p, dlog_r = self.logs
         with np.errstate(all="ignore"):
-            return (np.exp(0.5 * (eval_coeff(log_p, x) - eval_coeff(log_r, x)))
-                    * 0.5 * (eval_coeff(dlog_p, x) + eval_coeff(dlog_r, x)))
+            return (np.exp(0.5 * (log_p(x, check=False)
+                                  - log_r(x, check=False)))
+                    * 0.5 * (dlog_p(x, check=False)
+                             + dlog_r(x, check=False)))
 
     def gamma_cells(self, edges):
         """int sqrt(r/p) over each cell [edges[k], edges[k+1]], by 12-point
         Gauss-Legendre."""
         nodes, wts = gl_panels(edges)
         return (self.sqrt_r_over_p(nodes) * wts).sum(axis=1)
-
-
-def eval_coeff(fn, x):
-    """A coefficient expression at x, unchecked, broadcast to x's shape
-    (fn may be a constant); over/underflow to inf or 0 is allowed."""
-    with np.errstate(all="ignore"):
-        return np.asarray(fn(x, check=False), float) * np.ones_like(x)
 
 
 def custom_problem_from_dict(d):
@@ -211,7 +207,8 @@ class StandardForm:
         x = self.inverse(xi)
         log_p, log_r, _, _ = self.problem.logs
         with np.errstate(all="ignore"):
-            return np.exp(0.5 * (eval_coeff(log_p, x) + eval_coeff(log_r, x)))
+            return np.exp(0.5 * (log_p(x, check=False)
+                                 + log_r(x, check=False)))
 
     def aprime_over_a(self, xi):
         return self.problem.aprime_over_a(self.inverse(xi))
@@ -318,9 +315,8 @@ def check_mp_assumption(problem, eta):
     eta = CoeffExpr(eta)
     steps = np.arange(-_MP_ULPS, _MP_ULPS + 1, dtype=float)[:, None]
     xis = grid[None, :] + steps * np.spacing(np.abs(grid))[None, :]
-    ones = np.ones_like(xis)
-    eta_s = np.asarray(eta(xis, check=False), dtype=float) * ones
-    deta_s = np.asarray(eta.diff()(xis, check=False), dtype=float) * ones
+    eta_s = eta(xis, check=False)
+    deta_s = eta.diff()(xis, check=False)
     aoa_s = sf.aprime_over_a(xis)
     phi_terms = (aoa_s, -eta_s)
     psi_terms = (0.5 * deta_s, -0.25 * eta_s ** 2, 0.5 * aoa_s * eta_s)

@@ -84,8 +84,8 @@ def forward_transform(family, h, lam, x_support=None):
         while x < hi:
             dx = span / n_base
             if tau > 0.0:
-                pr = float(problem.p_val(max(x, lo + 1e-12 * span)))
-                rr = float(problem.r_val(max(x, lo + 1e-12 * span)))
+                pr = problem.p_val(max(x, lo + 1e-12 * span))
+                rr = problem.r_val(max(x, lo + 1e-12 * span))
                 if pr > 0 and rr > 0 and np.isfinite(pr) and np.isfinite(rr):
                     dx = min(dx, 0.5 * math.pi / tau * math.sqrt(pr / rr))
             dx = max(dx, 1e-6 * span)
@@ -93,7 +93,7 @@ def forward_transform(family, h, lam, x_support=None):
             edges.append(x)
         nodes, wts = map(np.ravel, quadrature.gl_panels(edges))
         with np.errstate(all="ignore"):
-            rv = problem.r_val(nodes) * np.ones_like(nodes)
+            rv = problem.r_val(nodes)
             hv = np.asarray(h(nodes), dtype=float) * np.ones_like(nodes)
             # in place: a window's (L, N) table is the largest array here
             contrib = family.kernel(lams, nodes)

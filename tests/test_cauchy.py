@@ -30,6 +30,20 @@ def test_spectral_field_symmetry_and_trace():
     assert fld.initial_trace_gap(_ebump) < 1e-7
 
 
+def test_symmetry_gap_on_partly_shared_grids():
+    # x and y share only 0.5 and 1.0 (0.1 + 0.4 matches 0.5 to 10 digits);
+    # the gap is max |f(0.5, 1) - f(1, 0.5)| = |7 - 2| over that 2 x 2 block
+    x = np.array([0.0, 0.1 + 0.4, 1.0, 2.0])
+    y = np.array([0.5, 0.7, 1.0])
+    vals = np.array([[9.0, 9.0, 9.0],
+                     [1.0, 9.0, 7.0],
+                     [2.0, 9.0, 3.0],
+                     [9.0, 9.0, 9.0]])
+    fld = cauchy.Field2D(x, y, vals, "spectral")
+    assert fld.symmetry_gap() == 5.0
+    assert cauchy.Field2D(x, y + 10.0, vals, "spectral").symmetry_gap() == 0.0
+
+
 def test_characteristics_matches_dalembert():
     fam = families.make_family("cosine")
     tri = cauchy.TriangleGrid(c=0.0, vertex=(1.2, 1.2), step=0.01)

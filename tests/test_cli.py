@@ -159,6 +159,21 @@ def test_kernel_outside_interval_is_validation_error():
     assert out.splitlines()[2] == "1,0,0"
 
 
+def test_overflowing_literal_is_validation_error(tmp_path):
+    # 1e999 is not a finite number: rejected by the parser, with the JSON
+    # diagnostic and no traceback
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"p": "x^2 + 1e999", "r": "x^2", "a": 0,
+                                "b": "inf", "c": 1}))
+    rc, out, err = run_cli("kernel", "--problem", str(path),
+                           "--lambda", "1", "--x", "0.5")
+    assert rc == 1
+    payload = json.loads(err)
+    assert payload["kind"] == "validation"
+    assert payload["error"] == "SyntaxError"
+    assert out == ""
+
+
 @pytest.fixture(scope="module")
 def cubic_problem(tmp_path_factory):
     # p = r = x^3: the hankel alpha = 1 operator as a custom problem

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from slconv import errors, expr
+from slconv import errors, expr, kernel, slmodel
 
 
 def test_parse_evaluate_basic():
@@ -52,7 +52,7 @@ def test_diff_chain_and_product():
 
 
 def test_syntax_errors():
-    for bad in ("", "x +", "(x", "x**2", "foo(x)", "1..2"):
+    for bad in ("", "x +", "(x", "x**2", "foo(x)", "1..2", "1e999"):
         with pytest.raises(errors.ValidationError):
             expr.parse(bad)
 
@@ -67,3 +67,49 @@ def test_domain_error_on_nonfinite():
 def test_non_ascii_rejected():
     with pytest.raises(errors.ValidationError):
         expr.parse("x²")
+
+
+def test_coeff_expr_compiles_once(monkeypatch):
+    prob = slmodel.custom_problem_from_dict(
+        {"p": "x^3", "r": "x^3", "a": 0, "b": "inf", "c": 1})
+    xs = np.linspace(0.1, 3.0, 7)
+    want = kernel.kernel_table(prob, [0.0, 5.0], xs)
+    compiled = []
+    original = expr._compile
+
+    def counting(ast):
+        compiled.append(ast)
+        return original(ast)
+
+    monkeypatch.setattr(expr, "_compile", counting)
+    prob.p(xs)
+    prob.r(1.5, check=False)
+    got = kernel.kernel_table(prob, [0.0, 5.0], xs)
+    assert compiled == []
+    np.testing.assert_array_equal(got, want)
+    # the counter sees a compile when there is one
+    expr.CoeffExpr("x + 1")
+    assert compiled
+
+
+def test_evaluate_shape_contract():
+    const = expr.CoeffExpr("2.5")
+    v = const(np.zeros((3, 4)))
+    assert isinstance(v, np.ndarray)
+    assert v.shape == (3, 4) and v.dtype == np.float64
+    assert np.all(v == 2.5)
+    s = const(1.0)
+    assert type(s) is float and s == 2.5
+    assert type(expr.CoeffExpr("x^2")(np.float64(3.0))) is float
+    for src in ("x", "2.5"):
+        vi = expr.CoeffExpr(src)(np.arange(4))
+        assert vi.dtype == np.float64 and vi.shape == (4,)
+    assert expr.CoeffExpr("x/2")(np.arange(4)).tolist() == [0.0, 0.5, 1.0,
+                                                            1.5]
+
+
+def test_deep_sum_evaluates():
+    e = expr.CoeffExpr("+".join(["x"] * 300))
+    assert e(0.5) == 150.0
+    np.testing.assert_array_equal(e(np.array([1.0, 2.0])), [300.0, 600.0])
+    assert e.diff()(0.5) == 300.0

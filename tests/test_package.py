@@ -33,3 +33,20 @@ def test_no_unused_module_imports():
                  for a in node.names]
         unused = [name for name in bound if name not in used]
         assert not unused, (path.name, unused)
+
+
+def test_every_error_class_is_used():
+    # every class in errors.py is named as errors.<Name> in another slconv
+    # module, or is the base of another class in errors.py
+    pkg = pathlib.Path(slconv.__path__[0])
+    tree = ast.parse((pkg / "errors.py").read_text())
+    classes = [n.name for n in tree.body if isinstance(n, ast.ClassDef)]
+    used = {b.id for n in tree.body if isinstance(n, ast.ClassDef)
+            for b in n.bases if isinstance(b, ast.Name)}
+    for path in pkg.glob("*.py"):
+        if path.name == "errors.py":
+            continue
+        used |= {n.attr for n in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(n, ast.Attribute)
+                 and isinstance(n.value, ast.Name) and n.value.id == "errors"}
+    assert [c for c in classes if c not in used] == []
