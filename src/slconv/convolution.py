@@ -13,6 +13,7 @@ __all__ = ["ConvCfg", "ConvReport", "convolve_measures", "translate",
 
 _SEG_NODES = 16                 # point-mass panels per density segment
 _PANELS = 32                    # Gauss-Legendre panels over a support
+_PAIR_BLOCK = 64                # support pairs per law call
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ def _measure_point_masses(mu):
     segment as 12-point Gauss-Legendre nodes on at most _SEG_NODES panels
     over its grid, weighted by the segment's own linear density and
     scaled so each panel carries its exact trapezoid mass."""
-    rows = [([loc for loc, _ in mu.atoms], [m for _, m in mu.atoms])]
+    rows = [tuple(np.reshape(mu.atoms, (-1, 2)).T)]
     for seg in mu.segments:
         g, d = seg.grid, np.maximum(seg.density, 0.0)
         idx = np.unique(np.linspace(0, len(g) - 1,
@@ -54,7 +55,8 @@ def _measure_point_masses(mu):
 def convolve_measures(family, mu, nu, cfg=ConvCfg()):
     """Mixture construction of the measure convolution: the product of the
     two supports maps pairwise through the family's two-point convolution
-    measures.  Result mass = mass(mu) * mass(nu)."""
+    measures, _PAIR_BLOCK pairs per conv_sampled call (bounding the cells
+    held at once), and one merge.  Result mass = mass(mu) * mass(nu)."""
     xs, xw = _measure_point_masses(mu)
     ys, yw = _measure_point_masses(nu)
     n_pairs = len(xs) * len(ys)
@@ -62,10 +64,20 @@ def convolve_measures(family, mu, nu, cfg=ConvCfg()):
         raise errors.GridOverflow(
             "convolution mixture needs %d support pairs (budget %d)"
             % (n_pairs, cfg.max_pairs))
-    parts = [families.family_convolution_measure(family, x, y)
-             for x in xs for y in ys]
-    return measures.merge_measures(parts, np.outer(xw, yw).ravel(),
-                                   grid_points=cfg.grid_points)
+    x, y = (v.ravel() for v in
+            families.convolution_pairs(family, xs[:, None], ys))
+    w = np.outer(xw, yw).ravel()
+    atoms, blocks = [], []
+    for i in range(0, n_pairs, _PAIR_BLOCK):
+        blk = slice(i, i + _PAIR_BLOCK)
+        pair_atoms, cells = family.conv_sampled(x[blk], y[blk])
+        locs, masses = np.array(pair_atoms).transpose(1, 2, 0)
+        atoms.append(np.stack((locs, w[blk, None] * masses), axis=-1))
+        if cells is not None:
+            blocks.extend((s, wgt) for wgt, *cell in zip(w[blk], *cells)
+                          if wgt != 0.0
+                          for s in measures.cells_to_segments(*cell))
+    return measures.merge_parts(atoms, blocks, cfg.grid_points)
 
 
 def translate(family, h, y, x_grid):

@@ -9,15 +9,15 @@ pairs, and density is None (a purely atomic law), an _EdgeDensity (a
 smooth factor times Jacobi edge powers in a substituted variable:
 squared_weight, hankel, jacobi) or a _CellDensity (full support on
 log-spaced cells: whittaker), its fields broadcasting over the pairs.
-_convolution derives the two representations a Family carries, and applies
-nu_{a,y} = delta_y and nu_{x,a} = delta_x for both:
+A Family derives three representations on pair arrays (or two floats),
+each under the unit rule nu_{a,y} = delta_y, nu_{x,a} = delta_x:
 
 - conv_quad(x, y) -> (nodes, weights, atoms), a Gauss rule exact up to its
-  order for all pairs at once, for product checks and translation;
-- conv_sampled(x, y) -> MeasureRepr, mass-exact cells with piecewise-linear
-  density for one pair, for walks, measure convolution and `slconv convolve`;
+  order, for product checks and translation;
+- conv_sampled(x, y) -> (atoms, cells), mass-exact cells, for measure
+  convolution, walks and `slconv convolve` (family_convolution_measure);
 - conv_draw(s, x, u) -> positions, an exact draw for all walk paths at
-  once (cosine, hankel); family_step falls back to conv_sampled without it.
+  once (cosine, hankel); family_step falls back to the MeasureRepr.
 
 The rule's node cloud is not itself the measure: the CDF of an n-node
 Gauss rule is pinned only to within about one Gauss weight
@@ -36,8 +36,8 @@ from .slmodel import SLProblem
 from .spectral import SpectralMeasure
 
 __all__ = ["Family", "make_family", "load_family", "from_problem",
-           "FAMILY_NAMES", "family_convolution_measure", "family_step",
-           "family_convolution_quadrature", "rule_table"]
+           "FAMILY_NAMES", "convolution_pairs", "family_convolution_measure",
+           "family_step", "family_convolution_quadrature", "rule_table"]
 
 _ATOL_BOUNDARY = 1e-14
 _RULE_NODES = 200       # Gauss-Jacobi nodes of an edge density's rule
@@ -52,7 +52,7 @@ class Family:
     closed_kernel: object = None  # callable (lams, xs) -> (L, *xs.shape)
     spectral: object = None       # SpectralMeasure or None
     conv_quad: object = None      # callable (x, y) -> (nodes, wts, atoms)
-    conv_sampled: object = None   # callable (x, y) -> MeasureRepr
+    conv_sampled: object = None   # callable (x, y) -> (atoms, cells)
     conv_draw: object = None      # callable (s, x, u) -> positions
     prefer_closed_kernel: bool = True
 
@@ -109,33 +109,36 @@ class _EdgeDensity:
             v * half ** (2.0 * self.edge_pow + 1.0) * self.smooth(t), 0, -1)
 
     def cells(self):
-        """(edges in xi, cell masses, density in xi at the edges) on the
-        cells t = l + (u - l) sin^2(theta / 2), theta uniform, one pair.
-        The masses are 12-point Gauss-Legendre in theta, where the edge
+        """(edges in xi, cell masses, density in xi at the edges), pairs
+        leading, on the cells t = l + (u - l) sin^2(theta / 2), theta
+        uniform: 12-point Gauss-Legendre masses in theta, where the edge
         powers are smooth, and one-sided Gauss-Jacobi on the edge cells."""
         l, u, ep = self.l, self.u, self.edge_pow
         span = u - l
+        pairs = (1,) * np.ndim(l)
         theta = np.linspace(0.0, np.pi, _SAMPLED_CELLS + 1)
+        theta, tn, wn = (c.reshape(c.shape + pairs) for c in
+                         (theta, *quadrature.gl_panels(theta, 12)))
         t_edges = l + span * np.sin(0.5 * theta) ** 2
-        tn, wn = quadrature.gl_panels(theta, 12)
         sn, cn = np.sin(0.5 * tn), np.cos(0.5 * tn)
-        jac = span ** (2.0 * ep + 1.0) * (sn * cn) ** (2.0 * ep + 1.0)
-        masses = np.sum(wn * self.smooth(l + span * sn * sn) * jac, axis=1)
-        s, v = _jacobi_rule(12, 0.0, ep)
+        masses = wn * self.smooth(l + span * sn * sn)
+        masses *= span ** (2.0 * ep + 1.0) * (sn * cn) ** (2.0 * ep + 1.0)
+        masses = masses.sum(axis=1)
+        s, v = (c.reshape(c.shape + pairs) for c in _jacobi_rule(12, 0.0, ep))
         h = t_edges[1] - t_edges[0]
         t = l + h * 0.5 * (1.0 + s)
-        masses[0] = np.sum(v * self.smooth(t) * (u - t) ** ep) \
+        masses[0] = np.sum(v * self.smooth(t) * (u - t) ** ep, axis=0) \
             * (0.5 * h) ** (ep + 1.0)
-        s, v = _jacobi_rule(12, ep, 0.0)
+        s, v = (c.reshape(c.shape + pairs) for c in _jacobi_rule(12, ep, 0.0))
         h = t_edges[-1] - t_edges[-2]
         t = u - h * 0.5 * (1.0 - s)
-        masses[-1] = np.sum(v * self.smooth(t) * (t - l) ** ep) \
+        masses[-1] = np.sum(v * self.smooth(t) * (t - l) ** ep, axis=0) \
             * (0.5 * h) ** (ep + 1.0)
         xi = self.to_xi(t_edges)
         with np.errstate(all="ignore"):
             dens = (self.smooth(t_edges) * ((t_edges - l) * (u - t_edges))
                     ** ep * self.dt_dxi(xi))
-        return xi, masses, dens
+        return tuple(np.moveaxis(c, 0, -1) for c in (xi, masses, dens))
 
 
 @dataclass(frozen=True)
@@ -156,74 +159,36 @@ class _CellDensity:
         return self.edges, self.weights.sum(axis=-1), self.density(self.edges)
 
 
-def _cells_to_measure(edges, masses, dens):
-    """Mass-exact piecewise-linear segments: each cell gets the points
-    (x0, mid, x1), the density at its edges (mass/width where that is not
-    finite or over 50 times it) and the midpoint value that makes its
-    trapezoid mass exact (flat if negative).  One Segment per run of
-    adjoining cells whose shared edge values agree."""
-    x0, x1 = edges[:-1], edges[1:]
-    keep = (masses > 0.0) & (x1 > x0)
-    if not np.any(keep):
-        return ()
-    x0, x1, m = x0[keep], x1[keep], masses[keep]
-    h = x1 - x0
-    flat = m / h
-
-    def edge_value(f):
-        with np.errstate(invalid="ignore"):
-            ok = np.isfinite(f) & (f >= 0.0) & ~(f > 50.0 * flat)
-        return np.where(ok, f, flat)
-
-    f0, f1 = edge_value(dens[:-1][keep]), edge_value(dens[1:][keep])
-    fm = 2.0 * m / h - 0.5 * (f0 + f1)
-    neg = fm < 0.0
-    f0, f1, fm = (np.where(neg, flat, f) for f in (f0, f1, fm))
-    xm = 0.5 * (x0 + x1)
-    starts = np.flatnonzero((x1[:-1] != x0[1:]) | (f1[:-1] != f0[1:])) + 1
-    segs = []
-    for i, j in zip(np.r_[0, starts], np.r_[starts, len(x0)]):
-        grid = np.append(np.column_stack((x0[i:j], xm[i:j])).ravel(),
-                         x1[j - 1])
-        vals = np.append(np.column_stack((f0[i:j], fm[i:j])).ravel(),
-                         f1[j - 1])
-        segs.append(measures.Segment(x0[i], x1[j - 1], grid, vals))
-    return tuple(segs)
-
-
-def _unit(x, y, a):
-    """Which pairs have nu_{a,y} = delta_y or nu_{x,a} = delta_x, and
-    where each pair's unit mass would sit."""
+def _unit_law(law, a, x, y):
+    """(atoms, density, unit) of law(x, y) with nu_{a,y} = delta_y and
+    nu_{x,a} = delta_x, in one law call.  Each pair's unit mass is its
+    first atom; the law sees unit pairs as (a + 1, a + 1), their law atoms
+    move onto it with zero mass, and their density is the caller's to
+    zero.  Every atom's loc and mass have the pairs' shape."""
     at_x = np.abs(x - a) <= _ATOL_BOUNDARY
-    return at_x | (np.abs(y - a) <= _ATOL_BOUNDARY), np.where(at_x, y, x)
+    unit = at_x | (np.abs(y - a) <= _ATOL_BOUNDARY)
+    at = np.where(at_x, y, x)
+    atoms, dens = law(*(np.where(unit, a + 1.0, v)[()] for v in (x, y)))
+    atoms = [(np.where(unit, at, loc), np.where(unit, 0.0, m))
+             for loc, m in atoms]
+    return ((at, unit.astype(float)), *atoms), dens, unit
 
 
 def _convolution(law, a):
     """(conv_quad, conv_sampled) of law(x, y) -> (atoms, density or
-    None), with nu_{a,y} = delta_y and nu_{x,a} = delta_x."""
+    None), under the unit rule."""
     def conv_quad(x, y):
-        unit, loc = _unit(x, y, a)
-        empty = np.empty(loc.shape + (0,))
-        if np.all(unit):
-            return empty, empty, ((loc, 1.0),)
-        if not np.any(unit):
-            atoms, dens = law(x, y)
-            return (*(dens.rule() if dens else (empty, empty)), atoms)
-        # some pairs are units: one atom for them, one table for the rest
-        inner = ~unit
-        nodes, wts = rule_table(*conv_quad(x[inner], y[inner]))
-        table = np.repeat(loc[..., None], nodes.shape[-1], axis=-1)
-        weights = np.zeros(table.shape)
-        table[inner], weights[inner] = nodes, wts
-        return table, weights, ((loc, unit.astype(float)),)
+        atoms, dens, unit = _unit_law(law, a, x, y)
+        empty = np.empty(np.shape(unit) + (0,))
+        nodes, wts = dens.rule() if dens else (empty, empty)
+        return nodes, np.where(unit[..., None], 0.0, wts), atoms
 
     def conv_sampled(x, y):
-        at_x = abs(x - a) <= _ATOL_BOUNDARY
-        if at_x or abs(y - a) <= _ATOL_BOUNDARY:
-            return measures.dirac(y if at_x else x)
-        atoms, dens = law(x, y)
-        segs = () if dens is None else _cells_to_measure(*dens.cells())
-        return measures.MeasureRepr(atoms=atoms, segments=segs)
+        atoms, dens, unit = _unit_law(law, a, x, y)
+        if dens is None:
+            return atoms, None
+        edges, masses, values = dens.cells()
+        return atoms, (edges, np.where(unit[..., None], 0.0, masses), values)
 
     return conv_quad, conv_sampled
 
@@ -233,25 +198,18 @@ def _exact_draw(law, a):
     _EdgeDensity with a constant smooth factor."""
     def conv_draw(s, x, u):
         """Positions drawn from nu_{s,x} at the uniforms u, for arrays of
-        one shape: an atom picked by cumulative mass, or in t the Beta
-        inverse l + (u - l) B with B ~ Beta(edge_pow + 1, edge_pow + 1)."""
-        unit, out = _unit(s, x, a)
-        inner = ~unit
-        if not np.any(inner):
-            return out
-        atoms, dens = law(s[inner], x[inner])
-        u = u[inner]
-        if dens is None:
-            locs, masses = (np.broadcast_arrays(u, *col)[1:]
-                            for col in zip(*atoms))
-            cum = np.cumsum(masses, axis=0)
-            k = np.sum(u * cum[-1] > cum[:-1], axis=0)
-            out[inner] = np.take_along_axis(np.array(locs), k[None], 0)[0]
-        else:
+        one shape: an atom picked by cumulative mass (never a massless
+        one), or in t the Beta inverse l + (u - l) B with B ~ Beta(edge_pow
+        + 1, edge_pow + 1)."""
+        atoms, dens, unit = _unit_law(law, a, s, x)
+        if dens is not None:
             c = dens.edge_pow + 1.0
-            out[inner] = dens.to_xi(
-                dens.l + (dens.u - dens.l) * betaincinv(c, c, u))
-        return out
+            return np.where(unit, atoms[0][0], dens.to_xi(
+                dens.l + (dens.u - dens.l) * betaincinv(c, c, u)))
+        locs, masses = np.swapaxes(atoms, 0, 1)
+        cum = np.cumsum(masses, axis=0)
+        k = np.maximum(np.sum(u * cum[-1] > cum[:-1], axis=0), ~unit)
+        return np.take_along_axis(locs, k[None], 0)[0]
 
     return conv_draw
 
@@ -331,7 +289,7 @@ def _make_hankel(params):
         def law(x, y):
             pref = 0.5 * c_alpha * (x * y) ** (-2.0 * alpha)
             return (), _EdgeDensity((x - y) ** 2, (x + y) ** 2, alpha - 0.5,
-                                    lambda t: pref * np.ones_like(t),
+                                    lambda t: np.broadcast_to(pref, t.shape),
                                     np.sqrt, lambda xi: 2.0 * xi)
 
     return Family("hankel", (("alpha", alpha),), problem, ck, spectral,
@@ -573,14 +531,27 @@ def from_problem(problem):
 # ---------------------------------------------------------------------------
 # module-level operations
 
-def family_convolution_measure(family, x, y):
-    if family.conv_sampled is None:
+def convolution_pairs(family, x, y):
+    """x and y broadcast together as float arrays; ParamOutOfRange unless
+    the family has a convolution measure and every x, y lies in [a, b)."""
+    if family.conv_quad is None:
         raise errors.ParamOutOfRange(
             "family %r has no closed convolution measure" % (family.id,))
-    a = family.problem.a
-    if not (x >= a and y >= a):
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    p = family.problem
+    if not np.all((np.minimum(x, y) >= p.a) & (np.maximum(x, y) < p.b)):
         raise errors.ParamOutOfRange("x, y must lie in [a, b)")
-    return family.conv_sampled(float(x), float(y))
+    return x, y
+
+
+def family_convolution_measure(family, x, y):
+    """nu_{x,y} of one pair as a MeasureRepr, from conv_sampled."""
+    x, y = convolution_pairs(family, x, y)
+    atoms, cells = family.conv_sampled(x[()], y[()])
+    return measures.MeasureRepr(
+        atoms=[(loc, m) for loc, m in atoms if m > 0.0],
+        segments=() if cells is None else measures.cells_to_segments(*cells))
 
 
 def family_step(family, s, x, u):
@@ -601,11 +572,7 @@ def family_convolution_quadrature(family, x, y):
     """nu_{x,y} as a quadrature rule (nodes, weights, atoms), exact up to
     the rule's order, for floats or for arrays (each pair of x and y
     broadcast together): the accurate route of the product-formula check."""
-    if family.conv_quad is None:
-        raise errors.ParamOutOfRange(
-            "family %r has no closed convolution measure" % (family.id,))
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
-                               np.asarray(y, dtype=float))
+    x, y = convolution_pairs(family, x, y)
     return family.conv_quad(x[()], y[()])    # one pair: two floats
 
 

@@ -14,9 +14,9 @@ import numpy as np
 
 from . import errors
 
-__all__ = ["Segment", "MeasureRepr", "CDF", "dirac", "total_mass",
-           "build_cdf", "quantile", "sample", "scale", "merge_measures",
-           "measure_to_dict", "measure_from_dict"]
+__all__ = ["Segment", "MeasureRepr", "CDF", "dirac", "total_mass", "build_cdf",
+           "quantile", "sample", "scale", "cells_to_segments", "merge_parts",
+           "merge_measures", "measure_to_dict", "measure_from_dict"]
 
 
 @dataclass(frozen=True)
@@ -175,26 +175,58 @@ def sample(mu, n, rng, floor=0.0):
 # ---------------------------------------------------------------------------
 # combination
 
-def merge_measures(measures, weights=None, grid_points=800):
-    """Weighted sum of measures.  Atoms at (nearly) equal locations are
-    combined.  Densities are cut at every segment end, so the covering set
-    is constant on each output segment and the piecewise-linear densities
-    add exactly (a jump between touching segments lands on a segment
-    boundary instead of being averaged away).  Each output segment's grid
-    is its ends, the covering segments' grid points and the points of a
-    grid_points-point fill of the whole support that fall inside."""
-    if weights is None:
-        weights = [1.0] * len(measures)
-    atom_map = {}
-    blocks = []                  # (segment, weight)
-    for mu, wgt in zip(measures, weights):
-        if wgt == 0.0:
-            continue
-        for loc, m in mu.atoms:
-            key = round(loc, 12)
-            atom_map[key] = atom_map.get(key, 0.0) + wgt * m
-        blocks.extend((s, wgt) for s in mu.segments)
-    atoms = tuple(sorted((loc, m) for loc, m in atom_map.items() if m > 0))
+def cells_to_segments(edges, masses, dens):
+    """Mass-exact piecewise-linear segments: each cell gets the points
+    (x0, mid, x1), the density at its edges (mass/width where that is not
+    finite or over 50 times it) and the midpoint value that makes its
+    trapezoid mass exact (flat if negative).  One Segment per run of
+    adjoining cells whose shared edge values agree."""
+    x0, x1 = edges[:-1], edges[1:]
+    keep = (masses > 0.0) & (x1 > x0)
+    if not np.any(keep):
+        return ()
+    x0, x1, m = x0[keep], x1[keep], masses[keep]
+    h = x1 - x0
+    flat = m / h
+
+    def edge_value(f):
+        with np.errstate(invalid="ignore"):
+            ok = np.isfinite(f) & (f >= 0.0) & ~(f > 50.0 * flat)
+        return np.where(ok, f, flat)
+
+    f0, f1 = edge_value(dens[:-1][keep]), edge_value(dens[1:][keep])
+    fm = 2.0 * m / h - 0.5 * (f0 + f1)
+    neg = fm < 0.0
+    f0, f1, fm = (np.where(neg, flat, f) for f in (f0, f1, fm))
+    xm = 0.5 * (x0 + x1)
+    starts = np.flatnonzero((x1[:-1] != x0[1:]) | (f1[:-1] != f0[1:])) + 1
+    segs = []
+    for i, j in zip(np.r_[0, starts], np.r_[starts, len(x0)]):
+        grid = np.append(np.column_stack((x0[i:j], xm[i:j])).ravel(),
+                         x1[j - 1])
+        vals = np.append(np.column_stack((f0[i:j], fm[i:j])).ravel(),
+                         f1[j - 1])
+        segs.append(Segment(x0[i], x1[j - 1], grid, vals))
+    return tuple(segs)
+
+
+def merge_parts(atoms, blocks, grid_points=800):
+    """The sum of atoms ((loc, mass) rows) and (Segment, weight) blocks.
+    Atoms equal to 12 decimals add in the order given.  Densities are cut
+    at every segment end, so the covering set is constant on each output
+    segment and the piecewise-linear densities add exactly (a jump between
+    touching segments lands on a segment boundary instead of being averaged
+    away).  Each output segment's grid is its ends, the covering segments'
+    grid points and the points of a grid_points-point fill of the support
+    that fall inside."""
+    locs, masses = np.concatenate(
+        [np.empty((0, 2))] + [a.reshape(-1, 2) for a in atoms]).T
+    raw, at = np.unique(locs, return_inverse=True)
+    keys, key = np.unique([round(v, 12) for v in raw.tolist()],
+                          return_inverse=True)
+    mass = np.bincount(key[at], weights=masses, minlength=len(keys))
+    pos = mass > 0.0
+    atoms = tuple(zip(keys[pos].tolist(), mass[pos].tolist()))
     if not blocks:
         return MeasureRepr(atoms=atoms, meta="merge")
     starts = np.array([s.grid[0] for s, _ in blocks])
@@ -229,6 +261,16 @@ def merge_measures(measures, weights=None, grid_points=800):
                 grid=grid[off[k]:off[k + 1]], density=dens[off[k]:off[k + 1]])
         for k in covered)
     return MeasureRepr(atoms=atoms, segments=segments, meta="merge")
+
+
+def merge_measures(measures, weights=None, grid_points=800):
+    """Weighted sum of measures (weights default to 1), by merge_parts."""
+    if weights is None:
+        weights = [1.0] * len(measures)
+    parts = [(mu, wgt) for mu, wgt in zip(measures, weights) if wgt != 0.0]
+    return merge_parts(
+        [np.reshape(mu.atoms, (-1, 2)) * (1.0, wgt) for mu, wgt in parts],
+        [(s, wgt) for mu, wgt in parts for s in mu.segments], grid_points)
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ def test_criterion_10_compound_poisson():
 
 def test_criterion_11_walk_oracle():
     fam = families.make_family("cosine")
-    two_step = fam.conv_sampled(1.0, 1.0)
+    two_step = families.family_convolution_measure(fam, 1.0, 1.0)
     exact2 = dict(two_step.atoms)
     exact_ok = (not two_step.segments and exact2 == {0.0: 0.5, 2.0: 0.5})
     rng = np.random.default_rng(11)

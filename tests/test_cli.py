@@ -159,6 +159,17 @@ def test_kernel_outside_interval_is_validation_error():
     assert out.splitlines()[2] == "1,0,0"
 
 
+def test_product_check_below_a_is_validation_error():
+    # nu_{x,y} is defined for x, y >= a only: the check refuses x = -0.5
+    # instead of comparing against a rule built outside the half-line
+    rc, out, err = run_cli("product-check", "--family", "hankel",
+                           "--alpha", "1", "--x", "-0.5", "--y", "1",
+                           "--lambda-grid", "0:1:3")
+    assert rc == 1
+    assert json.loads(err)["error"] == "ParamOutOfRange"
+    assert out == ""
+
+
 def test_overflowing_literal_is_validation_error(tmp_path):
     # 1e999 is not a finite number: rejected by the parser, with the JSON
     # diagnostic and no traceback

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def test_convolve_unit_element():
                               ("whittaker", {"alpha": 0.0}, 1e-6)):
         fam = families.make_family(name, params)
         a = fam.problem.a
-        nu = fam.conv_sampled(a + 0.8, a + 1.3)
+        nu = families.family_convolution_measure(fam, a + 0.8, a + 1.3)
         out = convolution.convolve_measures(fam, measures.dirac(a), nu,
                                             convolution.ConvCfg())
         assert measures.total_mass(out) == pytest.approx(
@@ -66,6 +67,72 @@ def test_convolve_pair_budget():
     with pytest.raises(errors.GridOverflow):
         convolution.convolve_measures(fam, mu, mu,
                                       convolution.ConvCfg(max_pairs=100))
+
+
+def _atoms(rng, n, a=0.0):
+    locs = a + 0.1 + 2.9 * rng.uniform(size=n)
+    mass = rng.uniform(0.2, 1.0, n)
+    return measures.MeasureRepr(atoms=tuple(zip(locs, mass / mass.sum())))
+
+
+def test_convolve_measures_matches_per_pair_merge():
+    # the blocked construction equals the per-pair one: merge_measures over
+    # every support pair's family_convolution_measure (unit pairs included)
+    rng = np.random.default_rng(16)
+    cfg = convolution.ConvCfg(max_pairs=600, grid_points=600)
+    for name in ("cosine", "squared_weight"):
+        fam = families.make_family(name)
+        mu = measures.MeasureRepr(atoms=((0.0, 0.2),)
+                                  + measures.scale(_atoms(rng, 29), 0.8).atoms)
+        nu = _atoms(rng, 20)
+        got = convolution.convolve_measures(fam, mu, nu, cfg)
+        want = measures.merge_measures(
+            [families.family_convolution_measure(fam, x, y)
+             for x, _ in mu.atoms for y, _ in nu.atoms],
+            [wx * wy for _, wx in mu.atoms for _, wy in nu.atoms],
+            grid_points=cfg.grid_points)
+        assert got.atoms == want.atoms, name
+        assert len(got.segments) == len(want.segments), name
+        for g, w in zip(got.segments, want.segments):
+            np.testing.assert_allclose(g.grid, w.grid, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(g.density, w.density, rtol=0.0,
+                                       atol=1e-12 * np.max(w.density))
+
+
+def test_convolve_measures_memory_is_bounded():
+    # pairs go through the law in blocks, so the cells held at once stay
+    # small: a hankel alpha = 1 convolution of 10 x 10 atoms may peak at
+    # 1.25 times the 5,223,894 bytes traced when each pair's measure was
+    # built on its own
+    rng = np.random.default_rng(0)
+    mu, nu = _atoms(rng, 10), _atoms(rng, 10)
+    fam = families.make_family("hankel", {"alpha": 1.0})
+    cfg = convolution.ConvCfg(max_pairs=20000, grid_points=600)
+    convolution.convolve_measures(fam, mu, nu, cfg)     # warm the caches
+    tracemalloc.start()
+    try:
+        convolution.convolve_measures(fam, mu, nu, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 5223894, peak
+
+
+def test_convolution_pairs_are_checked():
+    # no convolution measure, or a point below a or not finite: the same
+    # ParamOutOfRange from every entry
+    mu = measures.MeasureRepr(atoms=((0.5, 1.0),))
+    custom = families.from_problem(families.make_family("cosine").problem)
+    with pytest.raises(errors.ParamOutOfRange):
+        convolution.convolve_measures(custom, mu, mu)
+    fam = families.make_family("hankel", {"alpha": 1.0})
+    with pytest.raises(errors.ParamOutOfRange):
+        convolution.convolve_measures(fam, measures.dirac(-0.5), mu)
+    for x, y in ((-0.5, 1.0), (1.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(errors.ParamOutOfRange):
+            convolution.verify_product_formula(fam, x, y, [0.0, 1.0])
+        with pytest.raises(errors.ParamOutOfRange):
+            families.family_convolution_measure(fam, x, y)
 
 
 def test_translate_cosine_is_symmetric_shift():

@@ -41,20 +41,20 @@ def test_conv_sampled_is_probability_measure():
     for name, params in cases:
         fam = families.make_family(name, params)
         a = fam.problem.a
-        nu = fam.conv_sampled(a + 0.8, a + 1.3)
+        nu = families.family_convolution_measure(fam, a + 0.8, a + 1.3)
         assert measures.total_mass(nu) == pytest.approx(1.0, abs=1e-8), name
 
 
 def test_cosine_convolution_atoms():
     fam = families.make_family("cosine")
-    nu = fam.conv_sampled(1.0, 2.0)
+    nu = families.family_convolution_measure(fam, 1.0, 2.0)
     assert dict(nu.atoms) == {1.0: 0.5, 3.0: 0.5}
 
 
 def test_hankel_convolution_support():
     # Kingman convolution is supported on [|x-y|, x+y]
     fam = families.make_family("hankel", {"alpha": 0.5})
-    nu = fam.conv_sampled(1.0, 2.0)
+    nu = families.family_convolution_measure(fam, 1.0, 2.0)
     lo = min(seg.l for seg in nu.segments)
     hi = max(seg.u for seg in nu.segments)
     assert lo >= 1.0 - 1e-12
@@ -206,7 +206,7 @@ def test_conv_rule_and_sampled_measure_are_one_law():
         fam = families.make_family(name, params)
         for x, y in ((0.8, 1.3), (1.0, 1.0), (0.3, 2.1)):
             nodes, wts, atoms = fam.conv_quad(x, y)
-            nu = fam.conv_sampled(x, y)
+            nu = families.family_convolution_measure(fam, x, y)
             case = (name, params, x, y)
             rule_mass = float(np.sum(wts)) + sum(m for _, m in atoms)
             assert rule_mass == pytest.approx(measures.total_mass(nu),
@@ -245,3 +245,40 @@ def test_conv_quad_on_pair_arrays_matches_each_pair():
                 np.testing.assert_allclose(points(rule, i), want, rtol=1e-13,
                                            atol=0.0,
                                            err_msg=str((name, params, i)))
+
+
+def test_conv_sampled_on_pair_arrays_matches_each_pair():
+    # one call on pair arrays (2-D, mixed with unit pairs, units only, and
+    # no units) gives every pair the atoms a call with its floats gives,
+    # exactly, and its cells of positive mass to 1e-12 of their scale
+    def cells_of(cells, i=()):
+        edges, masses, dens = (c[i] for c in cells)
+        keep = masses > 0.0
+        return (masses[keep], edges[:-1][keep], edges[1:][keep],
+                dens[:-1][keep], dens[1:][keep])
+
+    for name, params in CONVOLUTION_FAMILIES:
+        fam = families.make_family(name, params)
+        a = fam.problem.a
+        for x, y in (([[0.8, 1.0, 0.3], [0.0, 0.7, 2.5]],
+                      [[1.3, 1.0, 2.1], [1.2, 0.0, 0.4]]),
+                     ([0.0, 0.9], [1.1, 0.0]),
+                     ([0.05, 3.0], [0.07, 3.0])):
+            x, y = a + np.array(x), a + np.array(y)
+            atoms, cells = fam.conv_sampled(x, y)
+            for i in np.ndindex(x.shape):
+                case = (name, params, i)
+                want_atoms, want_cells = fam.conv_sampled(float(x[i]),
+                                                          float(y[i]))
+                assert [(float(loc[i]), float(m[i])) for loc, m in atoms] \
+                    == [(float(loc), float(m)) for loc, m in want_atoms], case
+                assert (cells is None) == (want_cells is None), case
+                if cells is None:
+                    continue
+                for got, want in zip(cells_of(cells, i),
+                                     cells_of(want_cells)):
+                    scale = np.max(np.abs(want[np.isfinite(want)]),
+                                   initial=0.0)
+                    np.testing.assert_allclose(got, want, rtol=0.0,
+                                               atol=1e-12 * scale,
+                                               err_msg=str(case))

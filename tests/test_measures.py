@@ -62,7 +62,8 @@ def test_quantile_one_is_the_support_end(name, params, x, y):
     # the density vanishes at x + y, where rounding in the last cell's
     # quadratic solve once landed about 1e-8 short
     fam = families.make_family(name, params)
-    cdf = measures.build_cdf(fam.conv_sampled(x, y), floor=0.0)
+    cdf = measures.build_cdf(families.family_convolution_measure(fam, x, y),
+                             floor=0.0)
     assert measures.quantile(cdf, 1.0) == x + y
 
 
@@ -117,6 +118,26 @@ def test_merge_adds_overlapping_densities_pointwise():
 def test_merge_weights_scale():
     out = measures.merge_measures([_uniform(0.0, 1.0)], weights=[0.25])
     assert measures.total_mass(out) == pytest.approx(0.25, abs=1e-14)
+
+
+def test_merge_atoms_match_the_keyed_loop():
+    # atoms sum under the key round(loc, 12) in the order given, as a loop
+    # over a dict does: equal sums, bit for bit, and the same sorted
+    # atoms; a zero weight drops its measure, a zero net mass its atom
+    rng = np.random.default_rng(12)
+    locs = np.round(rng.uniform(0.0, 3.0, 40), 2)
+    locs[::7] += 1e-14                      # rounds onto a neighbour
+    parts = [measures.MeasureRepr(atoms=tuple(zip(
+        rng.choice(locs, 6), rng.uniform(0.0, 1.0, 6)))) for _ in range(30)]
+    parts.append(measures.MeasureRepr(atoms=((9.0, 0.0),)))
+    weights = list(rng.uniform(0.1, 1.0, len(parts)))
+    weights[3] = 0.0
+    sums = {}
+    for mu, wgt in zip(parts, weights):
+        for loc, m in mu.atoms if wgt != 0.0 else ():
+            sums[round(loc, 12)] = sums.get(round(loc, 12), 0.0) + wgt * m
+    want = tuple(sorted((loc, m) for loc, m in sums.items() if m > 0))
+    assert measures.merge_measures(parts, weights).atoms == want
 
 
 def test_json_round_trip():

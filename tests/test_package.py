@@ -2,6 +2,7 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import sys
 
 import slconv
 
@@ -50,3 +51,22 @@ def test_every_error_class_is_used():
                  if isinstance(n, ast.Attribute)
                  and isinstance(n.value, ast.Name) and n.value.id == "errors"}
     assert [c for c in classes if c not in used] == []
+
+
+def test_perfbench_tracer_targets_exist(monkeypatch):
+    # the benchmark's tracer looks up every name it patches when it is
+    # installed, and wraps each family's closures by field name: a rename
+    # in slconv fails here instead of in a traced benchmark run (start()
+    # is never called, so nothing is patched)
+    bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    run = importlib.import_module("run")
+    tracer = importlib.import_module("tracer")
+    _, _, mods = run.import_program()
+    trace = tracer.Tracer()
+    trace.install(mods)
+    for name in mods["families"].FAMILY_NAMES:
+        trace.wrap_family(mods["families"].make_family(name))
+    assert not trace.active
+    for name in ("run", "tracer"):
+        sys.modules.pop(name)
