@@ -49,8 +49,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-# not called here: perfbench/tracer.py wraps kernel.solve_ivp by name
-from scipy.integrate import solve_ivp
 
 from . import errors
 from .quadrature import gl_nodes
@@ -59,8 +57,18 @@ from .slmodel import SLProblem
 __all__ = [
     "KernelValue", "MomentFns", "eval_kernel", "kernel_table",
     "eval_kernel_truncated", "moment_functions", "get_engine",
-    "clear_engine_cache", "solve_ivp",
+    "clear_engine_cache",
 ]
+
+
+def __getattr__(name):
+    # nothing here calls solve_ivp, but perfbench/tracer.py wraps
+    # kernel.solve_ivp by name; resolving it on demand keeps scipy.integrate
+    # out of the start-up imports
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 # ---------------------------------------------------------------------------

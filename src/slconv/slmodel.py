@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import errors
 from .expr import CoeffExpr
@@ -217,6 +216,10 @@ class StandardForm:
 def to_standard_form(problem):
     """Tabulate gamma on _STD_POINTS points of (a, c + 20] (or (a, b),
     offset _STD_EPS_REL of the span from a finite b)."""
+    # imported here: the MP check is its one caller, and scipy.interpolate
+    # costs every other start-up ~0.4 s
+    from scipy.interpolate import PchipInterpolator
+
     a, b, c = problem.a, problem.b, problem.c
     x_max = (c + 20.0) if np.isinf(b) else b - (b - a) * _STD_EPS_REL
     n = _STD_POINTS

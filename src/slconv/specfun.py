@@ -1,10 +1,12 @@
 """Special functions backing the family closed forms, by series and
 integral representations (no external special-function code except the
-gamma, digamma and Bessel-J routines).  gauss_2f1 and whittaker_w take
-arrays that broadcast together and loop over no points; 0-d input gives a
-scalar.  Each raises RangeNotValidated only where stated:
+gamma, digamma and Bessel-J routines: Cephes j0/j1 and Amos jv).
+gauss_2f1 and whittaker_w take arrays that broadcast together and loop
+over no points; 0-d input gives a scalar.  Each raises RangeNotValidated
+only where stated:
 
-* ``jn_normalized`` -- J_alpha(z) normalized to 1 at z = 0; alpha < -1/2.
+* ``jn_normalized`` -- J_alpha(z) normalized to 1 at z = 0; validated for
+                       alpha >= -1/2 (RangeNotValidated below).
 * ``gauss_2f1``     -- 2F1 by the Pfaff step, the power series and the 1-z
                        connection formula; z > 1 unless the series
                        terminates, z = 1 unless Re(c-a-b) > 0 (SlowDecay
@@ -19,7 +21,7 @@ scalar.  Each raises RangeNotValidated only where stated:
 
 import numpy as np
 from scipy.special import gamma as gamma_fn          # noqa: F401 (re-export)
-from scipy.special import jv, loggamma, psi, rgamma
+from scipy.special import j0, j1, jv, loggamma, psi, rgamma
 
 from . import errors
 
@@ -36,15 +38,29 @@ _D_NODES = 1200          # nodes of D_nu's Laplace integral
 def jn_normalized(alpha, z):
     """J-Bessel normalized to 1 at the origin:
     2^alpha Gamma(alpha+1) z^(-alpha) J_alpha(z).  Valid for alpha >= -1/2,
-    z >= 0 (vectorized)."""
+    z >= 0 (vectorized).  Elementary and Cephes forms at alpha = -1/2
+    (cos z), 0 (j0), 1/2 (sin z / z) and 1 (2 j1(z) / z); jv otherwise."""
     if alpha < -0.5:
         raise errors.RangeNotValidated("alpha must be >= -1/2")
     z = np.asarray(z, dtype=float)
     # in place, as (lambda, x) tables are large; the points near 0 after
+    out = np.empty_like(z)
     with np.errstate(all="ignore"):
-        out = np.power(z, -alpha, out=np.empty_like(z))
-        out *= 2.0 ** alpha * gamma_fn(alpha + 1.0)
-        out *= jv(alpha, z)
+        if alpha == -0.5:
+            np.cos(z, out=out)
+        elif alpha == 0.0:
+            j0(z, out=out)
+        elif alpha == 0.5:
+            np.sin(z, out=out)
+            out /= z
+        elif alpha == 1.0:
+            j1(z, out=out)
+            out /= z
+            out *= 2.0
+        else:
+            np.power(z, -alpha, out=out)
+            out *= 2.0 ** alpha * gamma_fn(alpha + 1.0)
+            out *= jv(alpha, z)
     small = np.abs(z) < 1e-4
     zs = z[small]
     # leading series terms; next term ~ (z/2)^6 / 6 < 1e-26 for |z| < 1e-4

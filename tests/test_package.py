@@ -1,7 +1,9 @@
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
 import sys
 
 import slconv
@@ -70,3 +72,23 @@ def test_perfbench_tracer_targets_exist(monkeypatch):
     assert not trace.active
     for name in ("run", "tracer"):
         sys.modules.pop(name)
+
+
+def test_startup_imports_leave_out_integrate_and_interpolate():
+    # scipy.integrate and scipy.interpolate are imported on demand only
+    # (PCHIP inside to_standard_form, kernel.solve_ivp through the module's
+    # __getattr__); a fresh process shows what importing the CLI loads
+    src = str(pathlib.Path(slconv.__path__[0]).parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, slconv.cli\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate')"
+            " if m in sys.modules))\n"
+            "import slconv.kernel\n"
+            "print(slconv.kernel.solve_ivp.__module__)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    loaded, owner = res.stdout.splitlines()
+    assert loaded == "[]"
+    assert owner.startswith("scipy.integrate")

@@ -22,6 +22,36 @@ def test_jn_normalized_at_origin_and_small_z():
     assert abs(lo - hi) < 1e-10
 
 
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 2.0, 1.3])
+def test_jn_normalized_against_mpmath(alpha):
+    # 2^alpha Gamma(alpha+1) z^-alpha J_alpha(z) on [0, 300]: the closed
+    # forms (alpha in {-1/2, 0, 1/2, 1}), jv, and the series below 1e-4
+    mp.mp.dps = 30
+    z = np.concatenate([[0.0, 1e-7, 9.99e-5, 1e-4, 1.01e-4, 1e-3, 0.1],
+                        np.linspace(0.5, 300.0, 600)])
+    got = specfun.jn_normalized(alpha, z)
+    want = np.array([1.0] + [
+        float(mp.mpf(2) ** alpha * mp.gamma(alpha + 1) * mp.mpf(zi) ** -alpha
+              * mp.besselj(alpha, zi)) for zi in z[1:]])
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+    # 0-d input gives a Python float, on the series branch and off it
+    for k in (0, 2, 7):
+        for zk in (z[k], np.float64(z[k]), np.array(z[k])):
+            one = specfun.jn_normalized(alpha, zk)
+            assert type(one) is float and one == got[k]
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0])
+def test_jn_normalized_fast_forms_at_series_switch(alpha):
+    # series branch continuous with each closed form: across z = 1e-4 the
+    # values change by the function's own 1 - z^2 / (4 (alpha+1)) + ...
+    lo = specfun.jn_normalized(alpha, 9.99e-5)
+    hi = specfun.jn_normalized(alpha, 1.01e-4)
+    step = (9.99e-5 ** 2 - 1.01e-4 ** 2) / (4.0 * (alpha + 1.0))
+    assert abs((hi - lo) - step) < 1e-15
+
+
 def test_jn_normalized_rejects_bad_alpha():
     with pytest.raises(errors.RangeNotValidated):
         specfun.jn_normalized(-0.75, 1.0)
