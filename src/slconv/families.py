@@ -19,6 +19,11 @@ each under the unit rule nu_{a,y} = delta_y, nu_{x,a} = delta_x:
 - conv_draw(s, x, u) -> positions, an exact draw for all walk paths at
   once (cosine, hankel); family_step falls back to the MeasureRepr.
 
+The Gauss-Jacobi rules behind an _EdgeDensity (its 200-node rule and the
+12-node rules of its edge cells) are numpy's Golub-Welsch: eigvalsh of the
+Jacobi matrix, one Newton step on the three-term recurrence and
+Christoffel weights, so no convolution work imports scipy.linalg.
+
 The rule's node cloud is not itself the measure: the CDF of an n-node
 Gauss rule is pinned only to within about one Gauss weight
 (Chebyshev-Markov-Stieltjes), so the sampled form gets its own cells."""
@@ -28,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, loggamma, roots_jacobi
+from scipy.special import betaincinv, loggamma
 
 from . import errors, kernel, measures, quadrature, specfun
 from .expr import CoeffExpr
@@ -81,9 +86,48 @@ def _index(lams, shift, xs):
 # ---------------------------------------------------------------------------
 # convolution measures: one law per family, two derived representations
 
+def _jacobi_recurrence(x, diag, off, p0):
+    """The orthonormal polynomials of the recurrence x p_k = off[k] p_{k+1}
+    + diag[k] p_k + off[k-1] p_{k-1}, p_0 = p0, at the points x: the Newton
+    step -p_n / p_n' and the Christoffel function 1 / sum_{k<n} p_k^2
+    with its logarithmic derivative."""
+    p_prev, p = np.zeros_like(x), np.full_like(x, p0)
+    d_prev, d = np.zeros_like(x), np.zeros_like(x)
+    sq, cross = np.zeros_like(x), np.zeros_like(x)
+    for k in range(len(diag)):
+        sq += p * p
+        cross += p * d
+        b_k = off[k - 1] if k else 0.0
+        p_prev, p = p, ((x - diag[k]) * p - b_k * p_prev) / off[k]
+        d_prev, d = d, ((x - diag[k]) * d + p_prev - b_k * d_prev) / off[k]
+    return -p / d, 1.0 / sq, -2.0 * cross / sq
+
+
 @functools.lru_cache(maxsize=64)
 def _jacobi_rule(n, alpha, beta):
-    return roots_jacobi(n, alpha, beta)
+    """n-point Gauss-Jacobi rule for (1 - s)^alpha (1 + s)^beta on [-1, 1],
+    nodes ascending (Golub-Welsch): the eigenvalues of the symmetric Jacobi
+    matrix, one Newton step on the three-term recurrence, and the
+    Christoffel weights 1 / sum_{k<n} p_k(s)^2 of the orthonormal
+    polynomials p_k, carried to first order from the float node to the
+    node itself (near +-1 that is most of their error)."""
+    ab = alpha + beta
+    k = np.arange(1.0, n + 1.0)
+    t = 2.0 * k + ab
+    diag = np.empty(n)
+    diag[0] = (beta - alpha) / (ab + 2.0)
+    diag[1:] = (beta * beta - alpha * alpha) / (t[:-1] * (t[:-1] + 2.0))
+    # off[k - 1]^2 = b_k; the factor k + alpha + beta cancels at k = 1
+    b = 4.0 * k * (k + alpha) * (k + beta) / (t * t * (t + 1.0))
+    b[1:] *= (k[1:] + ab) / (t[1:] - 1.0)
+    off = np.sqrt(b)
+    p0 = math.exp(-0.5 * ((ab + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0)
+                          + math.lgamma(beta + 1.0) - math.lgamma(ab + 2.0)))
+    s = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1)
+                           + np.diag(off[:-1], -1))
+    s += _jacobi_recurrence(s, diag, off, p0)[0]
+    step, lam, dlog = _jacobi_recurrence(s, diag, off, p0)
+    return s, lam * (1.0 + dlog * step)
 
 
 @dataclass(frozen=True)
@@ -119,7 +163,8 @@ class _EdgeDensity:
         theta = np.linspace(0.0, np.pi, _SAMPLED_CELLS + 1)
         theta, tn, wn = (c.reshape(c.shape + pairs) for c in
                          (theta, *quadrature.gl_panels(theta, 12)))
-        t_edges = l + span * np.sin(0.5 * theta) ** 2
+        # l + span * 1 can round past u, where (u - t)^ep is NaN
+        t_edges = np.clip(l + span * np.sin(0.5 * theta) ** 2, l, u)
         sn, cn = np.sin(0.5 * tn), np.cos(0.5 * tn)
         masses = wn * self.smooth(l + span * sn * sn)
         masses *= span ** (2.0 * ep + 1.0) * (sn * cn) ** (2.0 * ep + 1.0)
@@ -347,12 +392,9 @@ def _make_jacobi(params):
         """Density in the variable t = cosh(xi): the factor 1 - Z^2
         factors exactly as (t - t_l)(t_u - t) * Q(t) with Q smooth, so
         Gauss-Jacobi quadrature in t handles the edges (including x = y)."""
-        # math's for one pair, whose last bits golden walk rows pin
-        cosh, sinh = (math.cosh, math.sinh) if np.ndim(x) == 0 else \
-            (np.cosh, np.sinh)
-        chx, chy = cosh(x), cosh(y)
+        chx, chy = np.cosh(x), np.cosh(y)
         pref = (c_big * (chx * chy) ** (alpha - beta - 1.0)
-                * (sinh(x) * sinh(y)) ** (-2.0 * alpha))
+                * (np.sinh(x) * np.sinh(y)) ** (-2.0 * alpha))
 
         def smooth(t):
             denom = 2.0 * chx * chy * t
@@ -364,7 +406,7 @@ def _make_jacobi(params):
                 0.5 * np.clip(1.0 - Z, 0.0, 2.0)))
             return pref * t ** (alpha + beta) * Q ** ep * hyp
 
-        return (), _EdgeDensity(cosh(np.abs(x - y)), cosh(x + y), ep,
+        return (), _EdgeDensity(np.cosh(np.abs(x - y)), np.cosh(x + y), ep,
                                 smooth, np.arccosh, np.sinh)
 
     return Family("jacobi", (("alpha", alpha), ("beta", beta)), problem,

@@ -95,17 +95,20 @@ _NODE_PART = _partial_weights(_U)
 class CumField:
     """Cumulative integral of a panelized integrand sampled at GL nodes."""
 
-    __slots__ = ("bp", "widths", "node_x", "vals", "cum_bounds", "cum_nodes")
+    __slots__ = ("bp", "widths", "vals", "cum_bounds")
 
-    def __init__(self, bp, node_x, vals):
+    def __init__(self, bp, vals):
         self.bp = bp
         self.widths = np.diff(bp)
-        self.node_x = node_x
         self.vals = vals
         fulls = self.widths * (vals @ _W)
         self.cum_bounds = np.concatenate([[0.0], np.cumsum(fulls)])
-        self.cum_nodes = (self.cum_bounds[:-1, None]
-                          + self.widths[:, None] * (vals @ _NODE_PART.T))
+
+    def at_nodes(self, idx=slice(None)):
+        """The integral at the GL nodes of the panels idx (all by default),
+        shape (panels, 12), derived on demand rather than stored."""
+        return (self.cum_bounds[:-1][idx, None]
+                + self.widths[idx, None] * (self.vals[idx] @ _NODE_PART.T))
 
     def at(self, x, loc=None):
         """The integral at the points x; loc is _locate(bp, widths, x) when
@@ -365,7 +368,7 @@ class KernelEngine:
             gprev_xw = 0.0
         else:
             prev = self.levels[j - 1]
-            eta_prev = prev.cf.cum_nodes
+            eta_prev = prev.cf.at_nodes()
             gprev_deep = prev.cf.vals[:nd]
             eta_prev_xw = prev.cf.cum_bounds[nd]
             gprev_xw = prev.cf.vals[nd - 1, -1] if nd else 0.0
@@ -399,7 +402,7 @@ class KernelEngine:
         if not np.all(np.isfinite(vals)):
             raise errors.SingularCoefficient(
                 "non-finite eta integrand at level %d" % j)
-        cf = CumField(self.bp, self.node_x, vals)
+        cf = CumField(self.bp, vals)
         self.levels.append(_Level(cf, logF_bounds))
 
     # -- evaluation ---------------------------------------------------------
@@ -434,7 +437,7 @@ class KernelEngine:
             if j == 1:
                 eta_prev = np.ones((len(idx), _M))
             else:
-                eta_prev = self.levels[j - 1].cf.cum_nodes[idx]
+                eta_prev = self.levels[j - 1].cf.at_nodes(idx)
             ref = self._refs[idx - nd]
             with np.errstate(all="ignore"):
                 sv = eta_prev * np.exp(self._phir_nodes[idx] - ref[:, None])

@@ -7,10 +7,17 @@ only where stated:
 
 * ``jn_normalized`` -- J_alpha(z) normalized to 1 at z = 0; validated for
                        alpha >= -1/2 (RangeNotValidated below).
-* ``gauss_2f1``     -- 2F1 by the Pfaff step, the power series and the 1-z
-                       connection formula; z > 1 unless the series
-                       terminates, z = 1 unless Re(c-a-b) > 0 (SlowDecay
-                       when the series does not converge).
+* ``gauss_2f1``     -- 2F1 on tables, each distinct (a, b) a row and each
+                       distinct z a column: the terminating polynomial, the
+                       Pfaff step, Gauss's sum at z = 1, the power series
+                       and the 1-z connection formula (logarithmic where
+                       c-a-b is an integer), every series a coefficient
+                       table (one cumprod) times a power table z^k in
+                       blocks of at most 2^16 entries; z > 1 unless the
+                       series terminates, z = 1 unless Re(c-a-b) > 0
+                       (SlowDecay where a series needs more terms than
+                       _F21_TERMS, the bound that keeps 16 columns in a
+                       power-table block, or _F21_LOG_TERMS).
 * ``whittaker_w``   -- W_{kappa,mu}(z) by the Laplace integral of the
                        Tricomi function; z <= 0 or Re(1/2-kappa+mu) <= 0
                        only, so it returns values outside the range its
@@ -18,6 +25,8 @@ only where stated:
 * ``parabolic_d``   -- D_nu(z) by its Laplace-type integral plus one
                        recurrence step; nu >= 1.
 """
+
+import math
 
 import numpy as np
 from scipy.special import gamma as gamma_fn          # noqa: F401 (re-export)
@@ -29,7 +38,8 @@ __all__ = ["gamma_fn", "jn_normalized", "gauss_2f1", "whittaker_w",
            "parabolic_d"]
 
 _F21_TOL = 1e-16         # last 2F1 series term, relative to the sum
-_F21_TERMS = 500000      # most terms of the plain 2F1 series
+_F21_TERMS = 4096        # most terms of a 2F1 series table (16 columns of a
+                         # 2^16-entry power-table block)
 _F21_LOG_TERMS = 400     # most terms of the logarithmic connection series
 _LAPLACE_UMAX = 6.5      # Laplace integrals run over u in [-6.5, 6.5]
 _D_NODES = 1200          # nodes of D_nu's Laplace integral
@@ -71,43 +81,93 @@ def jn_normalized(alpha, z):
 
 
 # ---------------------------------------------------------------------------
-# Gauss 2F1, elementwise over flat arrays: each element takes its own branch
-# and its own number of series terms
+# Gauss 2F1 on tables: each distinct (a, b) is a row, each distinct z a
+# column, and every series is a coefficient table times a power table
 
-def _series(first, ratio, factor, n_max):
-    """Elementwise sums of sum_n c_n factor(n, i) over 1-d arrays, with
-    c_0 = first and c_n = c_{n-1} ratio(n, i), where i indexes the elements
-    still summing; each stops at its first term at most _F21_TOL of its
-    partial sum (or of 1).  Returns (sums, indices unfinished at n_max)."""
-    i = np.arange(len(first))
-    coef = np.asarray(first, dtype=complex)
-    total = coef * factor(0, i)
-    out = total.copy()
-    for n in range(1, n_max):
-        if not i.size:
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
-            coef = coef * ratio(n, i)
-            term = coef * factor(n, i)
-            total = total + term
-        out[i] = total
-        # a NaN term keeps its element summing, to SlowDecay at n_max
-        live = ~(np.abs(term) <= _F21_TOL * np.maximum(np.abs(total), 1.0))
-        i, coef, total = i[live], coef[live], total[live]
-    return out, i
+def _series_coefs(first, ratio, zmax, cap, weight=None):
+    """Coefficient rows c_k of sum_k c_k z^k, c_0 = first and c_k =
+    c_{k-1} ratio(k) (one cumprod), for as many terms as _n_terms finds the
+    rows need at |z| <= zmax, each term times weight(k) if given; ratio and
+    weight take a row vector of term indices k.  SlowDecay when that is
+    more than cap."""
+    coef = first[:, None].astype(complex)
+    n = 64
+    while True:
+        n = min(n, cap)
+        k = np.arange(coef.shape[1], n, dtype=float)[None, :]
+        with np.errstate(all="ignore"):
+            # the cumprod carries on from the last coefficient so far
+            coef = np.concatenate((coef[:, :-1], np.cumprod(np.concatenate(
+                (coef[:, -1:], ratio(k)), axis=1), axis=1)), axis=1)
+            wt = None if weight is None else weight(
+                np.arange(n, dtype=float)[None, :])
+        m = _n_terms(coef, zmax, wt)
+        if m is not None:
+            return coef[:, :m]
+        if n == cap:
+            raise errors.SlowDecay("2F1 series did not converge in %d terms"
+                                   % cap)
+        n *= 2
+
+
+def _n_terms(coef, zmax, wt):
+    """Terms the rows of a coefficient table (two or more columns) need at
+    |z| = zmax: through the first after each row's last term (times wt, if
+    not None) above _F21_TOL of its partial sum (or of 1).  None when the
+    table's last terms are not yet below that and decaying, a NaN term
+    included."""
+    n = coef.shape[1]
+    with np.errstate(all="ignore"):
+        terms = coef * zmax ** np.arange(n)
+        mag = np.abs(terms) if wt is None else np.abs(terms) * wt
+        big = ~(mag <= _F21_TOL * np.maximum(
+            np.abs(np.cumsum(terms, axis=1)), 1.0))
+        grows = np.abs(coef[:, -1]) * zmax > np.abs(coef[:, -2])
+    if np.any(big[:, -1] | grows):
+        return None
+    last = np.where(big.any(axis=1), n - 1 - np.argmax(big[:, ::-1], axis=1),
+                    -1)
+    return min(n, int(last.max(initial=-1)) + 2)
+
+
+def _power_sums(coef, z):
+    """The table sum_k coef[i, k] z_j^k, shape (rows, len(z)): the real and
+    imaginary coefficient rows times power tables z^k, in column blocks of
+    at most 2^16 entries."""
+    rows, n = coef.shape
+    g = np.concatenate((coef.real, coef.imag))
+    out = np.empty((2 * rows, len(z)))
+    step = max(1, (1 << 16) // n)
+    with np.errstate(all="ignore"):
+        for j in range(0, len(z), step):
+            out[:, j:j + step] = g @ np.power(
+                z[j:j + step], np.arange(n, dtype=float)[:, None])
+    return out[:rows] + 1j * out[rows:]
+
+
+def _f21_terminating(a, b, c, z):
+    """Table of the exact polynomials where a or b is a nonpositive integer
+    (any z)."""
+    na = _is_nonpos_int(a)
+    n = -np.round(np.where(na, a, b).real)[:, None]
+    k = np.arange(1.0, n.max(initial=0.0) + 1.0)
+    with np.errstate(all="ignore"):
+        r = (a[:, None] + k - 1.0) * (b[:, None] + k - 1.0) \
+            / ((c + k - 1.0) * k)
+    coef = np.cumprod(np.concatenate(
+        (np.ones((len(a), 1), complex), np.where(k <= n, r, 0.0)), axis=1),
+        axis=1)
+    return _power_sums(coef, z)
 
 
 def _f21_series(a, b, c, z):
-    """Plain hypergeometric power series at 0 <= z < 1 (complex a, b, c)."""
-    a, b, c, z = (v.ravel() for v in np.broadcast_arrays(a, b, c, z))
-    out, slow = _series(
-        np.ones(z.size), lambda k, i: ((a[i] + k - 1.0) * (b[i] + k - 1.0)
-                                       / ((c[i] + k - 1.0) * k) * z[i]),
-        lambda k, i: 1.0, _F21_TERMS)
-    if slow.size:
-        raise errors.SlowDecay("2F1 series did not converge "
-                               "(z too close to 1)")
-    return out
+    """Table of the plain hypergeometric series at 0 <= z < 1 (complex a, b
+    and c per row)."""
+    a, b, c = (v[:, None] for v in np.broadcast_arrays(a, b, c))
+    coef = _series_coefs(
+        np.ones(len(a)), lambda k: (a + k - 1.0) * (b + k - 1.0)
+        / ((c + k - 1.0) * k), np.fmax.reduce(z, initial=0.0), _F21_TERMS)
+    return _power_sums(coef, z)
 
 
 def _is_nonpos_int(v):
@@ -116,87 +176,130 @@ def _is_nonpos_int(v):
 
 
 def _f21_log_case(a, b, m, w):
-    """2F1(a, b; a+b+m; 1-w) for integer m >= 0 (a float array) and small
-    w > 0 by the logarithmic connection series."""
+    """Table 2F1(a, b; a+b+m; 1-w) for integer m >= 0 per row (floats) and
+    small w > 0 by the logarithmic connection series: m finite terms, then
+    log w (G @ W) - ((G o H) @ W) with G the series coefficients, H their
+    digamma sums and W the power table of w."""
     c = a + b + m
-    total = np.zeros(a.shape, dtype=complex)
-    term = np.ones(a.shape, dtype=complex)
-    s1 = term.copy()
-    for n in range(1, int(m.max(initial=0))):
-        k = n < m
-        term[k] *= (a[k] + n - 1.0) * (b[k] + n - 1.0) / (n * (n - m[k])) \
-            * w[k]
-        s1[k] += term[k]
-    k = m > 0
-    total[k] = np.exp(loggamma(m[k]) + loggamma(c[k]) - loggamma(a[k] + m[k])
-                      - loggamma(b[k] + m[k])) * s1[k]
-    lw = np.log(w)
-    pref = -((-1.0) ** m) * gamma_fn(c) * rgamma(a) * rgamma(b) * w ** m
-    s2, _ = _series(
-        rgamma(m + 1.0),
-        lambda n, i: ((a[i] + m[i] + n - 1.0) * (b[i] + m[i] + n - 1.0)
-                      / (n * (n + m[i])) * w[i]),
-        lambda n, i: (lw[i] - psi(n + 1.0) - psi(m[i] + n + 1.0)
-                      + psi(a[i] + m[i] + n) + psi(b[i] + m[i] + n)),
-        _F21_LOG_TERMS)
-    return total + pref * s2
+    ar, br, mr = a[:, None], b[:, None], m[:, None]
+    # the finite sum over n < m
+    k = np.arange(1.0, max(m.max(initial=0.0), 1.0))
+    with np.errstate(all="ignore"):
+        r = np.where(k < mr, (ar + k - 1.0) * (br + k - 1.0)
+                     / (k * (k - mr)), 0.0)
+    fin = np.cumprod(np.concatenate((np.ones((len(a), 1)), r), axis=1),
+                     axis=1)
+    lw_min = abs(math.log(np.fmin.reduce(w, initial=1.0)))
+    h = []      # the digamma sums of the window the terms were sized on
+
+    def weight(n):
+        h.append(psi(n + 1.0) + psi(mr + n + 1.0) - psi(ar + mr + n)
+                 - psi(br + mr + n))
+        return lw_min + np.abs(h[-1])
+
+    coef = _series_coefs(
+        rgamma(m + 1.0), lambda n: ((ar + mr + n - 1.0) * (br + mr + n - 1.0)
+                                    / (n * (n + mr))),
+        np.fmax.reduce(w, initial=0.0), _F21_LOG_TERMS, weight)
+    h = h[-1][:, :coef.shape[1]]
+    width = max(fin.shape[1], coef.shape[1])
+    pad = [np.pad(t, ((0, 0), (0, width - t.shape[1])))
+           for t in (fin, coef, coef * h)]
+    s1, gw, ghw = np.split(_power_sums(np.concatenate(pad), w), 3)
+    with np.errstate(all="ignore"):
+        total = np.where(m > 0, np.exp(loggamma(m) + loggamma(c)
+                                       - loggamma(a + m) - loggamma(b + m)),
+                         0.0)
+        pref = -((-1.0) ** m) * gamma_fn(c) * rgamma(a) * rgamma(b)
+        return total[:, None] * s1 + pref[:, None] * w ** mr * (
+            np.log(w) * gw - ghw)
 
 
 def _f21_near_one(a, b, c, z):
-    """2F1 at 0.75 < z < 1 by the connection formula in powers of 1-z, the
-    logarithmic one where c-a-b is an integer."""
+    """Table of 2F1 at 0.75 < z < 1 by the connection formula in powers of
+    1-z, the logarithmic one for rows where c-a-b is an integer."""
     s = c - a - b
     w = 1.0 - z
     m = np.round(s.real)
     near_int = (np.abs(s.imag) < 1e-10) & (np.abs(s.real - m) < 1e-10)
-    out = np.empty(a.shape, dtype=complex)
+    out = np.empty((len(a), len(z)), dtype=complex)
     k = near_int & (m >= 0)
-    out[k] = _f21_log_case(a[k], b[k], m[k], w[k])
+    if k.any():
+        out[k] = _f21_log_case(a[k], b[k], m[k], w)
     # Euler transformation flips the sign of c - a - b
     k = near_int & (m < 0)
-    out[k] = w[k] ** s[k] * _f21_log_case(c - a[k], c - b[k], -m[k], w[k])
+    if k.any():
+        out[k] = np.exp(np.multiply.outer(s[k], np.log(w))) * _f21_log_case(
+            c - a[k], c - b[k], -m[k], w)
     k = ~near_int
-    a, b, s, w = a[k], b[k], s[k], w[k]
-    t1 = (gamma_fn(c) * gamma_fn(s) * rgamma(c - a) * rgamma(c - b)
-          * _f21_series(a, b, 1.0 - s, w))
-    t2 = (w ** s * gamma_fn(c) * gamma_fn(-s) * rgamma(a) * rgamma(b)
-          * _f21_series(c - a, c - b, 1.0 + s, w))
-    out[k] = t1 + t2
+    if k.any():
+        a, b, s = a[k], b[k], s[k]
+        f = _f21_series(np.concatenate((a, c - a)), np.concatenate((b, c - b)),
+                        np.concatenate((1.0 - s, 1.0 + s)), w)
+        t1 = (gamma_fn(c) * gamma_fn(s) * rgamma(c - a) * rgamma(c - b))[
+            :, None] * f[:len(a)]
+        t2 = np.exp(np.multiply.outer(s, np.log(w))) * (
+            gamma_fn(c) * gamma_fn(-s) * rgamma(a) * rgamma(b))[:, None] \
+            * f[len(a):]
+        out[k] = t1 + t2
     return out
 
 
-def _f21(a, b, c, z):
-    """2F1 on flat arrays: complex a, b, real z, real scalar c."""
-    out = np.empty(z.shape, dtype=complex)
-    na = _is_nonpos_int(a)
-    fin = na | _is_nonpos_int(b)
-    # terminating series: the exact polynomial of degree n, any z
-    n = -np.round(np.where(na, a, b).real[fin])[:, None]
-    k = np.arange(1.0, n.max(initial=0.0) + 1.0)
-    r = ((a[fin, None] + k - 1.0) * (b[fin, None] + k - 1.0)
-         / ((c + k - 1.0) * k) * z[fin, None])
-    out[fin] = 1.0 + np.cumprod(np.where(k <= n, r, 0.0), axis=1).sum(axis=1)
-    rest = ~fin
-    if np.any(z[rest] > 1.0):
-        raise errors.RangeNotValidated("argument must satisfy z <= 1")
-    neg = rest & (z < 0.0)
-    if neg.any():
-        # Pfaff transformation into [0, 1)
-        zn = z[neg]
-        out[neg] = (1.0 - zn) ** (-a[neg]) * _f21(a[neg], c - b[neg], c,
-                                                  zn / (zn - 1.0))
-    one = rest & (z == 1.0)
-    a1, b1 = a[one], b[one]
-    s = c - a1 - b1
+def _f21_pfaff(a, b, c, z):
+    """Table at z < 0 by the Pfaff transformation into [0, 1)."""
+    ir, iz = (i.ravel() for i in np.indices((len(a), len(z))))
+    return np.exp(np.multiply.outer(-a, np.log1p(-z))) * _f21(
+        a, c - b, c, z / (z - 1.0), ir, iz).reshape(len(a), len(z))
+
+
+def _f21_at_one(a, b, c, z):
+    """Table at z = 1 (Gauss's sum)."""
+    s = c - a - b
     if np.any(s.real <= 0):
         raise errors.RangeNotValidated("2F1 at z=1 requires c-a-b > 0")
-    out[one] = np.exp(loggamma(c) + loggamma(s)
-                      - loggamma(c - a1) - loggamma(c - b1))
-    ser = rest & (z >= 0.0) & (z <= 0.75)
-    out[ser] = _f21_series(a[ser], b[ser], c, z[ser])
-    # close to 1 (and NaN)
-    k = rest & ~neg & ~one & ~ser
-    out[k] = _f21_near_one(a[k], b[k], c, z[k])
+    return np.exp(loggamma(c) + loggamma(s) - loggamma(c - a)
+                  - loggamma(c - b))[:, None] * np.ones(len(z))
+
+
+def _compact(i, n):
+    """The distinct values of the indices i (< n), sorted, and each index's
+    position among them (np.unique without its sort)."""
+    used = np.zeros(n, dtype=bool)
+    used[i] = True
+    return np.flatnonzero(used), (np.cumsum(used) - 1)[i]
+
+
+def _f21(a, b, c, z, ir, iz):
+    """2F1(a_i, b_i; c; z_j) at the cells (i, j) = (ir, iz): rows of complex
+    a, b, columns of real z, real scalar c.  Each branch is one table over
+    the rows and columns of the cells it takes (in row groups where that
+    table would hold many more cells than asked for), and only the cells
+    asked for are range-checked."""
+    out = np.empty(ir.shape, dtype=complex)
+    zc = z[iz]
+
+    def put(cells, table):
+        ur, jr = _compact(ir[cells], len(a))
+        uc, jc = _compact(iz[cells], len(z))
+        if len(ur) > 1 and len(ur) * len(uc) > 4 * len(cells) + 4096:
+            half = jr < len(ur) // 2
+            put(cells[half], table)
+            put(cells[~half], table)
+        else:
+            out[cells] = table(a[ur], b[ur], c, z[uc])[jr, jc]
+
+    # terminating series: the exact polynomial of degree n, any z
+    fin = (_is_nonpos_int(a) | _is_nonpos_int(b))[ir]
+    if np.any(zc[~fin] > 1.0):
+        raise errors.RangeNotValidated("argument must satisfy z <= 1")
+    # close to 1 (and NaN) unless in another branch
+    branch = np.select([fin, zc < 0.0, zc == 1.0, zc <= 0.75], [0, 1, 2, 3],
+                       4)
+    for k, table in enumerate((_f21_terminating, _f21_pfaff, _f21_at_one,
+                               _f21_series, _f21_near_one)):
+        cells = np.flatnonzero(branch == k)
+        if cells.size:
+            put(cells, table)
     return out
 
 
@@ -205,11 +308,18 @@ def gauss_2f1(a, b, c, z):
     nonpositive integer, since the series terminates), complex a, b,
     real c > 0.  Negative arguments go through the Pfaff transformation;
     arguments near 1 through the 1-z connection formula.  a, b and z
-    broadcast together; returns complex values of their shape."""
-    a, b, z = np.broadcast_arrays(np.asarray(a, dtype=complex),
-                                  np.asarray(b, dtype=complex),
-                                  np.asarray(z, dtype=float))
-    out = _f21(a.ravel(), b.ravel(), float(c), z.ravel()).reshape(z.shape)
+    broadcast together; each distinct (a, b) is a table row and each
+    distinct z a column.  Returns complex values of their shape."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex),
+                               np.asarray(b, dtype=complex))
+    z = np.asarray(z, dtype=float)
+    shape = np.broadcast_shapes(a.shape, z.shape)
+    rows, ir = np.unique(np.stack((a.ravel(), b.ravel()), axis=1), axis=0,
+                         return_inverse=True)
+    zs, iz = np.unique(z, return_inverse=True)
+    ir, iz = (np.broadcast_to(i.reshape(s), shape).ravel()
+              for i, s in ((ir, a.shape), (iz, z.shape)))
+    out = _f21(rows[:, 0], rows[:, 1], float(c), zs, ir, iz).reshape(shape)
     return out if out.ndim else complex(out)
 
 

@@ -86,8 +86,8 @@ _WALK_GOLDEN = [
     (["--family", "jacobi", "--alpha", "1", "--beta", "0",
       "--step", "uniform:0.5,1.5", "--n", "2", "--paths", "8",
       "--seed", "1"],
-     "2,8,1.5546590681661687,0.32059686359631195,1.1683342554822596,"
-     "1.5794531183718776,1.9444996027897676"),
+     "2,8,1.5546590681661687,0.32059686359631206,1.1683342554822596,"
+     "1.5794531183718776,1.9444996027897681"),
 ]
 
 

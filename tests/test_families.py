@@ -155,6 +155,74 @@ def test_product_check_closed_kernel_override_counts_calls():
     assert calls == [[1.0, 2.0]]
 
 
+def _jacobi_rule_mp(n, alpha, beta, nodes):
+    """Gauss-Jacobi nodes and weights in 30 digits: two Newton steps from
+    each given node on the monic three-term recurrence, then the weight
+    ||pi_{n-1}||^2 / (pi_{n-1}(s) pi_n'(s))."""
+    mp.mp.dps = 30
+    al, be = mp.mpf(alpha), mp.mpf(beta)
+    ab = al + be
+    diag = [(be - al) / (ab + 2)] + [
+        (be * be - al * al) / ((2 * k + ab) * (2 * k + ab + 2))
+        for k in range(1, n)]
+    b = [0, 4 * (1 + al) * (1 + be) / ((2 + ab) ** 2 * (3 + ab))] + [
+        4 * k * (k + al) * (k + be) * (k + ab)
+        / ((2 * k + ab) ** 2 * (2 * k + ab + 1) * (2 * k + ab - 1))
+        for k in range(2, n)]
+    norm = 2 ** (ab + 1) * mp.gamma(al + 1) * mp.gamma(be + 1) \
+        / mp.gamma(ab + 2)
+    for bk in b[1:]:
+        norm *= bk
+    out = []
+    for s in nodes:
+        s = mp.mpf(s)
+        for _ in range(2):
+            p_prev, p, d_prev, d = 0, mp.mpf(1), 0, 0
+            for k in range(n):
+                p_prev, p, d_prev, d = (p, (s - diag[k]) * p - b[k] * p_prev,
+                                        d, (s - diag[k]) * d + p
+                                        - b[k] * d_prev)
+            step = p / d
+            s -= step
+        out.append((float(s), float(norm / (p_prev * d))))
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("n,alpha,beta", [
+    (200, 0.0, 0.0), (200, 0.5, 0.5), (200, -0.5, -0.5), (200, 1.3, 1.3),
+    (12, 0.0, 0.5), (12, 0.5, 0.0)])
+def test_jacobi_rule_against_mpmath(n, alpha, beta):
+    # the numpy Golub-Welsch rule: nodes to 2 ulp of 1, weights to 1e-12
+    # relative; the alpha = beta rules are symmetric, so their mirrored
+    # lower half is checked against the upper half's reference
+    s, v = families._jacobi_rule(n, alpha, beta)
+    assert np.all(np.diff(s) > 0.0)
+    half = n // 2 if alpha == beta else 0
+    want_s, want_v = _jacobi_rule_mp(n, alpha, beta, s[half:])
+    got = [(s[half:], v[half:])]
+    if half:
+        got.append((-s[:half][::-1], v[:half][::-1]))
+    for gs, gv in got:
+        assert np.max(np.abs(gs - want_s)) <= 2.3e-16
+        assert np.max(np.abs(gv / want_v - 1.0)) <= 1e-12
+
+
+def test_jacobi_last_cells_match_one_pair():
+    # the last cell edge t = l + (u - l) * 1 may round past u, where the
+    # edge power is NaN; clamped to [l, u], each pair's last cells from a
+    # pair-array call match its own call's
+    fam = families.make_family("jacobi", {"alpha": 1.0, "beta": 0.0})
+    x, y = np.full(60, 0.787), np.linspace(1.0, 1.2, 60)
+    _, (edges, masses, dens) = fam.conv_sampled(x, y)
+    assert np.all(np.isfinite(dens))
+    for i in range(len(x)):
+        _, (e1, m1, d1) = fam.conv_sampled(float(x[i]), float(y[i]))
+        for got, want in ((edges[i, -2:], e1[-2:]), (masses[i, -1:], m1[-1:]),
+                          (dens[i, -2:], d1[-2:])):
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, (i, got, want)
+
+
 def test_jacobi_kernel_table_against_mpmath():
     # w_lam(x) = 2F1((2 - mu)/2, (2 + mu)/2; 2; -sinh^2 x), mu^2 = 4 - lam:
     # lam = 0 terminates (w = 1), lam = 3 and 4 reach the logarithmic

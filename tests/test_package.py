@@ -92,3 +92,29 @@ def test_startup_imports_leave_out_integrate_and_interpolate():
     loaded, owner = res.stdout.splitlines()
     assert loaded == "[]"
     assert owner.startswith("scipy.integrate")
+
+
+def test_jacobi_and_hankel_work_leaves_out_scipy_linalg():
+    # the Gauss-Jacobi rules are numpy's Golub-Welsch, so a jacobi product
+    # check, a hankel convolution and a jacobi walk never import
+    # scipy.linalg (scipy.special.roots_jacobi does)
+    src = str(pathlib.Path(slconv.__path__[0]).parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from slconv import convolution, families, measures, prob\n"
+        "jac = families.make_family('jacobi', alpha=1.0, beta=0.0)\n"
+        "convolution.verify_product_formula(jac, 0.8, 1.1, [0.0, 5.0],\n"
+        "                                   use_closed_kernel=True)\n"
+        "mu = measures.MeasureRepr(atoms=((0.5, 0.5), (1.0, 0.5)))\n"
+        "convolution.convolve_measures(\n"
+        "    families.make_family('hankel', alpha=1.0), mu, mu)\n"
+        "prob.walk_ensemble(jac, mu, 2, 4, np.random.default_rng(1))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+        "\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert res.stdout.strip() == "[]"

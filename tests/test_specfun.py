@@ -108,6 +108,29 @@ def test_gauss_2f1_array_takes_each_branch():
         specfun.gauss_2f1(0.5, 1.5, 2.0, np.array([0.3, 1.5]))
 
 
+def test_gauss_2f1_checks_only_the_cells_asked_for():
+    # rows and columns are tabled, but a non-terminating row is never
+    # range-checked (or evaluated) at a z > 1 that only a terminating row
+    # asks for, nor at z = 1 where only another row is asked
+    mp.mp.dps = 30
+    a = np.array([-2.0, 0.5, 0.5 + 1.0j, 0.25])
+    b = np.array([1.5, 1.5, 0.5 - 1.0j, 0.25])
+    z = np.array([3.0, 0.3, -2.0, 1.0])
+    got = specfun.gauss_2f1(a, b, 1.5, z)
+    for ai, bi, zi, gi in zip(a, b, z, got):
+        want = complex(mp.hyp2f1(ai, bi, 1.5, zi))
+        assert abs(gi - want) <= 1e-12 * max(1.0, abs(want)), (ai, bi, zi)
+    # an elementwise call of many distinct rows and columns is tabled in
+    # row groups, and gives each element its own call's value
+    a = np.linspace(0.1, 2.0, 300) + 0.5j
+    z = np.linspace(-3.0, 0.99, 300)
+    got = specfun.gauss_2f1(a, a.conj(), 1.5, z)
+    want = [specfun.gauss_2f1(ai, ai.conjugate(), 1.5, zi)
+            for ai, zi in zip(a, z)]
+    assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) \
+        <= 1e-14
+
+
 def test_whittaker_w_against_mpmath():
     mp.mp.dps = 30
     for kappa in (0.0, -0.5):
