@@ -8,6 +8,7 @@ with 17 significant digits so reruns are byte-identical.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -243,7 +244,10 @@ class _Argparser(argparse.ArgumentParser):
         raise _ArgError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser():
+    """The subcommand parser, built once per process (parsing keeps no
+    state in it)."""
     ap = _Argparser(
         prog="slconv",
         description="Sturm-Liouville convolution structures: kernels, "

@@ -5,10 +5,12 @@ from_problem makes a custom problem a Family too.
 
 Each family states nu_{x,y} once, as law(x, y) -> (atoms, density) on
 pair arrays x, y of one shape (or two floats): atoms are (loc, mass)
-pairs, and density is None (a purely atomic law), an _EdgeDensity (a
-smooth factor times Jacobi edge powers in a substituted variable:
-squared_weight, hankel, jacobi) or a _CellDensity (full support on
-log-spaced cells: whittaker), its fields broadcasting over the pairs.
+pairs, and density is None (a purely atomic law) or an _EdgeDensity, the
+one density class: a smooth factor times Jacobi edge powers on [l, u] in
+a substituted variable, its fields broadcasting over the pairs.
+squared_weight, hankel and jacobi state their exact support; whittaker's
+full support is a window in s = log(xi), cut where its density in s falls
+below _WINDOW_CUT of its peak, with edge power 0.
 A Family derives three representations on pair arrays (or two floats),
 each under the unit rule nu_{a,y} = delta_y, nu_{x,a} = delta_x:
 
@@ -47,6 +49,9 @@ __all__ = ["Family", "make_family", "load_family", "from_problem",
 _ATOL_BOUNDARY = 1e-14
 _RULE_NODES = 200       # Gauss-Jacobi nodes of an edge density's rule
 _SAMPLED_CELLS = 400    # cells of an edge density's sampled measure
+_STEP_PATHS = 4         # walk paths per law call (a jacobi pair's cells
+                        # take ~0.75 MB while they are built)
+_WINDOW_CUT = 1e-12     # whittaker's window: density in log(xi) / its peak
 
 
 @dataclass(frozen=True)
@@ -134,7 +139,10 @@ def _jacobi_rule(n, alpha, beta):
 class _EdgeDensity:
     """The density smooth(t) * [(t - l)(u - t)]^edge_pow on [l, u] in a
     variable t, per pair (smooth takes t with a first axis of nodes); the
-    position is xi = to_xi(t), increasing in t, and dt/dxi = dt_dxi(xi)."""
+    position is xi = to_xi(t), increasing in t, and dt/dxi = dt_dxi(xi).
+    Every non-atomic law is one: t = xi (squared_weight), xi^2 (hankel),
+    cosh(xi) (jacobi), or log(xi) on a window with edge power 0
+    (whittaker, whose rule is then Gauss-Legendre)."""
     l: object
     u: object
     edge_pow: float
@@ -184,24 +192,6 @@ class _EdgeDensity:
             dens = (self.smooth(t_edges) * ((t_edges - l) * (u - t_edges))
                     ** ep * self.dt_dxi(xi))
         return tuple(np.moveaxis(c, 0, -1) for c in (xi, masses, dens))
-
-
-@dataclass(frozen=True)
-class _CellDensity:
-    """A density on contiguous cells in xi: the cell edges, a quadrature
-    rule per cell (nodes and weights of shape pairs + (cells, n), zero off
-    a pair's own cells), and the density itself, read at the edges."""
-    edges: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
-    density: object
-
-    def rule(self):
-        shape = self.nodes.shape[:-2] + (-1,)
-        return self.nodes.reshape(shape), self.weights.reshape(shape)
-
-    def cells(self):
-        return self.edges, self.weights.sum(axis=-1), self.density(self.edges)
 
 
 def _unit_law(law, a, x, y):
@@ -449,55 +439,38 @@ def _make_whittaker(params):
 
     log_pref_c = -(1.0 + alpha) * math.log(2.0) - 0.5 * math.log(math.pi)
 
-    def logf(xi, x, y, base):
-        """log of the density in xi, all arguments broadcasting."""
-        arg = (x + y + xi) / np.sqrt(2.0 * x * y * xi)
-        dval = specfun.parabolic_d(2.0 * alpha,
-                                   arg.ravel()).reshape(arg.shape)
-        with np.errstate(all="ignore"):
-            return (base - (0.5 + alpha) * np.log(xi)
-                    - (x + y + xi) ** 2 / (8.0 * x * y * xi)
-                    + np.log(np.maximum(dval, 1e-300)))
-
     def law(x, y):
-        """Full support: 6-point Gauss-Legendre cells of width 0.05 in
-        s = log(xi), laid from the mode by cumulative addition across the
-        probe window [log(1e-3 (x + y)), log(1e3 (x + y))] and evaluated
-        at once; each side keeps its cells up to the first below 1e-10 of
-        the window's mass (TruncationFailed if none is)."""
-        x, y = (np.asarray(v, dtype=float)[..., None] for v in (x, y))
+        """Full support as a window [s_lo, s_hi] in s = log(xi), edge power
+        0 and smooth(s) = f(e^s) e^s: the points of a 400-point probe of
+        [log(1e-3 (x + y)), log(1e3 (x + y))] just before smooth first
+        exceeds _WINDOW_CUT of its peak and just after it last does
+        (TruncationFailed if either lies off the probe)."""
         base = log_pref_c + (alpha - 0.5) * np.log(x * y) + 1.0 / x + 1.0 / y
+
+        def log_smooth(s):
+            xi = np.exp(s)
+            arg = (x + y + xi) / np.sqrt(2.0 * x * y * xi)
+            dval = specfun.parabolic_d(2.0 * alpha,
+                                       arg.ravel()).reshape(arg.shape)
+            with np.errstate(all="ignore"):
+                return (base + (0.5 - alpha) * s
+                        - (x + y + xi) ** 2 / (8.0 * x * y * xi)
+                        + np.log(np.maximum(dval, 1e-300)))
+
         s_probe = np.linspace(np.log(1e-3 * (x + y)), np.log(1e3 * (x + y)),
-                              400, axis=-1)[..., 0, :]
-        # the density in s carries d(xi) = e^s ds
-        peak = np.argmax(logf(np.exp(s_probe), x, y, base) + s_probe, axis=-1)
-        s0 = np.take_along_axis(s_probe, peak[..., None], axis=-1)
-        k = int(np.max(s_probe[..., -1] - s_probe[..., 0]) / 0.05) + 1
-        steps = np.full(s0.shape[:-1] + (k,), 0.05)
-        # 2k cells, cell k = [s0, s0 + 0.05]
-        edges = np.concatenate((np.add.accumulate(np.concatenate(
-            (s0, -steps), -1), -1)[..., :0:-1], np.add.accumulate(
-            np.concatenate((s0, steps), -1), -1)), -1)
-        inside = ((edges[..., :-1] >= s_probe[..., :1])
-                  & (edges[..., 1:] <= s_probe[..., -1:]))
-        sn, wn = quadrature.gl_panels(edges, 6)
-        xi, wts = np.exp(sn), np.zeros(sn.shape)
-        cell = np.nonzero(inside)
-        wts[cell] = wn[cell] * np.exp(logf(xi[cell], *(
-            v[cell[:-1]] for v in (x, y, base)))) * xi[cell]
-        mass = wts.sum(axis=-1)
-        small = inside & (mass < 1e-10 * mass.sum(axis=-1, keepdims=True))
-        if not np.all(small[..., :k].any(axis=-1) & small[..., k:].any(-1)):
+                              400)
+        g = log_smooth(s_probe)
+        above = g > np.max(g, axis=0) + math.log(_WINDOW_CUT)
+        lo = np.argmax(above, axis=0) - 1
+        hi = len(s_probe) - np.argmax(above[::-1], axis=0)
+        if np.any(lo < 0) or np.any(hi >= len(s_probe)):
             raise errors.TruncationFailed(
                 "full-support density reaches the probe window's edge")
-        lo = k - 1 - np.argmax(small[..., k - 1::-1], axis=-1)
-        hi = k + np.argmax(small[..., k:], axis=-1)
-        j = np.arange(2 * k)
-        wts[(j < lo[..., None]) | (j > hi[..., None])] = 0.0
-        run = slice(lo.min(), hi.max() + 1)
-        return (), _CellDensity(
-            np.exp(edges[..., lo.min():hi.max() + 2]), xi[..., run, :],
-            wts[..., run, :], lambda z: np.exp(logf(z, x, y, base)))
+        s_lo, s_hi = (np.take_along_axis(s_probe, i[None], 0)[0]
+                      for i in (lo, hi))
+        return (), _EdgeDensity(s_lo, s_hi, 0.0,
+                                lambda s: np.exp(log_smooth(s)), np.exp,
+                                lambda xi: 1.0 / xi)
 
     return Family("whittaker", (("alpha", alpha),), problem, ck, spectral,
                   *_convolution(law, problem.a),
@@ -587,27 +560,38 @@ def convolution_pairs(family, x, y):
     return x, y
 
 
+def _pair_measure(atoms, cells, i=()):
+    """Pair i of a conv_sampled result as a MeasureRepr."""
+    return measures.MeasureRepr(
+        atoms=[(loc[i], m[i]) for loc, m in atoms if m[i] > 0.0],
+        segments=() if cells is None else measures.cells_to_segments(
+            *(c[i] for c in cells)))
+
+
 def family_convolution_measure(family, x, y):
     """nu_{x,y} of one pair as a MeasureRepr, from conv_sampled."""
     x, y = convolution_pairs(family, x, y)
-    atoms, cells = family.conv_sampled(x[()], y[()])
-    return measures.MeasureRepr(
-        atoms=[(loc, m) for loc, m in atoms if m > 0.0],
-        segments=() if cells is None else measures.cells_to_segments(*cells))
+    return _pair_measure(*family.conv_sampled(x[()], y[()]))
 
 
 def family_step(family, s, x, u):
     """One walk step for every path: positions drawn from nu_{s,x} at the
     uniforms u (arrays of one shape), by the family's exact draw if it has
-    one, else by the inverse CDF of its sampled measure, pair by pair."""
+    one, else by the inverse CDF of each path's sampled measure, from one
+    conv_sampled call per _STEP_PATHS paths."""
     if family.conv_draw is not None:
         return family.conv_draw(s, x, u)
-    out = np.empty(np.shape(s))
-    for i, (si, xi, ui) in enumerate(zip(s, x, u)):
-        cdf = measures.build_cdf(family_convolution_measure(family, si, xi),
-                                 floor=family.problem.a)
-        out[i] = measures.quantile(cdf, float(ui))
-    return out
+    shape = np.shape(u)
+    s, x = (v.ravel() for v in convolution_pairs(family, s, x))
+    u, out = np.ravel(u), np.empty(len(s))
+    for k in range(0, len(s), _STEP_PATHS):
+        blk = slice(k, k + _STEP_PATHS)
+        law = family.conv_sampled(s[blk], x[blk])
+        for i, ui in enumerate(u[blk]):
+            cdf = measures.build_cdf(_pair_measure(*law, i),
+                                     floor=family.problem.a)
+            out[k + i] = measures.quantile(cdf, float(ui))
+    return out.reshape(shape)
 
 
 def family_convolution_quadrature(family, x, y):

@@ -19,9 +19,10 @@ only where stated:
                        _F21_TERMS, the bound that keeps 16 columns in a
                        power-table block, or _F21_LOG_TERMS).
 * ``whittaker_w``   -- W_{kappa,mu}(z) by the Laplace integral of the
-                       Tricomi function; z <= 0 or Re(1/2-kappa+mu) <= 0
-                       only, so it returns values outside the range its
-                       docstring states as validated.
+                       Tricomi function; z <= 0, Re(1/2-kappa+mu) <= 0 or
+                       |Im mu| > 10 (at |Im mu| = 12 the error reaches
+                       2e-8), so it returns values outside the kappa and z
+                       its docstring states as validated.
 * ``parabolic_d``   -- D_nu(z) by its Laplace-type integral plus one
                        recurrence step; nu >= 1.
 """
@@ -43,6 +44,7 @@ _F21_TERMS = 4096        # most terms of a 2F1 series table (16 columns of a
 _F21_LOG_TERMS = 400     # most terms of the logarithmic connection series
 _LAPLACE_UMAX = 6.5      # Laplace integrals run over u in [-6.5, 6.5]
 _D_NODES = 1200          # nodes of D_nu's Laplace integral
+_W_TAU_MAX = 10.0        # largest |Im mu| whittaker_w is validated for
 
 
 def jn_normalized(alpha, z):
@@ -361,14 +363,19 @@ def _tricomi_u(a, b, z):
 
 def whittaker_w(kappa, mu, z):
     """Whittaker W_{kappa, mu}(z) for real z > 0; mu purely imaginary
-    (mu = i*tau) or real with |mu| < 1/2 - kappa.  Validated for
-    kappa < 1/2, |Im mu| <= 12, 0.05 <= z <= 700 (the kernel range of the
-    index-Whittaker family).  mu and z broadcast together; each distinct
-    (mu, z) is one cell of a _tricomi_u table.  Returns the real values."""
+    (mu = i*tau) or real with |mu| < 1/2 - kappa.  Validated against
+    mpmath, to 1e-9 of max(1, |W|), for kappa in {0, -1/2, 0.3},
+    |Im mu| <= _W_TAU_MAX = 10 and 0.005 <= z <= 30 (whittaker's
+    convolution nodes reach z ~ 0.008).  mu and z broadcast together; each
+    distinct (mu, z) is one cell of a _tricomi_u table.  Returns the real
+    values."""
     mu = np.asarray(mu, dtype=complex)
     z = np.asarray(z, dtype=float)
     if not np.all(z > 0.0):
         raise errors.RangeNotValidated("z must be positive")
+    if np.any(np.abs(mu.imag) > _W_TAU_MAX):
+        raise errors.RangeNotValidated(
+            "whittaker_w validated for |Im mu| <= %g" % _W_TAU_MAX)
     mus, im = np.unique(mu, return_inverse=True)
     a = 0.5 - kappa + mus
     if np.any(a.real <= 0):

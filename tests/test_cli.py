@@ -68,6 +68,17 @@ def test_unknown_family_is_validation_error():
     assert json.loads(err)["kind"] == "validation"
 
 
+def test_main_builds_its_parser_once(capsys):
+    # in-process calls share one parser; each call parses afresh
+    from slconv import cli
+    cli._build_parser.cache_clear()
+    assert cli.main(["classify", "--family", "cosine"]) == 0
+    assert cli.main(["classify", "--family", "hankel", "--alpha", "0"]) == 0
+    assert cli._build_parser.cache_info().misses == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "left=regular right=natural", "left=entrance right=natural"]
+
+
 def test_walk_deterministic_given_seed():
     args = ("walk", "--family", "cosine", "--step", "delta:1",
             "--n", "8", "--paths", "300", "--seed", "42")

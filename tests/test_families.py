@@ -350,3 +350,18 @@ def test_conv_sampled_on_pair_arrays_matches_each_pair():
                     np.testing.assert_allclose(got, want, rtol=0.0,
                                                atol=1e-12 * scale,
                                                err_msg=str(case))
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.5, 0.25])
+def test_whittaker_window_rule_mass_and_product_formula(alpha):
+    # the law is a window in s = log(xi) cut at _WINDOW_CUT of the
+    # density's peak: its 200-node Gauss-Legendre rule loses under 1e-12
+    # of the mass, and the product formula holds to 1e-12
+    fam = families.make_family("whittaker", {"alpha": alpha})
+    lams = np.arange(0.0, 26.0, 5.0)
+    for x, y in ((1.1, 0.9), (0.3, 2.0), (2.5, 0.4), (0.05, 0.07)):
+        nodes, wts, _ = fam.conv_quad(x, y)
+        assert nodes.shape == wts.shape == (200,)
+        assert abs(np.sum(wts) - 1.0) <= 1e-12, (alpha, x, y)
+        rep = convolution.verify_product_formula(fam, x, y, lams)
+        assert rep.max_abs_err <= 1e-12, (alpha, x, y, rep.max_abs_err)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -188,6 +189,30 @@ def test_family_step_at_the_left_end_is_the_other_point():
             warnings.simplefilter("error")
             got = families.family_step(fam, s, x, u)
         np.testing.assert_array_equal(got, [0.6, 1.1, 1.3])
+
+
+def test_family_step_makes_one_law_call_per_block():
+    # without an exact draw, a step takes one conv_sampled call per
+    # _STEP_PATHS = 4 paths, and each path gets the inverse CDF of its own
+    # measure
+    fam = families.make_family("jacobi", {"alpha": 1.0, "beta": 0.0})
+    calls = []
+
+    def counting(s, x):
+        calls.append(np.shape(s))
+        return fam.conv_sampled(s, x)
+
+    wrapped = dataclasses.replace(fam, conv_sampled=counting)
+    s = np.concatenate(([0.0], np.full(9, 0.9)))
+    x = np.linspace(0.5, 1.5, 10)
+    u = np.linspace(0.01, 0.99, 10)
+    got = families.family_step(wrapped, s, x, u)
+    assert calls == [(4,), (4,), (2,)]
+    want = [measures.quantile(measures.build_cdf(
+        families.family_convolution_measure(fam, si, xi), floor=0.0), ui)
+        for si, xi, ui in zip(s, x, u)]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    assert got[0] == x[0]
 
 
 def test_diffusion_ensemble_cosine_from_origin_is_folded_gaussian(cosine):

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from slconv import errors, specfun
+from slconv import errors, families, specfun
 
 
 def test_jn_normalized_alpha_half_is_sinc():
@@ -132,14 +132,25 @@ def test_gauss_2f1_checks_only_the_cells_asked_for():
 
 
 def test_whittaker_w_against_mpmath():
+    # the stated range: |Im mu| up to 10, z down to 0.005 (whittaker's
+    # convolution nodes reach xi = 1/z ~ 125)
     mp.mp.dps = 30
-    for kappa in (0.0, -0.5):
-        for tau in (0.5, 2.0, 6.0):
-            for z in (0.3, 1.0, 5.0, 30.0):
+    for kappa in (0.0, -0.5, 0.3):
+        for tau in (0.5, 2.0, 6.0, 10.0):
+            for z in (0.005, 0.05, 0.3, 1.0, 5.0, 30.0):
                 got = specfun.whittaker_w(kappa, complex(0, tau), z)
                 want = complex(mp.whitw(kappa, complex(0, tau), z))
                 assert abs(got - want.real) <= 1e-9 * max(1.0, abs(want)), \
                     (kappa, tau, z)
+
+
+def test_whittaker_w_above_its_range_raises():
+    # at |Im mu| = 12 the Laplace integral is off by up to 2e-8
+    with pytest.raises(errors.RangeNotValidated):
+        specfun.whittaker_w(0.0, np.array([2j, 12j]), 1.0)
+    fam = families.make_family("whittaker", {"alpha": 0.0})
+    with pytest.raises(errors.RangeNotValidated):
+        fam.closed_kernel([144.25], np.array([1.0]))
 
 
 def test_parabolic_d_against_mpmath():
