@@ -53,14 +53,18 @@ def solve_spectral(family, h, x_grid, y_grid, x_support=None, tol=1e-8,
                    nodes_per_unit=1.5):
     """f(x, y) = integral of w_lam(x) w_lam(y) (Fh)(lam) over the spectral
     measure, evaluated tensorized over x_grid x y_grid.  The lambda
-    quadrature grid is shared with the transform Fh; the field's stop
-    says whether the synthesis reached tol or ended at the noise floor."""
+    quadrature grid is shared with the transform Fh: with x_support, a
+    finite window, each lam block takes Fh and the grid rows from one
+    kernel evaluation (spectral.TransformCoef); without it, Fh is
+    forward_transform's over [a, b).  The field's stop says whether the
+    synthesis reached tol or ended at the noise floor."""
     x_grid = np.asarray(x_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
-
-    def coef(lams):
-        return spectral.forward_transform(family, h, lams,
-                                          x_support=x_support)
+    if x_support is not None:
+        coef = spectral.TransformCoef(h, tuple(x_support))
+    else:
+        def coef(lams):
+            return spectral.forward_transform(family, h, lams)
 
     values, stop = spectral.synthesize(family, coef, x_grid, y_grid, tol,
                                        nodes_per_unit)

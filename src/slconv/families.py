@@ -69,16 +69,22 @@ class Family:
     def param(self, key, default=None):
         return dict(self.params).get(key, default)
 
-    def kernel(self, lams, xs):
-        """w_lam(x) for every lam in lams (rows) and x in xs (columns),
-        shape (L, *xs.shape): the closed form, one table call, when the
-        family has one and prefers it (w = 1 at x = a itself), otherwise
-        kernel.kernel_table on the problem's engine."""
+    def kernel_sweep(self, lams):
+        """A function taking points xs to the table w_lam(x) for every lam
+        in lams (rows) and x in xs (columns), shape (L, *xs.shape): the
+        closed form, one stateless table call per call, when the family
+        has one and prefers it (w = 1 at x = a itself), otherwise
+        kernel.kernel_sweep on the problem's engine, whose calls must come
+        in increasing x."""
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        xs = np.asarray(xs, dtype=float)
         if self.prefer_closed_kernel and self.closed_kernel is not None:
-            return self.closed_kernel(lams, xs)
-        return kernel.kernel_table(self.problem, lams, xs)
+            return lambda xs: self.closed_kernel(
+                lams, np.asarray(xs, dtype=float))
+        return kernel.kernel_sweep(self.problem, lams)
+
+    def kernel(self, lams, xs):
+        """The table of kernel_sweep(lams) at xs, in one call."""
+        return self.kernel_sweep(lams)(xs)
 
 
 def _index(lams, shift, xs):

@@ -8,12 +8,17 @@ densities) is its bilinear sum of c(lam) w_lam(x) w_lam(y) over two point
 sets, and since w_lam(a) = 1 the one-sided sums are its x = a row.  It
 evaluates each window in blocks of at most LAMBDA_BLOCK lam values:
 coef(lams) returns one real coefficient per lam, shape (L,) (e.g.
-exp(-t lam), or the transform (Fh)(lam)); the block then takes one
-family.kernel call over the union of the two point sets and one matmul.
-The block bound caps the memory of a window's kernel table.
+exp(-t lam)); the block then takes one family.kernel call over the union
+of the two point sets and one matmul.  A TransformCoef, the transform
+(Fh)(lam) over a finite window, instead adds its x quadrature to that one
+kernel call, so a Cauchy field's coefficient and rows come from one
+evaluation.  The block bound caps the memory of a window's kernel table.
 `forward_transform` takes an array of lam the same way, on one shared x
-quadrature per window.  Every function takes a families.Family and gets
-kernel values from family.kernel, closed form or numeric."""
+quadrature per window (_transform_rule), and takes the windows' kernel
+tables from one family.kernel_sweep: on the numeric kernel each doubling
+window continues the Magnus propagation where the previous one stopped.
+Every function takes a families.Family and gets kernel values from
+family.kernel or family.kernel_sweep, closed form or numeric."""
 
 import math
 from dataclasses import dataclass
@@ -22,8 +27,9 @@ import numpy as np
 
 from . import errors, quadrature
 
-__all__ = ["SpectralMeasure", "SynthesisStop", "forward_transform",
-           "measure_transform", "synthesize", "inverse_transform"]
+__all__ = ["SpectralMeasure", "SynthesisStop", "TransformCoef",
+           "forward_transform", "measure_transform", "synthesize",
+           "inverse_transform"]
 
 TAU0 = 8.0           # the first tau window is [0, TAU0]
 NOISE_FLOOR = 1e-4   # a stalled tail this small (relative) ends synthesis
@@ -63,53 +69,95 @@ class SynthesisStop:
     tail_ratio: float
 
 
+def _support(problem, x_support):
+    """The window x_support = (lo, hi) clipped to (a, b); ParamOutOfRange
+    unless both ends are finite, lo < hi, and the window meets (a, b)."""
+    lo, hi = (float(v) for v in x_support)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise errors.ParamOutOfRange(
+            "x_support must be a finite window lo < hi (got (%g, %g))"
+            % (lo, hi))
+    if not (lo < problem.b and hi > problem.a):
+        raise errors.ParamOutOfRange(
+            "x_support (%g, %g) misses the interval (a, b)" % (lo, hi))
+    return max(lo, problem.a), min(hi, problem.b)
+
+
+def _transform_rule(problem, h, lams, lo, hi):
+    """Nodes and weights on [lo, hi] of the integral of h(x) w_lam(x) r(x)
+    dx for every lam in lams: 12-point Gauss-Legendre panels, their
+    lengths resolving the local kernel wavelength pi / (tau sqrt(r/p)) of
+    the largest tau, with h and r folded into the weights (0 where r is
+    not finite)."""
+    tau = math.sqrt(float(np.max(lams, initial=0.0)))
+    n_base = 24
+    edges = [lo]
+    x = lo
+    span = hi - lo
+    while x < hi:
+        dx = span / n_base
+        if tau > 0.0:
+            pr = problem.p_val(max(x, lo + 1e-12 * span))
+            rr = problem.r_val(max(x, lo + 1e-12 * span))
+            if pr > 0 and rr > 0 and np.isfinite(pr) and np.isfinite(rr):
+                dx = min(dx, 0.5 * math.pi / tau * math.sqrt(pr / rr))
+        dx = max(dx, 1e-6 * span)
+        x = min(x + dx, hi)
+        edges.append(x)
+    nodes, wts = map(np.ravel, quadrature.gl_panels(edges))
+    with np.errstate(all="ignore"):
+        rv = problem.r_val(nodes)
+        wts = wts * np.asarray(h(nodes), dtype=float) * rv
+    wts[~np.isfinite(rv)] = 0.0
+    return nodes, wts
+
+
+def _row_sums(table):
+    """Exactly rounded sum of each row of table."""
+    return np.array([math.fsum(row.tolist()) for row in table])
+
+
+@dataclass(frozen=True)
+class TransformCoef:
+    """The coefficient (Fh)(lam) of h over the finite window x_support, as
+    synthesize's coef: its x quadrature joins each lam block's one kernel
+    call."""
+    h: object
+    x_support: tuple
+
+    def rule(self, problem, lams):
+        """Nodes and weights (_transform_rule) of the window for lams."""
+        return _transform_rule(problem, self.h, lams,
+                               *_support(problem, self.x_support))
+
+
 def forward_transform(family, h, lam, x_support=None):
     """Integral of h(x) w_lam(x) r(x) dx over [a, b), for a scalar lam (a
-    float) or an array of them (an array).  h is a callable; the
-    integration window grows until the tail contribution of every lam is
+    float) or an array of them (an array).  h is a callable; with
+    x_support, a finite window (lo, hi) (ParamOutOfRange otherwise), the
+    integral runs over it, clipped to (a, b).  Otherwise the integration
+    window grows, doubling, until the tail contribution of every lam is
     below _FORWARD_TOL of its sum (TailNotDecaying if it never is).  All
-    lam share one x quadrature per window, its panel lengths resolving the
-    local kernel wavelength pi / (tau sqrt(r/p)) of the largest tau."""
+    lam share one x quadrature per window (_transform_rule) and one kernel
+    sweep over the windows, so the numeric kernel's continuation goes on
+    from the previous window instead of starting again."""
     problem = family.problem
     a, b = problem.a, problem.b
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    tau = math.sqrt(float(np.max(lams, initial=0.0)))
+    sweep = family.kernel_sweep(lams)
 
     def window_value(lo, hi):
-        # panel sizing: resolve oscillation and keep enough panels
-        n_base = 24
-        edges = [lo]
-        x = lo
-        span = hi - lo
-        while x < hi:
-            dx = span / n_base
-            if tau > 0.0:
-                pr = problem.p_val(max(x, lo + 1e-12 * span))
-                rr = problem.r_val(max(x, lo + 1e-12 * span))
-                if pr > 0 and rr > 0 and np.isfinite(pr) and np.isfinite(rr):
-                    dx = min(dx, 0.5 * math.pi / tau * math.sqrt(pr / rr))
-            dx = max(dx, 1e-6 * span)
-            x = min(x + dx, hi)
-            edges.append(x)
-        nodes, wts = map(np.ravel, quadrature.gl_panels(edges))
-        with np.errstate(all="ignore"):
-            rv = problem.r_val(nodes)
-            hv = np.asarray(h(nodes), dtype=float) * np.ones_like(nodes)
-            # in place: a window's (L, N) table is the largest array here
-            contrib = family.kernel(lams, nodes)
-            contrib *= hv
-            contrib *= rv
-        contrib[:, ~np.isfinite(rv)] = 0.0
+        nodes, wts = _transform_rule(problem, h, lams, lo, hi)
+        # in place: a window's (L, N) table is the largest array here
+        contrib = sweep(nodes)
         contrib *= wts
-        return np.array([math.fsum(c.tolist()) for c in contrib])
+        return _row_sums(contrib)
 
     def result(total):
         return float(total[0]) if np.ndim(lam) == 0 else total
 
     if x_support is not None:
-        lo, hi = x_support
-        return result(window_value(max(lo, a),
-                                   min(hi, b if np.isfinite(b) else hi)))
+        return result(window_value(*_support(problem, x_support)))
 
     hi = a + 1.0 if np.isinf(b) else b
     total = window_value(a, hi)
@@ -161,8 +209,10 @@ def synthesize(family, coef, xs, ys, tol, nodes_per_unit=1.5):
     so far, or, once the tail stops decaying, at the noise floor (at or
     below NOISE_FLOOR times that scale); SlowDecay otherwise, or after
     MAX_WINDOWS windows.  coef takes an array of at most LAMBDA_BLOCK lam
-    values; no kernel is evaluated for a lam whose weighted coefficient
-    is 0.
+    values, and no kernel is evaluated for a lam whose weighted
+    coefficient is 0; or coef is a TransformCoef, whose nodes join the
+    block's kernel call over the two point sets, and no kernel is
+    evaluated for a lam of weight 0.
 
     Returns (values, SynthesisStop), values of shape (len(xs), len(ys))."""
     sm = family.spectral
@@ -179,12 +229,23 @@ def synthesize(family, coef, xs, ys, tol, nodes_per_unit=1.5):
     def weighted_sum(lams, wts):
         acc = np.zeros((len(xs), len(ys)))
         for s in range(0, len(lams), LAMBDA_BLOCK):
-            lb = lams[s:s + LAMBDA_BLOCK]
-            c = wts[s:s + LAMBDA_BLOCK] * np.asarray(coef(lb), dtype=float)
-            nz = c != 0.0
-            if np.any(nz):
+            lb, c = lams[s:s + LAMBDA_BLOCK], wts[s:s + LAMBDA_BLOCK]
+            if isinstance(coef, TransformCoef):
+                nz = c != 0.0
+                if not np.any(nz):
+                    continue
+                # the transform's x quadrature joins the one kernel call
+                nodes, nw = coef.rule(family.problem, lb)
+                w = family.kernel(lb[nz], np.concatenate([pts, nodes]))
+                c = c[nz] * _row_sums(w[:, len(pts):] * nw)
+            else:
+                c = c * np.asarray(coef(lb), dtype=float)
+                nz = c != 0.0
+                if not np.any(nz):
+                    continue
                 w = family.kernel(lb[nz], pts)
-                acc += (c[nz, None] * w[:, ix]).T @ w[:, iy]
+                c = c[nz]
+            acc += (c[:, None] * w[:, ix]).T @ w[:, iy]
         return acc
 
     atoms = np.asarray(sm.atoms, dtype=float).reshape(-1, 2)

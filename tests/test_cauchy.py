@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slconv import cauchy, errors, families, spectral
+from slconv import cauchy, errors, families, kernel, spectral
 
 
 def _ebump(x, c=1.0, w=0.5):
@@ -96,3 +96,40 @@ def test_solve_spectral_slow_decay_guard(monkeypatch):
     monkeypatch.setattr(spectral, "MAX_WINDOWS", 6)
     with pytest.raises(errors.NumericError):
         cauchy.solve_spectral(fam, bad, grid, grid, x_support=(0.0, 40.0))
+
+
+def test_solve_spectral_one_kernel_call_per_block(monkeypatch):
+    # whittaker alpha = 0 on the numeric kernel: each lam block takes its
+    # transform coefficient and its grid rows from one kernel evaluation
+    fam = families.make_family("whittaker", {"alpha": 0.0})
+    grid = np.array([0.5, 0.8])
+    support = (0.2, 3.5)
+
+    def h(x):
+        return np.exp(-((np.asarray(x, dtype=float) - 1.5) / 0.35) ** 2)
+
+    tables, blocks = [], []
+    table, rule = kernel.Continuation.table, spectral.TransformCoef.rule
+
+    def counted_table(self, xs, with_w1=True):
+        tables.append(len(xs))
+        return table(self, xs, with_w1)
+
+    def counted_rule(self, problem, lams):
+        blocks.append(len(lams))
+        return rule(self, problem, lams)
+
+    monkeypatch.setattr(kernel.Continuation, "table", counted_table)
+    monkeypatch.setattr(spectral.TransformCoef, "rule", counted_rule)
+    fld = cauchy.solve_spectral(fam, h, grid, grid, x_support=support,
+                                tol=1e-6, nodes_per_unit=0.5)
+    assert len(blocks) >= 2
+    assert len(tables) == len(blocks)
+    # the two-call construction: the transform per block, then the rows
+    ref, stop = spectral.synthesize(
+        fam, lambda lams: spectral.forward_transform(fam, h, lams,
+                                                     x_support=support),
+        grid, grid, 1e-6, 0.5)
+    assert len(tables) == 3 * len(blocks)
+    assert stop == fld.stop
+    np.testing.assert_allclose(fld.values, ref, rtol=1e-12, atol=0)

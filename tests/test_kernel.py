@@ -282,3 +282,58 @@ def test_propagator_holds_bounded_step_blocks(monkeypatch):
     kernel.kernel_table(_whittaker0(), lams, np.array([0.05, 3.5, 91.0]))
     assert all(rows == 64 for rows, _ in sizes)
     assert max(steps for _, steps in sizes) == kernel._STEP_BLOCK
+
+
+def _cubic():
+    return slmodel.custom_problem_from_dict(
+        {"p": "x^3", "r": "x^3", "a": 0, "b": "inf", "c": 1})
+
+
+def _panels_with_both_widths(eng, x_need):
+    """The main panels of eng rebuilt by the rule that evaluates W(x) and
+    W(x + W(x)) for every panel."""
+    x = float(eng.bp[eng.n_deep])
+    edges = []
+    while x < x_need or not edges:
+        dx = eng._width(x)
+        x += min(dx, eng._width(x + dx))
+        edges.append(x)
+    return np.concatenate([eng.bp[:eng.n_deep + 1], edges])
+
+
+def test_cover_reuses_the_look_ahead_width(monkeypatch):
+    calls = []
+    width = kernel.KernelEngine._width
+
+    def counted(self, x):
+        calls.append(x)
+        return width(self, x)
+
+    monkeypatch.setattr(kernel.KernelEngine, "_width", counted)
+    # p = r = x^3: the width grows with x, so every panel ends on its
+    # look-ahead point, whose width is then known
+    eng = kernel.KernelEngine(_cubic(), 8.0)
+    assert len(calls) == len(eng.bp) - 1 - eng.n_deep + 1
+    n_before = len(eng.bp)
+    del calls[:]
+    eng.cover(64.0)
+    assert len(calls) == len(eng.bp) - n_before + 1
+    monkeypatch.undo()
+    assert np.array_equal(eng.bp, _panels_with_both_widths(eng, 64.0))
+    whit = kernel.KernelEngine(_whittaker0(), 128.0)
+    assert np.array_equal(whit.bp, _panels_with_both_widths(whit, 128.0))
+
+
+def test_kernel_sweep_continues_forward_only():
+    # p = r = x^3 switches to the ODE at x^2 / 8 = 10 / lam: lam = 25 in
+    # the first call, 4 joins in the second and 1 in the third
+    prob = _cubic()
+    lams = np.array([1.0, 4.0, 25.0])
+    xs = np.linspace(0.5, 30.0, 60)
+    sweep = kernel.kernel_sweep(prob, lams)
+    parts = [sweep(xs[:6]), sweep(xs[6:14]), sweep(xs[14:])]
+    np.testing.assert_allclose(np.hstack(parts),
+                               kernel.kernel_table(prob, lams, xs),
+                               rtol=0, atol=1e-13)
+    with pytest.raises(ValueError):
+        sweep(xs[:5] + 1.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import smooth_bump
-from slconv import errors, families, measures, spectral
+from slconv import errors, families, kernel, measures, slmodel, spectral
 
 
 def _numeric_cosine():
@@ -201,3 +201,64 @@ def test_measure_transform_closed_kernel_atom_at_left_end():
     numeric = spectral.measure_transform(fam, mu, 2.0)
     assert np.isfinite(closed)
     assert closed == pytest.approx(numeric, rel=0, abs=1e-8)
+
+
+def test_forward_transform_rejects_bad_x_support():
+    fam = _numeric_cosine()
+    for support in ((0.0, math.inf), (2.0, 1.0), (math.nan, 1.0)):
+        with pytest.raises(errors.ParamOutOfRange):
+            spectral.forward_transform(fam, smooth_bump, [1.0, 4.0],
+                                       x_support=support)
+
+
+def test_forward_transform_continues_one_propagation(monkeypatch):
+    # p = r = x^3 (hankel alpha = 1 without its closed form): the doubling
+    # windows [0, 1], [1, 2], [2, 4], ... share one kernel continuation
+    problem = slmodel.custom_problem_from_dict(
+        {"p": "x^3", "r": "x^3", "a": 0, "b": "inf", "c": 1})
+    fam = families.from_problem(problem)
+    lams = np.arange(0.0, 11.0)
+
+    def h(x):
+        return np.exp(-np.asarray(x, dtype=float) ** 2)
+
+    products = [0]
+    magnus = kernel._magnus
+
+    def counted(lams_, steps, q, r):
+        products[0] += len(lams_) * len(steps)
+        return magnus(lams_, steps, q, r)
+
+    calls = []
+    table = kernel.Continuation.table
+
+    def recorded(self, xs, with_w1=True):
+        out = table(self, xs, with_w1)
+        calls.append((np.array(xs), out[0]))
+        return out
+
+    monkeypatch.setattr(kernel, "_magnus", counted)
+    monkeypatch.setattr(kernel.Continuation, "table", recorded)
+    got = spectral.forward_transform(fam, h, lams)
+    monkeypatch.setattr(kernel.Continuation, "table", table)
+    swept = products[0]
+    np.testing.assert_allclose(got, 0.5 * np.exp(-lams / 4.0), rtol=0,
+                               atol=1e-9)
+    # the construction that started each window's continuation afresh:
+    # one kernel table per window, summed window by window
+    products[0] = 0
+    want = np.zeros(len(lams))
+    lo, hi = 0.0, 1.0
+    for xs, w in calls:
+        nodes, wts = spectral._transform_rule(problem, h, lams, lo, hi)
+        assert np.array_equal(nodes, xs)
+        alone = kernel.kernel_table(problem, lams, xs)
+        np.testing.assert_allclose(w, alone, rtol=0, atol=1e-12)
+        want += spectral._row_sums(alone * wts)
+        lo, hi = hi, 2.0 * hi
+    assert len(calls) == 6
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # the continuation costs what one table over every window's nodes does
+    products[0] = 0
+    kernel.kernel_table(problem, lams, np.concatenate([xs for xs, _ in calls]))
+    assert swept <= 1.05 * products[0]
