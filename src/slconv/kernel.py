@@ -26,16 +26,23 @@ one lam set evaluated forward over calls.  kernel_sweep(problem, lams) is
 a Continuation on the problem's engine, kernel_table(problem, lams, xs) is
 one called once, eval_kernel and KernelEngine.eval_many are its one-lam
 case, and families.Family.kernel_sweep chooses between kernel_sweep and a
-family's closed form.  A call evaluates all lam together: the rows
-eta_j(xs) are computed once and each lam's series is a Vandermonde product
-with them, sum_j (-lam)^j eta_j, masked to its own x below the switch
-point; beyond it, one Magnus propagation carries (w, w^[1]) of every lam
-over a step grid cut from the engine's panels, and a coarse pass over
-every other step edge gives the error estimate.  Between calls the
-propagation is held at a step edge, so a caller that walks x forward in
-windows (spectral.forward_transform's doubling windows) continues it
-instead of starting again at the switch point.  Nothing is kept beyond
-the Continuation object itself.
+family's closed form.  A call evaluates all lam together.  Below the
+switch points one row table serves every lam: each point's panel and
+partial weights are found once, and level j's rows eta_j(xs) and, where
+w^[1] is wanted, F_{j+1}(xs) take one gather of that level's panel values,
+the level built when the loop first reaches it (in the deep region the F
+rows come from the Watson expansion, carried forward level by level).
+The term loop adds (-lam)^j eta_j to each lam's sum, masked to its own x
+below its switch point, in j order until every lam meets the term
+tolerance.  The start state of the propagation, at the smallest switch
+point, is one more column of that table.  Beyond the switch point, one
+Magnus propagation carries (w, w^[1]) of every lam over a step grid cut
+from the engine's panels, and a coarse pass over every other step edge
+gives the error estimate.  Between calls the propagation is held at a
+step edge, so a caller that walks x forward in windows
+(spectral.forward_transform's doubling windows) continues it instead of
+starting again at the switch point.  Nothing is kept beyond the
+Continuation object itself.
 
 Each problem has one engine (get_engine, an LRU cache keyed by the
 problem).  Its deep region (x_min, x_w] is decided once, by one vectorized
@@ -113,17 +120,16 @@ class CumField:
         fulls = self.widths * (vals @ _W)
         self.cum_bounds = np.concatenate([[0.0], np.cumsum(fulls)])
 
-    def at_nodes(self, idx=slice(None)):
-        """The integral at the GL nodes of the panels idx (all by default),
-        shape (panels, 12), derived on demand rather than stored."""
-        return (self.cum_bounds[:-1][idx, None]
-                + self.widths[idx, None] * (self.vals[idx] @ _NODE_PART.T))
+    def at_nodes(self):
+        """The integral at the GL nodes of every panel, shape (panels, 12),
+        derived on demand rather than stored."""
+        return (self.cum_bounds[:-1, None]
+                + self.widths[:, None] * (self.vals @ _NODE_PART.T))
 
-    def at(self, x, loc=None):
-        """The integral at the points x; loc is _locate(bp, widths, x) when
-        the caller has it."""
+    def at(self, x):
+        """The integral at the points x."""
         x = np.asarray(x, dtype=float)
-        idx, wts = loc or _locate(self.bp, self.widths, np.atleast_1d(x))
+        idx, wts = _locate(self.bp, self.widths, np.atleast_1d(x))
         part = np.einsum("mk,mk->m", wts, self.vals[idx])
         out = self.cum_bounds[idx] + self.widths[idx] * part
         return float(out[0]) if x.ndim == 0 else out
@@ -278,16 +284,23 @@ class KernelEngine:
         self.cover(x_need)
 
     # -- helpers ----------------------------------------------------------
-    def _watson_logF(self, x, eta, etap):
-        """log F_j(x) = log int_a^x eta_{j-1} r by the asymptotic expansion
-        around the right limit (valid on the deep region)."""
+    def _watson(self, x):
+        """The factors at x of the asymptotic expansion of log F_j below
+        (_watson_logF): (log r, t0, (d log r)^2)."""
         x = np.asarray(x, float)
         s1 = self.dphi_r(x, check=False)
         s2 = self.d2phi_r(x, check=False)
         s3 = self.d3phi_r(x, check=False)
         t0 = 1.0 / s1 + s2 / s1 ** 3 - s3 / s1 ** 4 + 3.0 * s2 ** 2 / s1 ** 5
-        val = np.maximum(eta * t0 - etap / s1 ** 2, 1e-300)
-        return self.phi_r(x, check=False) + np.log(val)
+        return self.phi_r(x, check=False), t0, s1 ** 2
+
+    @staticmethod
+    def _watson_logF(wat, eta, etap):
+        """log F_j = log int_a^x eta_{j-1} r by the asymptotic expansion
+        around the right limit (valid on the deep region), from the factors
+        wat = _watson(x), eta_{j-1}(x) and etap = eta_{j-1}'(x)."""
+        phir, t0, s1sq = wat
+        return phir + np.log(np.maximum(eta * t0 - etap / s1sq, 1e-300))
 
     # -- grid construction -------------------------------------------------
     def _build_deep(self):
@@ -390,10 +403,10 @@ class KernelEngine:
         with np.errstate(all="ignore"):
             if nd:
                 logF_deep = self._watson_logF(
-                    self.node_x[:nd], eta_prev[:nd], gprev_deep)
+                    self._watson(self.node_x[:nd]), eta_prev[:nd], gprev_deep)
                 g_deep = np.exp(logF_deep - self._phip_nodes[:nd])
                 logF0 = float(self._watson_logF(
-                    np.asarray(self.x_w), eta_prev_xw, gprev_xw))
+                    self._watson(self.x_w), eta_prev_xw, gprev_xw))
             else:
                 g_deep = np.zeros((0, _M))
                 # F_1 on the cut (a, x_min] is (x_min - a) r to first
@@ -421,46 +434,11 @@ class KernelEngine:
         self.levels.append(_Level(cf, logF_bounds))
 
     # -- evaluation ---------------------------------------------------------
-    def eta_at(self, j, x, loc=None):
+    def eta_at(self, j, x):
         if j == 0:
             return np.ones_like(np.asarray(x, dtype=float))
         self._ensure_levels(j)
-        return self.levels[j].cf.at(x, loc)
-
-    def F_log_at(self, j, x, loc=None):
-        """log F_j at points x (array), vectorized over the main region;
-        loc as for CumField.at."""
-        self._ensure_levels(max(j, 1))
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx, wts = loc or _locate(self.bp, self.widths, x)
-        out = np.full(x.shape, -np.inf)
-        nd = self.n_deep
-        deep = x <= self.x_w if nd else np.zeros(x.shape, bool)
-        if np.any(deep):
-            xd = x[deep]
-            eta = self.eta_at(j - 1, xd)
-            if j >= 2:
-                with np.errstate(all="ignore"):
-                    gp = np.exp(self.F_log_at(j - 1, xd)
-                                - self.phi_p(xd, check=False))
-            else:
-                gp = np.zeros_like(xd)
-            out[deep] = self._watson_logF(xd, eta, gp)
-        main = ~deep
-        if np.any(main):
-            idx = idx[main]
-            if j == 1:
-                eta_prev = np.ones((len(idx), _M))
-            else:
-                eta_prev = self.levels[j - 1].cf.at_nodes(idx)
-            ref = self._refs[idx - nd]
-            with np.errstate(all="ignore"):
-                sv = eta_prev * np.exp(self._phir_nodes[idx] - ref[:, None])
-                raw = self.widths[idx] * np.einsum("mk,mk->m", wts[main], sv)
-                lf = self.levels[j].logF_bounds[idx - nd]
-                out[main] = np.logaddexp(
-                    lf, ref + np.log(np.maximum(raw, 1e-300)))
-        return out
+        return self.levels[j].cf.at(x)
 
     def switch_x(self, lam):
         """Largest grid point where |lam| * eta_1 <= _SWITCH_BOUND (one per
@@ -474,44 +452,107 @@ class KernelEngine:
         out = self.bp[idx]
         return out if out.ndim else float(out)
 
+    def _series_rows(self, xs, fc):
+        """The rows of the series at the points xs, each level built when
+        its row is first asked for: first log F_1(xs[fc]), then (eta_j(xs),
+        log F_{j+1}(xs[fc])) for j = 1 .. _J_CAP, the F rows None when fc
+        (an index array) is None.  Each point's panel and partial weights
+        and, for the F rows, the factors exp(log r - ref) at its panel's
+        nodes are gathered once, so a level's rows take one gather of its
+        panel values and cumulative bounds.  Below x_w the F rows come from
+        the Watson expansion, carried forward from level to level."""
+        nd = self.n_deep
+        idx, wts = _locate(self.bp, self.widths, xs)
+        width = self.widths[idx]
+        f_next = None
+        if fc is not None:
+            fx = xs[fc]
+            deep = fx <= self.x_w if nd else np.zeros(fx.shape, bool)
+            n_deep = int(np.count_nonzero(deep))
+            main = ~deep
+            im, wm, width_m = idx[fc][main], wts[fc][main], width[fc][main]
+            ref = self._refs[im - nd]
+            with np.errstate(all="ignore"):
+                rscale = np.exp(self._phir_nodes[im] - ref[:, None])
+                if n_deep:
+                    wat = self._watson(fx[deep])
+                    phip = self.phi_p(fx[deep], check=False)
+
+            def f_row(j, eta_nodes, eta_deep, f_prev):
+                """log F_j(xs[fc]) from eta_{j-1} at the main points' panel
+                nodes and at the deep points, and log F_{j-1}(xs[fc]) (None
+                for j = 1); level j is built by now."""
+                raw = width_m * np.einsum("mk,mk->m", wm, eta_nodes * rscale)
+                f_main = np.logaddexp(self.levels[j].logF_bounds[im - nd],
+                                      ref + np.log(np.maximum(raw, 1e-300)))
+                if not n_deep:
+                    return f_main
+                out = np.empty(fx.shape)
+                out[main] = f_main
+                etap = 0.0 if f_prev is None else np.exp(f_prev[deep] - phip)
+                out[deep] = self._watson_logF(wat, eta_deep, etap)
+                return out
+
+            self._ensure_levels(1)
+            with np.errstate(all="ignore"):
+                f_next = f_row(1, 1.0, 1.0, None)
+        yield f_next
+        for j in range(1, _J_CAP + 1):
+            self._ensure_levels(j if fc is None else j + 1)
+            cf = self.levels[j].cf
+            with np.errstate(all="ignore"):
+                eta = cf.cum_bounds[idx] + width * np.einsum(
+                    "mk,mk->m", wts, cf.vals[idx])
+                if fc is not None:
+                    nodes = (cf.cum_bounds[im, None] + width_m[:, None]
+                             * (cf.vals[im] @ _NODE_PART.T))
+                    f_next = f_row(j + 1, nodes, eta[fc][deep], f_next)
+            yield eta, f_next
+
     def series_eval(self, lams, xs, with_w1=True):
-        """Alternating series for every lam at once: the rows eta_j(xs)
-        (and F_{j+1}(xs) when with_w1) are computed once, and each lam's
-        values are sum_j (-lam)^j eta_j, taken only at its own points
-        x <= switch_x(lam).  Terms are added until every lam has met
-        _TERM_TOL there.  Returns (w, w1, err), each (L, N); entries
-        beyond a lam's switch point are left at w = 1, w1 = 0, err = 0,
-        and w1 is None unless with_w1."""
+        """Alternating series for every lam at once, taken only at its own
+        points x <= switch_x(lam): one row table over xs (_series_rows)
+        gives eta_j(xs) and, when with_w1, F_{j+1}(xs), level by level, and
+        the term loop adds (-lam)^j eta_j to w and -lam (-lam)^j F_{j+1} to
+        w1, term by term in j, until every lam has met _TERM_TOL at its
+        points.  with_w1 may also be a boolean mask over xs, the columns
+        whose w1 is wanted.  Returns (w, w1, err), each (L, N); entries
+        beyond a lam's switch point, and w1 outside the wanted columns, are
+        left at w = 1, w1 = 0, err = 0, and w1 is None unless with_w1."""
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         held = xs[None, :] <= self.switch_x(lams)[:, None]
-        loc = _locate(self.bp, self.widths, xs)
+        fc = np.flatnonzero(np.broadcast_to(with_w1, xs.shape))
+        fc = fc if len(fc) else None
+        rows = self._series_rows(xs, fc)
         w = np.ones(held.shape)
         acc = np.ones(held.shape)
         # w1 = -lam * sum_j (-lam)^j F_{j+1}
-        w1sum = (np.where(held, np.exp(self.F_log_at(1, xs, loc)), 0.0)
-                 if with_w1 else None)
-        j = 0
+        f1 = next(rows)
+        if fc is not None:
+            held_f = held[:, fc]
+            w1sum = np.where(held_f, np.exp(f1), 0.0)
+        neg = -lams[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                j += 1
-                if j > _J_CAP:
-                    raise errors.QuadratureBudgetExceeded(
-                        "kernel series did not converge within %d terms"
-                        % _J_CAP)
-                power = ((-lams) ** j)[:, None]
-                term = np.where(held, power * self.eta_at(j, xs, loc), 0.0)
+            for j, (eta, f_next) in enumerate(rows, 1):
+                power = neg ** j
+                term = np.where(held, power * eta, 0.0)
                 w += term
                 tail = np.abs(term)
                 acc += tail
-                if with_w1:
-                    w1sum += np.where(
-                        held, power * np.exp(self.F_log_at(j + 1, xs, loc)),
-                        0.0)
-                if j >= 2 and np.all(tail <= _TERM_TOL
-                                     * np.maximum(acc, 1.0)):
+                if fc is not None:
+                    w1sum += np.where(held_f, power * np.exp(f_next), 0.0)
+                if j >= 2 and (tail <= _TERM_TOL
+                               * np.maximum(acc, 1.0)).all():
                     break
-        w1 = -lams[:, None] * w1sum if with_w1 else None
+            else:
+                raise errors.QuadratureBudgetExceeded(
+                    "kernel series did not converge within %d terms"
+                    % _J_CAP)
+        w1 = None
+        if fc is not None:
+            w1 = np.zeros(held.shape)
+            w1[:, fc] = -lams[:, None] * w1sum
         # rounding of the terms, plus the accuracy of the asymptotic
         # region where the engine has one
         floor = 5e-12 if self.n_deep else 0.0
@@ -691,20 +732,27 @@ class Continuation:
         lv = self.lams[live]
         sw = eng.switch_x(lv)
         cols = xs <= np.max(sw)
-        if np.any(cols):
-            ws, w1s, es = eng.series_eval(lv, xs[cols], with_w1)
-            w[np.ix_(live, cols)] = ws
-            err[np.ix_(live, cols)] = es
-            if with_w1:
-                w1[np.ix_(live, cols)] = w1s
         beyond = xs[None, :] > sw[:, None]
         need = np.flatnonzero(np.any(beyond, axis=1))
+        sx, want = xs[cols], with_w1
+        start = len(need) > 0 and self.x0 is None
+        if start:
+            # the ODE's start state is one more column of the series
+            self.x0 = float(np.min(sw))
+            sx = np.append(sx, self.x0)
+            want = np.append(np.full(len(sx) - 1, with_w1), True)
+        if len(sx):
+            ws, w1s, es = eng.series_eval(lv, sx, want)
+            if start:
+                self.start = np.array([ws[:, -1], w1s[:, -1]])
+                self.err0 = es[:, -1]
+            n = np.count_nonzero(cols)
+            w[np.ix_(live, cols)] = ws[:, :n]
+            err[np.ix_(live, cols)] = es[:, :n]
+            if with_w1:
+                w1[np.ix_(live, cols)] = w1s[:, :n]
         if not len(need):
             return w, w1, err
-        if self.x0 is None:
-            self.x0 = float(np.min(sw))
-            ws, w1s, es = eng.series_eval(lv, np.asarray([self.x0]))
-            self.start, self.err0 = np.array([ws[:, 0], w1s[:, 0]]), es[:, 0]
         on = np.flatnonzero(xs > self.x0)
         t_eval, inv = np.unique(xs[on], return_inverse=True)
         pw, pw1, perr = self._continue(lv, need, t_eval)

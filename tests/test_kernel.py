@@ -337,3 +337,46 @@ def test_kernel_sweep_continues_forward_only():
                                rtol=0, atol=1e-13)
     with pytest.raises(ValueError):
         sweep(xs[:5] + 1.0)
+
+
+def test_series_term_cap_raises(monkeypatch):
+    # lam = 25 at x = 0.5 lies below the switch point and needs more
+    # than three terms
+    monkeypatch.setattr(kernel, "_J_CAP", 3)
+    with pytest.raises(errors.QuadratureBudgetExceeded):
+        kernel.kernel_table(_whittaker0(), [25.0], np.array([0.5]))
+
+
+def test_deep_region_columns_sum_the_eta_rows():
+    # x <= x_w ~ 1.4e-4 lies in the asymptotic region, 1e-3 on the main
+    # panels; every point is below each lam's switch point
+    prob = _whittaker0()
+    xs = np.array([1e-6, 1e-5, 5e-5, 1e-3])
+    lams = np.array([5.0, 25.0, 400.0])
+    got = kernel.kernel_table(prob, lams, xs)
+    eng = kernel.get_engine(prob, float(xs[-1]))
+    assert xs[2] < eng.x_w < xs[3]
+    assert np.all(xs[-1] <= eng.switch_x(lams))
+    for i, lam in enumerate(lams):
+        for k, x in enumerate(xs):
+            total, acc, j = 1.0, 1.0, 0
+            while True:
+                j += 1
+                term = (-lam) ** j * float(eng.eta_at(j, np.array([x]))[0])
+                total += term
+                acc += abs(term)
+                if j >= 2 and abs(term) <= kernel._TERM_TOL * max(acc, 1.0):
+                    break
+            assert got[i, k] == pytest.approx(total, rel=0, abs=1e-15)
+
+
+def test_series_quasi_derivative_cosine_closed_form():
+    # p = r = 1: w1 = w' = -sqrt(lam) sin(sqrt(lam) x), here taken from
+    # the series' F rows alone
+    prob = families.make_family("cosine").problem
+    for lam in (0.5, 5.0, 60.0):
+        eng = kernel.get_engine(prob, 4.0)
+        xs = np.linspace(0.05, eng.switch_x(lam), 9)
+        _, w1, _ = eng.eval_many(lam, xs)
+        want = -math.sqrt(lam) * np.sin(math.sqrt(lam) * xs)
+        np.testing.assert_allclose(w1, want, rtol=0, atol=1e-12)
