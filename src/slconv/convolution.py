@@ -19,7 +19,6 @@ _PAIR_BLOCK = 64                # support pairs per law call
 @dataclass(frozen=True)
 class ConvCfg:
     max_pairs: int = 512        # budget on (x, y) support pairs
-    grid_points: int = 800      # target grid for merging densities
 
 
 @dataclass(frozen=True)
@@ -53,10 +52,14 @@ def _measure_point_masses(mu):
 
 
 def convolve_measures(family, mu, nu, cfg=ConvCfg()):
-    """Mixture construction of the measure convolution: the product of the
-    two supports maps pairwise through the family's two-point convolution
-    measures, _PAIR_BLOCK pairs per conv_sampled call (bounding the cells
-    held at once), and one merge.  Result mass = mass(mu) * mass(nu)."""
+    """Mixture construction of the measure convolution: both measures are
+    reduced to point masses, and the product of the two supports maps
+    pairwise through the family's two-point convolution measures,
+    _PAIR_BLOCK pairs per conv_sampled call (bounding the cells held at
+    once).  Each block's cells, times their pairs' weights, become
+    polylines by measures.cell_polylines, with no Segment per pair (a
+    pair of weight 0 keeps no cell), and one merge_parts adds every
+    pair's atoms and densities exactly.  Result mass = mass(mu) * mass(nu)."""
     xs, xw = _measure_point_masses(mu)
     ys, yw = _measure_point_masses(nu)
     n_pairs = len(xs) * len(ys)
@@ -67,17 +70,18 @@ def convolve_measures(family, mu, nu, cfg=ConvCfg()):
     x, y = (v.ravel() for v in
             families.convolution_pairs(family, xs[:, None], ys))
     w = np.outer(xw, yw).ravel()
-    atoms, blocks = [], []
+    atoms, lines = [], []
     for i in range(0, n_pairs, _PAIR_BLOCK):
         blk = slice(i, i + _PAIR_BLOCK)
         pair_atoms, cells = family.conv_sampled(x[blk], y[blk])
         locs, masses = np.array(pair_atoms).transpose(1, 2, 0)
         atoms.append(np.stack((locs, w[blk, None] * masses), axis=-1))
         if cells is not None:
-            blocks.extend((s, wgt) for wgt, *cell in zip(w[blk], *cells)
-                          if wgt != 0.0
-                          for s in measures.cells_to_segments(*cell))
-    return measures.merge_parts(atoms, blocks, cfg.grid_points)
+            edges, masses, dens = cells
+            with np.errstate(invalid="ignore"):     # 0 * inf: no cell kept
+                lines.append(measures.cell_polylines(
+                    edges, w[blk, None] * masses, w[blk, None] * dens))
+    return measures.merge_parts(atoms, lines)
 
 
 def translate(family, h, y, x_grid):

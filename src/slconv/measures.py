@@ -1,11 +1,14 @@
 """Finite-measure representation: atoms + sampled density segments, CDF
-construction, the generalized inverse used by the walk sampler, and JSON
-serialization.
+construction, the generalized inverse used by the walk sampler, sums of
+measures, and JSON serialization.
 
 Densities are stored as grid samples w.r.t. Lebesgue measure on the
 segment, interpolated linearly; all cumulative operations are exact for
-that representation.
-"""
+that representation.  Sums are too: a sum of piecewise-linear densities
+is piecewise linear on the union of their knots, and merge_parts builds
+it from the parts' own knots (a kink sum), with no resampling and no
+fill grid.  Sampled cells become densities by one cell rule,
+cell_polylines."""
 
 import json
 from dataclasses import dataclass
@@ -15,8 +18,9 @@ import numpy as np
 from . import errors
 
 __all__ = ["Segment", "MeasureRepr", "CDF", "dirac", "total_mass", "build_cdf",
-           "quantile", "sample", "scale", "cells_to_segments", "merge_parts",
-           "merge_measures", "measure_to_dict", "measure_from_dict"]
+           "quantile", "sample", "scale", "cell_polylines",
+           "cells_to_segments", "merge_parts", "merge_measures",
+           "measure_to_dict", "measure_from_dict"]
 
 
 @dataclass(frozen=True)
@@ -175,16 +179,17 @@ def sample(mu, n, rng, floor=0.0):
 # ---------------------------------------------------------------------------
 # combination
 
-def cells_to_segments(edges, masses, dens):
-    """Mass-exact piecewise-linear segments: each cell gets the points
-    (x0, mid, x1), the density at its edges (mass/width where that is not
-    finite or over 50 times it) and the midpoint value that makes its
-    trapezoid mass exact (flat if negative).  One Segment per run of
-    adjoining cells whose shared edge values agree."""
-    x0, x1 = edges[:-1], edges[1:]
+def cell_polylines(edges, masses, dens):
+    """The one cell rule, on sampled cells with any leading (pair) axes:
+    each cell gets the knots (x0, mid, x1), the density at its edges
+    (mass/width where that is not finite or over 50 times it) and the
+    midpoint value that makes its trapezoid mass exact (flat if
+    negative).  Returns the polyline (x, f, start) of every cell of
+    positive mass and width, in order: adjoining cells whose shared edge
+    values agree form one run, start marks the first knot of each run,
+    and the edge two cells of a run share is one knot."""
+    x0, x1 = edges[..., :-1], edges[..., 1:]
     keep = (masses > 0.0) & (x1 > x0)
-    if not np.any(keep):
-        return ()
     x0, x1, m = x0[keep], x1[keep], masses[keep]
     h = x1 - x0
     flat = m / h
@@ -194,31 +199,116 @@ def cells_to_segments(edges, masses, dens):
             ok = np.isfinite(f) & (f >= 0.0) & ~(f > 50.0 * flat)
         return np.where(ok, f, flat)
 
-    f0, f1 = edge_value(dens[:-1][keep]), edge_value(dens[1:][keep])
+    f0, f1 = edge_value(dens[..., :-1][keep]), edge_value(dens[..., 1:][keep])
     fm = 2.0 * m / h - 0.5 * (f0 + f1)
     neg = fm < 0.0
     f0, f1, fm = (np.where(neg, flat, f) for f in (f0, f1, fm))
-    xm = 0.5 * (x0 + x1)
-    starts = np.flatnonzero((x1[:-1] != x0[1:]) | (f1[:-1] != f0[1:])) + 1
-    segs = []
-    for i, j in zip(np.r_[0, starts], np.r_[starts, len(x0)]):
-        grid = np.append(np.column_stack((x0[i:j], xm[i:j])).ravel(),
-                         x1[j - 1])
-        vals = np.append(np.column_stack((f0[i:j], fm[i:j])).ravel(),
-                         f1[j - 1])
-        segs.append(Segment(x0[i], x1[j - 1], grid, vals))
-    return tuple(segs)
+    # a cell ends its run unless the next one starts where it stops with
+    # the same value; its knots are x0, mid and, at a run's end, x1
+    last = np.append((x1[:-1] != x0[1:]) | (f1[:-1] != f0[1:]), True)
+    knot = np.ones((len(x0), 3), dtype=bool)
+    knot[:, 2] = last
+    start = np.zeros_like(knot)
+    start[:, 0] = np.append(True, last[:-1])
+    return (np.column_stack((x0, 0.5 * (x0 + x1), x1))[knot],
+            np.column_stack((f0, fm, f1))[knot], start[knot])
 
 
-def merge_parts(atoms, blocks, grid_points=800):
-    """The sum of atoms ((loc, mass) rows) and (Segment, weight) blocks.
-    Atoms equal to 12 decimals add in the order given.  Densities are cut
-    at every segment end, so the covering set is constant on each output
-    segment and the piecewise-linear densities add exactly (a jump between
-    touching segments lands on a segment boundary instead of being averaged
-    away).  Each output segment's grid is its ends, the covering segments'
-    grid points and the points of a grid_points-point fill of the support
-    that fall inside."""
+def cells_to_segments(edges, masses, dens):
+    """Mass-exact piecewise-linear segments of one pair's sampled cells:
+    one Segment per run of cell_polylines, its knots as grid."""
+    x, f, start = cell_polylines(edges, masses, dens)
+    runs = np.flatnonzero(start)
+    return tuple(Segment(g[0], g[-1], g, d) for g, d in
+                 zip(np.split(x, runs)[1:], np.split(f, runs)[1:]))
+
+
+def _exact_split(t):
+    """Split t in place into hi + lo: hi, returned, on the grid of one
+    power of two q so coarse that every partial sum of hi terms is exact;
+    lo, left in t, at most q/2 in size."""
+    hi = np.abs(t)
+    q = 2.0 ** (np.frexp(hi.sum())[1] - 50)
+    np.divide(t, q, out=hi)
+    np.round(hi, out=hi)
+    hi *= q
+    t -= hi
+    return hi
+
+
+def _kink_sum(lines):
+    """The segments of a sum of polylines (x, f, start): knots x, values
+    f, start marking the first knot of each run; x increases within a
+    run, and a repeated knot is a jump.  The sum is piecewise linear on
+    the union of the knots.  At each distinct knot, the runs that start
+    or end there change its value and coverage, and the pieces that start
+    or end there change its slope; prefix sums of these changes give the
+    value on each side of every knot.  The slopes are split
+    (_exact_split) before they are binned, so a steep piece leaves
+    nothing in the running slope once it ends.  One Segment per covered
+    stretch, cut where the value jumps.  Each del frees an array once it
+    is used, so the merge's peak memory stays near its inputs' own."""
+    x, f, start = (np.concatenate(c) for c in zip(*lines))
+    if not len(x):
+        return ()
+    start |= np.append(True, x[1:] == x[:-1])
+    end = np.append(start[1:], True)
+    f_start, f_end = f[start], f[end]
+    # the slope of the piece from each knot to the next, 0 at a run's end
+    inside = ~end[:-1]
+    slope = np.zeros(len(x))
+    np.subtract(f[1:], f[:-1], out=slope[:-1], where=inside)
+    del f
+    np.divide(slope[:-1], np.diff(x), out=slope[:-1], where=inside)
+    grid = np.unique(x)
+    k = len(grid)
+    rank = np.searchsorted(grid, x)
+    del x
+
+    def running(w):         # prefix sums of w binned by knot
+        b = np.bincount(rank, w, k)
+        return np.cumsum(b, out=b)
+
+    # the slope right of each knot, from the changes of the hi and the lo
+    # parts of the piece slopes apart
+    hi = _exact_split(slope)
+    hi[1:] -= hi[:-1]
+    slope[1:] -= slope[:-1]
+    hi = running(hi)
+    hi += running(slope)
+    slope = hi
+    rs, re = rank[start], rank[end]
+    del hi, rank
+    covered = np.cumsum(np.bincount(rs, minlength=k)
+                        - np.bincount(re, minlength=k)) > 0
+    jumps = np.bincount(rs, f_start, k) - np.bincount(re, f_end, k)
+    # the value just right of each knot: prefix sums of the jumps and of
+    # slope times width, split as the slopes are
+    right = np.zeros(k)
+    np.subtract(grid[1:], grid[:-1], out=right[1:])
+    right[1:] *= slope[:-1]
+    del slope
+    right += jumps
+    hi = _exact_split(right)
+    np.cumsum(right, out=right)
+    right += np.cumsum(hi, out=hi)
+    del hi
+    # segments cover stretches of covered intervals, cut at each jump
+    was = np.append(False, covered[:-1])
+    cut = jumps != 0.0
+    first = np.flatnonzero(covered & (~was | cut))
+    last = np.flatnonzero(was & (~covered | cut))
+    left = right[last] - jumps[last]    # the value just left of an end
+    return tuple(Segment(grid[a], grid[b], grid[a:b + 1],
+                         np.append(right[a:b], fb))
+                 for a, b, fb in zip(first, last, left))
+
+
+def merge_parts(atoms, lines):
+    """The sum of atoms (arrays of (loc, mass) rows) and density
+    polylines ((x, f, start) as cell_polylines gives them, weights
+    already in f).  Atoms equal to 12 decimals add in the order given;
+    the densities add exactly, on the union of their knots (_kink_sum)."""
     locs, masses = np.concatenate(
         [np.empty((0, 2))] + [a.reshape(-1, 2) for a in atoms]).T
     raw, at = np.unique(locs, return_inverse=True)
@@ -227,50 +317,21 @@ def merge_parts(atoms, blocks, grid_points=800):
     mass = np.bincount(key[at], weights=masses, minlength=len(keys))
     pos = mass > 0.0
     atoms = tuple(zip(keys[pos].tolist(), mass[pos].tolist()))
-    if not blocks:
-        return MeasureRepr(atoms=atoms, meta="merge")
-    starts = np.array([s.grid[0] for s, _ in blocks])
-    stops = np.array([s.grid[-1] for s, _ in blocks])
-    lo, hi = starts.min(), stops.max()
-    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-    # cuts: every segment end, an end within tol of the previous a duplicate
-    cuts = np.unique(np.concatenate([starts, stops]))
-    cuts = cuts[np.concatenate([[True], np.diff(cuts) > tol])]
-    # segment k covers the output intervals [ka[k], kb[k])
-    ka = np.searchsorted(cuts, starts - tol, side="left")
-    kb = np.maximum(ka, np.searchsorted(cuts, stops + tol, side="right") - 1)
-    depth = np.cumsum(np.bincount(ka, minlength=len(cuts))
-                      - np.bincount(kb, minlength=len(cuts)))
-    covered = np.flatnonzero(depth[:-1] > 0)
-    pts = np.unique(np.concatenate([cuts, np.linspace(lo, hi, grid_points)]
-                                   + [s.grid for s, _ in blocks]))
-    at = np.searchsorted(pts, cuts)
-    # the output grid: interval k holds pts[at[k] : at[k+1] + 1], laid end
-    # to end (an end shared by two intervals appears in both)
-    sizes = np.zeros(len(cuts) - 1, dtype=int)
-    sizes[covered] = at[covered + 1] - at[covered] + 1
-    off = np.concatenate([[0], np.cumsum(sizes)])
-    first = np.repeat(at[:-1] - off[:-1], sizes)
-    grid = pts[first + np.arange(off[-1])]
-    dens = np.zeros(off[-1])
-    for (s, wgt), a, b in zip(blocks, ka, kb):
-        part = slice(off[a], off[b])
-        dens[part] += wgt * np.interp(grid[part], s.grid, s.density)
-    segments = tuple(
-        Segment(l=float(cuts[k]), u=float(cuts[k + 1]),
-                grid=grid[off[k]:off[k + 1]], density=dens[off[k]:off[k + 1]])
-        for k in covered)
+    segments = _kink_sum(lines) if lines else ()
     return MeasureRepr(atoms=atoms, segments=segments, meta="merge")
 
 
-def merge_measures(measures, weights=None, grid_points=800):
-    """Weighted sum of measures (weights default to 1), by merge_parts."""
+def merge_measures(measures, weights=None):
+    """Weighted sum of measures (weights default to 1): one merge_parts
+    call, each segment a polyline of one run on its own grid, its density
+    times its measure's weight."""
     if weights is None:
         weights = [1.0] * len(measures)
     parts = [(mu, wgt) for mu, wgt in zip(measures, weights) if wgt != 0.0]
     return merge_parts(
         [np.reshape(mu.atoms, (-1, 2)) * (1.0, wgt) for mu, wgt in parts],
-        [(s, wgt) for mu, wgt in parts for s in mu.segments], grid_points)
+        [(s.grid, wgt * s.density, np.arange(len(s.grid)) == 0)
+         for mu, wgt in parts for s in mu.segments])
 
 
 # ---------------------------------------------------------------------------

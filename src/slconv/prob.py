@@ -35,7 +35,7 @@ class WalkPath:
 _SYNTH_TOL = 1e-9      # semigroup and transition synthesis tolerance
 _POISSON_TOL = 1e-10   # compound Poisson's certified tail, and its budget
 _POISSON_CAP = 400     # most jumps a compound Poisson sum may take
-_POISSON_CFG = convolution.ConvCfg(max_pairs=20000, grid_points=600)
+_POISSON_CFG = convolution.ConvCfg(max_pairs=20000)
 _PATH_GRID, _ENSEMBLE_GRID = 600, 800    # transition grid points
 _PROBE_SPAN, _PROBE_GRID = 12.0, 1200    # probe grid: [a, a + 12]
 
@@ -82,8 +82,7 @@ def compound_poisson(family, mu):
         if k < k_max:
             power = convolution.convolve_measures(family, power, mu1,
                                                   _POISSON_CFG)
-    out = measures.merge_measures(parts, weights,
-                                  grid_points=_POISSON_CFG.grid_points)
+    out = measures.merge_measures(parts, weights)
     return measures.MeasureRepr(atoms=out.atoms, segments=out.segments,
                                 meta="compound_poisson")
 

@@ -79,7 +79,7 @@ def test_convolve_measures_matches_per_pair_merge():
     # the blocked construction equals the per-pair one: merge_measures over
     # every support pair's family_convolution_measure (unit pairs included)
     rng = np.random.default_rng(16)
-    cfg = convolution.ConvCfg(max_pairs=600, grid_points=600)
+    cfg = convolution.ConvCfg(max_pairs=600)
     for name in ("cosine", "squared_weight"):
         fam = families.make_family(name)
         mu = measures.MeasureRepr(atoms=((0.0, 0.2),)
@@ -89,8 +89,7 @@ def test_convolve_measures_matches_per_pair_merge():
         want = measures.merge_measures(
             [families.family_convolution_measure(fam, x, y)
              for x, _ in mu.atoms for y, _ in nu.atoms],
-            [wx * wy for _, wx in mu.atoms for _, wy in nu.atoms],
-            grid_points=cfg.grid_points)
+            [wx * wy for _, wx in mu.atoms for _, wy in nu.atoms])
         assert got.atoms == want.atoms, name
         assert len(got.segments) == len(want.segments), name
         for g, w in zip(got.segments, want.segments):
@@ -107,7 +106,7 @@ def test_convolve_measures_memory_is_bounded():
     rng = np.random.default_rng(0)
     mu, nu = _atoms(rng, 10), _atoms(rng, 10)
     fam = families.make_family("hankel", {"alpha": 1.0})
-    cfg = convolution.ConvCfg(max_pairs=20000, grid_points=600)
+    cfg = convolution.ConvCfg(max_pairs=20000)
     convolution.convolve_measures(fam, mu, nu, cfg)     # warm the caches
     tracemalloc.start()
     try:
@@ -116,6 +115,29 @@ def test_convolve_measures_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 5223894, peak
+
+
+def test_reconvolved_density_keeps_mass_and_transform():
+    # hankel alpha = 0: (mu * mu) * mu convolves a merged density again;
+    # its densities reach ~60 and their slopes ~1e6, so an inexact merge
+    # shows in the mass.  The transform error is the point-mass
+    # reduction's (2.7e-6 at most when this was written)
+    fam = families.make_family("hankel", {"alpha": 0.0})
+    mu = measures.MeasureRepr(atoms=((0.7, 0.5), (1.3, 0.5)))
+    cfg = convolution.ConvCfg(max_pairs=20000)
+    p3 = convolution.convolve_measures(
+        fam, convolution.convolve_measures(fam, mu, mu, cfg), mu, cfg)
+    assert measures.total_mass(p3) == pytest.approx(1.0, abs=1e-12)
+    lams = [1.0, 4.0, 9.0, 25.0]
+
+    def w(x):
+        return fam.kernel(lams, x)
+    # 200 segments at a time, so the quadrature's node table stays small
+    got = measure_integral(measures.MeasureRepr(atoms=p3.atoms), w) + sum(
+        measure_integral(measures.MeasureRepr(segments=p3.segments[i:i + 200]),
+                         w) for i in range(0, len(p3.segments), 200))
+    np.testing.assert_allclose(got, measure_integral(mu, w) ** 3, rtol=0,
+                               atol=5e-6)
 
 
 def test_convolution_pairs_are_checked():

@@ -115,6 +115,66 @@ def test_merge_adds_overlapping_densities_pointwise():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def _limits(parts, pts):
+    """Left and right limits at pts of a sum of weighted segments, each
+    zero outside [l, u]: sum w * np.interp over the parts."""
+    left, right = np.zeros(len(pts)), np.zeros(len(pts))
+    for seg, wgt in parts:
+        v = wgt * np.interp(pts, seg.grid, seg.density)
+        left += np.where((pts > seg.l) & (pts <= seg.u), v, 0.0)
+        right += np.where((pts >= seg.l) & (pts < seg.u), v, 0.0)
+    return left, right
+
+
+def test_merge_is_the_exact_kink_sum():
+    # weighted segments that overlap, touch with and without a jump and
+    # leave a gap, and a steep part (slope 1e7) that ends inside a long
+    # gently sloped one, whose knots fall inside the steep part: its
+    # slope must leave the running sum exactly, or the error grows along
+    # the long part
+    rng = np.random.default_rng(22)
+
+    def seg(grid, density):
+        return measures.Segment(grid[0], grid[-1], grid, density)
+
+    g = np.unique(np.concatenate([np.linspace(0.0, 2.0, 201),
+                                  rng.uniform(0.0, 2.0, 40),
+                                  0.9 + np.array([0.5e-7, 1.5e-7])]))
+    long = seg(g, 1.0 + 0.5 * np.sin(3.0 * g + rng.uniform(0, 0.1, len(g))))
+    steep = seg(0.9 + np.array([0.0, 1e-7, 2e-7]), np.array([0.0, 2.0, 1.0]))
+    g = np.sort(np.concatenate([[1.5, 3.5], rng.uniform(1.5, 3.5, 50)]))
+    over = seg(g, rng.uniform(0.5, 1.5, len(g)))
+    # touching: a jump at 3.5 (over ends there), none at 4.0
+    left = seg(np.linspace(3.5, 4.0, 7), np.linspace(2.0, 0.7, 7))
+    right = seg(np.linspace(4.0, 4.5, 5), np.linspace(0.7, 0.2, 5))
+    apart = seg(np.linspace(5.0, 6.0, 9), np.full(9, 0.4))    # a gap
+    parts = [(long, 0.6), (steep, 1.0), (over, 1.3), (left, 0.9),
+             (right, 0.9), (apart, 2.0)]
+    out = measures.merge_measures(
+        [measures.MeasureRepr(segments=segs) for segs in
+         ((long,), (steep,), (over,), (left, right), (apart,))],
+        [0.6, 1.0, 1.3, 0.9, 2.0])
+    knots = np.unique(np.concatenate([s.grid for s, _ in parts]))
+    got_knots = np.concatenate([s.grid for s in out.segments])
+    np.testing.assert_array_equal(np.unique(got_knots), knots)
+    got = [(s, 1.0) for s in out.segments]
+    mids = 0.5 * (knots[1:] + knots[:-1])
+    want_l, want_r = _limits(parts, knots)
+    scale = np.max(want_r)
+    for pts, want in ((knots, (want_l, want_r)),
+                      (mids, _limits(parts, mids))):
+        for g_lim, w_lim in zip(_limits(got, pts), want):
+            np.testing.assert_allclose(g_lim, w_lim, rtol=0.0,
+                                       atol=1e-14 * scale)
+    # no output segment spans a gap; they follow one another
+    for s in out.segments:
+        inner = 0.5 * (s.grid[1:] + s.grid[:-1])
+        assert all(np.any([(p.l < inner) & (inner < p.u) for p, _ in parts],
+                          axis=0))
+    ends = np.array([(s.l, s.u) for s in out.segments])
+    assert np.all(ends[1:, 0] >= ends[:-1, 1])
+
+
 def test_merge_weights_scale():
     out = measures.merge_measures([_uniform(0.0, 1.0)], weights=[0.25])
     assert measures.total_mass(out) == pytest.approx(0.25, abs=1e-14)
