@@ -200,15 +200,14 @@ def degenerate_limit_study(family, h, a_m_seq, probes=((0.8, 0.5),),
 _AUDIT_TOL = 1e-8       # slack of positivity_audit's bounds
 
 
-def positivity_audit(field, h_bounds=(0.0, None)):
+def positivity_audit(field, upper=None):
     """Maximum-principle audit: nonnegative data must give a nonnegative
-    field; data bounded by C must keep the field at or below C (each to
-    within _AUDIT_TOL)."""
+    field; data bounded by upper, if given, must keep the field at or
+    below it (each to within _AUDIT_TOL)."""
     vmin = float(np.min(field.values))
     vmax = float(np.max(field.values))
-    lo, hi = h_bounds
     report = {"min": vmin, "max": vmax,
               "nonnegative_ok": bool(vmin >= -_AUDIT_TOL)}
-    if hi is not None:
-        report["upper_ok"] = bool(vmax <= hi + _AUDIT_TOL)
+    if upper is not None:
+        report["upper_ok"] = bool(vmax <= upper + _AUDIT_TOL)
     return report

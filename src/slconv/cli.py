@@ -40,18 +40,26 @@ def _grid_spec(text):
 
 
 def _step_law(text):
-    """Parse a step-law spec: 'delta:LOC', 'uniform:LO,HI'."""
+    """Parse a step-law spec: 'delta:LOC', 'uniform:LO,HI' (finite
+    numbers)."""
     kind, _, rest = text.partition(":")
-    if kind == "delta":
-        return measures.dirac(float(rest))
-    if kind == "uniform":
-        lo, hi = (float(t) for t in rest.split(","))
+    try:
+        vals = [float(t) for t in rest.split(",")]
+    except ValueError:
+        vals = []
+    if not np.all(np.isfinite(vals)):
+        vals = []
+    if kind == "delta" and len(vals) == 1:
+        return measures.dirac(vals[0])
+    if kind == "uniform" and len(vals) == 2:
+        lo, hi = vals
         if hi <= lo:
             raise errors.ParamOutOfRange("uniform law needs lo < hi")
         g = np.linspace(lo, hi, 64)
         return measures.MeasureRepr(segments=(measures.Segment(
             lo, hi, g, np.full(64, 1.0 / (hi - lo))),))
-    raise errors.ParamOutOfRange("unknown step law %r" % text)
+    raise errors.ParamOutOfRange(
+        "step law must be delta:LOC or uniform:LO,HI, got %r" % text)
 
 
 def _resolve(args):

@@ -1,6 +1,9 @@
 """Built-in coefficient families on (0, inf): closed-form kernels,
 Plancherel (spectral) densities, and the convolution measures nu_{x,y} of
 the product formula w_lam(x) w_lam(y) = integral of w_lam d(nu_{x,y}).
+A closed kernel is one table call, shape (L, *xs.shape): jacobi's and
+whittaker's pass the index mu of each lam as the rows of a gauss_2f1 or
+whittaker_w table.  cosine is hankel alpha = -1/2 under its own id, and
 from_problem makes a custom problem a Family too.
 
 Each family states nu_{x,y} once, as law(x, y) -> (atoms, density) on
@@ -32,7 +35,7 @@ Gauss rule is pinned only to within about one Gauss weight
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import betaincinv, loggamma
@@ -50,7 +53,7 @@ _ATOL_BOUNDARY = 1e-14
 _RULE_NODES = 200       # Gauss-Jacobi nodes of an edge density's rule
 _SAMPLED_CELLS = 400    # cells of an edge density's sampled measure
 _STEP_PATHS = 4         # walk paths per law call (a jacobi pair's cells
-                        # take ~0.75 MB while they are built)
+                        # take ~0.5 MB while they are built)
 _WINDOW_CUT = 1e-12     # whittaker's window: density in log(xi) / its peak
 
 
@@ -87,11 +90,10 @@ class Family:
         return self.kernel_sweep(lams)(xs)
 
 
-def _index(lams, shift, xs):
-    """The index mu = sqrt(shift - lam), imaginary above the shift, shaped
-    (L, 1, ...) to broadcast against xs."""
-    mu = np.sqrt((shift - np.asarray(lams, dtype=float)) + 0j)
-    return mu.reshape(mu.shape + (1,) * np.ndim(xs))
+def _index(lams, shift):
+    """The index mu = sqrt(shift - lam) of each lam, imaginary above the
+    shift."""
+    return np.sqrt((shift - np.asarray(lams, dtype=float)) + 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +258,7 @@ def _exact_draw(law, a):
 
 
 def _two_atom_law(x, y):
-    """Half at |x - y|, half at x + y: cosine, and hankel alpha = -1/2."""
+    """Half at |x - y|, half at x + y: hankel alpha = -1/2 (cosine)."""
     return ((np.abs(x - y), 0.5), (x + y, 0.5)), None
 
 
@@ -264,17 +266,8 @@ def _two_atom_law(x, y):
 # family constructions
 
 def _make_cosine(params):
-    problem = SLProblem(a=0.0, b=np.inf, p=CoeffExpr("1"), r=CoeffExpr("1"),
-                        c=1.0, name="cosine")
-
-    def ck(lams, xs):
-        return np.cos(np.multiply.outer(np.sqrt(np.maximum(lams, 0.0)), xs))
-
-    spectral = SpectralMeasure(
-        tau_density=lambda t: np.full_like(np.asarray(t, float), 2.0 / np.pi))
-    return Family("cosine", (), problem, ck, spectral,
-                  *_convolution(_two_atom_law, problem.a),
-                  _exact_draw(_two_atom_law, problem.a))
+    # p = r = 1: the hankel family at alpha = -1/2
+    return replace(_make_hankel({"alpha": -0.5}), id="cosine", params=())
 
 
 def _make_squared_weight(params):
@@ -354,7 +347,7 @@ def _make_jacobi(params):
     shift = sigma * sigma
 
     def ck(lams, xs):
-        mu = _index(lams, shift, xs)
+        mu = _index(lams, shift)
         return np.real(specfun.gauss_2f1(0.5 * (sigma - mu),
                                          0.5 * (sigma + mu), alpha + 1.0,
                                          -np.sinh(xs) ** 2))
@@ -426,7 +419,7 @@ def _make_whittaker(params):
         if np.any(0.5 / x > 709.0):
             raise errors.RangeNotValidated("x below 1/1418 (exp overflow)")
         w = x ** alpha * np.exp(0.5 / x) * specfun.whittaker_w(
-            alpha, _index(lams, shift, xs), 1.0 / x)
+            alpha, _index(lams, shift), 1.0 / x)
         return np.where(pos, w, 1.0)
 
     # Plancherel density (validated by the transform round-trip test); the

@@ -7,10 +7,12 @@ Construction: the alternating series w = sum (-lam)^j eta_j with
     eta_j(x)  = int_a^x q(y) F_j(y) dy,      q = 1/p,
     F_j(y)    = int_a^y eta_{j-1}(xi) r(xi) dxi,   eta_0 = 1,
 
-computed on a shared panel grid by cumulative Gauss-Legendre rules, then
-continuation of (w, w^[1]) by sixth-order Magnus steps once |lam| * eta_1
-exceeds the switch bound (alternating-series cancellation would otherwise
-eat precision).
+computed on a shared panel grid by cumulative Gauss-Legendre rules (level
+j is three tables: g = q F_j at the panel nodes, eta_j at the panel bounds
+and log F_j at the main panels' bounds; eta_j at nodes or at points is one
+gather of them), then continuation of (w, w^[1]) by sixth-order Magnus
+steps once |lam| * eta_1 exceeds the switch bound (alternating-series
+cancellation would otherwise eat precision).
 
 Two features make this robust for entrance boundaries with steep
 coefficient layers (r ~ exp(-1/x) type):
@@ -106,42 +108,6 @@ def _partial_weights(t):
 
 # node_partials = vals @ _NODE_PART.T
 _NODE_PART = _partial_weights(_U)
-
-
-class CumField:
-    """Cumulative integral of a panelized integrand sampled at GL nodes."""
-
-    __slots__ = ("bp", "widths", "vals", "cum_bounds")
-
-    def __init__(self, bp, vals):
-        self.bp = bp
-        self.widths = np.diff(bp)
-        self.vals = vals
-        fulls = self.widths * (vals @ _W)
-        self.cum_bounds = np.concatenate([[0.0], np.cumsum(fulls)])
-
-    def at_nodes(self):
-        """The integral at the GL nodes of every panel, shape (panels, 12),
-        derived on demand rather than stored."""
-        return (self.cum_bounds[:-1, None]
-                + self.widths[:, None] * (self.vals @ _NODE_PART.T))
-
-    def at(self, x):
-        """The integral at the points x."""
-        x = np.asarray(x, dtype=float)
-        idx, wts = _locate(self.bp, self.widths, np.atleast_1d(x))
-        part = np.einsum("mk,mk->m", wts, self.vals[idx])
-        out = self.cum_bounds[idx] + self.widths[idx] * part
-        return float(out[0]) if x.ndim == 0 else out
-
-
-def _locate(bp, widths, x):
-    """Panel index of each point x (m,) on the grid bp and the weights
-    (_partial_weights) of its partial integral over that panel."""
-    idx = np.clip(np.searchsorted(bp, x, side="right") - 1,
-                  0, len(widths) - 1)
-    t = np.clip((x - bp[idx]) / widths[idx], 0.0, 1.0)
-    return idx, _partial_weights(t)
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +229,14 @@ class MomentFns:
     phi2: object            # callable x -> 2*(kappa*eta2(x) + eta1(x))
 
 
+@dataclass(frozen=True, slots=True)
 class _Level:
-    __slots__ = ("cf", "logF_bounds")
-
-    def __init__(self, cf, logF_bounds):
-        self.cf = cf
-        self.logF_bounds = logF_bounds
+    """Series level j on the engine's panels: g = F_j / p at the nodes
+    (panels, 12), eta_j = int_a^x g at the panel bounds and log F_j at the
+    main panels' bounds."""
+    g: np.ndarray
+    eta: np.ndarray
+    logF_bounds: np.ndarray
 
 
 class KernelEngine:
@@ -396,10 +364,10 @@ class KernelEngine:
             gprev_xw = 0.0
         else:
             prev = self.levels[j - 1]
-            eta_prev = prev.cf.at_nodes()
-            gprev_deep = prev.cf.vals[:nd]
-            eta_prev_xw = prev.cf.cum_bounds[nd]
-            gprev_xw = prev.cf.vals[nd - 1, -1] if nd else 0.0
+            eta_prev = self._eta_nodes(prev, slice(None))
+            gprev_deep = prev.g[:nd]
+            eta_prev_xw = prev.eta[nd]
+            gprev_xw = prev.g[nd - 1, -1] if nd else 0.0
         with np.errstate(all="ignore"):
             if nd:
                 logF_deep = self._watson_logF(
@@ -426,25 +394,48 @@ class KernelEngine:
                 logF_bounds[:-1, None],
                 self._refs[:, None] + np.log(np.maximum(raw_node, 1e-300)))
             g_main = np.exp(logF_nodes - self._phip_nodes[nd:])
-        vals = np.vstack([g_deep, g_main])
-        if not np.all(np.isfinite(vals)):
+        g = np.vstack([g_deep, g_main])
+        if not np.all(np.isfinite(g)):
             raise errors.SingularCoefficient(
                 "non-finite eta integrand at level %d" % j)
-        cf = CumField(self.bp, vals)
-        self.levels.append(_Level(cf, logF_bounds))
+        eta = np.concatenate([[0.0], np.cumsum(self.widths * (g @ _W))])
+        self.levels.append(_Level(g, eta, logF_bounds))
 
     # -- evaluation ---------------------------------------------------------
+    def _locate(self, x):
+        """Panel index of each point x (m,), its panel's width and the
+        weights (_partial_weights) of its partial integral over it."""
+        idx = np.clip(np.searchsorted(self.bp, x, side="right") - 1,
+                      0, len(self.widths) - 1)
+        width = self.widths[idx]
+        t = np.clip((x - self.bp[idx]) / width, 0.0, 1.0)
+        return idx, width, _partial_weights(t)
+
+    def _eta_nodes(self, lev, panels):
+        """eta_j of the level lev at the nodes of the panels (an index or
+        slice), shape (panels, 12)."""
+        return (lev.eta[:-1][panels, None] + self.widths[panels, None]
+                * (lev.g[panels] @ _NODE_PART.T))
+
+    @staticmethod
+    def _eta_points(lev, idx, width, wts):
+        """eta_j of the level lev at the points located as _locate gives
+        them."""
+        return lev.eta[idx] + width * np.einsum("mk,mk->m", wts, lev.g[idx])
+
     def eta_at(self, j, x):
+        x = np.asarray(x, dtype=float)
         if j == 0:
-            return np.ones_like(np.asarray(x, dtype=float))
+            return np.ones_like(x)
         self._ensure_levels(j)
-        return self.levels[j].cf.at(x)
+        out = self._eta_points(self.levels[j], *self._locate(np.atleast_1d(x)))
+        return float(out[0]) if x.ndim == 0 else out
 
     def switch_x(self, lam):
         """Largest grid point where |lam| * eta_1 <= _SWITCH_BOUND (one per
         lam when lam is an array)."""
         self._ensure_levels(1)
-        cb = self.levels[1].cf.cum_bounds
+        cb = self.levels[1].eta
         with np.errstate(divide="ignore"):
             thr = _SWITCH_BOUND / np.abs(np.asarray(lam, dtype=float))
         idx = np.clip(np.searchsorted(cb, thr, side="right") - 1,
@@ -462,8 +453,7 @@ class KernelEngine:
         panel values and cumulative bounds.  Below x_w the F rows come from
         the Watson expansion, carried forward from level to level."""
         nd = self.n_deep
-        idx, wts = _locate(self.bp, self.widths, xs)
-        width = self.widths[idx]
+        idx, width, wts = self._locate(xs)
         f_next = None
         if fc is not None:
             fx = xs[fc]
@@ -499,14 +489,12 @@ class KernelEngine:
         yield f_next
         for j in range(1, _J_CAP + 1):
             self._ensure_levels(j if fc is None else j + 1)
-            cf = self.levels[j].cf
+            lev = self.levels[j]
             with np.errstate(all="ignore"):
-                eta = cf.cum_bounds[idx] + width * np.einsum(
-                    "mk,mk->m", wts, cf.vals[idx])
+                eta = self._eta_points(lev, idx, width, wts)
                 if fc is not None:
-                    nodes = (cf.cum_bounds[im, None] + width_m[:, None]
-                             * (cf.vals[im] @ _NODE_PART.T))
-                    f_next = f_row(j + 1, nodes, eta[fc][deep], f_next)
+                    f_next = f_row(j + 1, self._eta_nodes(lev, im),
+                                   eta[fc][deep], f_next)
             yield eta, f_next
 
     def series_eval(self, lams, xs, with_w1=True):

@@ -176,15 +176,20 @@ def _transition_cdf(family, t, x, n_grid):
 # samplers
 
 def _walk(family, step_laws, n_steps, n_paths, rng):
-    """Yields the states of n_paths independent walks from a after each
-    of n_steps steps: step k draws X_k from step_laws[k mod len] by
-    inverse CDF (each law's CDF built once), then S_k from
-    nu_{S_{k-1}, X_k}."""
+    """Yields the states of n_paths independent walks, starting at a and
+    after each of n_steps steps: step k draws X_k from step_laws[k mod
+    len] by inverse CDF (each law's CDF built once), then S_k from
+    nu_{S_{k-1}, X_k}.  ParamOutOfRange unless n_steps >= 0 and
+    n_paths >= 1."""
+    if not (n_steps >= 0 and n_paths >= 1):
+        raise errors.ParamOutOfRange(
+            "a walk needs n_steps >= 0 and n_paths >= 1")
     a = family.problem.a
     cdfs = [measures.build_cdf(law, floor=a) for law in step_laws]
     if any(abs(cdf.mass - 1.0) > 1e-6 for cdf in cdfs):
         raise errors.MassDeficit("step laws must be probability measures")
     s = np.full(n_paths, a)
+    yield s
     for k in range(n_steps):
         x = measures.quantile(cdfs[k % len(cdfs)],
                               rng.uniform(0.0, 1.0, size=n_paths))
@@ -197,15 +202,13 @@ def sample_walk(family, step_laws, n, rng):
     """One path of the generalized additive walk S_k = S_{k-1} (+) X_k,
     with X_k drawn from step_laws[k mod len] and the randomized addition
     resolved by the family's step."""
-    states = [family.problem.a]
-    states += [float(s[0]) for s in _walk(family, step_laws, n, 1, rng)]
+    states = [float(s[0]) for s in _walk(family, step_laws, n, 1, rng)]
     return WalkPath(states=np.asarray(states, dtype=float),
                     times=np.arange(n + 1, dtype=float))
 
 
 def walk_ensemble(family, step_law, n_steps, n_paths, rng):
     """Terminal states S_n of n_paths independent walks with iid steps."""
-    s = np.full(n_paths, family.problem.a)
     for s in _walk(family, [step_law], n_steps, n_paths, rng):
         pass
     return s

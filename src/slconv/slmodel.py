@@ -109,6 +109,8 @@ def custom_problem_from_dict(d):
         c = float(d["c"])
     except KeyError as ex:
         raise errors.ParamOutOfRange("custom problem missing key %s" % ex)
+    except (TypeError, ValueError) as ex:
+        raise errors.ParamOutOfRange("custom problem: %s" % ex)
     return SLProblem(a=a, b=b, p=p, r=r, c=c, name="custom")
 
 
@@ -352,7 +354,17 @@ def check_mp_assumption(problem, eta):
 # Problem JSON loading (family references resolved in families.py)
 
 def load_problem_dict(path_or_dict):
+    """The problem-JSON dictionary at a path (or the dictionary itself);
+    ParamOutOfRange if the file cannot be read or holds no JSON object."""
     if isinstance(path_or_dict, dict):
         return path_or_dict
-    with open(path_or_dict) as fh:
-        return json.load(fh)
+    try:
+        with open(path_or_dict) as fh:
+            d = json.load(fh)
+    except (OSError, ValueError) as ex:
+        raise errors.ParamOutOfRange("cannot read problem file %r: %s"
+                                     % (path_or_dict, ex))
+    if not isinstance(d, dict):
+        raise errors.ParamOutOfRange("problem file %r holds no JSON object"
+                                     % (path_or_dict,))
+    return d

@@ -1,14 +1,15 @@
 """Special functions backing the family closed forms, by series and
 integral representations (no external special-function code except the
 gamma, digamma and Bessel-J routines: Cephes j0/j1 and Amos jv).
-gauss_2f1 and whittaker_w take arrays that broadcast together and loop
-over no points; 0-d input gives a scalar.  Each raises RangeNotValidated
-only where stated:
+gauss_2f1 and whittaker_w return tables with no loop over points: their
+row parameters (a and b, or mu) index the rows and z the columns, so the
+result has shape a.shape + z.shape, and 0-d input gives a scalar.  Each
+raises RangeNotValidated only where stated:
 
 * ``jn_normalized`` -- J_alpha(z) normalized to 1 at z = 0; validated for
                        alpha >= -1/2 (RangeNotValidated below).
-* ``gauss_2f1``     -- 2F1 on tables, each distinct (a, b) a row and each
-                       distinct z a column: the terminating polynomial, the
+* ``gauss_2f1``     -- 2F1 on tables, each (a, b) a row and each distinct
+                       z a column: the terminating polynomial, the
                        Pfaff step, Gauss's sum at z = 1, the power series
                        and the 1-z connection formula (logarithmic where
                        c-a-b is an integer), every series a coefficient
@@ -83,8 +84,8 @@ def jn_normalized(alpha, z):
 
 
 # ---------------------------------------------------------------------------
-# Gauss 2F1 on tables: each distinct (a, b) is a row, each distinct z a
-# column, and every series is a coefficient table times a power table
+# Gauss 2F1 on tables: each (a, b) is a row, each distinct z a column, and
+# every series is a coefficient table times a power table
 
 def _series_coefs(first, ratio, zmax, cap, weight=None):
     """Coefficient rows c_k of sum_k c_k z^k, c_0 = first and c_k =
@@ -249,9 +250,8 @@ def _f21_near_one(a, b, c, z):
 
 def _f21_pfaff(a, b, c, z):
     """Table at z < 0 by the Pfaff transformation into [0, 1)."""
-    ir, iz = (i.ravel() for i in np.indices((len(a), len(z))))
     return np.exp(np.multiply.outer(-a, np.log1p(-z))) * _f21(
-        a, c - b, c, z / (z - 1.0), ir, iz).reshape(len(a), len(z))
+        a, c - b, c, z / (z - 1.0))
 
 
 def _f21_at_one(a, b, c, z):
@@ -263,45 +263,26 @@ def _f21_at_one(a, b, c, z):
                   - loggamma(c - b))[:, None] * np.ones(len(z))
 
 
-def _compact(i, n):
-    """The distinct values of the indices i (< n), sorted, and each index's
-    position among them (np.unique without its sort)."""
-    used = np.zeros(n, dtype=bool)
-    used[i] = True
-    return np.flatnonzero(used), (np.cumsum(used) - 1)[i]
-
-
-def _f21(a, b, c, z, ir, iz):
-    """2F1(a_i, b_i; c; z_j) at the cells (i, j) = (ir, iz): rows of complex
-    a, b, columns of real z, real scalar c.  Each branch is one table over
-    the rows and columns of the cells it takes (in row groups where that
-    table would hold many more cells than asked for), and only the cells
-    asked for are range-checked."""
-    out = np.empty(ir.shape, dtype=complex)
-    zc = z[iz]
-
-    def put(cells, table):
-        ur, jr = _compact(ir[cells], len(a))
-        uc, jc = _compact(iz[cells], len(z))
-        if len(ur) > 1 and len(ur) * len(uc) > 4 * len(cells) + 4096:
-            half = jr < len(ur) // 2
-            put(cells[half], table)
-            put(cells[~half], table)
-        else:
-            out[cells] = table(a[ur], b[ur], c, z[uc])[jr, jc]
-
-    # terminating series: the exact polynomial of degree n, any z
-    fin = (_is_nonpos_int(a) | _is_nonpos_int(b))[ir]
-    if np.any(zc[~fin] > 1.0):
-        raise errors.RangeNotValidated("argument must satisfy z <= 1")
-    # close to 1 (and NaN) unless in another branch
-    branch = np.select([fin, zc < 0.0, zc == 1.0, zc <= 0.75], [0, 1, 2, 3],
-                       4)
-    for k, table in enumerate((_f21_terminating, _f21_pfaff, _f21_at_one,
-                               _f21_series, _f21_near_one)):
-        cells = np.flatnonzero(branch == k)
-        if cells.size:
-            put(cells, table)
+def _f21(a, b, c, z):
+    """Table 2F1(a_i, b_i; c; z_j) over rows of complex a, b and columns of
+    real z, real scalar c: terminating rows take every column, and the
+    other rows split by column into the Pfaff step (z < 0), Gauss's sum
+    (z = 1), the series (z <= 0.75) and the 1-z connection (above, and
+    NaN)."""
+    out = np.empty((len(a), len(z)), dtype=complex)
+    fin = _is_nonpos_int(a) | _is_nonpos_int(b)
+    if fin.any():
+        out[fin] = _f21_terminating(a[fin], b[fin], c, z)
+    rest = ~fin
+    if rest.any():
+        if np.any(z > 1.0):
+            raise errors.RangeNotValidated("argument must satisfy z <= 1")
+        branch = np.select([z < 0.0, z == 1.0, z <= 0.75], [0, 1, 2], 3)
+        for k, table in enumerate((_f21_pfaff, _f21_at_one, _f21_series,
+                                   _f21_near_one)):
+            cols = branch == k
+            if cols.any():
+                out[np.ix_(rest, cols)] = table(a[rest], b[rest], c, z[cols])
     return out
 
 
@@ -309,19 +290,16 @@ def gauss_2f1(a, b, c, z):
     """2F1(a, b; c; z) for real z <= 1 (any real z when a or b is a
     nonpositive integer, since the series terminates), complex a, b,
     real c > 0.  Negative arguments go through the Pfaff transformation;
-    arguments near 1 through the 1-z connection formula.  a, b and z
-    broadcast together; each distinct (a, b) is a table row and each
-    distinct z a column.  Returns complex values of their shape."""
+    arguments near 1 through the 1-z connection formula.  A table: a and b
+    broadcast together to index its rows and each distinct z is a column,
+    so the complex result has shape a.shape + z.shape (a scalar for 0-d
+    input)."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=complex),
                                np.asarray(b, dtype=complex))
     z = np.asarray(z, dtype=float)
-    shape = np.broadcast_shapes(a.shape, z.shape)
-    rows, ir = np.unique(np.stack((a.ravel(), b.ravel()), axis=1), axis=0,
-                         return_inverse=True)
     zs, iz = np.unique(z, return_inverse=True)
-    ir, iz = (np.broadcast_to(i.reshape(s), shape).ravel()
-              for i, s in ((ir, a.shape), (iz, z.shape)))
-    out = _f21(rows[:, 0], rows[:, 1], float(c), zs, ir, iz).reshape(shape)
+    out = _f21(a.ravel(), b.ravel(), float(c), zs)[:, iz.reshape(z.shape)]
+    out = out.reshape(a.shape + z.shape)
     return out if out.ndim else complex(out)
 
 
@@ -366,9 +344,9 @@ def whittaker_w(kappa, mu, z):
     (mu = i*tau) or real with |mu| < 1/2 - kappa.  Validated against
     mpmath, to 1e-9 of max(1, |W|), for kappa in {0, -1/2, 0.3},
     |Im mu| <= _W_TAU_MAX = 10 and 0.005 <= z <= 30 (whittaker's
-    convolution nodes reach z ~ 0.008).  mu and z broadcast together; each
-    distinct (mu, z) is one cell of a _tricomi_u table.  Returns the real
-    values."""
+    convolution nodes reach z ~ 0.008).  A table: each mu is a row and
+    each distinct z a column of one _tricomi_u table, so the real result
+    has shape mu.shape + z.shape (a float for 0-d input)."""
     mu = np.asarray(mu, dtype=complex)
     z = np.asarray(z, dtype=float)
     if not np.all(z > 0.0):
@@ -376,7 +354,7 @@ def whittaker_w(kappa, mu, z):
     if np.any(np.abs(mu.imag) > _W_TAU_MAX):
         raise errors.RangeNotValidated(
             "whittaker_w validated for |Im mu| <= %g" % _W_TAU_MAX)
-    mus, im = np.unique(mu, return_inverse=True)
+    mus = mu.ravel()
     a = 0.5 - kappa + mus
     if np.any(a.real <= 0):
         raise errors.RangeNotValidated("requires Re(1/2 - kappa + mu) > 0")
@@ -385,7 +363,7 @@ def whittaker_w(kappa, mu, z):
     with np.errstate(all="ignore"):
         w = np.exp(-0.5 * zs + np.multiply.outer(mus + 0.5, np.log(zs))) \
             * uval
-    out = w.real[im.reshape(mu.shape), iz.reshape(z.shape)]
+    out = w.real[:, iz.reshape(z.shape)].reshape(mu.shape + z.shape)
     return out if out.ndim else float(out)
 
 

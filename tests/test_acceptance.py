@@ -199,7 +199,7 @@ def test_criterion_08_positivity():
     grid = np.linspace(0.0, 1.5, 11)
     fld = cauchy.solve_spectral(fam, ebump, grid, grid,
                                 x_support=(0.0, 6.0))
-    audit_h = cauchy.positivity_audit(fld, h_bounds=(0.0, None))
+    audit_h = cauchy.positivity_audit(fld)
 
     famw = families.make_family("whittaker", {"alpha": 0.0})
     gridw = np.linspace(0.5, 1.8, 7)
@@ -209,7 +209,7 @@ def test_criterion_08_positivity():
 
     fldw = cauchy.solve_spectral(famw, gauss, gridw, gridw,
                                  x_support=(0.2, 3.5))
-    audit_w = cauchy.positivity_audit(fldw, h_bounds=(0.0, None))
+    audit_w = cauchy.positivity_audit(fldw)
 
     # upper bound: data <= 1 must keep the field <= 1
     def plateau(x):
@@ -218,7 +218,7 @@ def test_criterion_08_positivity():
 
     fldp = cauchy.solve_spectral(fam, plateau, grid, grid,
                                  x_support=(0.0, 8.0))
-    audit_p = cauchy.positivity_audit(fldp, h_bounds=(0.0, 1.0))
+    audit_p = cauchy.positivity_audit(fldp, upper=1.0)
 
     ok = (audit_h["min"] >= -1e-8 and audit_w["min"] >= -1e-8
           and audit_p["min"] >= -1e-8 and audit_p["upper_ok"])

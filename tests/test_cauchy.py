@@ -67,7 +67,7 @@ def test_positivity_audit_reports_bounds():
                          y_grid=np.array([0.0, 1.0]),
                          values=np.array([[0.2, 0.4], [0.4, 0.9]]),
                          method="spectral")
-    rep = cauchy.positivity_audit(fld, h_bounds=(0.0, 1.0))
+    rep = cauchy.positivity_audit(fld, upper=1.0)
     assert rep["nonnegative_ok"]
     assert rep["upper_ok"]
     assert rep["min"] == pytest.approx(0.2)

@@ -196,6 +196,38 @@ def test_overflowing_literal_is_validation_error(tmp_path):
     assert out == ""
 
 
+_BAD_INPUTS = {
+    "step-one-bound": ("--family", "cosine", "--step", "uniform:1"),
+    "step-not-a-number": ("--family", "cosine", "--step", "delta:abc"),
+    "no-paths": ("--family", "cosine", "--step", "delta:1", "--paths", "0"),
+    "negative-steps": ("--family", "cosine", "--step", "delta:1",
+                       "--n", "-1"),
+    "missing-file": ("--problem", "{missing}", "--step", "delta:1"),
+    "malformed-json": ("--problem", "{malformed}", "--step", "delta:1"),
+    "b-not-a-number": ("--problem", "{bad_b}", "--step", "delta:1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_walk_input_is_validation_error(tmp_path, case):
+    # each input is refused where it enters, with one JSON diagnostic and
+    # exit 1, not a traceback (or exit 0 on a negative step count)
+    files = {"missing": tmp_path / "missing.json",
+             "malformed": tmp_path / "malformed.json",
+             "bad_b": tmp_path / "bad_b.json"}
+    files["malformed"].write_text('{"p": "x^3", "r": ')
+    files["bad_b"].write_text(json.dumps(
+        {"p": "x^3", "r": "x^3", "a": 0, "b": "x", "c": 1}))
+    argv = [a.format(**files) for a in _BAD_INPUTS[case]]
+    if "--n" not in argv:
+        argv += ["--n", "2"]
+    rc, out, err = run_cli("walk", *argv)
+    assert rc == 1
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["kind"] == "validation"
+    assert out == ""
+
+
 @pytest.fixture(scope="module")
 def cubic_problem(tmp_path_factory):
     # p = r = x^3: the hankel alpha = 1 operator as a custom problem

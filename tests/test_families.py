@@ -131,10 +131,45 @@ def test_family_kernel_routing():
             assert np.array_equal(wrapped.kernel(lams, xs), want), name
             assert calls == [lams], name
         assert np.array_equal(got, want), name
+        if fam.closed_kernel is not None:
+            # a 2-D xs gives (L, *xs.shape), each row the 1-D call's on
+            # the flattened points
+            xs2 = np.array([[0.0, 0.4, 1.3], [0.7, 2.0, 0.05]])
+            got2 = fam.closed_kernel(lams, xs2)
+            assert got2.shape == (3, 2, 3), name
+            assert np.array_equal(got2.reshape(3, -1),
+                                  fam.closed_kernel(lams, xs2.ravel())), name
     # the last case's problem (degenerate_custom) as a custom family
     custom = families.from_problem(fam.problem)
     assert custom.id == "custom"
     assert np.array_equal(custom.kernel(lams, xs), want)
+
+
+def _bit_equal(got, want):
+    """Nested tuples of arrays (or None) equal entry for entry."""
+    if isinstance(want, tuple):
+        return (isinstance(got, tuple) and len(got) == len(want)
+                and all(map(_bit_equal, got, want)))
+    if want is None:
+        return got is None
+    return np.array_equal(got, want)
+
+
+def test_cosine_is_hankel_minus_half():
+    # p = r = 1 either way: kernel table, both convolution representations
+    # and the exact draw are hankel(-1/2)'s, bit for bit
+    cos = families.make_family("cosine")
+    hank = families.make_family("hankel", {"alpha": -0.5})
+    assert (cos.id, cos.params) == ("cosine", ())
+    lams = [0.0, 0.3, 4.0, 144.0]
+    xs = np.array([0.0, 1e-6, 0.4, 1.3, 7.5])
+    assert np.array_equal(cos.kernel(lams, xs), hank.kernel(lams, xs))
+    x, y = np.array([0.0, 0.3, 1.0, 2.5]), np.array([0.4, 1.0, 1.0, 0.9])
+    for conv in ("conv_quad", "conv_sampled"):
+        got, want = getattr(cos, conv)(x, y), getattr(hank, conv)(x, y)
+        assert _bit_equal(got, want), conv
+    u = np.array([0.1, 0.5, 0.5, 0.9])
+    assert np.array_equal(cos.conv_draw(x, y, u), hank.conv_draw(x, y, u))
 
 
 def test_product_check_closed_kernel_override_counts_calls():

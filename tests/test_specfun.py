@@ -85,48 +85,50 @@ def test_gauss_2f1_integer_balanced_case():
 
 
 def test_gauss_2f1_array_takes_each_branch():
-    # array calls (one per c) whose elements take the terminating, Pfaff,
+    # one table call per c whose entries take the terminating, Pfaff,
     # plain, general-connection and logarithmic (c - a - b = 0, 1, 2, -1)
-    # branches; a 0-d call still gives a scalar
+    # branches, and Gauss's sum at z = 1; a 0-d call still gives a scalar
     mp.mp.dps = 30
-    a = np.array([-2.0, 0.5 + 2.0j, 0.25, 0.25, 0.5 + 1.5j, 0.5 + 1.5j,
-                  0.5 + 1.5j, 1.0])
-    b = np.array([1.5, 0.5 - 2.0j, 0.75, 0.75, 0.5 - 1.5j, 0.5 - 1.5j,
-                  0.5 - 1.5j, 1.0])
-    c = np.array([1.0, 1.0, 1.5, 1.5, 1.0, 2.0, 3.0, 1.0])
-    z = np.array([3.0, -4.0, 0.5, 0.9, 0.95, 0.8, 0.9, 0.85])
-    for cv in np.unique(c):
-        k = c == cv
-        got = specfun.gauss_2f1(a[k, None], b[k, None], cv, z[k, None])
-        assert got.shape == (int(k.sum()), 1)
-        for ai, bi, zi, gi in zip(a[k], b[k], z[k], got[:, 0]):
-            want = complex(mp.hyp2f1(ai, bi, cv, zi))
-            assert abs(gi - want) <= 1e-10 * max(1.0, abs(want)), (ai, bi,
-                                                                   cv, zi)
+    tables = {
+        1.0: ([(0.5 + 2.0j, 0.5 - 2.0j), (0.5 + 1.5j, 0.5 - 1.5j),
+               (1.0, 1.0)], [-4.0, 0.5, 0.85, 0.95]),
+        1.5: ([(0.25, 0.75), (-2.0, 1.5)], [-1.0, 0.5, 0.9, 1.0]),
+        2.0: ([(0.5 + 1.5j, 0.5 - 1.5j)], [-1.0, 0.3, 0.8, 1.0]),
+        3.0: ([(0.5 + 1.5j, 0.5 - 1.5j), (-1.0, 0.5)], [0.3, 0.9, 1.0]),
+    }
+    for cv, (rows, z) in tables.items():
+        a, b = np.array(rows).T
+        got = specfun.gauss_2f1(a, b, cv, np.array(z))
+        assert got.shape == (len(rows), len(z))
+        for (ai, bi), gr in zip(rows, got):
+            for zi, gi in zip(z, gr):
+                want = complex(mp.hyp2f1(ai, bi, cv, zi))
+                assert abs(gi - want) <= 1e-10 * max(1.0, abs(want)), (
+                    ai, bi, cv, zi)
     assert isinstance(specfun.gauss_2f1(0.5, 1.5, 2.0, 0.3), complex)
     with pytest.raises(errors.RangeNotValidated):
         specfun.gauss_2f1(0.5, 1.5, 2.0, np.array([0.3, 1.5]))
 
 
-def test_gauss_2f1_checks_only_the_cells_asked_for():
-    # rows and columns are tabled, but a non-terminating row is never
-    # range-checked (or evaluated) at a z > 1 that only a terminating row
-    # asks for, nor at z = 1 where only another row is asked
+def test_gauss_2f1_table_rows_and_entries():
+    # a terminating row alone takes any z, z > 1 included
     mp.mp.dps = 30
-    a = np.array([-2.0, 0.5, 0.5 + 1.0j, 0.25])
-    b = np.array([1.5, 1.5, 0.5 - 1.0j, 0.25])
-    z = np.array([3.0, 0.3, -2.0, 1.0])
-    got = specfun.gauss_2f1(a, b, 1.5, z)
-    for ai, bi, zi, gi in zip(a, b, z, got):
-        want = complex(mp.hyp2f1(ai, bi, 1.5, zi))
-        assert abs(gi - want) <= 1e-12 * max(1.0, abs(want)), (ai, bi, zi)
-    # an elementwise call of many distinct rows and columns is tabled in
-    # row groups, and gives each element its own call's value
-    a = np.linspace(0.1, 2.0, 300) + 0.5j
-    z = np.linspace(-3.0, 0.99, 300)
+    z = np.array([3.0, -2.0, 0.3, 1.0])
+    got = specfun.gauss_2f1(-2.0, 1.5, 1.5, z)
+    for zi, gi in zip(z, got):
+        want = complex(mp.hyp2f1(-2.0, 1.5, 1.5, zi))
+        assert abs(gi - want) <= 1e-12 * max(1.0, abs(want)), zi
+    # a non-terminating row takes every column, so a z > 1 column raises
+    with pytest.raises(errors.RangeNotValidated):
+        specfun.gauss_2f1(np.array([-2.0, 0.5]), np.array([1.5, 1.5]), 1.5,
+                          np.array([0.3, 3.0]))
+    # each entry of a 40 x 30 table is its own 0-d call's value
+    a = np.linspace(0.1, 2.0, 40) + 0.5j
+    z = np.linspace(-3.0, 0.99, 30)
     got = specfun.gauss_2f1(a, a.conj(), 1.5, z)
-    want = [specfun.gauss_2f1(ai, ai.conjugate(), 1.5, zi)
-            for ai, zi in zip(a, z)]
+    assert got.shape == (40, 30)
+    want = np.array([[specfun.gauss_2f1(ai, ai.conjugate(), 1.5, zj)
+                      for zj in z] for ai in a])
     assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) \
         <= 1e-14
 
@@ -142,6 +144,21 @@ def test_whittaker_w_against_mpmath():
                 want = complex(mp.whitw(kappa, complex(0, tau), z))
                 assert abs(got - want.real) <= 1e-9 * max(1.0, abs(want)), \
                     (kappa, tau, z)
+
+
+def test_whittaker_w_is_a_table():
+    # mu (L,) against z (M, N) gives (L, M, N), each entry its scalar call
+    # (to the rounding of the shared node grid, which the largest |Im mu|
+    # sizes)
+    mu = np.array([0.3, 2.0j, 6.0j])
+    z = np.array([[0.05, 0.3, 1.0], [2.0, 5.0, 0.3]])
+    got = specfun.whittaker_w(0.0, mu, z)
+    assert got.shape == (3, 2, 3)
+    want = np.array([[[specfun.whittaker_w(0.0, m, zk) for zk in row]
+                      for row in z] for m in mu])
+    assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) \
+        <= 1e-12
+    assert type(specfun.whittaker_w(0.0, 2.0j, 1.0)) is float
 
 
 def test_whittaker_w_above_its_range_raises():
