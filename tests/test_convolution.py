@@ -18,6 +18,47 @@ def test_convolve_atomic_measures_cosine():
     assert dict(out.atoms) == {1.0: 0.5, 3.0: 0.5}
 
 
+# mu * nu on cosine for 9 x 8 atoms (72 pairs, over one law call's 64):
+# the atoms' (loc, mass) bit for bit
+_GOLDEN_CONV_ATOMS = """
+0x1.999999999999ap-4 0x1.2f684bda12f68p-5
+0x1.3333333333333p-2 0x1.a8c536fe1a8c4p-6
+0x1.0000000000000p-1 0x1.9ea82365c4953p-5
+0x1.6666666666666p-1 0x1.1b2e24a967084p-6
+0x1.ccccccccccccdp-1 0x1.0329161f9add3p-4
+0x1.199999999999ap+0 0x1.61f9add3c0ca4p-7
+0x1.4cccccccccccdp+0 0x1.30abee4d1db56p-4
+0x1.8000000000000p+0 0x1.948b0fcd6e9e0p-8
+0x1.b333333333333p+0 0x1.5555555555555p-4
+0x1.e666666666666p+0 0x1.948b0fcd6e9e1p-9
+0x1.0cccccccccccdp+1 0x1.6e9e06522c3f4p-4
+0x1.2666666666666p+1 0x1.43a2730abee4dp-10
+0x1.4000000000000p+1 0x1.79febc5d8cf54p-4
+0x1.599999999999ap+1 0x1.43a2730abee4dp-12
+0x1.7333333333333p+1 0x1.74f0329161f9ap-4
+0x1.a666666666666p+1 0x1.5ceb240795cebp-4
+0x1.d99999999999ap+1 0x1.2f684bda12f68p-4
+0x1.0666666666666p+2 0x1.ef90c028744e6p-5
+0x1.2000000000000p+2 0x1.855f7268edab4p-5
+0x1.399999999999ap+2 0x1.22c3f35ba7819p-5
+0x1.5333333333333p+2 0x1.948b0fcd6e9e0p-6
+0x1.6cccccccccccdp+2 0x1.f9add3c0ca458p-7
+0x1.8666666666666p+2 0x1.06f3fd78bb19fp-7
+0x1.a000000000000p+2 0x1.6c16c16c16c17p-9
+""".split()
+
+
+def test_convolve_measures_atoms_are_golden():
+    fam = families.make_family("cosine")
+    mu = measures.MeasureRepr(atoms=tuple(zip(
+        0.3 + 0.4 * np.arange(9), np.arange(1, 10) / 45.0)))
+    nu = measures.MeasureRepr(atoms=tuple(zip(
+        0.2 + 0.4 * np.arange(8), np.arange(8, 0, -1) / 36.0)))
+    out = convolution.convolve_measures(fam, mu, nu)
+    assert [v.hex() for row in np.asarray(out.atoms).tolist()
+            for v in row] == _GOLDEN_CONV_ATOMS
+
+
 def test_convolve_unit_element():
     for name, params in (("hankel", {"alpha": 0.5}),
                          ("cosine", {})):

@@ -23,6 +23,52 @@ def test_compound_poisson_zero_measure_is_unit(cosine):
     assert dict(out.atoms) == {0.0: 1.0}
 
 
+# e(mu) of one 5-atom law on 0.5Z with total mass 3: its atoms are
+# the lattice 0, 0.5, ..., 47.5 and these masses, bit for bit
+_GOLDEN_CP_MASSES = """
+0x1.bc56edede731ap-4 0x1.296dc7e1df223p-3 0x1.dbd3c54e6d20bp-4
+0x1.ed88082110835p-4 0x1.efcb72c4e3c48p-4 0x1.8dc6197d36ed3p-4
+0x1.0ee56d2f2c528p-4 0x1.bfa61caa63b0ap-5 0x1.827fc8757b053p-5
+0x1.2a193b0b0a044p-5 0x1.9c999f8f5a94bp-6 0x1.234cd2c392b2dp-6
+0x1.bcad40036fef7p-7 0x1.46e2230602c8ap-7 0x1.bd734ca769c40p-8
+0x1.287c6e57ea41ep-8 0x1.9844c61b90799p-9 0x1.1b88e8dad331cp-9
+0x1.79209a7ae91e7p-10 0x1.e4ea0e7d5e5dfp-11 0x1.3935c8f351075p-11
+0x1.99d2e1c8fd07cp-12 0x1.081c6a16674a7p-12 0x1.4ac296d6de742p-13
+0x1.99d9b509257a1p-14 0x1.fe9d68d61b41dp-15 0x1.3d3dcbe9b9e8cp-15
+0x1.836e2bdb6837dp-16 0x1.d1fce5202d711p-17 0x1.177d726d9e135p-17
+0x1.4f3b91a6d3ed5p-18 0x1.8ea7a1c799233p-19 0x1.d3ed3e0d6465dp-20
+0x1.108d68714f1e9p-20 0x1.3ce5511d87c59p-21 0x1.6ee77d43ced57p-22
+0x1.a4f9e9cb09442p-23 0x1.dedcfde6d6708p-24 0x1.0f26a28d80fc9p-24
+0x1.321bb5fcea3d2p-25 0x1.578ecbe2a2f29p-26 0x1.7eb1139d826dep-27
+0x1.a7d1f83c3030bp-28 0x1.d3a6c950ce782p-29 0x1.00ef36f22578ep-29
+0x1.18acf1749071dp-30 0x1.30d03d7571ae6p-31 0x1.499483766c03ap-32
+0x1.6309f4803e814p-33 0x1.7cbad11c2ad02p-34 0x1.9625dc7d61159p-35
+0x1.af3d3857707cep-36 0x1.c8220d2836a30p-37 0x1.e09a6ac248926p-38
+0x1.f820393e8fbe8p-39 0x1.0731cf9b7579bp-39 0x1.11b57cb9e4fa5p-40
+0x1.1b956285a59f0p-41 0x1.24a3111782119p-42 0x1.2ca9f6e698b5dp-43
+0x1.3396bedbfd5d1p-44 0x1.3966c666b28cap-45 0x1.3e006ca57c2d9p-46
+0x1.4133297486e2ap-47 0x1.42d8bcc4bff8cp-48 0x1.42e037df3d822p-49
+0x1.413605679b00dp-50 0x1.3db2f1b68ab26p-51 0x1.382b1bb4e5af3p-52
+0x1.3082be4c9fbe7p-53 0x1.26abdfc5ebaa0p-54 0x1.1a98881e3f68ap-55
+0x1.0c3cde7b76fb7p-56 0x1.f741a2def1de8p-58 0x1.d1d5c1cc0db0cp-59
+0x1.a8b85eb0f6614p-60 0x1.7c981e2faec70p-61 0x1.4e59b5849a296p-62
+0x1.1f21fbaa3101dp-63 0x1.e091491e43eb8p-65 0x1.867071e4f175dp-66
+0x1.329db7ae47dd8p-67 0x1.cf12923509962p-69 0x1.4e39658fe9420p-70
+0x1.c9e2587bbab09p-72 0x1.2720dae4612a2p-73 0x1.62246648877b4p-75
+0x1.863cdd0e40e1ep-77 0x1.844f8727be538p-79 0x1.55de4f00fd972p-81
+0x1.03b7824d740e9p-83 0x1.49d61b45b2e01p-86 0x1.4f35353122b91p-89
+0x1.fe47bf736470ap-93 0x1.025ea83a6d2f6p-96 0x1.0516e54883e46p-101
+""".split()
+
+
+def test_compound_poisson_atoms_are_golden(cosine):
+    law = measures.MeasureRepr(atoms=tuple(zip(
+        0.5 * np.arange(1, 6), (0.9, 0.3, 0.6, 0.75, 0.45))))
+    atoms = np.asarray(prob.compound_poisson(cosine, law).atoms).tolist()
+    assert [loc for loc, _ in atoms] == [0.5 * k for k in range(96)]
+    assert [m.hex() for _, m in atoms] == _GOLDEN_CP_MASSES
+
+
 def test_compound_poisson_transform_identity(cosine):
     mu = measures.MeasureRepr(atoms=((0.7, 0.5), (1.9, 0.3)))
     e_mu = prob.compound_poisson(cosine, mu)
