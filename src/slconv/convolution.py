@@ -13,7 +13,7 @@ __all__ = ["ConvCfg", "ConvReport", "convolve_measures", "translate",
 
 _SEG_NODES = 16                 # point-mass panels per density segment
 _PANELS = 32                    # Gauss-Legendre panels over a support
-_PAIR_BLOCK = 64                # support pairs per law call
+_PAIR_BLOCK = 64                # support pairs per law call with cells
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ def _measure_point_masses(mu):
     segment as 12-point Gauss-Legendre nodes on at most _SEG_NODES panels
     over its grid, weighted by the segment's own linear density and
     scaled so each panel carries its exact trapezoid mass."""
-    rows = [tuple(np.reshape(mu.atoms, (-1, 2)).T)]
+    rows = [tuple(mu.atoms.T)]
     for seg in mu.segments:
         g, d = seg.grid, np.maximum(seg.density, 0.0)
         idx = np.unique(np.linspace(0, len(g) - 1,
@@ -54,12 +54,15 @@ def _measure_point_masses(mu):
 def convolve_measures(family, mu, nu, cfg=ConvCfg()):
     """Mixture construction of the measure convolution: both measures are
     reduced to point masses, and the product of the two supports maps
-    pairwise through the family's two-point convolution measures,
-    _PAIR_BLOCK pairs per conv_sampled call (bounding the cells held at
-    once).  Each block's cells, times their pairs' weights, become
-    polylines by measures.cell_polylines, with no Segment per pair (a
-    pair of weight 0 keeps no cell), and one merge_parts adds every
-    pair's atoms and densities exactly.  Result mass = mass(mu) * mass(nu)."""
+    pairwise through the family's two-point convolution measures.  A
+    law is atomic for every pair or for none: the first conv_sampled
+    call takes _PAIR_BLOCK pairs, and if it returns no cells one more
+    call takes all the rest; a law with cells keeps _PAIR_BLOCK pairs
+    per call (bounding the cells held at once).  Each block's cells,
+    times their pairs' weights, become polylines by
+    measures.cell_polylines, with no Segment per pair (a pair of weight
+    0 keeps no cell), and one merge_parts adds every pair's atoms and
+    densities exactly.  Result mass = mass(mu) * mass(nu)."""
     xs, xw = _measure_point_masses(mu)
     ys, yw = _measure_point_masses(nu)
     n_pairs = len(xs) * len(ys)
@@ -70,9 +73,10 @@ def convolve_measures(family, mu, nu, cfg=ConvCfg()):
     x, y = (v.ravel() for v in
             families.convolution_pairs(family, xs[:, None], ys))
     w = np.outer(xw, yw).ravel()
-    atoms, lines = [], []
-    for i in range(0, n_pairs, _PAIR_BLOCK):
-        blk = slice(i, i + _PAIR_BLOCK)
+    atoms, lines, i = [], [], 0
+    while i < n_pairs:
+        # after an atomic first block, one call takes the rest
+        blk = slice(i, n_pairs if atoms and not lines else i + _PAIR_BLOCK)
         pair_atoms, cells = family.conv_sampled(x[blk], y[blk])
         locs, masses = np.array(pair_atoms).transpose(1, 2, 0)
         atoms.append(np.stack((locs, w[blk, None] * masses), axis=-1))
@@ -81,6 +85,7 @@ def convolve_measures(family, mu, nu, cfg=ConvCfg()):
             with np.errstate(invalid="ignore"):     # 0 * inf: no cell kept
                 lines.append(measures.cell_polylines(
                     edges, w[blk, None] * masses, w[blk, None] * dens))
+        i = blk.stop
     return measures.merge_parts(atoms, lines)
 
 

@@ -561,8 +561,9 @@ def convolution_pairs(family, x, y):
 
 def _pair_measure(atoms, cells, i=()):
     """Pair i of a conv_sampled result as a MeasureRepr."""
+    rows = np.array([(loc[i], m[i]) for loc, m in atoms])
     return measures.MeasureRepr(
-        atoms=[(loc[i], m[i]) for loc, m in atoms if m[i] > 0.0],
+        atoms=rows[rows[:, 1] > 0.0],
         segments=() if cells is None else measures.cells_to_segments(
             *(c[i] for c in cells)))
 

@@ -37,6 +37,9 @@ class Segment:
         object.__setattr__(self, "density", d)
         if g.ndim != 1 or g.shape != d.shape or len(g) < 2:
             raise errors.ParamOutOfRange("segment grid/density shape mismatch")
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(d))):
+            raise errors.ParamOutOfRange("segment grid and density must be "
+                                         "finite")
         if np.any(np.diff(g) <= 0):
             raise errors.ParamOutOfRange("segment grid must be increasing")
         if np.any(d < -1e-12 * max(1.0, np.max(np.abs(d)))):
@@ -48,17 +51,30 @@ class Segment:
 
 @dataclass(frozen=True)
 class MeasureRepr:
-    atoms: tuple = ()         # ((loc, mass), ...)
+    """A finite measure: atoms, a read-only (n, 2) float array of (loc,
+    mass) rows in the order given (any sequence of pairs converts), plus
+    density segments.  Locs and masses must be finite, masses >= 0."""
+    atoms: np.ndarray = ()
     segments: tuple = ()      # (Segment, ...)
     meta: str = ""
 
     def __post_init__(self):
-        atoms = tuple((float(l), float(m)) for l, m in self.atoms)
+        try:
+            atoms = np.array(self.atoms, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise errors.ParamOutOfRange("atoms must be (loc, mass) pairs: "
+                                         "%s" % exc) from None
+        if not atoms.size:
+            atoms = atoms.reshape(0, 2)
+        if atoms.ndim != 2 or atoms.shape[1] != 2:
+            raise errors.ParamOutOfRange("atoms must be (loc, mass) pairs")
+        if not np.all(np.isfinite(atoms)):
+            raise errors.ParamOutOfRange("atom loc and mass must be finite")
+        if np.any(atoms[:, 1] < 0.0):
+            raise errors.ParamOutOfRange("atom mass must be positive")
+        atoms.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "segments", tuple(self.segments))
-        for _, m in atoms:
-            if m < 0:
-                raise errors.ParamOutOfRange("atom mass must be positive")
 
 
 def dirac(loc, mass=1.0, meta="dirac"):
@@ -66,7 +82,7 @@ def dirac(loc, mass=1.0, meta="dirac"):
 
 
 def total_mass(mu):
-    return (sum(m for _, m in mu.atoms)
+    return (sum(mu.atoms[:, 1].tolist())
             + sum(seg.mass() for seg in mu.segments))
 
 
@@ -75,7 +91,7 @@ def scale(mu, c):
     if c < 0:
         raise errors.ParamOutOfRange("scale factor must be nonnegative")
     return MeasureRepr(
-        atoms=tuple((l, c * m) for l, m in mu.atoms),
+        atoms=mu.atoms * (1.0, c),
         segments=tuple(Segment(s.l, s.u, s.grid, c * s.density)
                        for s in mu.segments),
         meta=mu.meta)
@@ -104,7 +120,7 @@ class CDF:
 def build_cdf(mu, floor=0.0):
     """The CDF of mu: atoms as zero-width cells, then every segment's grid
     cells, in one stable order by position with atoms first at a tie."""
-    atoms = np.asarray(mu.atoms, dtype=float).reshape(-1, 2)
+    atoms = mu.atoms
     grids = [s.grid for s in mu.segments]
     dens = [np.maximum(s.density, 0.0) for s in mu.segments]
     zeros = np.zeros(len(atoms))
@@ -304,21 +320,37 @@ def _kink_sum(lines):
                  for a, b, fb in zip(first, last, left))
 
 
+def _merge_key(v):
+    """round(v, 12) of each entry of the array v, bit for bit, as
+    rint(v * 1e12) / 1e12 except where the two can differ.  Rounding is
+    monotonic and k + 1/2 is a double for |k| < 2^52, so t = fl(v * 1e12)
+    lies in [k - 1/2, k + 1/2] when v * 10^12 does, and rint(t) = k
+    unless t is an end; then k / 1e12, both exact, rounds to the double
+    nearest k / 10^12, as round does.  Python's round takes the rest:
+    t a half-integer, or |t| >= 2^52."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = v * 1e12
+        odd = (np.abs(t) >= 2.0 ** 52) | (t - np.floor(t) == 0.5)
+    keys = np.rint(t) / 1e12
+    keys[odd] = [round(x, 12) for x in v[odd].tolist()]
+    return keys
+
+
 def merge_parts(atoms, lines):
-    """The sum of atoms (arrays of (loc, mass) rows) and density
-    polylines ((x, f, start) as cell_polylines gives them, weights
-    already in f).  Atoms equal to 12 decimals add in the order given;
-    the densities add exactly, on the union of their knots (_kink_sum)."""
+    """The sum of atoms (arrays of (loc, mass) along their last axis) and
+    density polylines ((x, f, start) as cell_polylines gives them,
+    weights already in f).  Atoms equal to 12 decimals (_merge_key) add
+    in the order given; the densities add exactly, on the union of their
+    knots (_kink_sum)."""
     locs, masses = np.concatenate(
         [np.empty((0, 2))] + [a.reshape(-1, 2) for a in atoms]).T
     raw, at = np.unique(locs, return_inverse=True)
-    keys, key = np.unique([round(v, 12) for v in raw.tolist()],
-                          return_inverse=True)
+    keys, key = np.unique(_merge_key(raw), return_inverse=True)
     mass = np.bincount(key[at], weights=masses, minlength=len(keys))
     pos = mass > 0.0
-    atoms = tuple(zip(keys[pos].tolist(), mass[pos].tolist()))
     segments = _kink_sum(lines) if lines else ()
-    return MeasureRepr(atoms=atoms, segments=segments, meta="merge")
+    return MeasureRepr(atoms=np.column_stack((keys[pos], mass[pos])),
+                       segments=segments, meta="merge")
 
 
 def merge_measures(measures, weights=None):
@@ -329,7 +361,7 @@ def merge_measures(measures, weights=None):
         weights = [1.0] * len(measures)
     parts = [(mu, wgt) for mu, wgt in zip(measures, weights) if wgt != 0.0]
     return merge_parts(
-        [np.reshape(mu.atoms, (-1, 2)) * (1.0, wgt) for mu, wgt in parts],
+        [mu.atoms * (1.0, wgt) for mu, wgt in parts],
         [(s.grid, wgt * s.density, np.arange(len(s.grid)) == 0)
          for mu, wgt in parts for s in mu.segments])
 
@@ -339,7 +371,7 @@ def merge_measures(measures, weights=None):
 
 def measure_to_dict(mu):
     return {
-        "atoms": [[loc, m] for loc, m in mu.atoms],
+        "atoms": mu.atoms.tolist(),
         "segments": [{"l": s.l, "u": s.u,
                       "grid": list(map(float, s.grid)),
                       "density": list(map(float, s.density))}
@@ -348,13 +380,13 @@ def measure_to_dict(mu):
 
 
 def measure_from_dict(d):
-    atoms = tuple((float(l), float(m)) for l, m in d.get("atoms", []))
     segments = tuple(
         Segment(l=float(s["l"]), u=float(s["u"]),
                 grid=np.asarray(s["grid"], dtype=float),
                 density=np.asarray(s["density"], dtype=float))
         for s in d.get("segments", []))
-    return MeasureRepr(atoms=atoms, segments=segments, meta="loaded")
+    return MeasureRepr(atoms=d.get("atoms", ()), segments=segments,
+                       meta="loaded")
 
 
 def measure_to_json(mu, path=None):

@@ -3,7 +3,7 @@ exponents, convolution semigroups and diffusion transition densities,
 random-walk / diffusion samplers, and strong-law experiments."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,9 +82,8 @@ def compound_poisson(family, mu):
         if k < k_max:
             power = convolution.convolve_measures(family, power, mu1,
                                                   _POISSON_CFG)
-    out = measures.merge_measures(parts, weights)
-    return measures.MeasureRepr(atoms=out.atoms, segments=out.segments,
-                                meta="compound_poisson")
+    return replace(measures.merge_measures(parts, weights),
+                   meta="compound_poisson")
 
 
 def levy_khintchine_exponent(family, triple, lam):

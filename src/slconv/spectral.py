@@ -188,7 +188,7 @@ def measure_transform(family, mu, lam):
     linear on each cell, matching the measure's mass convention), from
     one kernel call and one exactly rounded sum."""
     u, _ = quadrature.gl_nodes(3)
-    locs, wts = ([col] for col in np.reshape(mu.atoms, (-1, 2)).T)
+    locs, wts = ([col] for col in mu.atoms.T)
     for seg in mu.segments:
         d = seg.density
         nodes, w = quadrature.gl_panels(seg.grid, 3)

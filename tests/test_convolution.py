@@ -59,6 +59,37 @@ def test_convolve_measures_atoms_are_golden():
             for v in row] == _GOLDEN_CONV_ATOMS
 
 
+def _counted(fam):
+    """fam with its conv_sampled wrapped: the pairs of every call."""
+    calls = []
+
+    def conv_sampled(x, y):
+        calls.append(np.size(x))
+        return fam.conv_sampled(x, y)
+    return dataclasses.replace(fam, conv_sampled=conv_sampled), calls
+
+
+def test_convolve_law_calls():
+    # an atomic law takes at most two law calls (the first block settles
+    # that it is atomic), a law with cells one per 64 pairs
+    rng = np.random.default_rng(240)
+    cosine = families.make_family("cosine")
+    half = families.make_family("hankel", {"alpha": 0.5})
+    for n_mu, n_nu in ((9, 8), (20, 20), (20, 10), (3, 4)):
+        mu, nu = _atoms(rng, n_mu), _atoms(rng, n_nu)
+        n = n_mu * n_nu
+        for fam in (cosine, half):
+            counted, calls = _counted(fam)
+            got = convolution.convolve_measures(counted, mu, nu)
+            assert sum(calls) == n and calls[0] == min(n, 64)
+            if fam is cosine:
+                assert len(calls) <= 2
+            else:
+                assert len(calls) == math.ceil(n / 64)
+            want = convolution.convolve_measures(fam, mu, nu)
+            assert got.atoms.tolist() == want.atoms.tolist()
+
+
 def test_convolve_unit_element():
     for name, params in (("hankel", {"alpha": 0.5}),
                          ("cosine", {})):
@@ -123,15 +154,15 @@ def test_convolve_measures_matches_per_pair_merge():
     cfg = convolution.ConvCfg(max_pairs=600)
     for name in ("cosine", "squared_weight"):
         fam = families.make_family(name)
-        mu = measures.MeasureRepr(atoms=((0.0, 0.2),)
-                                  + measures.scale(_atoms(rng, 29), 0.8).atoms)
+        mu = measures.MeasureRepr(atoms=np.vstack((
+            [(0.0, 0.2)], measures.scale(_atoms(rng, 29), 0.8).atoms)))
         nu = _atoms(rng, 20)
         got = convolution.convolve_measures(fam, mu, nu, cfg)
         want = measures.merge_measures(
             [families.family_convolution_measure(fam, x, y)
              for x, _ in mu.atoms for y, _ in nu.atoms],
             [wx * wy for _, wx in mu.atoms for _, wy in nu.atoms])
-        assert got.atoms == want.atoms, name
+        assert got.atoms.tolist() == want.atoms.tolist(), name
         assert len(got.segments) == len(want.segments), name
         for g, w in zip(got.segments, want.segments):
             np.testing.assert_allclose(g.grid, w.grid, rtol=1e-12, atol=0.0)

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ def test_total_mass_atoms_and_segments():
 
 def test_dirac_and_scale():
     mu = measures.scale(measures.dirac(1.5, 2.0), 0.25)
-    assert mu.atoms == ((1.5, 0.5),)
+    assert mu.atoms.tolist() == [[1.5, 0.5]]
     with pytest.raises(errors.ValidationError):
         measures.scale(mu, -1.0)
 
@@ -28,6 +31,42 @@ def test_segment_rejects_bad_grid():
     with pytest.raises(errors.ValidationError):
         measures.Segment(0.0, 1.0, np.array([0.0, 0.5, 0.4, 1.0]),
                          np.ones(4))
+
+
+def test_atoms_are_one_read_only_array_in_the_order_given():
+    mu = measures.MeasureRepr(atoms=[(3.0, 0.5), (1, 0.25)])
+    assert mu.atoms.dtype == float and mu.atoms.shape == (2, 2)
+    assert mu.atoms.tolist() == [[3.0, 0.5], [1.0, 0.25]]
+    assert not mu.atoms.flags.writeable
+    assert measures.MeasureRepr().atoms.shape == (0, 2)
+    for bad in ([(1.0, 0.5, 2.0)], [1.0, 0.5], [(1.0, 0.5), (2.0,)],
+                [("x", 0.5)]):
+        with pytest.raises(errors.ParamOutOfRange):
+            measures.MeasureRepr(atoms=bad)
+
+
+@pytest.mark.parametrize("atom", [(1.0, math.nan), (math.nan, 0.5),
+                                  (math.inf, 0.5), (-math.inf, 0.5),
+                                  (1.0, math.inf)])
+def test_measure_rejects_non_finite_atoms(atom):
+    with pytest.raises(errors.ParamOutOfRange):
+        measures.MeasureRepr(atoms=((0.5, 0.5), atom))
+    with pytest.raises(errors.ParamOutOfRange):
+        measures.measure_from_json(json.dumps({"atoms": [[0.5, 0.5], atom]}))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_segment_rejects_non_finite_values(bad):
+    g, d = np.linspace(0.0, 1.0, 5), np.ones(5)
+    for grid, dens in ((np.r_[g[:4], bad], d), (g, np.r_[d[:4], bad]),
+                       (np.r_[bad, g[1:]], d)):
+        with pytest.raises(errors.ParamOutOfRange):
+            measures.Segment(0.0, 1.0, grid, dens)
+        text = json.dumps({"segments": [{"l": 0.0, "u": 1.0,
+                                         "grid": grid.tolist(),
+                                         "density": dens.tolist()}]})
+        with pytest.raises(errors.ParamOutOfRange):
+            measures.measure_from_json(text)
 
 
 def test_quantile_pure_atoms():
@@ -196,8 +235,36 @@ def test_merge_atoms_match_the_keyed_loop():
     for mu, wgt in zip(parts, weights):
         for loc, m in mu.atoms if wgt != 0.0 else ():
             sums[round(loc, 12)] = sums.get(round(loc, 12), 0.0) + wgt * m
-    want = tuple(sorted((loc, m) for loc, m in sums.items() if m > 0))
-    assert measures.merge_measures(parts, weights).atoms == want
+    want = sorted([loc, m] for loc, m in sums.items() if m > 0)
+    assert measures.merge_measures(parts, weights).atoms.tolist() == want
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.int64).tolist()
+
+
+def test_merge_key_is_round_12():
+    # round(v, 12) bit for bit, signed zeros included, where fl(v 1e12)
+    # is a half-integer (plain rint misses about half of these), for
+    # negative values, from 2^52 / 1e12 = 4503.6 up, and at random
+    rng = np.random.default_rng(2024)
+    v = (rng.integers(-2 ** 45, 2 ** 45, 20000) + 0.5) / 1e12
+    t = v * 1e12
+    half = v[t - np.floor(t) == 0.5]
+    assert len(half) > 10000
+    big = np.concatenate((rng.uniform(4503.5, 4503.7, 1000),
+                          rng.uniform(-1e7, -4503.6, 1000),
+                          [2.0 ** 52 / 1e12, 1e15 + 0.3, 1e300, -1e300]))
+    ticks = np.round(rng.uniform(-3.0, 3.0, 50000), 11)
+    random = np.concatenate((
+        rng.uniform(-3.0, 3.0, 25000),
+        ticks + rng.integers(-3, 4, 50000) * 1e-16,
+        np.exp(rng.uniform(-40.0, 8.0, 25000)) * rng.choice([-1, 1], 25000),
+        [0.0, -0.0, 5e-13, -5e-13, 1e-300]))
+    assert len(random) > 10 ** 5
+    for vals in (half, -half, big, random):
+        keys = measures._merge_key(vals)
+        assert _bits(keys) == _bits([round(x, 12) for x in vals.tolist()])
 
 
 def test_json_round_trip():
@@ -206,7 +273,7 @@ def test_json_round_trip():
                               meta="test")
     text = measures.measure_to_json(mu)
     back = measures.measure_from_json(text)
-    assert back.atoms == mu.atoms
+    assert back.atoms.tolist() == mu.atoms.tolist()
     assert len(back.segments) == len(mu.segments)
     np.testing.assert_array_equal(back.segments[0].grid,
                                   mu.segments[0].grid)
