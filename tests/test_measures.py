@@ -244,7 +244,7 @@ def _bits(v):
 
 
 def test_merge_key_is_round_12():
-    # round(v, 12) bit for bit, signed zeros included, where fl(v 1e12)
+    # round(v, 12) bit for bit, signed zeros included, where fl(v * 1e12)
     # is a half-integer (plain rint misses about half of these), for
     # negative values, from 2^52 / 1e12 = 4503.6 up, and at random
     rng = np.random.default_rng(2024)
