@@ -10,6 +10,14 @@ Grammar (ASCII, '^' right-associative, unary minus binds looser than '^'):
             | '(' expr ')'
     ident  in {exp, log, sqrt, sinh, cosh, tanh, abs}
 
+This is Python's arithmetic with '^' for '**': parse joins blanks to single
+spaces, drops integers' leading zeros, writes '^' as '**' and maps the tree
+of ast.parse to tuples.  It refuses what Python accepts beyond the grammar:
+a character other than letters, digits, '_', blanks and .+-*/^(), and '**';
+a number not written digits[.digits][(e|E)[+-]digits] (.5, 1_0, 0x1F, 1j)
+or not finite; and other nodes (+x, %, //, comparisons, not, if-else,
+tuples, attributes, Python keywords such as True).
+
 ASTs are nested tuples: ('num', v), ('x',), ('neg', e), ('add', a, b),
 ('sub', a, b), ('mul', a, b), ('div', a, b), ('pow', a, b),
 ('call', name, e).  pow(a, b) is sugar for the '^' node, so it prints
@@ -17,9 +25,11 @@ back in operator form.  A CoeffExpr compiles its AST once, at
 construction, into a tree of closures that `evaluate` calls.
 """
 
+import ast as pyast
 import math
 import operator
 import re
+import warnings
 
 import numpy as np
 
@@ -27,139 +37,59 @@ from . import errors
 
 FUNCTIONS = {"exp", "log", "sqrt", "sinh", "cosh", "tanh", "abs"}
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<sym>[-+*/^(),]))"
-)
+_NUMBER = re.compile(r"\d+(\.\d*)?([eE][+-]?\d+)?")
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
+_BINOPS = {pyast.Add: "add", pyast.Sub: "sub", pyast.Mult: "mul",
+           pyast.Div: "div", pyast.Pow: "pow"}
+_ARITY = dict.fromkeys(FUNCTIONS, 1) | {"pow": 2}
 
 
-def _tokenize(src):
-    tokens = []
-    pos = 0
-    n = len(src)
-    while pos < n:
-        if src[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise errors.SyntaxError(pos, {"token"},
-                                     "unrecognized character %r at position %d"
-                                     % (src[pos], pos))
-        if m.group("num") is not None:
-            val = float(m.group("num"))
-            if not math.isfinite(val):
-                raise errors.SyntaxError(m.start("num"), {"finite number"})
-            tokens.append(("num", val, m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("sym", m.group("sym"), m.start("sym")))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, src):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.i = 0
-
-    def _peek(self):
-        if self.i < len(self.tokens):
-            return self.tokens[self.i]
-        return ("end", None, len(self.src))
-
-    def _advance(self):
-        tok = self._peek()
-        self.i += 1
-        return tok
-
-    def _expect_sym(self, sym):
-        kind, val, pos = self._peek()
-        if kind != "sym" or val != sym:
-            raise errors.SyntaxError(pos, {sym})
-        self.i += 1
-
-    def parse(self):
-        ast = self.expr()
-        kind, _, pos = self._peek()
-        if kind != "end":
-            raise errors.SyntaxError(pos, {"end of input"})
-        return ast
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self._peek()
-            if kind == "sym" and val in "+-":
-                self.i += 1
-                rhs = self.term()
-                node = ("add" if val == "+" else "sub", node, rhs)
-            else:
-                return node
-
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, val, _ = self._peek()
-            if kind == "sym" and val in "*/":
-                self.i += 1
-                rhs = self.factor()
-                node = ("mul" if val == "*" else "div", node, rhs)
-            else:
-                return node
-
-    def factor(self):
-        kind, val, _ = self._peek()
-        if kind == "sym" and val == "-":
-            self.i += 1
-            return ("neg", self.factor())
-        node = self.atom()
-        kind, val, _ = self._peek()
-        if kind == "sym" and val == "^":
-            self.i += 1
-            rhs = self.factor()
-            return ("pow", node, rhs)
-        return node
-
-    def atom(self):
-        kind, val, pos = self._advance()
-        if kind == "num":
-            return ("num", val)
-        if kind == "ident":
-            if val == "x":
-                return ("x",)
-            if val == "pow":
-                self._expect_sym("(")
-                a = self.expr()
-                self._expect_sym(",")
-                b = self.expr()
-                self._expect_sym(")")
-                return ("pow", a, b)
-            if val not in FUNCTIONS:
-                raise errors.UnknownFunction(val)
-            self._expect_sym("(")
-            arg = self.expr()
-            self._expect_sym(")")
-            return ("call", val, arg)
-        if kind == "sym" and val == "(":
-            node = self.expr()
-            self._expect_sym(")")
-            return node
-        raise errors.SyntaxError(pos, {"number", "x", "function", "("})
+def _tree(node, text):
+    """The AST tuple of a node of Python's tree for text."""
+    if isinstance(node, pyast.Name):
+        if node.id == "x":
+            return ("x",)
+        if node.id not in _ARITY:
+            raise errors.UnknownFunction(node.id)
+    elif isinstance(node, pyast.Constant):
+        num = text[node.col_offset:node.end_col_offset]
+        if _NUMBER.fullmatch(num) and math.isfinite(float(num)):
+            return ("num", float(num))
+    elif isinstance(node, pyast.UnaryOp) and isinstance(node.op, pyast.USub):
+        return ("neg", _tree(node.operand, text))
+    elif isinstance(node, pyast.BinOp) and type(node.op) in _BINOPS:
+        return (_BINOPS[type(node.op)], _tree(node.left, text),
+                _tree(node.right, text))
+    elif isinstance(node, pyast.Call) and isinstance(node.func, pyast.Name):
+        name = node.func.id
+        if name not in _ARITY and name != "x":
+            raise errors.UnknownFunction(name)
+        # a bare name before the '(' and no trailing ',' in the arguments
+        if (len(node.args) == _ARITY.get(name) and not node.keywords
+                and node.func.col_offset == node.col_offset
+                and not text[:node.end_col_offset - 1].rstrip().endswith(",")):
+            args = [_tree(arg, text) for arg in node.args]
+            return ("pow", *args) if name == "pow" else ("call", name, *args)
+    raise errors.SyntaxError(node.col_offset, {"number", "x", "function", "("})
 
 
 def parse(src):
     """Parse a coefficient expression into an AST tuple tree."""
     if not src or not src.strip():
         raise errors.SyntaxError(0, {"expression"}, "empty expression")
+    bad = re.search(r"[^\w\s.+\-*/^(),]|[^\x00-\x7f]|\*\*", src)
+    if bad:
+        raise errors.SyntaxError(bad.start(), {"token"},
+                                 "unrecognized %r" % bad.group())
+    text = _LEADING_ZEROS.sub("", " ".join(src.split())).replace("^", "**")
     try:
-        src.encode("ascii")
-    except UnicodeEncodeError:
-        raise errors.SyntaxError(0, {"ASCII"}, "expression must be ASCII")
-    return _Parser(src).parse()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = pyast.parse(text, mode="eval")
+    except (SyntaxError, RecursionError) as exc:
+        raise errors.SyntaxError((getattr(exc, "offset", None) or 1) - 1,
+                                 {"expression"}, str(exc)) from None
+    return _tree(tree.body, text)
 
 
 # --- printer ---

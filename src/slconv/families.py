@@ -78,12 +78,20 @@ class Family:
         closed form, one stateless table call per call, when the family
         has one and prefers it (w = 1 at x = a itself), otherwise
         kernel.kernel_sweep on the problem's engine, whose calls must come
-        in increasing x."""
+        in increasing x.  Every x must lie in [a, b) (ParamOutOfRange)."""
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         if self.prefer_closed_kernel and self.closed_kernel is not None:
-            return lambda xs: self.closed_kernel(
-                lams, np.asarray(xs, dtype=float))
-        return kernel.kernel_sweep(self.problem, lams)
+            sweep = functools.partial(self.closed_kernel, lams)
+        else:
+            sweep = kernel.kernel_sweep(self.problem, lams)
+
+        def table(xs):
+            xs = np.asarray(xs, dtype=float)
+            lo, hi = xs.min(initial=np.inf), xs.max(initial=-np.inf)
+            if not (lo >= self.problem.a and hi < self.problem.b):  # or NaN
+                raise errors.ParamOutOfRange("kernel point outside [a, b)")
+            return sweep(xs)
+        return table
 
     def kernel(self, lams, xs):
         """The table of kernel_sweep(lams) at xs, in one call."""

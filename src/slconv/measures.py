@@ -23,7 +23,7 @@ __all__ = ["Segment", "MeasureRepr", "CDF", "dirac", "total_mass", "build_cdf",
            "measure_to_dict", "measure_from_dict"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Segment:
     l: float
     u: float
@@ -49,11 +49,12 @@ class Segment:
         return float(np.trapezoid(np.maximum(self.density, 0.0), self.grid))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureRepr:
     """A finite measure: atoms, a read-only (n, 2) float array of (loc,
     mass) rows in the order given (any sequence of pairs converts), plus
-    density segments.  Locs and masses must be finite, masses >= 0."""
+    density segments.  Locs and masses must be finite, masses >= 0.
+    Measures compare by identity, as Segments do."""
     atoms: np.ndarray = ()
     segments: tuple = ()      # (Segment, ...)
     meta: str = ""
@@ -339,17 +340,16 @@ def _merge_key(v):
 def merge_parts(atoms, lines):
     """The sum of atoms (arrays of (loc, mass) along their last axis) and
     density polylines ((x, f, start) as cell_polylines gives them,
-    weights already in f).  Atoms equal to 12 decimals (_merge_key) add
-    in the order given; the densities add exactly, on the union of their
-    knots (_kink_sum)."""
-    locs, masses = np.concatenate(
-        [np.empty((0, 2))] + [a.reshape(-1, 2) for a in atoms]).T
-    raw, at = np.unique(locs, return_inverse=True)
-    keys, key = np.unique(_merge_key(raw), return_inverse=True)
-    mass = np.bincount(key[at], weights=masses, minlength=len(keys))
-    pos = mass > 0.0
+    weights already in f).  Atoms of positive mass equal to 12 decimals
+    (_merge_key) add in the order given; the densities add exactly, on the
+    union of their knots (_kink_sum)."""
+    rows = np.concatenate(
+        [np.empty((0, 2))] + [a.reshape(-1, 2) for a in atoms])
+    locs, masses = rows[rows[:, 1] > 0.0].T
+    keys, key = np.unique(_merge_key(locs), return_inverse=True)
+    mass = np.bincount(key, weights=masses, minlength=len(keys))
     segments = _kink_sum(lines) if lines else ()
-    return MeasureRepr(atoms=np.column_stack((keys[pos], mass[pos])),
+    return MeasureRepr(atoms=np.column_stack((keys, mass)),
                        segments=segments, meta="merge")
 
 

@@ -207,12 +207,13 @@ def synthesize(family, coef, xs, ys, tol, nodes_per_unit=1.5):
     nodes_per_unit * max(|xs|, |ys|, 1) per unit of tau.  Stops when a
     window's largest contribution falls below tol times the largest value
     so far, or, once the tail stops decaying, at the noise floor (at or
-    below NOISE_FLOOR times that scale); SlowDecay otherwise, or after
-    MAX_WINDOWS windows.  coef takes an array of at most LAMBDA_BLOCK lam
-    values, and no kernel is evaluated for a lam whose weighted
-    coefficient is 0; or coef is a TransformCoef, whose nodes join the
-    block's kernel call over the two point sets, and no kernel is
-    evaluated for a lam of weight 0.
+    below NOISE_FLOOR times that scale); SlowDecay otherwise, after
+    MAX_WINDOWS windows, or once the tail's decay rate per window has risen
+    and even that rate leaves it above tol after the windows left.  coef
+    takes an array of at most LAMBDA_BLOCK lam values, and no kernel is
+    evaluated for a lam whose weighted coefficient is 0; or coef is a
+    TransformCoef, whose nodes join the block's kernel call over the two
+    point sets, and no kernel is evaluated for a lam of weight 0.
 
     Returns (values, SynthesisStop), values of shape (len(xs), len(ys))."""
     sm = family.spectral
@@ -267,9 +268,9 @@ def synthesize(family, coef, xs, ys, tol, nodes_per_unit=1.5):
     acc, _ = window(0.0, t_hi)
     vals += acc
     scale = max(float(np.max(np.abs(vals))), 1e-12)
-    prev = np.inf
+    prev, rate = np.inf, 0.0     # rate: budget / prev, 0 until known
     width = 0.5 * TAU0
-    for _ in range(MAX_WINDOWS):
+    for k in range(MAX_WINDOWS):
         acc, budget = window(t_hi, t_hi + width)
         if budget < tol * scale:
             return vals + acc, SynthesisStop("tol", budget / scale)
@@ -281,8 +282,12 @@ def synthesize(family, coef, xs, ys, tol, nodes_per_unit=1.5):
             raise errors.SlowDecay(
                 "spectral-synthesis tail stopped decaying while still "
                 "large (noise floor %.2e of scale)" % (budget / scale))
+        if 0.0 < rate < budget / prev and budget * (budget / prev) ** (
+                MAX_WINDOWS - 1 - k) >= tol * scale:
+            raise errors.SlowDecay("spectral-synthesis tail decays ever more "
+                                   "slowly (rate %.3f)" % (budget / prev))
         vals += acc
-        prev = budget
+        prev, rate = budget, budget / prev
         t_hi += width
         width *= 1.3
         scale = max(scale, float(np.max(np.abs(vals))))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,30 @@ def test_solve_spectral_slow_decay_guard(monkeypatch):
     monkeypatch.setattr(spectral, "MAX_WINDOWS", 6)
     with pytest.raises(errors.NumericError):
         cauchy.solve_spectral(fam, bad, grid, grid, x_support=(0.0, 40.0))
+
+
+@pytest.mark.parametrize("x_support", [None, (0.0, 6.0)])
+def test_solve_spectral_slow_decay_fails_fast(x_support):
+    # h'(0) != 0 makes the cosine transform decay like 1/lam: the window
+    # tails fall ever more slowly, so synthesis refuses within a few
+    # windows instead of running its whole window budget
+    fam = families.make_family("cosine")
+    windows = []
+
+    def tau_density(tau):
+        windows.append(len(tau))
+        return fam.spectral.tau_density(tau)
+
+    counted = dataclasses.replace(fam, spectral=dataclasses.replace(
+        fam.spectral, tau_density=tau_density))
+    grid = np.linspace(0.0, 2.0, 3)
+
+    def h(x):
+        return np.exp(-(np.asarray(x, dtype=float) - 1.0) ** 2)
+
+    with pytest.raises(errors.SlowDecay):
+        cauchy.solve_spectral(counted, h, grid, grid, x_support=x_support)
+    assert 0 < len(windows) <= 5
 
 
 def test_solve_spectral_one_kernel_call_per_block(monkeypatch):

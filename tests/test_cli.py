@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,18 +9,40 @@ from pathlib import Path
 
 import pytest
 
+from slconv import cli
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args):
-    # the subprocess does not see pytest's pythonpath setting, so it gets
-    # the checkout's src on PYTHONPATH explicitly
+    """slconv.cli.main in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_module_entry_point():
+    # the one test that starts `python -m slconv.cli`; the subprocess does
+    # not see pytest's pythonpath setting, so it gets the checkout's src on
+    # PYTHONPATH explicitly
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    res = subprocess.run([sys.executable, "-m", "slconv.cli", *args],
-                         capture_output=True, text=True, env=env)
-    return res.returncode, res.stdout, res.stderr
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "slconv.cli", *args],
+                              capture_output=True, text=True, env=env)
+
+    ok = run("kernel", "--family", "cosine", "--lambda", "4", "--x", "1.25")
+    assert ok.returncode == 0
+    assert ok.stdout.startswith("# slconv v")
+    assert ok.stdout.splitlines()[1] == "w,w1,err"
+    bad = run("kernel", "--family", "cosine", "--lambda", "-1", "--x", "1")
+    assert bad.returncode == 1
+    assert len(bad.stderr.splitlines()) == 1
+    assert json.loads(bad.stderr)["kind"] == "validation"
+    assert bad.stdout == ""
 
 
 def test_kernel_cosine_oracle():
@@ -70,7 +94,6 @@ def test_unknown_family_is_validation_error():
 
 def test_main_builds_its_parser_once(capsys):
     # in-process calls share one parser; each call parses afresh
-    from slconv import cli
     cli._build_parser.cache_clear()
     assert cli.main(["classify", "--family", "cosine"]) == 0
     assert cli.main(["classify", "--family", "hankel", "--alpha", "0"]) == 0
@@ -276,7 +299,6 @@ def test_custom_problem_cauchy_characteristic(tmp_path):
 
 
 def test_header_records_the_argv_given_to_main(tmp_path):
-    from slconv import cli
     path = str(tmp_path / "k.csv")
     argv = ["kernel", "--family", "cosine", "--lambda", "4", "--x", "1.25",
             "--out", path]

@@ -1,4 +1,7 @@
 import math
+import random
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -113,3 +116,63 @@ def test_deep_sum_evaluates():
     assert e(0.5) == 150.0
     np.testing.assert_array_equal(e(np.array([1.0, 2.0])), [300.0, 600.0])
     assert e.diff()(0.5) == 300.0
+
+
+def _random_ast(rng, depth):
+    """A random AST of the grammar: numbers are nonnegative, since parse
+    reads a leading '-' as a 'neg' node."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([("x",), ("num", float(rng.randrange(20))),
+                           ("num", rng.uniform(0.0, 10.0)),
+                           ("num", 10.0 ** rng.randrange(-20, 21))])
+    op = rng.choice(("neg", "add", "sub", "mul", "div", "pow", "call"))
+    if op == "neg":
+        return ("neg", _random_ast(rng, depth - 1))
+    if op == "call":
+        return ("call", rng.choice(sorted(expr.FUNCTIONS)),
+                _random_ast(rng, depth - 1))
+    return (op, _random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
+
+
+def test_printed_random_asts_parse_back():
+    # unparse as printed, and with random blanks after every operator,
+    # parenthesis and comma outside a number, reads back to the same tuple
+    rng = random.Random(25)
+    token = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|[-+*/^(,]")
+    for _ in range(10000):
+        ast = _random_ast(rng, 4)
+        text = expr.unparse(ast)
+        assert expr.parse(text) == ast, text
+        spaced = token.sub(lambda m: m.group() if m.group()[0].isdigit()
+                           else m.group() + rng.choice(" \t\n")
+                           * rng.randrange(3), text)
+        assert expr.parse(spaced) == ast, spaced
+
+
+def test_python_syntax_outside_the_grammar_is_refused():
+    for bad in ("", "x +", "(x", "x**2", "foo(x)", "1..2", "1e999",
+                ".5", "1_0", "0x1F", "1j", "True", "+x", "x % 2", "x // 2",
+                "x < 1", "not x", "x if x else 1", "(x, 1)", "x.real",
+                "x # c", "lambda: x", "9" * 400, "exp(x,)", "(exp)(x)",
+                "x(2)", "pow(x)", "exp(x, 2)", "exp", "1if x else 2"):
+        with pytest.raises(errors.ValidationError):
+            expr.parse(bad)
+
+
+def test_python_parser_warnings_become_the_syntax_error():
+    # a number run into a keyword warns in Python's tokenizer: parse
+    # refuses it without printing that warning
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        for bad in ("1if x else 2", "0x1for x"):
+            with pytest.raises(errors.SyntaxError):
+                expr.parse(bad)
+    assert seen == []
+
+
+def test_leading_zeros_and_blanks_parse_as_before():
+    assert expr.parse("02") == ("num", 2.0)
+    assert expr.parse("x^07") == ("pow", ("x",), ("num", 7.0))
+    assert expr.parse("1.05e-05") == ("num", 1.05e-05)
+    for src in (" x + 1", "x\n+1", "\tx+\n 1 "):
+        assert expr.parse(src) == ("add", ("x",), ("num", 1.0))

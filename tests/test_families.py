@@ -145,6 +145,22 @@ def test_family_kernel_routing():
     assert np.array_equal(custom.kernel(lams, xs), want)
 
 
+def test_family_kernel_refuses_points_outside_the_interval():
+    # closed and numeric paths alike: x = a gives 1, a point below a or a
+    # NaN raises instead of returning an even extension or 1
+    cases = [families.make_family(name, params)
+             for name, params in _EVERY_FAMILY]
+    cases.append(families.from_problem(cases[-1].problem))
+    cases += [dataclasses.replace(fam, prefer_closed_kernel=False)
+              for fam in cases if fam.closed_kernel is not None]
+    for fam in cases:
+        a = fam.problem.a
+        assert np.all(fam.kernel([0.0, 4.0], [a]) == 1.0), fam.id
+        for bad in (a - 0.5, np.nan):
+            with pytest.raises(errors.ParamOutOfRange):
+                fam.kernel([4.0], [a + 1.0, bad])
+
+
 def _bit_equal(got, want):
     """Nested tuples of arrays (or None) equal entry for entry."""
     if isinstance(want, tuple):

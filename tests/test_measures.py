@@ -27,6 +27,15 @@ def test_dirac_and_scale():
         measures.scale(mu, -1.0)
 
 
+def test_distinct_measures_compare_without_raising():
+    atoms = measures.MeasureRepr(atoms=((0.5, 0.25), (1.0, 0.75)))
+    same = measures.MeasureRepr(atoms=((0.5, 0.25), (1.0, 0.75)))
+    dens = _uniform(0.0, 1.0)
+    assert atoms == atoms and dens == dens
+    assert atoms != same and atoms != dens and dens != _uniform(0.0, 1.0)
+    assert dens.segments[0] != _uniform(0.0, 1.0).segments[0]
+
+
 def test_segment_rejects_bad_grid():
     with pytest.raises(errors.ValidationError):
         measures.Segment(0.0, 1.0, np.array([0.0, 0.5, 0.4, 1.0]),
