@@ -15,8 +15,9 @@ spaces, drops integers' leading zeros, writes '^' as '**' and maps the tree
 of ast.parse to tuples.  It refuses what Python accepts beyond the grammar:
 a character other than letters, digits, '_', blanks and .+-*/^(), and '**';
 a number not written digits[.digits][(e|E)[+-]digits] (.5, 1_0, 0x1F, 1j)
-or not finite; and other nodes (+x, %, //, comparisons, not, if-else,
-tuples, attributes, Python keywords such as True).
+or not finite; other nodes (+x, %, //, comparisons, not, if-else,
+tuples, attributes, Python keywords such as True); and a tree nested
+deeper than _MAX_DEPTH.
 
 ASTs are nested tuples: ('num', v), ('x',), ('neg', e), ('add', a, b),
 ('sub', a, b), ('mul', a, b), ('div', a, b), ('pow', a, b),
@@ -42,10 +43,16 @@ _LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
 _BINOPS = {pyast.Add: "add", pyast.Sub: "sub", pyast.Mult: "mul",
            pyast.Div: "div", pyast.Pow: "pow"}
 _ARITY = dict.fromkeys(FUNCTIONS, 1) | {"pow": 2}
+_MAX_DEPTH = 300    # deepest AST parse accepts: the printer, compiler and
+                    # derivative recurse over the tree too
 
 
-def _tree(node, text):
-    """The AST tuple of a node of Python's tree for text."""
+def _tree(node, text, depth=0):
+    """The AST tuple of a node of Python's tree for text, at most
+    _MAX_DEPTH nodes deep."""
+    if depth > _MAX_DEPTH:
+        raise errors.SyntaxError(node.col_offset, {"expression"},
+                                 "nested deeper than %d" % _MAX_DEPTH)
     if isinstance(node, pyast.Name):
         if node.id == "x":
             return ("x",)
@@ -56,10 +63,10 @@ def _tree(node, text):
         if _NUMBER.fullmatch(num) and math.isfinite(float(num)):
             return ("num", float(num))
     elif isinstance(node, pyast.UnaryOp) and isinstance(node.op, pyast.USub):
-        return ("neg", _tree(node.operand, text))
+        return ("neg", _tree(node.operand, text, depth + 1))
     elif isinstance(node, pyast.BinOp) and type(node.op) in _BINOPS:
-        return (_BINOPS[type(node.op)], _tree(node.left, text),
-                _tree(node.right, text))
+        return (_BINOPS[type(node.op)], _tree(node.left, text, depth + 1),
+                _tree(node.right, text, depth + 1))
     elif isinstance(node, pyast.Call) and isinstance(node.func, pyast.Name):
         name = node.func.id
         if name not in _ARITY and name != "x":
@@ -68,7 +75,7 @@ def _tree(node, text):
         if (len(node.args) == _ARITY.get(name) and not node.keywords
                 and node.func.col_offset == node.col_offset
                 and not text[:node.end_col_offset - 1].rstrip().endswith(",")):
-            args = [_tree(arg, text) for arg in node.args]
+            args = [_tree(arg, text, depth + 1) for arg in node.args]
             return ("pow", *args) if name == "pow" else ("call", name, *args)
     raise errors.SyntaxError(node.col_offset, {"number", "x", "function", "("})
 

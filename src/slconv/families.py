@@ -21,8 +21,10 @@ each under the unit rule nu_{a,y} = delta_y, nu_{x,a} = delta_x:
   order, for product checks and translation;
 - conv_sampled(x, y) -> (atoms, cells), mass-exact cells, for measure
   convolution, walks and `slconv convolve` (family_convolution_measure);
-- conv_draw(s, x, u) -> positions, an exact draw for all walk paths at
-  once (cosine, hankel); family_step falls back to the MeasureRepr.
+- conv_draw(s, x, u, rng) -> positions, an exact draw for all walk paths
+  at once: u picks an atom or the density by cumulative mass, and the
+  density is drawn by rejection from its edge powers' Beta law, which
+  takes uniforms from rng only where the smooth factor is not constant.
 
 The Gauss-Jacobi rules behind an _EdgeDensity (its 200-node rule and the
 12-node rules of its edge cells) are numpy's Golub-Welsch: eigvalsh of the
@@ -52,8 +54,8 @@ __all__ = ["Family", "make_family", "load_family", "from_problem",
 _ATOL_BOUNDARY = 1e-14
 _RULE_NODES = 200       # Gauss-Jacobi nodes of an edge density's rule
 _SAMPLED_CELLS = 400    # cells of an edge density's sampled measure
-_STEP_PATHS = 4         # walk paths per law call (a jacobi pair's cells
-                        # take ~0.5 MB while they are built)
+_DRAW_MARGIN = 0.05     # draw bound: max + margin (max - min) on the rule
+_DRAW_ROUNDS = 1000     # most proposal rounds of one draw
 _WINDOW_CUT = 1e-12     # whittaker's window: density in log(xi) / its peak
 
 
@@ -66,7 +68,7 @@ class Family:
     spectral: object = None       # SpectralMeasure or None
     conv_quad: object = None      # callable (x, y) -> (nodes, wts, atoms)
     conv_sampled: object = None   # callable (x, y) -> (atoms, cells)
-    conv_draw: object = None      # callable (s, x, u) -> positions
+    conv_draw: object = None      # callable (s, x, u, rng) -> positions
     prefer_closed_kernel: bool = True
 
     def param(self, key, default=None):
@@ -166,15 +168,54 @@ class _EdgeDensity:
     to_xi: object
     dt_dxi: object
 
-    def rule(self):
-        """Gauss-Jacobi nodes (in xi) and weights, exact for the edge
-        powers, of shape pairs + (n,)."""
+    def _nodes(self):
+        """The rule's nodes in t, leading, and weights for the edge powers."""
         s, v = (c.reshape(c.shape + (1,) * np.ndim(self.l)) for c in
                 _jacobi_rule(_RULE_NODES, self.edge_pow, self.edge_pow))
         half = 0.5 * (self.u - self.l)
-        t = 0.5 * (self.u + self.l) + half * s
+        return (0.5 * (self.u + self.l) + half * s,
+                v * half ** (2.0 * self.edge_pow + 1.0))
+
+    def rule(self):
+        """Gauss-Jacobi nodes (in xi) and weights, exact for the edge
+        powers, of shape pairs + (n,)."""
+        t, v = self._nodes()
         return np.moveaxis(self.to_xi(t), 0, -1), np.moveaxis(
-            v * half ** (2.0 * self.edge_pow + 1.0) * self.smooth(t), 0, -1)
+            v * self.smooth(t), 0, -1)
+
+    def bound(self):
+        """M = max + _DRAW_MARGIN (max - min) of smooth on the rule's
+        nodes, per pair: the draw's bound on the smooth factor."""
+        f = self.smooth(self._nodes()[0])
+        hi, lo = f.max(axis=0), f.min(axis=0)
+        return hi + _DRAW_MARGIN * (hi - lo)
+
+    def draw(self, v, todo, rng):
+        """Positions drawn where todo holds, from the first proposal t = l
+        + (u - l) B, B = betaincinv(c, c, v) with c = edge_pow + 1, kept
+        with probability smooth(t) / bound().  A ratio of 1 takes no
+        uniform; below 1 it takes an acceptance uniform from rng, and each
+        rejected pair proposes again from rng.  NumericError on a ratio
+        above 1 (no bound there) or after _DRAW_ROUNDS rounds."""
+        bound = self.bound()
+        c = self.edge_pow + 1.0
+        t = self.l + (self.u - self.l) * betaincinv(c, c, v)
+        for _ in range(_DRAW_ROUNDS):
+            ratio = self.smooth(t) / bound
+            if not np.all(ratio[todo] <= 1.0):      # or NaN
+                raise errors.NumericError(
+                    "convolution density above its draw bound")
+            todo = todo & (ratio < 1.0)
+            if not todo.any():
+                return self.to_xi(t)
+            todo[todo] = rng.uniform(size=np.count_nonzero(todo)) \
+                >= ratio[todo]
+            v = np.zeros(np.shape(todo))
+            v[todo] = rng.uniform(size=np.count_nonzero(todo))
+            t = np.where(todo, self.l + (self.u - self.l)
+                         * betaincinv(c, c, v), t)
+        raise errors.NumericError("convolution draw: no proposal accepted "
+                                  "in %d rounds" % _DRAW_ROUNDS)
 
     def cells(self):
         """(edges in xi, cell masses, density in xi at the edges), pairs
@@ -226,8 +267,8 @@ def _unit_law(law, a, x, y):
 
 
 def _convolution(law, a):
-    """(conv_quad, conv_sampled) of law(x, y) -> (atoms, density or
-    None), under the unit rule."""
+    """(conv_quad, conv_sampled, conv_draw) of law(x, y) -> (atoms,
+    density or None), under the unit rule."""
     def conv_quad(x, y):
         atoms, dens, unit = _unit_law(law, a, x, y)
         empty = np.empty(np.shape(unit) + (0,))
@@ -241,28 +282,28 @@ def _convolution(law, a):
         edges, masses, values = dens.cells()
         return atoms, (edges, np.where(unit[..., None], 0.0, masses), values)
 
-    return conv_quad, conv_sampled
-
-
-def _exact_draw(law, a):
-    """conv_draw of a law that states each nu as atoms alone or as an
-    _EdgeDensity with a constant smooth factor."""
-    def conv_draw(s, x, u):
+    def conv_draw(s, x, u, rng=None):
         """Positions drawn from nu_{s,x} at the uniforms u, for arrays of
-        one shape: an atom picked by cumulative mass (never a massless
-        one), or in t the Beta inverse l + (u - l) B with B ~ Beta(edge_pow
-        + 1, edge_pow + 1)."""
+        one shape: u picks an atom (never a massless one) or the density,
+        whose mass is what the atoms leave of 1, by cumulative mass; u's
+        place in the density's share is its first proposal
+        (_EdgeDensity.draw, which reads rng only where it rejects)."""
         atoms, dens, unit = _unit_law(law, a, s, x)
-        if dens is not None:
-            c = dens.edge_pow + 1.0
-            return np.where(unit, atoms[0][0], dens.to_xi(
-                dens.l + (dens.u - dens.l) * betaincinv(c, c, u)))
         locs, masses = np.swapaxes(atoms, 0, 1)
+        n = len(locs)
+        if dens is not None:
+            masses = np.concatenate([masses, [1.0 - masses.sum(axis=0)]])
         cum = np.cumsum(masses, axis=0)
-        k = np.maximum(np.sum(u * cum[-1] > cum[:-1], axis=0), ~unit)
-        return np.take_along_axis(locs, k[None], 0)[0]
+        w = u * cum[-1]
+        k = np.maximum(np.sum(w > cum[:-1], axis=0), ~unit)
+        at = np.take_along_axis(locs, np.minimum(k, n - 1)[None], 0)[0]
+        if dens is None:
+            return at
+        todo = k == n
+        v = (w - cum[n - 1]) / np.where(todo, masses[n], 1.0)
+        return np.where(todo, dens.draw(np.clip(v, 0.0, 1.0), todo, rng), at)
 
-    return conv_draw
+    return conv_quad, conv_sampled, conv_draw
 
 
 def _two_atom_law(x, y):
@@ -335,7 +376,7 @@ def _make_hankel(params):
                                     np.sqrt, lambda xi: 2.0 * xi)
 
     return Family("hankel", (("alpha", alpha),), problem, ck, spectral,
-                  *_convolution(law, problem.a), _exact_draw(law, problem.a))
+                  *_convolution(law, problem.a))
 
 
 def _make_jacobi(params):
@@ -567,39 +608,23 @@ def convolution_pairs(family, x, y):
     return x, y
 
 
-def _pair_measure(atoms, cells, i=()):
-    """Pair i of a conv_sampled result as a MeasureRepr."""
-    rows = np.array([(loc[i], m[i]) for loc, m in atoms])
+def family_convolution_measure(family, x, y):
+    """nu_{x,y} of one pair as a MeasureRepr, from conv_sampled: its atoms
+    of positive mass and the segments of its cells."""
+    x, y = convolution_pairs(family, x, y)
+    atoms, cells = family.conv_sampled(x[()], y[()])
+    rows = np.array(atoms, dtype=float)
     return measures.MeasureRepr(
         atoms=rows[rows[:, 1] > 0.0],
-        segments=() if cells is None else measures.cells_to_segments(
-            *(c[i] for c in cells)))
+        segments=() if cells is None else measures.cells_to_segments(*cells))
 
 
-def family_convolution_measure(family, x, y):
-    """nu_{x,y} of one pair as a MeasureRepr, from conv_sampled."""
-    x, y = convolution_pairs(family, x, y)
-    return _pair_measure(*family.conv_sampled(x[()], y[()]))
-
-
-def family_step(family, s, x, u):
+def family_step(family, s, x, u, rng):
     """One walk step for every path: positions drawn from nu_{s,x} at the
-    uniforms u (arrays of one shape), by the family's exact draw if it has
-    one, else by the inverse CDF of each path's sampled measure, from one
-    conv_sampled call per _STEP_PATHS paths."""
-    if family.conv_draw is not None:
-        return family.conv_draw(s, x, u)
-    shape = np.shape(u)
-    s, x = (v.ravel() for v in convolution_pairs(family, s, x))
-    u, out = np.ravel(u), np.empty(len(s))
-    for k in range(0, len(s), _STEP_PATHS):
-        blk = slice(k, k + _STEP_PATHS)
-        law = family.conv_sampled(s[blk], x[blk])
-        for i, ui in enumerate(u[blk]):
-            cdf = measures.build_cdf(_pair_measure(*law, i),
-                                     floor=family.problem.a)
-            out[k + i] = measures.quantile(cdf, float(ui))
-    return out.reshape(shape)
+    uniforms u (arrays of one shape) by the family's exact draw, which
+    takes further uniforms from rng where its density is not flat."""
+    s, x = convolution_pairs(family, s, x)
+    return family.conv_draw(s, x, u, rng)
 
 
 def family_convolution_quadrature(family, x, y):

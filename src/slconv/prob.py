@@ -178,8 +178,8 @@ def _walk(family, step_laws, n_steps, n_paths, rng):
     """Yields the states of n_paths independent walks, starting at a and
     after each of n_steps steps: step k draws X_k from step_laws[k mod
     len] by inverse CDF (each law's CDF built once), then S_k from
-    nu_{S_{k-1}, X_k}.  ParamOutOfRange unless n_steps >= 0 and
-    n_paths >= 1."""
+    nu_{S_{k-1}, X_k}.  ParamOutOfRange unless n_steps >= 0, n_paths >= 1
+    and no step law has mass below a."""
     if not (n_steps >= 0 and n_paths >= 1):
         raise errors.ParamOutOfRange(
             "a walk needs n_steps >= 0 and n_paths >= 1")
@@ -187,13 +187,16 @@ def _walk(family, step_laws, n_steps, n_paths, rng):
     cdfs = [measures.build_cdf(law, floor=a) for law in step_laws]
     if any(abs(cdf.mass - 1.0) > 1e-6 for cdf in cdfs):
         raise errors.MassDeficit("step laws must be probability measures")
+    if any(np.any((cdf.edges_lo < a) & (np.diff(cdf.F) > 0.0))
+           for cdf in cdfs):
+        raise errors.ParamOutOfRange("step laws must put no mass below a")
     s = np.full(n_paths, a)
     yield s
     for k in range(n_steps):
         x = measures.quantile(cdfs[k % len(cdfs)],
                               rng.uniform(0.0, 1.0, size=n_paths))
         u = rng.uniform(0.0, 1.0, size=n_paths)
-        s = families.family_step(family, s, x, u)
+        s = families.family_step(family, s, x, u, rng)
         yield s
 
 

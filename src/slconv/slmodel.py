@@ -1,6 +1,7 @@
 """Sturm-Liouville problem definitions, Feller boundary classification,
-standard-form change of variables, and the monotonicity assumption check
-used by the maximum-principle machinery.
+and the monotonicity assumption check used by the maximum-principle
+machinery, which samples the standard-form coordinate xi = gamma(x) from
+one tabulated gamma.
 
 The operator is l = -(1/r) d/dx (p d/dx) on (a, b) with p, r > 0.  The
 scale function is s(x) = int_c^x dxi/p(xi) for an interior reference
@@ -8,7 +9,7 @@ point c.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -18,7 +19,7 @@ from .expr import CoeffExpr
 from .quadrature import gl_panels, improper_quad
 
 
-# standard-form tabulation: points, and relative offset from a singular end
+# gamma table of the MP check: points, and relative offset from an end
 _STD_POINTS = 600
 _STD_EPS_REL = 1e-8
 # _inner_mass: panels graded toward the moving limit, GL nodes per panel
@@ -191,58 +192,6 @@ def validate_left_endpoint(problem):
 
 
 # ---------------------------------------------------------------------------
-# Standard form
-
-@dataclass(frozen=True)
-class StandardForm:
-    """Change of variables xi = gamma(x) = int_c^x sqrt(r/p); the operator
-    becomes -d2/dxi2 - (A'/A) d/dxi with A(xi) = sqrt(p r)(gamma^{-1}(xi))."""
-    gamma: object            # PchipInterpolator x -> xi
-    inverse: object          # PchipInterpolator xi -> x
-    gamma_a: float           # gamma at the left endpoint (may be -inf)
-    x_grid: np.ndarray
-    xi_grid: np.ndarray
-    problem: SLProblem = field(repr=False)
-
-    def A(self, xi):
-        x = self.inverse(xi)
-        log_p, log_r, _, _ = self.problem.logs
-        with np.errstate(all="ignore"):
-            return np.exp(0.5 * (log_p(x, check=False)
-                                 + log_r(x, check=False)))
-
-    def aprime_over_a(self, xi):
-        return self.problem.aprime_over_a(self.inverse(xi))
-
-
-def to_standard_form(problem):
-    """Tabulate gamma on _STD_POINTS points of (a, c + 20] (or (a, b),
-    offset _STD_EPS_REL of the span from a finite b)."""
-    # imported here: the MP check is its one caller, and scipy.interpolate
-    # costs every other start-up ~0.4 s
-    from scipy.interpolate import PchipInterpolator
-
-    a, b, c = problem.a, problem.b, problem.c
-    x_max = (c + 20.0) if np.isinf(b) else b - (b - a) * _STD_EPS_REL
-    n = _STD_POINTS
-    left = graded_grid(a, c, n // 2, _STD_EPS_REL)
-    right = np.linspace(c, x_max, n - n // 2 + 1)[1:]
-    grid = np.unique(np.concatenate([left, [c], right]))
-    gamma_vals = np.concatenate([[0.0], np.cumsum(problem.gamma_cells(grid))])
-    # shift so gamma(c) = 0
-    ic = int(np.searchsorted(grid, c))
-    gamma_vals = gamma_vals - gamma_vals[ic]
-    if np.any(np.diff(gamma_vals) <= 0):
-        raise errors.NonMonotone("gamma not strictly increasing on the grid")
-    res = improper_quad(problem.sqrt_r_over_p, c, a)
-    gamma_a = res.value if res.finite else -np.inf
-    gamma = PchipInterpolator(grid, gamma_vals, extrapolate=True)
-    inverse = PchipInterpolator(gamma_vals, grid, extrapolate=True)
-    return StandardForm(gamma=gamma, inverse=inverse, gamma_a=gamma_a,
-                        x_grid=grid, xi_grid=gamma_vals, problem=problem)
-
-
-# ---------------------------------------------------------------------------
 # Assumption MP check
 
 @dataclass(frozen=True)
@@ -271,12 +220,12 @@ _MP_EPS_TERMS = 8     # rounding of each term, in units of eps * |term|
 
 
 def _mp_rounding_budget(terms):
-    """Rounding budget of a sum of terms sampled at xi + j ulp(xi),
-    j = -_MP_ULPS.._MP_ULPS (axis 0; row _MP_ULPS is xi itself): for each
-    term, its largest change over those coordinates plus _MP_EPS_TERMS eps
-    of its magnitude.  The terms are rounded independently (A'/A through
-    the inverse of gamma, eta directly in xi), so their errors do not
-    cancel in the sum even where the values do."""
+    """Rounding budget of a sum of terms sampled at x + j ulp(x) and
+    xi + j ulp(xi), j = -_MP_ULPS.._MP_ULPS (axis 0; row _MP_ULPS is the
+    point itself): for each term, its largest change over those points
+    plus _MP_EPS_TERMS eps of its magnitude.  The terms are rounded
+    independently (A'/A at x, eta at xi), so their errors do not cancel
+    in the sum even where the values do."""
     eps = np.finfo(float).eps
     with np.errstate(invalid="ignore"):
         b = sum(np.abs(t - t[_MP_ULPS]).max(axis=0)
@@ -299,30 +248,43 @@ def check_mp_assumption(problem, eta):
     budget of the sampled values (MPReport.phi_budget and psi_budget; eta
     gets its own).  A point's budget is, for each term of the quantity
     (eta and A'/A for phi; eta'/2, eta^2/4 and A'eta/2A for psi), its
-    largest change when the sample coordinate xi moves by up to _MP_ULPS
-    ulps, plus _MP_EPS_TERMS eps of its magnitude.  A first difference
+    largest change when x moves by up to _MP_ULPS ulps (A'/A) and xi does
+    (eta), plus _MP_EPS_TERMS eps of its magnitude.  A first difference
     gets the sum of the budgets of its two points.
 
-    Near a singular endpoint the sample coordinate xi limits how closely
-    phi and psi can be resolved.  A'/A is evaluated at the x that the
-    inverse of gamma returns for xi, which is right only to within a
-    fraction of an ulp of xi, while eta is evaluated at xi itself.  Terms
-    like 1/(xi - gamma(a)) have a large coordinate condition number there,
-    so that sub-ulp difference becomes an error far above eps times phi or
-    psi (which in the equality case eta = A'/A are zero).  The budget grows
-    with that sensitivity near the endpoint and is a few eps of the terms
-    elsewhere.  A point whose value or budget is NaN, or whose budget is
-    infinite, is a violation."""
-    sf = to_standard_form(problem)
-    lo = max(sf.xi_grid[0], sf.gamma_a if np.isfinite(sf.gamma_a)
-             else sf.xi_grid[0])
-    grid = np.linspace(lo + 1e-6 * (sf.xi_grid[-1] - lo), sf.xi_grid[-1], 200)
+    The 200 sample points x are read off the gamma table at evenly spaced
+    xi; each point's xi is its table value plus gl_panels over [node, x],
+    right to a few ulps.  A'/A is taken at x and eta at xi.  Near a
+    singular endpoint terms like 1/(xi - gamma(a)) have a large coordinate
+    condition number, so those ulps become an error far above eps times
+    phi or psi (zero in the equality case eta = A'/A); the budget grows
+    with that sensitivity there and is a few eps of the terms elsewhere.
+    A point whose value or budget is NaN, or whose budget is infinite, is
+    a violation."""
+    # the gamma table (x_tab, xi_tab): _STD_POINTS points of (a, c + 20]
+    # (or (a, b), _STD_EPS_REL of the span from a finite b), graded toward a
+    a, b, c = problem.a, problem.b, problem.c
+    x_max = (c + 20.0) if np.isinf(b) else b - (b - a) * _STD_EPS_REL
+    x_tab = np.unique(np.concatenate([
+        graded_grid(a, c, _STD_POINTS // 2, _STD_EPS_REL), [c],
+        np.linspace(c, x_max, _STD_POINTS - _STD_POINTS // 2 + 1)[1:]]))
+    xi_tab = np.concatenate([[0.0], np.cumsum(problem.gamma_cells(x_tab))])
+    xi_tab -= xi_tab[np.searchsorted(x_tab, c)]
+    if np.any(np.diff(xi_tab) <= 0):
+        raise errors.NonMonotone("gamma not strictly increasing on the grid")
+    lo, hi = xi_tab[0], xi_tab[-1]
+    x = np.interp(np.linspace(lo + 1e-6 * (hi - lo), hi, 200), xi_tab, x_tab)
+    k = np.searchsorted(x_tab, x, side="right") - 1
+    # gamma over [x_tab[k], x] for each point: every other cell of the
+    # interleaved edges
+    grid = xi_tab[k] + problem.gamma_cells(
+        np.column_stack([x_tab[k], x]).ravel())[::2]
     eta = CoeffExpr(eta)
     steps = np.arange(-_MP_ULPS, _MP_ULPS + 1, dtype=float)[:, None]
-    xis = grid[None, :] + steps * np.spacing(np.abs(grid))[None, :]
+    xis = grid + steps * np.spacing(np.abs(grid))
     eta_s = eta(xis, check=False)
     deta_s = eta.diff()(xis, check=False)
-    aoa_s = sf.aprime_over_a(xis)
+    aoa_s = problem.aprime_over_a(x + steps * np.spacing(np.abs(x)))
     phi_terms = (aoa_s, -eta_s)
     psi_terms = (0.5 * deta_s, -0.25 * eta_s ** 2, 0.5 * aoa_s * eta_s)
     eta_v = eta_s[_MP_ULPS]

@@ -154,7 +154,8 @@ def test_python_syntax_outside_the_grammar_is_refused():
                 ".5", "1_0", "0x1F", "1j", "True", "+x", "x % 2", "x // 2",
                 "x < 1", "not x", "x if x else 1", "(x, 1)", "x.real",
                 "x # c", "lambda: x", "9" * 400, "exp(x,)", "(exp)(x)",
-                "x(2)", "pow(x)", "exp(x, 2)", "exp", "1if x else 2"):
+                "x(2)", "pow(x)", "exp(x, 2)", "exp", "1if x else 2",
+                "-" * 2000 + "x"):
         with pytest.raises(errors.ValidationError):
             expr.parse(bad)
 

@@ -75,9 +75,9 @@ def test_perfbench_tracer_targets_exist(monkeypatch):
 
 
 def test_startup_imports_leave_out_integrate_and_interpolate():
-    # scipy.integrate and scipy.interpolate are imported on demand only
-    # (PCHIP inside to_standard_form, kernel.solve_ivp through the module's
-    # __getattr__); a fresh process shows what importing the CLI loads
+    # scipy.integrate is imported on demand only (kernel.solve_ivp through
+    # the module's __getattr__), and scipy.interpolate not at all; a fresh
+    # process shows what importing the CLI loads
     src = str(pathlib.Path(slconv.__path__[0]).parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

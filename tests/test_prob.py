@@ -1,10 +1,9 @@
-import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import betaincinv, erfc
 
 from slconv import errors, families, measures, prob, spectral
 
@@ -211,7 +210,9 @@ def test_walk_hankel_half_fast_path_matches_quantile():
     for name, params in cases:
         fam = families.make_family(name, params)
         assert fam.conv_draw is not None
-        fast = families.family_step(fam, np.full(3, s), np.full(3, x), us)
+        # a flat density reads no rng
+        fast = families.family_step(fam, np.full(3, s), np.full(3, x), us,
+                                    None)
         cdf = measures.build_cdf(
             families.family_convolution_measure(fam, s, x), floor=0.0)
         generic = measures.quantile(cdf, us)
@@ -222,43 +223,87 @@ def test_walk_hankel_half_fast_path_matches_quantile():
                 (s - x) ** 2 + us * ((s + x) ** 2 - (s - x) ** 2)))
 
 
-def test_family_step_at_the_left_end_is_the_other_point():
+_LAW_FAMILIES = [("cosine", {}), ("squared_weight", {}),
+                 ("hankel", {"alpha": 1.0}),
+                 ("jacobi", {"alpha": 1.0, "beta": 0.0}),
+                 ("whittaker", {"alpha": 0.0})]
+
+
+@pytest.mark.parametrize("name, params", _LAW_FAMILIES,
+                         ids=[name for name, _ in _LAW_FAMILIES])
+def test_family_step_at_the_left_end_is_the_other_point(name, params):
     # nu_{a,x} = delta_x and nu_{s,a} = delta_s, with the law never
     # evaluated at a
     s = np.array([0.0, 0.0, 1.3])
     x = np.array([0.6, 1.1, 0.0])
     u = np.array([0.2, 0.7, 0.4])
-    for name, params in (("cosine", {}), ("hankel", {"alpha": 1.0}),
-                         ("jacobi", {"alpha": 1.0, "beta": 0.0})):
-        fam = families.make_family(name, params)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = families.family_step(fam, s, x, u)
-        np.testing.assert_array_equal(got, [0.6, 1.1, 1.3])
+    fam = families.make_family(name, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = families.family_step(fam, s, x, u, np.random.default_rng(0))
+    np.testing.assert_array_equal(got, [0.6, 1.1, 1.3])
 
 
-def test_family_step_makes_one_law_call_per_block():
-    # without an exact draw, a step takes one conv_sampled call per
-    # _STEP_PATHS = 4 paths, and each path gets the inverse CDF of its own
-    # measure
-    fam = families.make_family("jacobi", {"alpha": 1.0, "beta": 0.0})
-    calls = []
+def _density_cdf(fam, s, x):
+    """The CDF of nu_{s,x}'s density part, from conv_sampled, normalized,
+    as a function, with the atoms' (loc, mass) rows."""
+    mu = families.family_convolution_measure(fam, s, x)
+    cdf = measures.build_cdf(measures.MeasureRepr(segments=mu.segments))
+    p = np.linspace(0.0, 1.0, 200001)
+    q = measures.quantile(cdf, p)
+    return (lambda z: np.interp(z, q, p)), mu.atoms
 
-    def counting(s, x):
-        calls.append(np.shape(s))
-        return fam.conv_sampled(s, x)
 
-    wrapped = dataclasses.replace(fam, conv_sampled=counting)
-    s = np.concatenate(([0.0], np.full(9, 0.9)))
-    x = np.linspace(0.5, 1.5, 10)
-    u = np.linspace(0.01, 0.99, 10)
-    got = families.family_step(wrapped, s, x, u)
-    assert calls == [(4,), (4,), (2,)]
-    want = [measures.quantile(measures.build_cdf(
-        families.family_convolution_measure(fam, si, xi), floor=0.0), ui)
-        for si, xi, ui in zip(s, x, u)]
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-    assert got[0] == x[0]
+@pytest.mark.parametrize("name, params", _LAW_FAMILIES[1:],
+                         ids=[name for name, _ in _LAW_FAMILIES[1:]])
+def test_conv_draw_matches_the_sampled_measure(name, params):
+    # 20,000 draws from nu_{1, 0.9}: the draws off the atoms have a KS
+    # distance to the density part of the conv_sampled CDF below the 1%
+    # critical value 1.63 / sqrt(m), and each atom's share is its mass
+    # within 4 binomial standard deviations
+    fam = families.make_family(name, params)
+    s, x, m = 1.0, 0.9, 20000
+    rng = np.random.default_rng(11)
+    draws = np.concatenate([
+        fam.conv_draw(np.full(2000, s), np.full(2000, x),
+                      rng.uniform(size=2000), rng) for _ in range(m // 2000)])
+    cdf, atoms = _density_cdf(fam, s, x)
+    off = np.ones(m, dtype=bool)
+    for loc, mass in atoms:
+        at = draws == loc
+        assert abs(at.mean() - mass) <= 4.0 * math.sqrt(mass * (1.0 - mass) / m)
+        off &= ~at
+    assert len(atoms) == (2 if name == "squared_weight" else 0)
+    f = cdf(np.sort(draws[off]))
+    k = len(f)
+    ks = max(np.max(np.arange(1, k + 1) / k - f), np.max(f - np.arange(k) / k))
+    assert ks < 1.63 / math.sqrt(k)
+
+
+@pytest.mark.parametrize("name, params", _LAW_FAMILIES[1:],
+                         ids=[name for name, _ in _LAW_FAMILIES[1:]])
+def test_no_proposal_exceeds_the_draw_bound(name, params, monkeypatch):
+    # M = max + margin (max - min) of the smooth factor on the rule's 200
+    # nodes: over 2,000 random pairs and 20 proposals each, no smooth(t)
+    # at a proposal t is above M (the draw itself raises NumericError
+    # where one is)
+    seen = []
+    draw = families._EdgeDensity.draw
+
+    def spy(dens, v, todo, rng):
+        seen.append(dens)
+        return draw(dens, v, todo, rng)
+
+    monkeypatch.setattr(families._EdgeDensity, "draw", spy)
+    fam = families.make_family(name, params)
+    rng = np.random.default_rng(5)
+    s, x = rng.uniform(0.05, 4.0, (2, 2000))
+    fam.conv_draw(s, x, rng.uniform(size=2000), rng)
+    (dens,) = seen
+    c = dens.edge_pow + 1.0
+    t = dens.l + (dens.u - dens.l) * betaincinv(c, c, rng.uniform(
+        size=(20, 2000)))
+    assert np.count_nonzero(dens.smooth(t) > dens.bound()) == 0
 
 
 def test_diffusion_ensemble_cosine_from_origin_is_folded_gaussian(cosine):

@@ -31,11 +31,14 @@ def test_custom_problem_missing_key():
         slmodel.custom_problem_from_dict({"p": "1", "a": 0.0})
 
 
-def test_to_standard_form_cosine_identity():
+def test_gamma_cells_cosine_identity():
+    # p = r = 1: gamma(x) = x - c, so each cell's gamma is its width, and
+    # A = sqrt(p r) = 1 has A'/A = 0
     prob = families.make_family("cosine").problem
-    sf = slmodel.to_standard_form(prob)
     xs = np.linspace(0.1, 2.0, 9)
-    np.testing.assert_allclose(sf.A(xs), np.ones_like(xs), rtol=1e-12)
+    np.testing.assert_allclose(prob.gamma_cells(xs), np.diff(xs),
+                               rtol=1e-14, atol=0.0)
+    assert np.all(prob.aprime_over_a(xs) == 0.0)
 
 
 def test_standard_form_quantities_custom():
