@@ -202,14 +202,15 @@ class _EdgeDensity:
         t = self.l + (self.u - self.l) * betaincinv(c, c, v)
         for _ in range(_DRAW_ROUNDS):
             ratio = self.smooth(t) / bound
-            if not np.all(ratio[todo] <= 1.0):      # or NaN
+            if not np.all(ratio <= 1.0, where=todo):      # or NaN
                 raise errors.NumericError(
                     "convolution density above its draw bound")
             todo = todo & (ratio < 1.0)
-            if not todo.any():
+            if not np.any(todo):
                 return self.to_xi(t)
-            todo[todo] = rng.uniform(size=np.count_nonzero(todo)) \
-                >= ratio[todo]
+            w = np.zeros(np.shape(todo))
+            w[todo] = rng.uniform(size=np.count_nonzero(todo))
+            todo = todo & (w >= ratio)
             v = np.zeros(np.shape(todo))
             v[todo] = rng.uniform(size=np.count_nonzero(todo))
             t = np.where(todo, self.l + (self.u - self.l)

@@ -271,7 +271,7 @@ def test_conv_draw_matches_the_sampled_measure(name, params):
     off = np.ones(m, dtype=bool)
     for loc, mass in atoms:
         at = draws == loc
-        assert abs(at.mean() - mass) <= 4.0 * math.sqrt(mass * (1.0 - mass) / m)
+        assert abs(at.mean() - mass) <= 4.0 * math.sqrt(mass * (1 - mass) / m)
         off &= ~at
     assert len(atoms) == (2 if name == "squared_weight" else 0)
     f = cdf(np.sort(draws[off]))
