@@ -56,6 +56,7 @@ _RULE_NODES = 200       # Gauss-Jacobi nodes of an edge density's rule
 _SAMPLED_CELLS = 400    # cells of an edge density's sampled measure
 _DRAW_MARGIN = 0.05     # draw bound: max + margin (max - min) on the rule
 _DRAW_ROUNDS = 1000     # most proposal rounds of one draw
+_STEP_BLOCK = 512       # most paths of one draw call in a walk step
 _WINDOW_CUT = 1e-12     # whittaker's window: density in log(xi) / its peak
 
 
@@ -622,10 +623,16 @@ def family_convolution_measure(family, x, y):
 
 def family_step(family, s, x, u, rng):
     """One walk step for every path: positions drawn from nu_{s,x} at the
-    uniforms u (arrays of one shape) by the family's exact draw, which
-    takes further uniforms from rng where its density is not flat."""
-    s, x = convolution_pairs(family, s, x)
-    return family.conv_draw(s, x, u, rng)
+    uniforms u (arrays of one shape) by the family's exact draw, on at
+    most _STEP_BLOCK paths a call, which takes further uniforms from rng
+    where its density is not flat."""
+    s, x, u = np.broadcast_arrays(*convolution_pairs(family, s, x), u)
+    out = np.empty(s.shape)
+    flat = [v.ravel() for v in (out, s, x, u)]
+    for i in range(0, s.size, _STEP_BLOCK):
+        o, *args = (v[i:i + _STEP_BLOCK] for v in flat)
+        o[...] = family.conv_draw(*args, rng)
+    return out
 
 
 def family_convolution_quadrature(family, x, y):

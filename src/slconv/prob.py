@@ -1,8 +1,9 @@
 """Probabilistic layer: compound Poisson measures, Levy-Khintchine-type
-exponents, convolution semigroups and diffusion transition densities,
-random-walk / diffusion samplers, and strong-law experiments."""
+exponents, semigroups, diffusion densities, one walk loop for random-walk
+and diffusion samplers (heat-semigroup steps), and strong-law experiments."""
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,11 +33,11 @@ class WalkPath:
     times: np.ndarray
 
 
-_SYNTH_TOL = 1e-9      # semigroup and transition synthesis tolerance
+_SYNTH_TOL = 1e-9      # semigroup and heat-law synthesis tolerance
 _POISSON_TOL = 1e-10   # compound Poisson's certified tail, and its budget
 _POISSON_CAP = 400     # most jumps a compound Poisson sum may take
 _POISSON_CFG = convolution.ConvCfg(max_pairs=20000)
-_PATH_GRID, _ENSEMBLE_GRID = 600, 800    # transition grid points
+_STEP_GRID = 600       # heat-law grid points
 _PROBE_SPAN, _PROBE_GRID = 12.0, 1200    # probe grid: [a, a + 12]
 
 
@@ -100,16 +101,16 @@ def levy_khintchine_exponent(family, triple, lam):
 # ---------------------------------------------------------------------------
 # semigroup and diffusion densities
 
-def _grid_measure(family, coef, x0, x_grid, label):
-    """The probability measure synthesized on x_grid from coef (taking an
-    array of lam) and the start point x0, stored w.r.t. dx, i.e. the
-    spectral sum times r.  A density below -1e-10 of its scale or a mass
-    off 1 by over 1e-6 is a failed inversion (MassDeficit); the rest is
-    clipped at 0 and renormalized, and the meta records both and how the
-    synthesis stopped."""
+def _grid_measure(family, coef, x_grid, label):
+    """The probability measure synthesized from a on x_grid from coef
+    (taking an array of lam), stored w.r.t. dx, i.e. the spectral sum
+    times r.  A density below -1e-10 of its scale or an O(h^4) mass off 1
+    by over 1e-6 is a failed inversion (MassDeficit); the rest is clipped
+    at 0 and renormalized by its trapezoid mass, and the meta records
+    both and how the synthesis stopped."""
     x_grid = np.asarray(x_grid, dtype=float)
-    dens, stop = spectral.synthesize(family, coef, [float(x0)], x_grid,
-                                     _SYNTH_TOL)
+    dens, stop = spectral.synthesize(family, coef, [family.problem.a],
+                                     x_grid, _SYNTH_TOL)
     rv = family.problem.r_val(x_grid)
     dens_dx = dens[0] * np.where(np.isfinite(rv), rv, 0.0)
     low = float(np.min(dens_dx))
@@ -119,9 +120,13 @@ def _grid_measure(family, coef, x0, x_grid, label):
     clipped = float(np.sum(np.minimum(dens_dx, 0.0)))
     dens_dx = np.maximum(dens_dx, 0.0)
     mass = float(np.trapezoid(dens_dx, x_grid))
-    if abs(mass - 1.0) > 1e-6:
+    # cubic Hermite panels on np.gradient's second-order slopes add the
+    # trapezoid's h^2 (f'(lo) - f'(hi)) / 12: O(h^4), on any grid
+    h, d = np.diff(x_grid), np.gradient(dens_dx, x_grid, edge_order=2)
+    mass4 = mass + float(np.sum(h * h * (d[:-1] - d[1:]))) / 12.0
+    if abs(mass4 - 1.0) > 1e-6:
         raise errors.MassDeficit("%s: mass %.8f (inversion failure)"
-                                 % (label, mass))
+                                 % (label, mass4))
     return measures.MeasureRepr(
         segments=(measures.Segment(float(x_grid[0]), float(x_grid[-1]),
                                    x_grid, dens_dx / mass),),
@@ -138,7 +143,19 @@ def semigroup_measure(family, psi, t, x_grid):
     return _grid_measure(
         family, lambda lams: np.exp(-t * np.array(
             [float(psi(lam)) for lam in lams.tolist()])),
-        family.problem.a, x_grid, "semigroup t=%g" % t)
+        x_grid, "semigroup t=%g" % t)
+
+
+def _heat_law(family, t):
+    """The heat semigroup's mu_t (psi(lam) = lam) on _STEP_GRID points of
+    [a, a + 8 sqrt(2t) + 1]: the diffusion's step law, as its transition
+    law P_t(x, .) = delta_x * mu_t has the transform w_lam(x) e^{-t lam}."""
+    if t <= 0.0:
+        raise errors.ParamOutOfRange("time must be positive")
+    a = family.problem.a
+    x_grid = np.linspace(a, a + 8.0 * math.sqrt(2.0 * t) + 1.0, _STEP_GRID)
+    return _grid_measure(family, lambda lams: np.exp(-t * lams), x_grid,
+                         "heat t=%g" % t)
 
 
 def diffusion_density(family, t, x, y_grid):
@@ -153,33 +170,16 @@ def diffusion_density(family, t, x, y_grid):
     return dens[0], stop
 
 
-def _transition_measure(family, t, x, y_grid):
-    """The transition law from x over time t on y_grid."""
-    if t <= 0.0:
-        raise errors.ParamOutOfRange("time must be positive")
-    return _grid_measure(family, lambda lams: np.exp(-t * lams), x, y_grid,
-                         "transition t=%g x=%g" % (t, x))
-
-
-def _transition_cdf(family, t, x, n_grid):
-    """CDF of the transition law from x over time t, on n_grid points of
-    [a, a + 8 sqrt(2t) + |x - a| + 1]."""
-    a = family.problem.a
-    # a time t <= 0 is refused by _transition_measure
-    span = 8.0 * math.sqrt(2.0 * max(t, 0.0)) + abs(x - a) + 1.0
-    mu = _transition_measure(family, t, x, np.linspace(a, a + span, n_grid))
-    return measures.build_cdf(mu, floor=a)
-
-
 # ---------------------------------------------------------------------------
 # samplers
 
-def _walk(family, step_laws, n_steps, n_paths, rng):
-    """Yields the states of n_paths independent walks, starting at a and
-    after each of n_steps steps: step k draws X_k from step_laws[k mod
-    len] by inverse CDF (each law's CDF built once), then S_k from
-    nu_{S_{k-1}, X_k}.  ParamOutOfRange unless n_steps >= 0, n_paths >= 1
-    and no step law has mass below a."""
+def _walk(family, step_laws, n_steps, n_paths, rng, start=None):
+    """Yields the states of n_paths independent walks, starting at start
+    (a by default) and after each of n_steps steps: step k draws X_k from
+    step_laws[k mod len] by inverse CDF (each law's CDF built once), then
+    S_k from nu_{S_{k-1}, X_k}.  Every sampler's one loop: a diffusion
+    walks with heat laws.  ParamOutOfRange unless n_steps >= 0, n_paths
+    >= 1 and no step law has mass below a."""
     if not (n_steps >= 0 and n_paths >= 1):
         raise errors.ParamOutOfRange(
             "a walk needs n_steps >= 0 and n_paths >= 1")
@@ -190,7 +190,7 @@ def _walk(family, step_laws, n_steps, n_paths, rng):
     if any(np.any((cdf.edges_lo < a) & (np.diff(cdf.F) > 0.0))
            for cdf in cdfs):
         raise errors.ParamOutOfRange("step laws must put no mass below a")
-    s = np.full(n_paths, a)
+    s = np.full(n_paths, a if start is None else float(start))
     yield s
     for k in range(n_steps):
         x = measures.quantile(cdfs[k % len(cdfs)],
@@ -211,30 +211,29 @@ def sample_walk(family, step_laws, n, rng):
 
 def walk_ensemble(family, step_law, n_steps, n_paths, rng):
     """Terminal states S_n of n_paths independent walks with iid steps."""
-    for s in _walk(family, [step_law], n_steps, n_paths, rng):
-        pass
-    return s
+    return deque(_walk(family, [step_law], n_steps, n_paths, rng), 1)[0]
 
 
 def sample_diffusion(family, x0, times, rng):
-    """Exact-increment sampling of the diffusion path at the given
-    increasing times (inverse CDF of each transition density)."""
-    times = [float(t) for t in times]
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])) or times[0] <= 0:
+    """One diffusion path from x0 at the given increasing times: the walk
+    from x0 whose step over dt draws Y from the heat law mu_dt (one
+    synthesis per distinct dt) and then the state from nu_{x, Y}, exact
+    since P_dt(x, .) = delta_x * mu_dt."""
+    times = np.r_[0.0, times].astype(float)
+    steps = np.diff(times).tolist()
+    if not steps or not all(dt > 0.0 for dt in steps):
         raise errors.ParamOutOfRange("times must be positive increasing")
-    states = [x0]
-    for t0, t1 in zip([0.0] + times, times):
-        cdf = _transition_cdf(family, t1 - t0, states[-1], _PATH_GRID)
-        states.append(float(measures.quantile(cdf, float(rng.uniform()))))
-    return WalkPath(states=np.asarray(states),
-                    times=np.asarray([0.0] + times))
+    laws = {dt: _heat_law(family, dt) for dt in set(steps)}
+    states = [float(s[0]) for s in _walk(
+        family, [laws[dt] for dt in steps], len(steps), 1, rng, x0)]
+    return WalkPath(states=np.asarray(states), times=times)
 
 
 def diffusion_ensemble(family, x0, t, n_paths, rng):
-    """Marginal sample of the diffusion at time t for n_paths paths
-    started at x0 (one shared transition CDF; exact for iid marginals)."""
-    cdf = _transition_cdf(family, t, x0, _ENSEMBLE_GRID)
-    return measures.quantile(cdf, rng.uniform(0.0, 1.0, size=n_paths))
+    """States at time t of n_paths independent diffusions from x0: one
+    walk step from x0 with the heat law mu_t, as in sample_diffusion."""
+    return deque(_walk(family, [_heat_law(family, t)], 1, n_paths, rng,
+                       x0), 1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -218,14 +218,14 @@ def _f21_log_case(a, b, m, w):
             np.log(w) * gw - ghw)
 
 
-def _f21_near_one(a, b, c, z):
+def _f21_near_one(a, b, c, w):
     """Table of 2F1 at 0.75 < z < 1 by the connection formula in powers of
-    1-z, the logarithmic one for rows where c-a-b is an integer."""
+    w = 1-z (its columns), the logarithmic one for rows where c-a-b is an
+    integer."""
     s = c - a - b
-    w = 1.0 - z
     m = np.round(s.real)
     near_int = (np.abs(s.imag) < 1e-10) & (np.abs(s.real - m) < 1e-10)
-    out = np.empty((len(a), len(z)), dtype=complex)
+    out = np.empty((len(a), len(w)), dtype=complex)
     k = near_int & (m >= 0)
     if k.any():
         out[k] = _f21_log_case(a[k], b[k], m[k], w)
@@ -249,9 +249,11 @@ def _f21_near_one(a, b, c, z):
 
 
 def _f21_pfaff(a, b, c, z):
-    """Table at z < 0 by the Pfaff transformation into [0, 1)."""
+    """Table at z < 0 by the Pfaff transformation into [0, 1), at z/(z-1)
+    with its 1 - z/(z-1) = 1/(1-z) exact."""
+    w = 1.0 / (1.0 - z)
     return np.exp(np.multiply.outer(-a, np.log1p(-z))) * _f21(
-        a, c - b, c, z / (z - 1.0))
+        a, c - b, c, -z * w, w)
 
 
 def _f21_at_one(a, b, c, z):
@@ -263,12 +265,12 @@ def _f21_at_one(a, b, c, z):
                   - loggamma(c - b))[:, None] * np.ones(len(z))
 
 
-def _f21(a, b, c, z):
+def _f21(a, b, c, z, w):
     """Table 2F1(a_i, b_i; c; z_j) over rows of complex a, b and columns of
     real z, real scalar c: terminating rows take every column, and the
     other rows split by column into the Pfaff step (z < 0), Gauss's sum
-    (z = 1), the series (z <= 0.75) and the 1-z connection (above, and
-    NaN)."""
+    (w = 0), the series (z <= 0.75) and the 1-z connection (above, and
+    NaN).  w is 1 - z, exact where the caller forms it so (Pfaff)."""
     out = np.empty((len(a), len(z)), dtype=complex)
     fin = _is_nonpos_int(a) | _is_nonpos_int(b)
     if fin.any():
@@ -277,12 +279,13 @@ def _f21(a, b, c, z):
     if rest.any():
         if np.any(z > 1.0):
             raise errors.RangeNotValidated("argument must satisfy z <= 1")
-        branch = np.select([z < 0.0, z == 1.0, z <= 0.75], [0, 1, 2], 3)
+        branch = np.select([z < 0.0, w == 0.0, z <= 0.75], [0, 1, 2], 3)
         for k, table in enumerate((_f21_pfaff, _f21_at_one, _f21_series,
                                    _f21_near_one)):
             cols = branch == k
             if cols.any():
-                out[np.ix_(rest, cols)] = table(a[rest], b[rest], c, z[cols])
+                out[np.ix_(rest, cols)] = table(a[rest], b[rest], c,
+                                                (w if k == 3 else z)[cols])
     return out
 
 
@@ -298,7 +301,8 @@ def gauss_2f1(a, b, c, z):
                                np.asarray(b, dtype=complex))
     z = np.asarray(z, dtype=float)
     zs, iz = np.unique(z, return_inverse=True)
-    out = _f21(a.ravel(), b.ravel(), float(c), zs)[:, iz.reshape(z.shape)]
+    out = _f21(a.ravel(), b.ravel(), float(c), zs, 1.0 - zs)[
+        :, iz.reshape(z.shape)]
     out = out.reshape(a.shape + z.shape)
     return out if out.ndim else complex(out)
 

@@ -293,6 +293,23 @@ def test_jacobi_kernel_table_against_mpmath():
             assert abs(val - want) <= 1e-9 * max(1.0, abs(want)), (lam, x)
 
 
+def test_jacobi_kernel_far_out_against_mpmath():
+    # the Pfaff step's 2F1 argument z/(z-1) = tanh^2 x nears 1, so its
+    # 1 - z must be formed as 1/cosh^2 x: 1 - tanh^2 x has lost every
+    # digit by x ~ 18 and rounds to 0 (Gauss's sum) from x ~ 18.7 on
+    fam = families.make_family("jacobi", {"alpha": 1.0, "beta": 0.0})
+    lams = [1.0, 4.0, 25.0]
+    xs = np.array([10.0, 15.0, 18.0, 25.0])
+    got = fam.closed_kernel(lams, xs)
+    mp.mp.dps = 40
+    for lam, row in zip(lams, got):
+        mu = mp.sqrt(mp.mpc(4.0 - lam))
+        for x, val in zip(xs, row):
+            want = float(mp.re(mp.hyp2f1((2 - mu) / 2, (2 + mu) / 2, 2,
+                                         -mp.sinh(x) ** 2)))
+            assert abs(val - want) <= 1e-11 * abs(want), (lam, x)
+
+
 def test_whittaker_kernel_table_against_mpmath():
     # one call per alpha: the lams need different Laplace node counts
     # (|Im mu| from 0 to ~5), and x = 0 gives exactly 1

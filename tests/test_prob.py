@@ -160,19 +160,38 @@ def test_diffusion_density_folded_gaussian(cosine):
     np.testing.assert_allclose(p, want, atol=1e-10)
 
 
-def test_transition_measure_reports_stop(cosine):
-    yg = np.linspace(0.0, 8.0, 401)
-    mu = prob._transition_measure(cosine, 0.25, 0.8, yg)
+def test_heat_law_reports_stop(cosine):
+    mu = prob._heat_law(cosine, 0.25)
     assert "stop=tol" in mu.meta
     assert "clipped_mass=" in mu.meta and "renorm=" in mu.meta
     tail = float(mu.meta.split("tail=")[1])
     assert tail < 1e-9
     assert measures.total_mass(mu) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(errors.ParamOutOfRange):
-        prob._transition_measure(cosine, 0.0, 0.8, yg)
+        prob._heat_law(cosine, 0.0)
     with pytest.raises(errors.ParamOutOfRange):
         prob.diffusion_ensemble(cosine, 0.8, -0.25, 5,
                                 np.random.default_rng(0))
+
+
+def test_semigroup_measure_on_a_short_grid_is_a_mass_deficit(cosine):
+    # mu_0.5 = |N(0, 1)| has mass erf(2 / sqrt(2)) ~ 0.954 on [0, 2]
+    with pytest.raises(errors.MassDeficit):
+        prob.semigroup_measure(cosine, lambda lam: lam, 0.5,
+                               np.linspace(0.0, 2.0, 801))
+
+
+@pytest.mark.parametrize("n_grid", [800, 2400])
+def test_semigroup_measure_with_a_sloped_edge_keeps_its_mass(n_grid):
+    # squared_weight's mu_t has density r(x) p_t(0, x), sloped at a: the
+    # trapezoid misses its mass by h^2 f'(a) / 12 (~6e-6 at 800 points),
+    # the O(h^4) check does not, on uniform and on graded grids
+    fam = families.make_family("squared_weight")
+    for xg in (np.linspace(0.0, 10.0, n_grid),
+               10.0 * np.linspace(0.0, 1.0, n_grid) ** 1.5):
+        mu = prob.semigroup_measure(fam, lambda lam: lam, 0.5, xg)
+        assert measures.total_mass(mu) == pytest.approx(1.0, abs=1e-12)
+        assert abs(float(mu.meta.split("renorm=")[1].split()[0])) < 1e-4
 
 
 def test_walk_two_step_exact(cosine):
@@ -244,6 +263,19 @@ def test_family_step_at_the_left_end_is_the_other_point(name, params):
     np.testing.assert_array_equal(got, [0.6, 1.1, 1.3])
 
 
+def test_family_step_in_blocks_is_one_draw():
+    # hankel's flat density reads no rng: a step of 2,500 paths, drawn in
+    # blocks of paths, is one conv_draw over them all, in the pairs' shape
+    fam = families.make_family("hankel", {"alpha": 1.0})
+    rng = np.random.default_rng(2)
+    s, x = rng.uniform(0.05, 3.0, (2, 50, 50))
+    u = rng.uniform(size=(50, 50))
+    got = families.family_step(fam, s, x, u, None)
+    assert got.shape == (50, 50)
+    np.testing.assert_array_equal(
+        got, fam.conv_draw(s.ravel(), x.ravel(), u.ravel()).reshape(50, 50))
+
+
 def _density_cdf(fam, s, x):
     """The CDF of nu_{s,x}'s density part, from conv_sampled, normalized,
     as a function, with the atoms' (loc, mass) rows."""
@@ -312,6 +344,21 @@ def test_diffusion_ensemble_cosine_from_origin_is_folded_gaussian(cosine):
     # |N(0, 2t)|: E|X| = sqrt(2 sigma^2 / pi) with sigma^2 = 2
     assert np.mean(xs) == pytest.approx(math.sqrt(4.0 / math.pi),
                                         abs=0.02)
+
+
+@pytest.mark.parametrize("name, params", _LAW_FAMILIES[1:3],
+                         ids=[name for name, _ in _LAW_FAMILIES[1:3]])
+def test_diffusion_from_an_inner_point_has_the_heat_transform(name, params):
+    # P_t(x0, .) = delta_x0 * mu_t has the transform w_lam(x0) e^{-t lam}:
+    # the mean of w_lam(X_t) is within 4 standard errors of it
+    fam = families.make_family(name, params)
+    x0, t, n = 1.0, 0.3, 20000
+    xs = prob.diffusion_ensemble(fam, x0, t, n, np.random.default_rng(8))
+    for lam in (1.0, 4.0):
+        w = fam.kernel(np.array([lam]), np.r_[x0, xs])[0]
+        want = w[0] * math.exp(-t * lam)
+        assert abs(np.mean(w[1:]) - want) \
+            <= 4.0 * np.std(w[1:]) / math.sqrt(n), lam
 
 
 def test_sample_diffusion_markov_consistency(cosine):
