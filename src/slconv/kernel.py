@@ -49,9 +49,13 @@ Continuation object itself.
 Each problem has one engine (get_engine, an LRU cache keyed by the
 problem).  Its deep region (x_min, x_w] is decided once, by one vectorized
 probe of those ratios; its main panels start at x_w and grow forward, whole
-panels at a time, when a caller needs a larger x.  Panels already laid
-never change and every table is a left-to-right prefix sum, so w_lam(x)
-does not depend on the engine's history.  The other points and lam of a
+panels at a time, when a caller needs a larger x.  A growth lays its panels
+in vectorized passes over a lattice (KernelEngine._lay_panels) and extends
+the node tables and every series level built so far over the new panels
+alone.  Panels already laid never change and every table is a
+left-to-right prefix sum, carried on from its last value, so w_lam(x) does
+not depend on the engine's history and the engine costs what its final
+grid and levels are, once.  The other points and lam of a
 continuation reach it only through the series' term count and the
 propagator.  The step grid is sized at the largest lam panel by panel, so
 it is the same whether laid in one call or grown over several, and a
@@ -108,6 +112,52 @@ def _partial_weights(t):
 
 # node_partials = vals @ _NODE_PART.T
 _NODE_PART = _partial_weights(_U)
+# the partials at the nodes, then the integral over the whole panel
+_CUM = np.column_stack([_NODE_PART.T, _W])
+
+
+def _rowdot(a, m):
+    """a @ m with every row summed in one fixed order, whatever the number
+    of rows (BLAS takes a single row by another kernel), so that a table
+    extended by rows equals one built at once."""
+    return np.einsum("ik,k...->i...", a, m)
+
+
+def _split(edges, n):
+    """The edges of n[i] equal cells on each cell [edges[i], edges[i+1]]."""
+    cell = np.repeat(np.arange(len(n)), n)
+    j = np.arange(len(cell)) - np.repeat(np.cumsum(n) - n, n)
+    width = np.diff(edges)[cell]
+    return np.append(edges[cell] + width * (j / n[cell]), edges[-1])
+
+
+def _check_grid(ok, x):
+    """SingularCoefficient at the first point x where ok is False."""
+    if not np.all(ok):
+        raise errors.SingularCoefficient(
+            "cannot construct kernel grid near x=%g" % x[np.argmin(ok)])
+
+
+def _too_many_panels():
+    return errors.SingularCoefficient(
+        "kernel grid exceeded %d panels; coefficient layer too steep and "
+        "outside the asymptotic regime" % _MAX_MAIN_PANELS)
+
+
+def _log1p_ratio(z):
+    """log(1 + z) / z, 1 at z = 0."""
+    small = np.abs(z) < 1e-8
+    with np.errstate(all="ignore"):
+        return np.where(small, 1.0 - 0.5 * z,
+                        np.log1p(z) / np.where(small, 1.0, z))
+
+
+def _expm1_ratio(y):
+    """(e^y - 1) / y, 1 at y = 0."""
+    small = np.abs(y) < 1e-8
+    with np.errstate(all="ignore"):
+        return np.where(small, 1.0 + 0.5 * y,
+                        np.expm1(y) / np.where(small, 1.0, y))
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +174,9 @@ _STEP_BLOCK = 256       # propagator steps whose (L, steps) tables are held
 _X_MIN_REL = 1e-13      # grid start offset relative to the reference span
 _DPHI_CAP = 1.2         # max |d log coeff| variation per panel
 _STEP_FRAC = 0.2        # max panel width / distance to an endpoint
+_LADDER = math.log1p(_STEP_FRAC)    # layout ladder step in log distance
+_LATTICE = 2            # layout lattice cells per panel width
+_LAYOUT_SLACK = 1e-5    # relative margin of the layout coordinate
 _MAX_MAIN_PANELS = 9000
 _DEEP_PANELS = 240      # asymptotic-region panels
 _WATSON_CHI = 3e-4      # asymptotic validity threshold
@@ -249,6 +302,19 @@ class KernelEngine:
         self.d2phi_r = self.dphi_r.diff()
         self.d3phi_r = self.d2phi_r.diff()
         self._build_deep()
+        # panel tables, extended by cover(): widths and log p, log r at the
+        # nodes of every panel; the main panels' reference log r (the
+        # largest at their nodes) and exp(log r - ref) at their nodes
+        self.widths = np.empty(0)
+        self._phir_nodes = self._phip_nodes = np.empty((0, _M))
+        self._refs = np.empty(0)
+        self._rscale = np.empty((0, _M))
+        self.levels = [None]        # levels[j] for j >= 1
+        # where the layout stands (_lay_panels): a ladder index whose base
+        # point is at or before bp[-1], the layout coordinate there, the
+        # slope of W on the lattice cell ending there (None at the start)
+        # and the integer of the coordinate at bp[-1]
+        self._lay = (0, 0.0, None, 0)
         self.cover(x_need)
 
     # -- helpers ----------------------------------------------------------
@@ -295,111 +361,228 @@ class KernelEngine:
             self.n_deep = _DEEP_PANELS
             self.bp = a + np.geomspace(x_min - a, self.x_w - a,
                                        _DEEP_PANELS + 1)
+            # the Watson factors at the deep nodes and at x_w, which every
+            # level uses
+            with np.errstate(all="ignore"):
+                self._wat_deep = self._watson(
+                    self.bp[:-1, None] + np.diff(self.bp)[:, None] * _U)
+                self._wat_xw = self._watson(self.x_w)
         else:
             self.x_w = x_min
             self.n_deep = 0
             self.bp = np.array([x_min])
 
     def _width(self, x):
-        """Main-panel width rule at x."""
+        """Main-panel width rule W at the points x: 0.2 times the distance
+        to the nearer endpoint, capped by 1.2 / |(log r)'| and 1.2 /
+        |(log p)'| where those are finite and nonzero."""
         a, b = self.problem.a, self.problem.b
-        dx = _STEP_FRAC * min(x - a, b - x)
+        x = np.asarray(x, dtype=float)
+        w = _STEP_FRAC * np.minimum(x - a, b - x)
         with np.errstate(all="ignore"):
             for dphi in (self.dphi_r, self.dphi_p):
-                d = abs(dphi(x, check=False))
-                if np.isfinite(d) and d > 0:
-                    dx = min(dx, _DPHI_CAP / d)
-        return dx
+                d = np.abs(dphi(x, check=False))
+                w = np.where(np.isfinite(d) & (d > 0.0),
+                             np.minimum(w, _DPHI_CAP / d), w)
+        return w
+
+    def _ladder(self, i):
+        """Base points i = 0, 1, ... of the layout lattice: the first main
+        edge bp[n_deep], then steps of _LADDER in u = log(x - a) (in u =
+        log((x - a) / (b - x)) when b is finite), so that a ladder cell is
+        about as wide as the distance rule allows."""
+        a, b = self.problem.a, self.problem.b
+        x0 = float(self.bp[self.n_deep])
+        u0 = math.log(x0 - a) - (0.0 if np.isinf(b) else math.log(b - x0))
+        u = u0 + _LADDER * np.asarray(i, dtype=float)
+        with np.errstate(over="ignore"):
+            x = (a + np.exp(u) if np.isinf(b)
+                 else a + (b - a) / (1.0 + np.exp(-u)))
+        return np.where(u == u0, x0, x)
+
+    def _ladder_index(self, x):
+        """The ladder index (a float) of the point x > a."""
+        a, b = self.problem.a, self.problem.b
+        x0 = float(self.bp[self.n_deep])
+        u = math.log((x - a) / (x0 - a))
+        if not np.isinf(b):
+            u -= math.log((b - x) / (b - x0))
+        return u / _LADDER
+
+    def _lay_panels(self, x_need):
+        """The main panel edges after bp[-1], up to the first at or past
+        x_need (at least one main panel in all), each panel no wider than W
+        at either end, laid by whole-array passes.
+
+        The edges are where the layout coordinate s, the integral of rho
+        from the first main edge, crosses the integers.  rho = g(|W'|) / W
+        with g(beta) = beta / log(1 + beta): where W is linear, one unit of
+        s spans a panel exactly as wide as W at its narrower end, the widest
+        the rule allows, and rho is raised by _LAYOUT_SLACK so that rounding
+        leaves no panel a hair too wide.  Where W bends down those panels
+        would overshoot, so s also takes up each drop of W' over 12, the
+        second-order term of the Abel function of x -> x + W(x); where W
+        bends up, the first-order s errs on the narrow side already.  s is
+        summed over a lattice that cuts each cell of the ladder (_ladder)
+        into equal cells at most W / _LATTICE wide, W linear on each, and is
+        carried on from where the last call stopped (self._lay), so the
+        edges do not depend on how the grid grew.  A panel still wider than
+        W at an end, by more than the rounding of its right edge, is cut
+        into equal parts until none is."""
+        i, s, slope0, k = self._lay
+        if k and x_need <= self.bp[-1]:
+            return np.empty(0)
+        x_top = max(x_need, float(self.bp[-1]))
+        found = []
+        while True:
+            nb = max(math.ceil(self._ladder_index(x_top)) - i, 1)
+            base = self._ladder(np.arange(i, i + nb + 1))
+            wb = self._width(base)
+            with np.errstate(all="ignore"):
+                n = np.ceil(_LATTICE * np.diff(base)
+                            / np.minimum(wb[:-1], wb[1:]))
+            _check_grid(np.isfinite(n) & (n >= 1.0), base)
+            if n.sum() > 4 * _LATTICE * _MAX_MAIN_PANELS:
+                raise _too_many_panels()
+            n = n.astype(int)
+            x = _split(base, n)
+            w = self._width(x)
+            dx, dw, lo = np.diff(x), np.diff(w), w[:-1]
+            with np.errstate(all="ignore"):
+                slope = dw / dx
+                lin = (dx / lo * _log1p_ratio(dw / lo)
+                       / _log1p_ratio(np.abs(slope)))
+                bend = np.maximum(-np.diff(
+                    slope, prepend=slope[0] if slope0 is None else slope0),
+                    0.0) / 12.0
+                ds = (1.0 + _LAYOUT_SLACK) * lin + bend
+            _check_grid(np.isfinite(ds) & (ds > 0.0), x)
+            sl = np.cumsum(np.concatenate([[s], ds]))
+            ks = np.arange(k + 1, math.floor(sl[-1]) + 1)
+            c = np.searchsorted(sl, ks) - 1
+            # the crossings, by the inverse of s on their cells
+            t = (ks - sl[c]) / ds[c] * lin[c]
+            sc = np.abs(slope[c])
+            e = np.minimum(x[c] + lo[c] * t * _log1p_ratio(sc) * _expm1_ratio(
+                np.sign(slope[c]) * t * np.log1p(sc)), x[c + 1])
+            end = np.flatnonzero(e >= x_top)
+            if len(end):
+                m = end[0] + 1
+                found.append(e[:m])
+                # carry on from the ladder cell holding the last edge
+                cell = np.repeat(np.arange(nb), n)[c[m - 1]]
+                at = int(np.sum(n[:cell]))
+                self._lay = (i + cell, float(sl[at]),
+                             slope0 if at == 0 else float(slope[at - 1]),
+                             int(ks[m - 1]))
+                break
+            found.append(e)
+            i, s, slope0 = i + nb, float(sl[-1]), float(slope[-1])
+            k = int(ks[-1]) if len(ks) else k
+        edges = np.concatenate([self.bp[-1:]] + found)
+        n_main = len(self.bp) - 1 - self.n_deep
+        while True:
+            if n_main + len(edges) - 1 > _MAX_MAIN_PANELS:
+                raise _too_many_panels()
+            w = self._width(edges)
+            with np.errstate(all="ignore"):
+                # a width is known to the rounding of its right edge, which
+                # near a != 0 is a large part of it
+                n = np.ceil((np.diff(edges) - np.spacing(edges[1:]))
+                            / np.minimum(w[:-1], w[1:]))
+            _check_grid(np.isfinite(n), edges)
+            if np.all(n <= 1.0):
+                return edges[1:]
+            edges = _split(edges, np.maximum(n, 1.0).astype(int))
 
     def cover(self, x_need):
-        """Append whole main panels until the grid reaches x_need, then
-        rebuild the node tables; the series levels are rebuilt lazily.  A
-        panel is min(W(x), W(x + W(x))) wide; when that is W(x), the next
-        panel starts at the look-ahead point and reuses its width."""
+        """Append whole main panels until the grid reaches x_need
+        (_lay_panels), then extend the panel tables and every series level
+        built so far over the new panels alone: the rows of the panels
+        already laid do not change."""
         if not x_need < self.problem.b:
             raise errors.ParamOutOfRange(
                 "x=%g is not below the right endpoint" % x_need)
-        x = float(self.bp[-1])
-        n_main = len(self.bp) - 1 - self.n_deep
-        edges = []
-        wx = None
-        while x < x_need or n_main + len(edges) == 0:
-            if wx is None:
-                wx = self._width(x)
-            ahead = self._width(x + wx)
-            dx = min(wx, ahead)
-            if not np.isfinite(dx) or dx <= 0:
-                raise errors.SingularCoefficient(
-                    "cannot construct kernel grid near x=%g" % x)
-            wx = ahead if dx == wx else None
-            x += dx
-            edges.append(x)
-            if n_main + len(edges) > _MAX_MAIN_PANELS:
-                raise errors.SingularCoefficient(
-                    "kernel grid exceeded %d panels; coefficient layer too "
-                    "steep and outside the asymptotic regime"
-                    % _MAX_MAIN_PANELS)
-        if not edges:
+        edges = self._lay_panels(x_need)
+        if not len(edges):
             return
+        n0 = len(self.widths)       # 0 at construction: the deep panels too
         self.bp = np.concatenate([self.bp, edges])
-        self.widths = np.diff(self.bp)
-        self.node_x = self.bp[:-1, None] + self.widths[:, None] * _U[None, :]
-        self._phir_nodes = self.phi_r(self.node_x, check=False)
-        self._phip_nodes = self.phi_p(self.node_x, check=False)
-        # main panels only
-        self._refs = np.max(self._phir_nodes[self.n_deep:], axis=1)
-        self.levels = [None]        # levels[j] for j >= 1
+        widths = np.diff(self.bp[n0:])
+        node_x = self.bp[n0:-1, None] + widths[:, None] * _U[None, :]
+        phir = self.phi_r(node_x, check=False)
+        main = phir[max(self.n_deep - n0, 0):]
+        refs = np.max(main, axis=1)
+        with np.errstate(all="ignore"):
+            rscale = np.exp(main - refs[:, None])
+        self.widths = np.concatenate([self.widths, widths])
+        self._phir_nodes = np.vstack([self._phir_nodes, phir])
+        self._phip_nodes = np.vstack([self._phip_nodes,
+                                      self.phi_p(node_x, check=False)])
+        self._refs = np.concatenate([self._refs, refs])
+        self._rscale = np.vstack([self._rscale, rscale])
+        for j in range(1, len(self.levels)):
+            self.levels[j] = self._grow_level(j, n0)
 
     # -- level construction -------------------------------------------------
     def _ensure_levels(self, j_need):
         while len(self.levels) <= j_need:
-            self._build_level(len(self.levels))
+            self.levels.append(self._grow_level(len(self.levels), 0))
 
-    def _build_level(self, j):
+    def _grow_level(self, j, n0):
+        """Series level j with its rows on the panels n0 onward computed
+        from level j - 1 there: from a when n0 = 0, else carried on from
+        the level's last bound, log F_j through np.logaddexp.accumulate and
+        eta_j through cumsum, its rows on the first n0 panels kept."""
         nd = self.n_deep
+        m0 = max(n0, nd)            # the first main panel to compute
         if j == 1:
-            eta_prev = np.ones_like(self.node_x)
-            gprev_deep = np.zeros((nd, _M))
-            eta_prev_xw = 1.0
-            gprev_xw = 0.0
+            eta_prev = np.ones((len(self.widths) - n0, _M))
         else:
             prev = self.levels[j - 1]
-            eta_prev = self._eta_nodes(prev, slice(None))
-            gprev_deep = prev.g[:nd]
-            eta_prev_xw = prev.eta[nd]
-            gprev_xw = prev.g[nd - 1, -1] if nd else 0.0
+            eta_prev = (prev.eta[n0:-1, None] + self.widths[n0:, None]
+                        * _rowdot(prev.g[n0:], _NODE_PART.T))
+        old = self.levels[j] if n0 else None
+        g_deep = np.zeros((0, _M))
         with np.errstate(all="ignore"):
-            if nd:
+            if n0:
+                logF0 = old.logF_bounds[-1]
+            elif nd:
+                gprev_deep = prev.g[:nd] if j > 1 else 0.0
                 logF_deep = self._watson_logF(
-                    self._watson(self.node_x[:nd]), eta_prev[:nd], gprev_deep)
+                    self._wat_deep, eta_prev[:nd], gprev_deep)
                 g_deep = np.exp(logF_deep - self._phip_nodes[:nd])
                 logF0 = float(self._watson_logF(
-                    self._watson(self.x_w), eta_prev_xw, gprev_xw))
+                    self._wat_xw, prev.eta[nd] if j > 1 else 1.0,
+                    prev.g[nd - 1, -1] if j > 1 else 0.0))
             else:
-                g_deep = np.zeros((0, _M))
                 # F_1 on the cut (a, x_min] is (x_min - a) r to first
                 # order; higher levels vanish there to working precision
                 x_min = self.bp[0]
                 logF0 = (math.log(x_min - self.problem.a)
                          + self.phi_r(x_min, check=False)
                          if j == 1 else -np.inf)
-            sv = eta_prev[nd:] * np.exp(
-                self._phir_nodes[nd:] - self._refs[:, None])
-            raw_full = self.widths[nd:] * (sv @ _W)
-            raw_node = self.widths[nd:, None] * (sv @ _NODE_PART.T)
-            logc = self._refs + np.log(np.maximum(raw_full, 1e-300))
-            logF_bounds = np.logaddexp.accumulate(
-                np.concatenate([[logF0], logc]))
+            refs = self._refs[m0 - nd:]
+            # partial integrals at the nodes, then over the whole panel
+            raw = self.widths[m0:, None] * _rowdot(
+                eta_prev[m0 - n0:] * self._rscale[m0 - nd:], _CUM)
+            logF_bounds = np.logaddexp.accumulate(np.concatenate(
+                [[logF0], refs + np.log(np.maximum(raw[:, -1], 1e-300))]))
             logF_nodes = np.logaddexp(
                 logF_bounds[:-1, None],
-                self._refs[:, None] + np.log(np.maximum(raw_node, 1e-300)))
-            g_main = np.exp(logF_nodes - self._phip_nodes[nd:])
+                refs[:, None] + np.log(np.maximum(raw[:, :-1], 1e-300)))
+            g_main = np.exp(logF_nodes - self._phip_nodes[m0:])
         g = np.vstack([g_deep, g_main])
         if not np.all(np.isfinite(g)):
             raise errors.SingularCoefficient(
                 "non-finite eta integrand at level %d" % j)
-        eta = np.concatenate([[0.0], np.cumsum(self.widths * (g @ _W))])
-        self.levels.append(_Level(g, eta, logF_bounds))
+        eta = np.cumsum(np.concatenate(
+            [[old.eta[-1] if n0 else 0.0], self.widths[n0:] * _rowdot(g, _W)]))
+        if not n0:
+            return _Level(g, eta, logF_bounds)
+        return _Level(np.vstack([old.g, g]),
+                      np.concatenate([old.eta, eta[1:]]),
+                      np.concatenate([old.logF_bounds, logF_bounds[1:]]))
 
     # -- evaluation ---------------------------------------------------------
     def _locate(self, x):
@@ -462,8 +645,8 @@ class KernelEngine:
             main = ~deep
             im, wm, width_m = idx[fc][main], wts[fc][main], width[fc][main]
             ref = self._refs[im - nd]
+            rscale = self._rscale[im - nd]
             with np.errstate(all="ignore"):
-                rscale = np.exp(self._phir_nodes[im] - ref[:, None])
                 if n_deep:
                     wat = self._watson(fx[deep])
                     phip = self.phi_p(fx[deep], check=False)
@@ -569,7 +752,7 @@ class KernelEngine:
             raise errors.SingularCoefficient(
                 "cannot size propagator steps on [%g, %g]" % (x0, x_end))
         n0 = n0.astype(int)
-        pilot = self._edges(i0, i1, n0)
+        pilot = _split(self.bp[i0:i1 + 1], n0)
         err = self._pair_errors(lam_max, pilot)
         worst = np.maximum.reduceat(err, (np.cumsum(n0) - n0) // 2)
         with np.errstate(all="ignore"):
@@ -579,15 +762,7 @@ class KernelEngine:
             raise errors.SingularCoefficient(
                 "non-finite propagator step on [%g, %g]" % (x0, x_end))
         n = 2 * np.ceil(0.5 * n0 * scale).astype(int)
-        return self._edges(i0, i1, n)
-
-    def _edges(self, i0, i1, n):
-        """Edges of n[i] equal steps on each panel i0 <= i < i1."""
-        panel = np.repeat(np.arange(len(n)), n)
-        j = np.arange(len(panel)) - np.repeat(np.cumsum(n) - n, n)
-        width = self.widths[i0 + panel]
-        return np.append(self.bp[i0 + panel] + width * (j / n[panel]),
-                         self.bp[i1])
+        return _split(self.bp[i0:i1 + 1], n)
 
     def _magnus_steps(self, lams, starts, ends):
         """_magnus for the steps [starts, ends] (p and r sampled in one

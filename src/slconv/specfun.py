@@ -1,6 +1,7 @@
 """Special functions backing the family closed forms, by series and
 integral representations (no external special-function code except the
-gamma, digamma and Bessel-J routines: Cephes j0/j1 and Amos jv).
+gamma, digamma, Bessel-J and scaled complementary error function
+routines: Cephes j0/j1, Amos jv and the Faddeeva package's erfcx).
 gauss_2f1 and whittaker_w return tables with no loop over points: their
 row parameters (a and b, or mu) index the rows and z the columns, so the
 result has shape a.shape + z.shape, and 0-d input gives a scalar.  Each
@@ -25,14 +26,14 @@ raises RangeNotValidated only where stated:
                        2e-8), so it returns values outside the kappa and z
                        its docstring states as validated.
 * ``parabolic_d``   -- D_nu(z) by its Laplace-type integral plus one
-                       recurrence step; nu >= 1.
+                       recurrence step, D_{-1} by erfcx; nu >= 1.
 """
 
 import math
 
 import numpy as np
 from scipy.special import gamma as gamma_fn          # noqa: F401 (re-export)
-from scipy.special import j0, j1, jv, loggamma, psi, rgamma
+from scipy.special import erfcx, j0, j1, jv, loggamma, psi, rgamma
 
 from . import errors
 
@@ -399,8 +400,9 @@ def _d_negative(nu, z):
 
 def parabolic_d(nu, z):
     """Parabolic cylinder D_nu(z) for nu < 1, z real (vectorized over z).
-    nu < 0 by the Laplace integral; nu = 0 exactly; 0 < nu < 1 by one step
-    of D_{nu}(z) = z D_{nu-1}(z) - (nu-1) D_{nu-2}(z)."""
+    nu < 0 by the Laplace integral; nu = 0 and nu = -1 exactly, D_{-1}(z) =
+    sqrt(pi/2) erfcx(z/sqrt(2)) e^{-z^2/4}; 0 < nu < 1 by one step of
+    D_{nu}(z) = z D_{nu-1}(z) - (nu-1) D_{nu-2}(z)."""
     if nu >= 1.0:
         raise errors.RangeNotValidated("parabolic_d validated for nu < 1")
     z = np.asarray(z, dtype=float)
@@ -408,6 +410,9 @@ def parabolic_d(nu, z):
     zv = np.atleast_1d(z)
     if nu == 0.0:
         out = np.exp(-0.25 * zv * zv)
+    elif nu == -1.0:
+        out = (math.sqrt(0.5 * math.pi) * erfcx(zv / math.sqrt(2.0))
+               * np.exp(-0.25 * zv * zv))
     elif nu < 0.0:
         out = _d_negative(nu, zv)
     else:

@@ -123,22 +123,55 @@ def test_one_engine_per_problem():
 
 
 def test_grown_engine_matches_straight_build():
-    prob = _whittaker0()
-    xs = np.array([0.05, 0.3, 0.5, 0.8])
+    # panels laid on from where the last cover stopped, and series levels
+    # carried on over them, give the tables of one build to the last bit
     lams = (0.3, 5.0, 25.0)
-    kernel.clear_engine_cache()
-    grown = kernel.get_engine(prob, 0.8)
-    before = [grown.eval_many(lam, xs) for lam in lams]
-    kernel.get_engine(prob, 91.0)
-    after = [grown.eval_many(lam, xs) for lam in lams]
-    kernel.clear_engine_cache()
-    straight = kernel.get_engine(prob, 91.0)
-    assert straight is not grown
-    for b, a, lam in zip(before, after, lams):
-        s = straight.eval_many(lam, xs)
-        for k in (0, 1):        # w and w1
-            assert np.array_equal(b[k], a[k])
-            assert np.array_equal(a[k], s[k])
+    xs = np.array([0.05, 0.3, 0.5, 0.8])
+    for prob, steps in ((_cubic(), 2.0 ** np.arange(7)),
+                        (_whittaker0(), (0.8, 3.5, 91.0))):
+        grown = kernel.KernelEngine(prob, steps[0])
+        before = [grown.eval_many(lam, xs) for lam in lams]
+        for x_need in steps[1:]:
+            grown.cover(x_need)
+            # build the levels the new panels call for, to be carried on
+            grown.eval_many(1.0, np.array([grown.switch_x(1.0)]))
+        straight = kernel.KernelEngine(prob, steps[-1])
+        assert np.array_equal(grown.bp, straight.bp)
+        far = np.append(xs, 0.9 * steps[-1])
+        for b, lam in zip(before, lams):
+            a = grown.eval_many(lam, xs)
+            g, s = grown.eval_many(lam, far), straight.eval_many(lam, far)
+            for k in range(3):      # w, w1 and err
+                assert np.array_equal(b[k], a[k])
+                assert np.array_equal(g[k], s[k])
+
+
+def test_cover_carries_levels_over_new_panels(monkeypatch):
+    eng = kernel.KernelEngine(_whittaker0(), 0.8)
+    eng.eval_many(1.0, np.array([eng.switch_x(1.0)]))
+    n_levels, n_panels = len(eng.levels), len(eng.widths)
+    before = [(lev.g, lev.eta, lev.logF_bounds) for lev in eng.levels[1:]]
+    starts = []
+    grow = kernel.KernelEngine._grow_level
+
+    def counted(self, j, n0):
+        starts.append(n0)
+        return grow(self, j, n0)
+
+    monkeypatch.setattr(kernel.KernelEngine, "_grow_level", counted)
+    eng.cover(91.0)
+    n_new = len(eng.widths)
+    assert n_new > n_panels
+    assert len(eng.levels) == n_levels
+    # every level carried on from the old panels, none started over
+    assert starts == [n_panels] * (n_levels - 1)
+    for lev, (g, eta, logf) in zip(eng.levels[1:], before):
+        assert lev.g.shape == (n_new, kernel._M)
+        assert len(lev.eta) == n_new + 1
+        assert len(lev.logF_bounds) == n_new - eng.n_deep + 1
+        assert np.array_equal(lev.g[:n_panels], g)
+        assert np.array_equal(lev.eta[:n_panels + 1], eta)
+        assert np.array_equal(lev.logF_bounds[:len(logf)], logf)
 
 
 def test_kernel_row_independent_of_other_points():
@@ -301,27 +334,18 @@ def _panels_with_both_widths(eng, x_need):
     return np.concatenate([eng.bp[:eng.n_deep + 1], edges])
 
 
-def test_cover_reuses_the_look_ahead_width(monkeypatch):
-    calls = []
-    width = kernel.KernelEngine._width
-
-    def counted(self, x):
-        calls.append(x)
-        return width(self, x)
-
-    monkeypatch.setattr(kernel.KernelEngine, "_width", counted)
-    # p = r = x^3: the width grows with x, so every panel ends on its
-    # look-ahead point, whose width is then known
-    eng = kernel.KernelEngine(_cubic(), 8.0)
-    assert len(calls) == len(eng.bp) - 1 - eng.n_deep + 1
-    n_before = len(eng.bp)
-    del calls[:]
-    eng.cover(64.0)
-    assert len(calls) == len(eng.bp) - n_before + 1
-    monkeypatch.undo()
-    assert np.array_equal(eng.bp, _panels_with_both_widths(eng, 64.0))
-    whit = kernel.KernelEngine(_whittaker0(), 128.0)
-    assert np.array_equal(whit.bp, _panels_with_both_widths(whit, 128.0))
+def test_cover_panels_fit_the_width_rule():
+    # every main panel is no wider than W at either end, the last one
+    # reaches x_need, and there are at most 1% more panels than the rule
+    # that lays one panel at a time
+    for prob, x_need in ((_cubic(), 64.0), (_whittaker0(), 128.0)):
+        eng = kernel.KernelEngine(prob, x_need)
+        main = eng.bp[eng.n_deep:]
+        w = eng._width(main)
+        assert np.all(np.diff(main) <= np.minimum(w[:-1], w[1:]))
+        assert main[-2] < x_need <= main[-1]
+        one_at_a_time = _panels_with_both_widths(eng, x_need)
+        assert len(main) - 1 <= 1.01 * (len(one_at_a_time) - 1 - eng.n_deep)
 
 
 def test_kernel_sweep_continues_forward_only():

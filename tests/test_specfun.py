@@ -179,6 +179,20 @@ def test_parabolic_d_against_mpmath():
             assert got == pytest.approx(want, rel=1e-8, abs=1e-12), (nu, z)
 
 
+def test_parabolic_d_minus_one_against_mpmath():
+    # D_{-1} in closed form, to 1e-13 relative wherever it is a normal
+    # double (z up to ~53); beyond, it underflows as the true value does
+    mp.mp.dps = 30
+    z = np.linspace(0.5, 60.0, 240)
+    got = specfun.parabolic_d(-1.0, z)
+    want = np.array([float(mp.pcfd(-1, mp.mpf(v))) for v in z])
+    tiny = np.finfo(float).tiny
+    normal = want >= tiny
+    assert normal.sum() > 200
+    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13, atol=0)
+    assert np.all(got[~normal] < tiny)
+
+
 def test_parabolic_d_range_guard():
     with pytest.raises(errors.RangeNotValidated):
         specfun.parabolic_d(1.5, 1.0)
