@@ -75,30 +75,20 @@ class Family:
     def param(self, key, default=None):
         return dict(self.params).get(key, default)
 
-    def kernel_sweep(self, lams):
-        """A function taking points xs to the table w_lam(x) for every lam
-        in lams (rows) and x in xs (columns), shape (L, *xs.shape): the
-        closed form, one stateless table call per call, when the family
-        has one and prefers it (w = 1 at x = a itself), otherwise
-        kernel.kernel_sweep on the problem's engine, whose calls must come
-        in increasing x.  Every x must lie in [a, b) (ParamOutOfRange)."""
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        if self.prefer_closed_kernel and self.closed_kernel is not None:
-            sweep = functools.partial(self.closed_kernel, lams)
-        else:
-            sweep = kernel.kernel_sweep(self.problem, lams)
-
-        def table(xs):
-            xs = np.asarray(xs, dtype=float)
-            lo, hi = xs.min(initial=np.inf), xs.max(initial=-np.inf)
-            if not (lo >= self.problem.a and hi < self.problem.b):  # or NaN
-                raise errors.ParamOutOfRange("kernel point outside [a, b)")
-            return sweep(xs)
-        return table
-
     def kernel(self, lams, xs):
-        """The table of kernel_sweep(lams) at xs, in one call."""
-        return self.kernel_sweep(lams)(xs)
+        """The table w_lam(x) for every lam in lams (rows) and x in xs,
+        shape (L, *xs.shape): the closed form when the family has one and
+        prefers it (w = 1 at x = a itself), otherwise kernel.kernel_table.
+        Every lam must be finite and >= 0 and every x lie in [a, b)
+        (ParamOutOfRange)."""
+        lams = kernel._checked_lams(lams)
+        xs = np.asarray(xs, dtype=float)
+        lo, hi = xs.min(initial=np.inf), xs.max(initial=-np.inf)
+        if not (lo >= self.problem.a and hi < self.problem.b):  # or NaN
+            raise errors.ParamOutOfRange("kernel point outside [a, b)")
+        if self.prefer_closed_kernel and self.closed_kernel is not None:
+            return self.closed_kernel(lams, xs)
+        return kernel.kernel_table(self.problem, lams, xs)
 
 
 def _index(lams, shift):

@@ -23,28 +23,24 @@ coefficient layers (r ~ exp(-1/x) type):
   asymptotic expansion driven by the symbolic logarithmic derivatives of
   r, accurate where |d2(log r)| / (d(log r))^2 is tiny.
 
-Numeric kernel values come from one routine, Continuation: the kernel of
-one lam set evaluated forward over calls.  kernel_sweep(problem, lams) is
-a Continuation on the problem's engine, kernel_table(problem, lams, xs) is
-one called once, eval_kernel and KernelEngine.eval_many are its one-lam
-case, and families.Family.kernel_sweep chooses between kernel_sweep and a
-family's closed form.  A call evaluates all lam together.  Below the
-switch points one row table serves every lam: each point's panel and
-partial weights are found once, and level j's rows eta_j(xs) and, where
-w^[1] is wanted, F_{j+1}(xs) take one gather of that level's panel values,
-the level built when the loop first reaches it (in the deep region the F
-rows come from the Watson expansion, carried forward level by level).
-The term loop adds (-lam)^j eta_j to each lam's sum, masked to its own x
-below its switch point, in j order until every lam meets the term
-tolerance.  The start state of the propagation, at the smallest switch
-point, is one more column of that table.  Beyond the switch point, one
-Magnus propagation carries (w, w^[1]) of every lam over a step grid cut
-from the engine's panels, and a coarse pass over every other step edge
-gives the error estimate.  Between calls the propagation is held at a
-step edge, so a caller that walks x forward in windows
-(spectral.forward_transform's doubling windows) continues it instead of
-starting again at the switch point.  Nothing is kept beyond the
-Continuation object itself.
+Numeric kernel values come from one routine, KernelEngine.table: the
+kernel of a lam set at a point set, with w^[1] and an error estimate.
+kernel_table(problem, lams, xs) is it on the problem's engine,
+eval_kernel and KernelEngine.eval_many are its one-lam case, and
+families.Family.kernel chooses between kernel_table and a family's closed
+form.  A call evaluates all lam together.  Below the switch points one
+row table serves every lam: each point's panel and partial weights are
+found once, and level j's rows eta_j(xs) and, where w^[1] is wanted,
+F_{j+1}(xs) take one gather of that level's panel values, the level built
+when the loop first reaches it (in the deep region the F rows come from
+the Watson expansion, carried forward level by level).  The term loop adds
+(-lam)^j eta_j to each lam's sum, masked to its own x below its switch
+point, in j order until every lam meets the term tolerance.  The start
+state of the propagation, at the smallest switch point, is one more
+column of that table.  Beyond the switch point, one Magnus propagation
+carries (w, w^[1]) of every lam over a step grid cut from the engine's
+panels, and a coarse pass over every other step edge gives the error
+estimate.  A call keeps nothing but what it adds to the engine.
 
 Each problem has one engine (get_engine, an LRU cache keyed by the
 problem).  Its deep region (x_min, x_w] is decided once, by one vectorized
@@ -55,14 +51,9 @@ the node tables and every series level built so far over the new panels
 alone.  Panels already laid never change and every table is a
 left-to-right prefix sum, carried on from its last value, so w_lam(x) does
 not depend on the engine's history and the engine costs what its final
-grid and levels are, once.  The other points and lam of a
-continuation reach it only through the series' term count and the
-propagator.  The step grid is sized at the largest lam panel by panel, so
-it is the same whether laid in one call or grown over several, and a
-point's value is a product of the step matrices before it, grouped in
-blocks from where each call took the propagation up.  So a continuation
-over several calls matches one table over all their points to the
-rounding of those products, far below the step tolerance.
+grid and levels are, once.  The other points and lam of a table reach
+a value only through the series' term count and the step grid, which is
+sized at the largest lam panel by panel from the smallest switch point.
 """
 
 import math
@@ -77,8 +68,8 @@ from .quadrature import gl_nodes
 from .slmodel import SLProblem
 
 __all__ = [
-    "KernelValue", "MomentFns", "Continuation", "eval_kernel",
-    "kernel_table", "kernel_sweep", "eval_kernel_truncated",
+    "KernelValue", "MomentFns", "eval_kernel", "kernel_table",
+    "eval_kernel_truncated",
     "moment_functions", "get_engine", "clear_engine_cache",
 ]
 
@@ -791,30 +782,25 @@ class KernelEngine:
             return np.maximum.reduce([np.abs(d[0]), np.abs(d[1]) * kap,
                                       np.abs(d[2]) / kap, np.abs(d[3])]) / 63.0
 
-    def _march(self, lams, t, k, states, xs, k_hold):
-        """Carry the states (fine, coarse), each (w, w1) of every lam (2,
-        L), at the even edge t[k] of the step grid t by sixth-order Magnus
-        steps: the fine pass over every step, the coarse pass over every
-        other fine edge.  Values are taken at the sorted points xs >= t[k],
-        each a step end or a partial step from the edge before it, and the
-        states are kept at the even edge t[k_hold].  Returns (vals, amp,
-        held): vals[pass, (w, w1), lam, x], amp = sqrt(p r) halfway from a
-        point's fine edge to it, held the (fine, coarse) states at
-        t[k_hold].  The (L, steps) tables are held for at most _STEP_BLOCK
-        fine steps, or partial steps, at a time."""
+    def _march(self, lams, t, start, xs):
+        """Carry the start state (w, w1) of every lam (2, L) from t[0] over
+        the step grid t by sixth-order Magnus steps, twice: the fine pass
+        over every step, the coarse pass over every other fine edge.
+        Values are taken at the sorted points xs >= t[0], each a step end
+        or a partial step from the edge before it.  Returns (vals, amp):
+        vals[pass, (w, w1), lam, x] and amp = sqrt(p r) halfway from a
+        point's fine edge to it.  The (L, steps) tables are held for at
+        most _STEP_BLOCK fine steps, or partial steps, at a time."""
         n_steps = len(t) - 1
         k_of = np.minimum(np.searchsorted(t, xs, side="right") - 1,
                           n_steps - 1)
-        k_end = k_hold
-        if len(xs):
-            # the even edge after the last point's step (n_steps is even)
-            k_last = int(k_of[-1])
-            k_end = max(k_end, k_last + 2 - k_last % 2)
-        states = list(states)
-        held = list(states) if k_hold == k else None
+        # the even edge after the last point's step (n_steps is even)
+        k_last = int(k_of[-1])
+        k_end = k_last + 2 - k_last % 2
+        states = [start, start]
         vals = np.empty((2, 2, len(lams), len(xs)))  # pass, (w, w1), lam, x
         amp = np.empty(len(xs))
-        for k0 in range(k, k_end, _STEP_BLOCK):
+        for k0 in range(0, k_end, _STEP_BLOCK):
             k1 = min(k0 + _STEP_BLOCK, k_end)
             nf = k1 - k0
             # the block's fine steps, then its coarse steps
@@ -827,11 +813,8 @@ class KernelEngine:
                 e = states[i][:, :, None]
                 edges.append(np.concatenate([e, _apply(steps, e)], axis=2))
                 states[i] = edges[i][:, :, -1]
-            if k0 < k_hold <= k1:
-                held = [edges[0][:, :, k_hold - k0],
-                        edges[1][:, :, (k_hold - k0) // 2]]
             # partial steps to the block's points, _STEP_BLOCK at a time
-            pts = np.flatnonzero((k_of >= k0) & (k_of < k1))
+            pts = np.arange(*np.searchsorted(k_of, [k0, k1]))
             for c in range(0, len(pts), _STEP_BLOCK):
                 sub = pts[c:c + _STEP_BLOCK]
                 kf = k_of[sub]
@@ -844,71 +827,39 @@ class KernelEngine:
                                             edges[0][:, :, kf - k0])
                 vals[1][:, :, sub] = _apply([x[:, n:] for x in m],
                                             edges[1][:, :, (kc - k0) // 2])
-        return vals, amp, held
+        return vals, amp
 
-    def eval_many(self, lam, xs):
-        """(w, w1, err) over xs for the one value lam: a Continuation
-        called once."""
-        return tuple(v[0] for v in Continuation(self, [lam]).table(xs))
-
-
-class Continuation:
-    """The kernel of one lam set on one engine, evaluated forward over
-    calls.  Each call (table) takes the series up to each lam's switch
-    point; beyond it, the lam that have needed the ODE so far are carried
-    by one Magnus continuation, started at the smallest switch point x0
-    and held between calls at an even step edge at or before the call's
-    last point.  A lam that first needs the ODE in a later call is carried
-    from x0 to that edge before it joins, and the step grid grows by whole
-    panels, each cut as _steps cuts it; so a call's values are those of one
-    call over every point so far, to the rounding of the step products.
-    A call's points beyond x0 must not lie before the held edge (a
-    ValueError): the previous call's last point is always safe.  Nothing
-    outlives the object, which a caller keeps for one computation."""
-
-    def __init__(self, engine, lams):
-        self.eng = engine
-        self.lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        self.live = np.flatnonzero(self.lams != 0.0)   # w = 1 for lam = 0
-        self.on = np.empty(0, dtype=int)    # live lam carried, in order
-        self.x0 = self.t = None             # ODE start and step edges
-        self.start = self.err0 = None       # series (w, w1), err at x0
-        self.k = 0                          # even edge the states are at
-        self.states = None                  # fine, coarse (2, len(on))
-
-    def table(self, xs, with_w1=True):
+    def table(self, lams, xs, with_w1=True):
         """Kernel w, w1, err for every lam (rows) at points xs in (a, b)
-        (columns), the engine's grid grown to cover them; err adds the
-        series estimate at x0 to the doubling estimate of the
-        continuation, the distance of its fine and coarse passes in the
+        (columns), the grid grown to cover them.  The series serves each
+        lam up to its switch point; beyond it, one Magnus propagation
+        carries every lam that needs it, from the smallest switch point
+        x0, its start state one more column of the series table.  err adds
+        the series estimate at x0 to the doubling estimate of the
+        propagation, the distance of its fine and coarse passes in the
         amplitude norm sqrt(dw^2 + (dw1 / sqrt(lam p r))^2).  w1 is None
         unless with_w1."""
-        eng = self.eng
+        lams = np.atleast_1d(np.asarray(lams, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        eng.cover(float(np.max(xs)))
-        w = np.ones((len(self.lams), len(xs)))
+        self.cover(float(np.max(xs)))
+        w = np.ones((len(lams), len(xs)))
         w1 = np.zeros_like(w) if with_w1 else None
         err = np.full_like(w, 1e-15)
-        live = self.live
+        live = np.flatnonzero(lams != 0.0)     # w = 1 for lam = 0
         if not len(live):
             return w, w1, err
-        lv = self.lams[live]
-        sw = eng.switch_x(lv)
+        lv = lams[live]
+        sw = self.switch_x(lv)
         cols = xs <= np.max(sw)
         beyond = xs[None, :] > sw[:, None]
         need = np.flatnonzero(np.any(beyond, axis=1))
         sx, want = xs[cols], with_w1
-        start = len(need) > 0 and self.x0 is None
-        if start:
-            # the ODE's start state is one more column of the series
-            self.x0 = float(np.min(sw))
-            sx = np.append(sx, self.x0)
+        if len(need):
+            x0 = float(np.min(sw))
+            sx = np.append(sx, x0)
             want = np.append(np.full(len(sx) - 1, with_w1), True)
         if len(sx):
-            ws, w1s, es = eng.series_eval(lv, sx, want)
-            if start:
-                self.start = np.array([ws[:, -1], w1s[:, -1]])
-                self.err0 = es[:, -1]
+            ws, w1s, es = self.series_eval(lv, sx, want)
             n = np.count_nonzero(cols)
             w[np.ix_(live, cols)] = ws[:, :n]
             err[np.ix_(live, cols)] = es[:, :n]
@@ -916,60 +867,33 @@ class Continuation:
                 w1[np.ix_(live, cols)] = w1s[:, :n]
         if not len(need):
             return w, w1, err
-        on = np.flatnonzero(xs > self.x0)
+        on = np.flatnonzero(xs > x0)
         t_eval, inv = np.unique(xs[on], return_inverse=True)
-        pw, pw1, perr = self._continue(lv, need, t_eval)
-        # only a lam's own points beyond its switch take ODE values
-        take = beyond[np.ix_(self.on, on)]
-        blk = np.ix_(live[self.on], on)
-        w[blk] = np.where(take, pw[:, inv], w[blk])
-        if with_w1:
-            w1[blk] = np.where(take, pw1[:, inv], w1[blk])
-        err[blk] = np.where(take, self.err0[self.on, None] + perr[:, inv],
-                            err[blk])
-        return w, w1, err
-
-    def _continue(self, lv, need, xs):
-        """(w, w1, err) of the carried lam (rows, in the order of self.on)
-        at the sorted points xs > x0, after adding the lam need (indices
-        into lv) not carried yet; the states move to the last even edge
-        at or before xs[-1]."""
-        eng = self.eng
-        lam_max = float(np.max(lv))
-        if self.t is None:
-            self.t = eng._steps(lam_max, self.x0, float(xs[-1]))
-            self.states = [np.empty((2, 0))] * 2
-        elif xs[-1] > self.t[-1]:
-            self.t = np.append(self.t, eng._steps(lam_max, float(self.t[-1]),
-                                                  float(xs[-1]))[1:])
-        if xs[0] < self.t[self.k]:
-            raise ValueError(
-                "kernel continuation is forward-only: x=%g lies before its "
-                "step edge %g" % (xs[0], self.t[self.k]))
-        new = np.setdiff1d(need, self.on)
-        if len(new):
-            start = self.start[:, new]
-            _, _, held = eng._march(lv[new], self.t, 0, [start, start],
-                                    xs[:0], self.k)
-            self.states = [np.concatenate([s, h], axis=1)
-                           for s, h in zip(self.states, held)]
-            self.on = np.append(self.on, new)
-        lams = lv[self.on]
-        k_last = min(int(np.searchsorted(self.t, xs[-1], side="right")) - 1,
-                     len(self.t) - 2)
-        k_hold = k_last - k_last % 2
-        vals, amp, self.states = eng._march(lams, self.t, self.k,
-                                            self.states, xs, k_hold)
-        self.k = k_hold
+        vals, amp = self._march(
+            lv[need], self._steps(float(np.max(lv)), x0, float(t_eval[-1])),
+            np.array([ws[need, -1], w1s[need, -1]]), t_eval)
         if not np.all(np.isfinite(vals[0])):
             raise errors.SingularCoefficient(
                 "non-finite kernel continuation on [%g, %g]"
-                % (self.x0, xs[-1]))
+                % (x0, t_eval[-1]))
         dw, dv = vals[0] - vals[1]
         with np.errstate(all="ignore"):
-            dv /= np.sqrt(lams)[:, None] * amp
-            err = np.sqrt(dw * dw + dv * dv)
-        return vals[0][0], vals[0][1], err
+            dv /= np.sqrt(lv[need])[:, None] * amp
+            perr = np.sqrt(dw * dw + dv * dv)
+        # only a lam's own points beyond its switch take propagated values
+        take = beyond[np.ix_(need, on)]
+        blk = np.ix_(live[need], on)
+        w[blk] = np.where(take, vals[0][0][:, inv], w[blk])
+        if with_w1:
+            w1[blk] = np.where(take, vals[0][1][:, inv], w1[blk])
+        err[blk] = np.where(take, es[need, -1][:, None] + perr[:, inv],
+                            err[blk])
+        return w, w1, err
+
+    def eval_many(self, lam, xs):
+        """(w, w1, err) over xs for the one value lam: table's one-lam
+        case."""
+        return tuple(v[0] for v in self.table([lam], xs))
 
 
 # ---------------------------------------------------------------------------
@@ -1019,36 +943,19 @@ def eval_kernel(problem, lam, x):
     return KernelValue(float(w[0]), float(w1[0]), float(err[0]))
 
 
-def kernel_sweep(problem, lams):
-    """A forward-only kernel table for the lam set lams: a function taking
-    points xs of any shape to the numeric w_lam(x), shape (L, *xs.shape),
-    with w = 1 at x <= a.  Its calls share one Continuation on the
-    problem's engine, so a call continues the Magnus propagation where the
-    one before it stopped; each call's points must lie at or beyond the
-    largest point of the calls before it.  Each lam must be finite and
-    >= 0."""
-    lams = _checked_lams(lams)
-    cont = None
-
-    def table(xs):
-        nonlocal cont
-        xs = np.asarray(xs, dtype=float)
-        out = np.ones((len(lams),) + xs.shape)
-        pos = xs > problem.a
-        if np.any(pos):
-            if cont is None:
-                cont = Continuation(
-                    get_engine(problem, float(np.max(xs[pos]))), lams)
-            out[:, pos] = cont.table(xs[pos], with_w1=False)[0]
-        return out
-
-    return table
-
-
 def kernel_table(problem, lams, xs):
-    """Numeric w_lam(x) for every lam in lams (rows) and x in xs
-    (columns), shape (L, N): a kernel_sweep called once."""
-    return kernel_sweep(problem, lams)(xs)
+    """Numeric w_lam(x) for every lam in lams (rows) and every point of xs,
+    an array of any shape, shape (L, *xs.shape): one KernelEngine.table
+    call on the problem's engine, w = 1 at x <= a.  Each lam must be
+    finite and >= 0."""
+    lams = _checked_lams(lams)
+    xs = np.asarray(xs, dtype=float)
+    out = np.ones((len(lams),) + xs.shape)
+    pos = xs > problem.a
+    if np.any(pos):
+        eng = get_engine(problem, float(np.max(xs[pos])))
+        out[:, pos] = eng.table(lams, xs[pos], with_w1=False)[0]
+    return out
 
 
 def eval_kernel_truncated(problem, lam, x, a_m):

@@ -42,6 +42,10 @@ class Segment:
                                          "finite")
         if np.any(np.diff(g) <= 0):
             raise errors.ParamOutOfRange("segment grid must be increasing")
+        if not (self.l == g[0] and self.u == g[-1]):
+            raise errors.ParamOutOfRange(
+                "segment ends (%g, %g) must be its grid's ends (%g, %g)"
+                % (self.l, self.u, g[0], g[-1]))
         if np.any(d < -1e-12 * max(1.0, np.max(np.abs(d)))):
             raise errors.NegativeDensity("segment density negative")
 

@@ -104,19 +104,22 @@ def levy_khintchine_exponent(family, triple, lam):
 def _grid_measure(family, coef, x_grid, label):
     """The probability measure synthesized from a on x_grid from coef
     (taking an array of lam), stored w.r.t. dx, i.e. the spectral sum
-    times r.  A density below -1e-10 of its scale or an O(h^4) mass off 1
-    by over 1e-6 is a failed inversion (MassDeficit); the rest is clipped
-    at 0 and renormalized by its trapezoid mass, and the meta records
-    both and how the synthesis stopped."""
+    times r.  A sum below -1e-10 of its largest |value| where r > 0, or an
+    O(h^4) mass off 1 by over 1e-6, is a failed inversion (MassDeficit):
+    the sum, not the density, is judged, since r (e^{4x} / 16 on
+    jacobi(1, 0)) would blow the sum's rounding up with it.  The rest is
+    clipped at 0 and renormalized by its trapezoid mass, and the meta
+    records both and how the synthesis stopped."""
     x_grid = np.asarray(x_grid, dtype=float)
     dens, stop = spectral.synthesize(family, coef, [family.problem.a],
                                      x_grid, _SYNTH_TOL)
     rv = family.problem.r_val(x_grid)
-    dens_dx = dens[0] * np.where(np.isfinite(rv), rv, 0.0)
-    low = float(np.min(dens_dx))
-    if low < -1e-10 * max(1.0, float(np.max(np.abs(dens_dx)))):
-        raise errors.MassDeficit("%s: negative density (min %g) from the "
-                                 "inverse transform" % (label, low))
+    rv = np.where(np.isfinite(rv), rv, 0.0)
+    low = float(np.min(dens[0], where=rv > 0.0, initial=0.0))
+    if low < -1e-10 * float(np.max(np.abs(dens[0]))):
+        raise errors.MassDeficit("%s: negative spectral sum (min %g) from "
+                                 "the inverse transform" % (label, low))
+    dens_dx = dens[0] * rv
     clipped = float(np.sum(np.minimum(dens_dx, 0.0)))
     dens_dx = np.maximum(dens_dx, 0.0)
     mass = float(np.trapezoid(dens_dx, x_grid))

@@ -14,11 +14,11 @@ of the two point sets and one matmul.  A TransformCoef, the transform
 kernel call, so a Cauchy field's coefficient and rows come from one
 evaluation.  The block bound caps the memory of a window's kernel table.
 `forward_transform` takes an array of lam the same way, on one shared x
-quadrature per window (_transform_rule), and takes the windows' kernel
-tables from one family.kernel_sweep: on the numeric kernel each doubling
-window continues the Magnus propagation where the previous one stopped.
-Every function takes a families.Family and gets kernel values from
-family.kernel or family.kernel_sweep, closed form or numeric."""
+quadrature per window (_transform_rule), and one family.kernel call over
+every doubling window's nodes, the windows chosen by its stop rule on the
+kernel-free weights |h| r (or, past _TABLE_NODES nodes, by their node
+count doubling).  Every function takes a families.Family and gets kernel
+values from family.kernel, closed form or numeric."""
 
 import math
 from dataclasses import dataclass
@@ -37,6 +37,7 @@ LAMBDA_BLOCK = 64    # most lam values per coef and kernel call of synthesize
 MAX_WINDOWS = 28     # most tau windows synthesize adds after the first
 _MAX_DOUBLINGS = 24  # x windows forward_transform adds on a half-line
 _FORWARD_TOL = 1e-11  # forward_transform's x tail, relative to the sum
+_TABLE_NODES = 1 << 14  # x nodes a half-line transform lays before a table
 _INVERSE_TOL = 1e-9   # inverse_transform's tau tail, relative to scale
 
 
@@ -131,54 +132,103 @@ class TransformCoef:
                                *_support(problem, self.x_support))
 
 
+def _window_sums(family, lams, rules):
+    """The sums of h w_lam r over each window for every lam, one row per
+    window, from the windows' rules (_transform_rule's (nodes, weights))
+    and one family.kernel call over all their nodes."""
+    nodes, wts = (np.concatenate(v) for v in zip(*rules))
+    # in place: the (L, N) table is the largest array here
+    contrib = family.kernel(lams, nodes)
+    contrib *= wts
+    cuts = np.cumsum([len(w) for _, w in rules])[:-1]
+    return [_row_sums(c) for c in np.split(contrib, cuts, axis=1)]
+
+
+def _doubling_stop(sums):
+    """The stop rule of the half-line windows [a, a + 1], then [a + d, a +
+    2 d] for d = 1, 2, 4, ..., on their sums (one row of values per
+    window, in order): after each doubling, stop once the window's every
+    |value| is below _FORWARD_TOL of the largest |total| so far (at least
+    1e-12) and one confirming window is too.  Returns the total of the
+    windows taken, or None when the rule needs more windows than given;
+    TailNotDecaying after _MAX_DOUBLINGS doublings."""
+    total = np.array(sums[0], dtype=float)
+    scale = np.maximum(np.abs(total), 1e-12)
+    n = 1
+    for _ in range(_MAX_DOUBLINGS):
+        for confirm in (False, True):
+            if n == len(sums):
+                return None
+            tail = sums[n]
+            n += 1
+            total += tail
+            if not confirm:
+                scale = np.maximum(scale, np.abs(total))
+            if not np.all(np.abs(tail) < _FORWARD_TOL * scale):
+                break
+        else:
+            return total
+    raise errors.TailNotDecaying(
+        "integrand tail did not fall below tolerance")
+
+
+def _kernel_free_stop(sums):
+    """Whether the stop rule holds on the windows' kernel-free sums of
+    |h| r, or has run out of doublings there."""
+    try:
+        return _doubling_stop(sums) is not None
+    except errors.TailNotDecaying:
+        return True
+
+
+def _half_line_sums(family, h, lams):
+    """The transform over the doubling windows of a half-line, the total
+    _doubling_stop takes.  Windows are added until the rule holds on the
+    kernel-free sums of |h| r, which bound the transform's since |w_lam|
+    <= 1 wherever sqrt(p r) does not decrease (every built-in family),
+    and one family.kernel call then takes them all; where the rule on the
+    transform itself still fails (a kernel that grows), a window is added
+    and the table retaken.  A kernel that decays can stop the transform
+    far sooner than |h| r, so windows of more than _TABLE_NODES nodes
+    take a table before the kernel-free rule holds, and again each time
+    their nodes double."""
+    problem = family.problem
+    a = problem.a
+    rules, free = [], []      # each window's rule and its sum of |h| r
+    edges = [a, a + 1.0]
+    taken = _TABLE_NODES // 2     # nodes of the last table taken
+    while True:
+        rules.append(_transform_rule(problem, h, lams, *edges[-2:]))
+        free.append(_row_sums(np.abs(rules[-1][1])[None]))
+        edges.append(a + 2.0 * (edges[-1] - a))
+        nodes = sum(len(w) for _, w in rules)
+        if nodes < 2 * taken and not _kernel_free_stop(free):
+            continue
+        total = _doubling_stop(_window_sums(family, lams, rules))
+        if total is not None:
+            return total
+        taken = nodes
+
+
 def forward_transform(family, h, lam, x_support=None):
     """Integral of h(x) w_lam(x) r(x) dx over [a, b), for a scalar lam (a
     float) or an array of them (an array).  h is a callable; with
     x_support, a finite window (lo, hi) (ParamOutOfRange otherwise), the
-    integral runs over it, clipped to (a, b).  Otherwise the integration
-    window grows, doubling, until the tail contribution of every lam is
-    below _FORWARD_TOL of its sum (TailNotDecaying if it never is).  All
-    lam share one x quadrature per window (_transform_rule) and one kernel
-    sweep over the windows, so the numeric kernel's continuation goes on
-    from the previous window instead of starting again."""
+    integral runs over it, clipped to (a, b).  Otherwise, on a half-line,
+    it runs over doubling windows until _doubling_stop holds for every
+    lam (TailNotDecaying if it never does), chosen by _half_line_sums.
+    All lam share one x quadrature per window (_transform_rule) and one
+    family.kernel call over every window's nodes."""
     problem = family.problem
-    a, b = problem.a, problem.b
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    sweep = family.kernel_sweep(lams)
-
-    def window_value(lo, hi):
-        nodes, wts = _transform_rule(problem, h, lams, lo, hi)
-        # in place: a window's (L, N) table is the largest array here
-        contrib = sweep(nodes)
-        contrib *= wts
-        return _row_sums(contrib)
-
-    def result(total):
-        return float(total[0]) if np.ndim(lam) == 0 else total
-
-    if x_support is not None:
-        return result(window_value(*_support(problem, x_support)))
-
-    hi = a + 1.0 if np.isinf(b) else b
-    total = window_value(a, hi)
-    if not np.isinf(b):
-        return result(total)
-    scale = np.maximum(np.abs(total), 1e-12)
-    for _ in range(_MAX_DOUBLINGS):
-        new_hi = a + 2.0 * (hi - a)
-        tail = window_value(hi, new_hi)
-        total += tail
-        hi = new_hi
-        scale = np.maximum(scale, np.abs(total))
-        if np.all(np.abs(tail) < _FORWARD_TOL * scale):
-            # one confirming extra octave
-            tail2 = window_value(hi, a + 2.0 * (hi - a))
-            total += tail2
-            if np.all(np.abs(tail2) < _FORWARD_TOL * scale):
-                return result(total)
-            hi = a + 2.0 * (hi - a)
-    raise errors.TailNotDecaying(
-        "integrand tail did not fall below tolerance")
+    if x_support is None and np.isinf(problem.b):
+        total = _half_line_sums(family, h, lams)
+    else:
+        lo, hi = ((problem.a, problem.b) if x_support is None
+                  else _support(problem, x_support))
+        total = _window_sums(family, lams,
+                             [_transform_rule(problem, h, lams, lo, hi)])[0]
+    return float(total[0]) if np.ndim(lam) == 0 else total
 
 
 def measure_transform(family, mu, lam):

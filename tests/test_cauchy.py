@@ -135,17 +135,17 @@ def test_solve_spectral_one_kernel_call_per_block(monkeypatch):
         return np.exp(-((np.asarray(x, dtype=float) - 1.5) / 0.35) ** 2)
 
     tables, blocks = [], []
-    table, rule = kernel.Continuation.table, spectral.TransformCoef.rule
+    table, rule = kernel.KernelEngine.table, spectral.TransformCoef.rule
 
-    def counted_table(self, xs, with_w1=True):
+    def counted_table(self, lams, xs, with_w1=True):
         tables.append(len(xs))
-        return table(self, xs, with_w1)
+        return table(self, lams, xs, with_w1)
 
     def counted_rule(self, problem, lams):
         blocks.append(len(lams))
         return rule(self, problem, lams)
 
-    monkeypatch.setattr(kernel.Continuation, "table", counted_table)
+    monkeypatch.setattr(kernel.KernelEngine, "table", counted_table)
     monkeypatch.setattr(spectral.TransformCoef, "rule", counted_rule)
     fld = cauchy.solve_spectral(fam, h, grid, grid, x_support=support,
                                 tol=1e-6, nodes_per_unit=0.5)

@@ -85,6 +85,15 @@ def test_validation_error_exit_code_and_json():
     assert "message" in payload
 
 
+def test_transform_refuses_negative_lambda_on_a_closed_kernel():
+    # hankel's closed form alone would print the lam = 0 value at lam < 0
+    rc, out, err = run_cli("transform", "--family", "hankel", "--alpha",
+                           "0.5", "--h", "exp(-x^2)", "--lambda-grid=-2:1:1")
+    assert rc == 1
+    assert out == ""
+    assert json.loads(err)["kind"] == "validation"
+
+
 def test_unknown_family_is_validation_error():
     rc, _, err = run_cli("kernel", "--family", "bogus",
                          "--lambda", "1", "--x", "1")

@@ -161,6 +161,17 @@ def test_family_kernel_refuses_points_outside_the_interval():
                 fam.kernel([4.0], [a + 1.0, bad])
 
 
+def test_family_kernel_refuses_bad_lambda():
+    # closed and numeric paths alike: a negative or non-finite lam raises
+    # instead of giving w = 1, an analytic continuation or NaN rows
+    for name in families.FAMILY_NAMES:
+        fam = families.make_family(name)
+        for f in (fam, dataclasses.replace(fam, prefer_closed_kernel=False)):
+            for bad in (-1.0, np.nan, np.inf):
+                with pytest.raises(errors.ParamOutOfRange):
+                    f.kernel([4.0, bad], [fam.problem.a + 0.5])
+
+
 def _bit_equal(got, want):
     """Nested tuples of arrays (or None) equal entry for entry."""
     if isinstance(want, tuple):

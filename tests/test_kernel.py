@@ -348,21 +348,6 @@ def test_cover_panels_fit_the_width_rule():
         assert len(main) - 1 <= 1.01 * (len(one_at_a_time) - 1 - eng.n_deep)
 
 
-def test_kernel_sweep_continues_forward_only():
-    # p = r = x^3 switches to the ODE at x^2 / 8 = 10 / lam: lam = 25 in
-    # the first call, 4 joins in the second and 1 in the third
-    prob = _cubic()
-    lams = np.array([1.0, 4.0, 25.0])
-    xs = np.linspace(0.5, 30.0, 60)
-    sweep = kernel.kernel_sweep(prob, lams)
-    parts = [sweep(xs[:6]), sweep(xs[6:14]), sweep(xs[14:])]
-    np.testing.assert_allclose(np.hstack(parts),
-                               kernel.kernel_table(prob, lams, xs),
-                               rtol=0, atol=1e-13)
-    with pytest.raises(ValueError):
-        sweep(xs[:5] + 1.0)
-
-
 def test_series_term_cap_raises(monkeypatch):
     # lam = 25 at x = 0.5 lies below the switch point and needs more
     # than three terms

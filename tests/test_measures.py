@@ -40,6 +40,15 @@ def test_segment_rejects_bad_grid():
     with pytest.raises(errors.ValidationError):
         measures.Segment(0.0, 1.0, np.array([0.0, 0.5, 0.4, 1.0]),
                          np.ones(4))
+    # l and u must be the grid's ends, JSON input included
+    with pytest.raises(errors.ParamOutOfRange):
+        measures.Segment(0.0, 5.0, [1.0, 2.0], [1.0, 1.0])
+    text = json.dumps({"segments": [{"l": -3.0, "u": 9.0, "grid": [0.0, 1.0],
+                                     "density": [1.0, 1.0]}]})
+    with pytest.raises(errors.ParamOutOfRange):
+        measures.measure_from_json(text)
+    seg = measures.Segment(1.0, 2.0, [1.0, 2.0], [1.0, 1.0])
+    assert (seg.l, seg.u) == (1.0, 2.0)
 
 
 def test_atoms_are_one_read_only_array_in_the_order_given():

@@ -116,6 +116,20 @@ def test_semigroup_measure_rejects_negative_density(cosine):
         prob.semigroup_measure(cosine, lambda lam: lam ** 2, 0.5, xg)
 
 
+def test_semigroup_measure_judges_the_sum_not_the_density():
+    # jacobi(1, 0) on [0, 10]: r ~ e^(4x) / 16 blows the spectral sum's
+    # rounding (about -1e-23) up to a density of -2e-9 near x = 10, which
+    # is no failed inversion
+    fam = families.make_family("jacobi", {"alpha": 1.0, "beta": 0.0})
+    xg = np.linspace(0.0, 10.0, 501)
+    mu = prob.semigroup_measure(fam, lambda lam: lam, 0.3, xg)
+    assert measures.total_mass(mu) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(mu.segments[0].density >= 0.0)
+    for lam in (0.0, 4.0, 10.0):
+        assert _hat(fam, mu, lam) == pytest.approx(math.exp(-0.3 * lam),
+                                                   abs=5e-5)
+
+
 def test_semigroup_property_via_transforms(cosine):
     # mu_s * mu_t = mu_{s+t} checked on the transform side
     xg = np.linspace(0.0, 10.0, 4001)

@@ -211,9 +211,23 @@ def test_forward_transform_rejects_bad_x_support():
                                        x_support=support)
 
 
-def test_forward_transform_continues_one_propagation(monkeypatch):
-    # p = r = x^3 (hankel alpha = 1 without its closed form): the doubling
-    # windows [0, 1], [1, 2], [2, 4], ... share one kernel continuation
+def _recorded_tables(monkeypatch):
+    """The point sets of every KernelEngine.table call from now on."""
+    calls = []
+    table = kernel.KernelEngine.table
+
+    def recorded(self, lams, xs, with_w1=True):
+        calls.append(np.array(xs))
+        return table(self, lams, xs, with_w1)
+
+    monkeypatch.setattr(kernel.KernelEngine, "table", recorded)
+    return calls
+
+
+def test_forward_transform_windows_take_one_table(monkeypatch):
+    # p = r = x^3 (hankel alpha = 1 without its closed form): the six
+    # doubling windows [0, 1], [1, 2], [2, 4], ..., [16, 32] take one
+    # numeric table over all their nodes
     problem = slmodel.custom_problem_from_dict(
         {"p": "x^3", "r": "x^3", "a": 0, "b": "inf", "c": 1})
     fam = families.from_problem(problem)
@@ -222,43 +236,75 @@ def test_forward_transform_continues_one_propagation(monkeypatch):
     def h(x):
         return np.exp(-np.asarray(x, dtype=float) ** 2)
 
-    products = [0]
-    magnus = kernel._magnus
-
-    def counted(lams_, steps, q, r):
-        products[0] += len(lams_) * len(steps)
-        return magnus(lams_, steps, q, r)
-
-    calls = []
-    table = kernel.Continuation.table
-
-    def recorded(self, xs, with_w1=True):
-        out = table(self, xs, with_w1)
-        calls.append((np.array(xs), out[0]))
-        return out
-
-    monkeypatch.setattr(kernel, "_magnus", counted)
-    monkeypatch.setattr(kernel.Continuation, "table", recorded)
+    calls = _recorded_tables(monkeypatch)
     got = spectral.forward_transform(fam, h, lams)
-    monkeypatch.setattr(kernel.Continuation, "table", table)
-    swept = products[0]
+    monkeypatch.undo()
     np.testing.assert_allclose(got, 0.5 * np.exp(-lams / 4.0), rtol=0,
                                atol=1e-9)
-    # the construction that started each window's continuation afresh:
-    # one kernel table per window, summed window by window
-    products[0] = 0
+    # fresh tables window by window, summed window by window
     want = np.zeros(len(lams))
+    windows = []
     lo, hi = 0.0, 1.0
-    for xs, w in calls:
+    for _ in range(6):
         nodes, wts = spectral._transform_rule(problem, h, lams, lo, hi)
-        assert np.array_equal(nodes, xs)
-        alone = kernel.kernel_table(problem, lams, xs)
-        np.testing.assert_allclose(w, alone, rtol=0, atol=1e-12)
-        want += spectral._row_sums(alone * wts)
+        windows.append(nodes)
+        want += spectral._row_sums(
+            kernel.kernel_table(problem, lams, nodes) * wts)
         lo, hi = hi, 2.0 * hi
-    assert len(calls) == 6
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], np.concatenate(windows))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-    # the continuation costs what one table over every window's nodes does
-    products[0] = 0
-    kernel.kernel_table(problem, lams, np.concatenate([xs for xs, _ in calls]))
-    assert swept <= 1.05 * products[0]
+
+
+def test_forward_transform_retakes_the_table_for_a_growing_kernel(
+        monkeypatch):
+    # p = r = e^-x: sqrt(p r) decreases and w_lam grows like e^(x/2), so
+    # the rule on |h| r stops one window short of the rule on the
+    # transform, and the table is retaken once with one more window; the
+    # transform of e^-x is the Laplace transform of w_lam at 2, 1/(2 + lam)
+    problem = slmodel.custom_problem_from_dict(
+        {"p": "exp(-x)", "r": "exp(-x)", "a": 0, "b": "inf", "c": 1})
+    fam = families.from_problem(problem)
+    lams = np.array([0.0, 1.0, 4.0, 9.0])
+    calls = _recorded_tables(monkeypatch)
+    got = spectral.forward_transform(
+        fam, lambda x: np.exp(-np.asarray(x, dtype=float)), lams)
+    assert len(calls) == 2
+    assert np.array_equal(calls[1][:len(calls[0])], calls[0])
+    np.testing.assert_allclose(got, 1.0 / (2.0 + lams), rtol=0, atol=1e-12)
+
+
+def test_forward_transform_tables_a_decaying_kernel_early(monkeypatch):
+    # p = r = x^3 with h = (1 + x)^-8 and lam > 0: |h| r ~ x^-5 would keep
+    # the kernel-free rule laying windows far beyond the transform's own
+    # rule, since w_lam decays like x^-3/2 (|h| r alone would take some
+    # 314,000 nodes); the windows take a table once they pass _TABLE_NODES
+    # nodes, and that one table, within a doubling of the ten windows the
+    # rule needs (20,436 nodes), ends it
+    problem = slmodel.custom_problem_from_dict(
+        {"p": "x^3", "r": "x^3", "a": 0, "b": "inf", "c": 1})
+    fam = families.from_problem(problem)
+    lams = np.array([1.0, 25.0])
+
+    def h(x):
+        return (1.0 + np.asarray(x, dtype=float)) ** -8
+
+    calls = _recorded_tables(monkeypatch)
+    got = spectral.forward_transform(fam, h, lams)
+    monkeypatch.undo()
+    # fresh tables window by window until the rule holds on their sums
+    sums, free, nodes = [], [], 0
+    lo, hi = 0.0, 1.0
+    want = None
+    while want is None:
+        xs, wts = spectral._transform_rule(problem, h, lams, lo, hi)
+        sums.append(spectral._row_sums(
+            kernel.kernel_table(problem, lams, xs) * wts))
+        free.append(spectral._row_sums(np.abs(wts)[None]))
+        nodes += len(xs)
+        want = spectral._doubling_stop(sums)
+        lo, hi = hi, 2.0 * hi
+    assert not spectral._kernel_free_stop(free)
+    assert len(calls) == 1
+    assert len(calls[0]) <= 2 * nodes
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
