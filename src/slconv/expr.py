@@ -227,58 +227,104 @@ def _is_const(ast):
     return _is_const(ast[1]) and _is_const(ast[2])
 
 
+def _value(ast):
+    """The number a 'num' node, or a 'neg' of one, stands for, else None."""
+    if ast[0] == "neg":
+        ast = ast[1]
+        return -ast[1] if ast[0] == "num" else None
+    return ast[1] if ast[0] == "num" else None
+
+
+def _node(op, *args):
+    """The node (op, *args) with exact identities folded: a subtree free
+    of x becomes its value (a negative one as 'neg' of a number, so that
+    it prints back), 0 * e, e * 0, 0 / e, 1 * e, e * 1, e / 1, e + 0,
+    0 + e, e - 0, 0 - e and e ^ 1 lose their number, -1 * e and e * -1
+    become -e, and -(-e) becomes e.  Each fold gives the literal node's
+    values to the bit at an array x wherever they are finite."""
+    node = (op,) + args
+    if _is_const(node):
+        v = float(_compile(node)(np.zeros(1), np.ones(1))[0])
+        if not math.isfinite(v):
+            return node
+        return ("neg", ("num", -v)) if v < 0.0 else ("num", v)
+    if op == "neg" and args[0][0] == "neg":
+        return args[0][1]
+    if op in ("neg", "call"):
+        return node
+    a, b = args
+    va, vb = _value(a), _value(b)
+    if op == "add" and (va == 0.0 or vb == 0.0):
+        return b if va == 0.0 else a
+    if op == "sub" and (va == 0.0 or vb == 0.0):
+        return a if vb == 0.0 else _node("neg", b)
+    if op == "mul" and (va == 0.0 or vb == 0.0):
+        return ("num", 0.0)
+    if op == "mul" and (va == 1.0 or vb == 1.0):
+        return b if va == 1.0 else a
+    if op == "mul" and (va == -1.0 or vb == -1.0):
+        return _node("neg", b if va == -1.0 else a)
+    if op == "div" and va == 0.0:
+        return ("num", 0.0)
+    if op in ("div", "pow") and vb == 1.0:
+        return a
+    return node
+
+
 def diff(ast):
-    """Symbolic derivative d/dx of the AST, with no simplification: every
-    rule applies literally and zero or unit factors stay in the tree
-    (d/dx of -1/x prints as (-0*x--1*1)/x^2)."""
+    """Symbolic derivative d/dx of the AST, each node built by _node, so
+    that numbers and unit or zero factors fold away as the rules apply
+    (d/dx of -1/x is 1/x^2); the derivative takes the literal rules'
+    values to the bit wherever those are finite."""
     op = ast[0]
     if op == "num":
         return ("num", 0.0)
     if op == "x":
         return ("num", 1.0)
     if op == "neg":
-        return ("neg", diff(ast[1]))
-    if op == "add":
-        return ("add", diff(ast[1]), diff(ast[2]))
-    if op == "sub":
-        return ("sub", diff(ast[1]), diff(ast[2]))
+        return _node("neg", diff(ast[1]))
+    if op in ("add", "sub"):
+        return _node(op, diff(ast[1]), diff(ast[2]))
     if op == "mul":
         u, v = ast[1], ast[2]
-        return ("add", ("mul", diff(u), v), ("mul", u, diff(v)))
+        return _node("add", _node("mul", diff(u), v),
+                     _node("mul", u, diff(v)))
     if op == "div":
         u, v = ast[1], ast[2]
-        num = ("sub", ("mul", diff(u), v), ("mul", u, diff(v)))
-        return ("div", num, ("pow", v, ("num", 2.0)))
+        num = _node("sub", _node("mul", diff(u), v),
+                    _node("mul", u, diff(v)))
+        return _node("div", num, _node("pow", v, ("num", 2.0)))
     if op == "pow":
         u, v = ast[1], ast[2]
         if _is_const(v):
             # d u^c = c * u^(c-1) * u'
-            cm1 = ("sub", v, ("num", 1.0))
-            return ("mul", ("mul", v, ("pow", u, cm1)), diff(u))
+            cm1 = _node("sub", v, ("num", 1.0))
+            return _node("mul", _node("mul", v, _node("pow", u, cm1)),
+                         diff(u))
         # general: u^v * (v' log u + v u' / u)
-        t1 = ("mul", diff(v), ("call", "log", u))
-        t2 = ("div", ("mul", v, diff(u)), u)
-        return ("mul", ast, ("add", t1, t2))
+        t1 = _node("mul", diff(v), ("call", "log", u))
+        t2 = _node("div", _node("mul", v, diff(u)), u)
+        return _node("mul", ast, _node("add", t1, t2))
     if op == "call":
         name, u = ast[1], ast[2]
         du = diff(u)
         if name == "exp":
             outer = ast
         elif name == "log":
-            return ("div", du, u)
+            return _node("div", du, u)
         elif name == "sqrt":
-            return ("div", du, ("mul", ("num", 2.0), ast))
+            return _node("div", du, _node("mul", ("num", 2.0), ast))
         elif name == "sinh":
             outer = ("call", "cosh", u)
         elif name == "cosh":
             outer = ("call", "sinh", u)
         elif name == "tanh":
-            outer = ("sub", ("num", 1.0), ("pow", ast, ("num", 2.0)))
+            outer = _node("sub", ("num", 1.0), _node("pow", ast, ("num", 2.0)))
         elif name == "abs":
-            outer = ("div", u, ast)  # sign(u), undefined at 0
+            outer = _node("div", u, ast)  # sign(u), undefined at 0
         else:
             raise errors.UnknownFunction(name)
-        return ("mul", outer, du)
+        return _node("mul", outer, du)
     raise ValueError("bad AST node %r" % (op,))
 
 
@@ -304,21 +350,22 @@ def log_ast(ast):
 
 def dlog_ast(ast):
     """AST computing d/dx log(ast), decomposed structurally (the logarithmic
-    derivative stays tame where the expression itself over/underflows)."""
+    derivative stays tame where the expression itself over/underflows),
+    folded as diff folds."""
     op = ast[0]
     if op == "num":
         return ("num", 0.0)
     if op == "mul":
-        return ("add", dlog_ast(ast[1]), dlog_ast(ast[2]))
+        return _node("add", dlog_ast(ast[1]), dlog_ast(ast[2]))
     if op == "div":
-        return ("sub", dlog_ast(ast[1]), dlog_ast(ast[2]))
+        return _node("sub", dlog_ast(ast[1]), dlog_ast(ast[2]))
     if op == "pow" and _is_const(ast[2]):
-        return ("mul", ast[2], dlog_ast(ast[1]))
+        return _node("mul", ast[2], dlog_ast(ast[1]))
     if op == "call" and ast[1] == "exp":
         return diff(ast[2])
     if op == "call" and ast[1] == "sqrt":
-        return ("div", dlog_ast(ast[2]), ("num", 2.0))
-    return ("div", diff(ast), ast)
+        return _node("div", dlog_ast(ast[2]), ("num", 2.0))
+    return _node("div", diff(ast), ast)
 
 
 class CoeffExpr:

@@ -1,59 +1,44 @@
-"""Kernel engine: the eigenfunction w_lambda(x) with w(a)=1, w^[1](a)=0,
-its quasi-derivative w^[1] = p w', truncated kernels, and the moment
-functions phi1, phi2.
-
-Construction: the alternating series w = sum (-lam)^j eta_j with
-
-    eta_j(x)  = int_a^x q(y) F_j(y) dy,      q = 1/p,
-    F_j(y)    = int_a^y eta_{j-1}(xi) r(xi) dxi,   eta_0 = 1,
-
-computed on a shared panel grid by cumulative Gauss-Legendre rules (level
-j is three tables: g = q F_j at the panel nodes, eta_j at the panel bounds
-and log F_j at the main panels' bounds; eta_j at nodes or at points is one
-gather of them), then continuation of (w, w^[1]) by sixth-order Magnus
-steps once |lam| * eta_1 exceeds the switch bound (alternating-series
-cancellation would otherwise eat precision).
-
-Two features make this robust for entrance boundaries with steep
-coefficient layers (r ~ exp(-1/x) type):
-
-* inner integrals F_j are accumulated in log space with per-panel
-  rescaling by exp(log r - ref), so r may under/overflow freely;
-* below the resolvable layer the F_j are evaluated by a Watson-type
-  asymptotic expansion driven by the symbolic logarithmic derivatives of
-  r, accurate where |d2(log r)| / (d(log r))^2 is tiny.
+"""Kernel engine: the eigenfunction w_lam(x) of l = -(p d/dx)' / r with
+w(a) = 1, w^[1](a) = 0, its quasi-derivative w^[1] = p w', truncated
+kernels, and the moment functions phi1, phi2.
 
 Numeric kernel values come from one routine, KernelEngine.table: the
 kernel of a lam set at a point set, with w^[1] and an error estimate.
-kernel_table(problem, lams, xs) is it on the problem's engine,
-eval_kernel and KernelEngine.eval_many are its one-lam case, and
-families.Family.kernel chooses between kernel_table and a family's closed
-form.  A call evaluates all lam together.  Below the switch points one
-row table serves every lam: each point's panel and partial weights are
-found once, and level j's rows eta_j(xs) and, where w^[1] is wanted,
-F_{j+1}(xs) take one gather of that level's panel values, the level built
-when the loop first reaches it (in the deep region the F rows come from
-the Watson expansion, carried forward level by level).  The term loop adds
-(-lam)^j eta_j to each lam's sum, masked to its own x below its switch
-point, in j order until every lam meets the term tolerance.  The start
-state of the propagation, at the smallest switch point, is one more
-column of that table.  Beyond the switch point, one Magnus propagation
-carries (w, w^[1]) of every lam over a step grid cut from the engine's
-panels, and a coarse pass over every other step edge gives the error
-estimate.  A call keeps nothing but what it adds to the engine.
+kernel_table, eval_kernel and KernelEngine.eval_many are its cases, and
+families.Family.kernel chooses between it and a family's closed form.
 
-Each problem has one engine (get_engine, an LRU cache keyed by the
-problem).  Its deep region (x_min, x_w] is decided once, by one vectorized
-probe of those ratios; its main panels start at x_w and grow forward, whole
-panels at a time, when a caller needs a larger x.  A growth lays its panels
-in vectorized passes over a lattice (KernelEngine._lay_panels) and extends
-the node tables and every series level built so far over the new panels
-alone.  Panels already laid never change and every table is a
-left-to-right prefix sum, carried on from its last value, so w_lam(x) does
-not depend on the engine's history and the engine costs what its final
-grid and levels are, once.  The other points and lam of a table reach
-a value only through the series' term count and the step grid, which is
-sized at the largest lam panel by panel from the smallest switch point.
+Series.  Up to its switch point, where |lam| eta_1 reaches _SWITCH_BOUND,
+w is the alternating series sum_j (-lam)^j eta_j with
+
+    eta_j(x) = int_a^x F_j / p,    F_j(y) = int_a^y eta_{j-1} r,   eta_0 = 1,
+
+and w^[1] = -lam sum_j (-lam)^j F_{j+1}.  Level j is tabulated once on
+the engine's panel grid by cumulative 12-point Gauss-Legendre rules: F_j
+in log space with per-panel rescaling, so r may under- or overflow, and
+below the resolvable layer of r (the deep region, r ~ exp(-1/x)) by a
+Watson-type expansion in the symbolic derivatives of log r.  A table
+gathers each level's rows at its points once, for every lam.
+
+Propagation.  Beyond the smallest switch point x0, sixth-order Magnus
+steps carry every lam at once in the Liouville frame: xi with d(xi)/dx =
+beta = sqrt(r / p), A = sqrt(p r) and the state (u, u_xi) = sqrt(A) (w,
+phi_xi w + w^[1] / A), phi = log(A) / 2, scaled by 1 / sqrt(A(x0)).  It
+solves y' = [[0, beta], [gamma - lam beta, 0]] y with gamma = Q beta, Q
+the Liouville potential, so the steps resolve beta and gamma instead of
+p and r, and each step's exponent is affine in lam.  The start state
+takes w^[1] / A from the series' log F rows, and the state goes back to
+(w, w^[1]) through log A, so no p, r or A is formed where it under- or
+overflows.  A coarse pass over every other step edge gives the error
+estimate.
+
+Engine.  Each problem has one engine (get_engine, an LRU cache keyed by
+the problem).  Its deep region is decided once; its main panels start
+there and grow forward, whole panels at a time, when a caller needs a
+larger x, and every series level built so far is carried on over the new
+panels.  Panels laid never change and every table is a left-to-right
+prefix sum, so w_lam(x) does not depend on the engine's history.  The
+other points and lam of a table reach a value only through the series'
+term count and the step grid, which is sized at the largest lam.
 """
 
 import math
@@ -64,6 +49,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from . import errors
+from .expr import CoeffExpr, diff
 from .quadrature import gl_nodes
 from .slmodel import SLProblem
 
@@ -143,6 +129,22 @@ def _log1p_ratio(z):
                         np.log1p(z) / np.where(small, 1.0, z))
 
 
+def _logaddexp(x, y):
+    """np.logaddexp(x, y) as max(x, y) + log1p(exp(-|x - y|)) in place,
+    which runs whole-array passes where np.logaddexp goes element by
+    element.  Equal infinities give their own value (their difference is
+    NaN), and a NaN gives NaN."""
+    with np.errstate(invalid="ignore"):
+        d = np.subtract(x, y)
+    np.abs(d, out=d)
+    np.fmin(d, np.inf, out=d)
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    np.log1p(d, out=d)
+    d += np.maximum(x, y)
+    return d
+
+
 def _expm1_ratio(y):
     """(e^y - 1) / y, 1 at y = 0."""
     small = np.abs(y) < 1e-8
@@ -178,16 +180,17 @@ _KAPPA_TOL = 1e-4       # relative spread accepted as converged
 
 
 # ---------------------------------------------------------------------------
-# sixth-order Magnus steps for y' = A(x) y, A = [[0, 1/p], [-lam r, 0]]
+# sixth-order Magnus steps for the Liouville state y' = A(x) y,
+# A = [[0, beta], [gamma - lam beta, 0]] (KernelEngine.table)
 
 # the three Gauss-Legendre points of a step, on [0, 1]
 _MAGNUS_U = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 
 
-def _magnus(lams, h, q, r):
+def _magnus(lams, h, beta, gamma):
     """exp(Omega) of one sixth-order Magnus step (Blanes, Casas & Ros
     2000) for every lam (rows) and step (columns), from the step lengths
-    h (S,) and q = 1/p and r at the points _MAGNUS_U of each step (S, 3).
+    h (S,) and beta and gamma at the points _MAGNUS_U of each step (S, 3).
 
     With A_k = A at the k-th point, alpha1 = h A_2, alpha2 = sqrt(15) h
     (A_3 - A_1) / 3, alpha3 = 10 h (A_3 - 2 A_2 + A_1) / 3, C1 = [alpha1,
@@ -196,33 +199,32 @@ def _magnus(lams, h, q, r):
         Omega = alpha1 + alpha3 / 12
                 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240.
 
-    Omega = [[a, b], [c, -a]] is traceless, its entries polynomials in lam
-    whose coefficients depend on the step alone, and exp(Omega) = cosh(s) I
-    + sinh(s) / s Omega with s^2 = a^2 + b c (cos/sin where s^2 < 0).
+    The lam part of A's lower entry is -lam times its upper entry, so the
+    commutators of two alphas, C1 and [alpha1, alpha3], are free of lam,
+    and Omega = [[a, b], [c, -a]] has b free of lam and a, c affine in it,
+    their coefficients depending on the step alone.  exp(Omega) = cosh(s)
+    I + sinh(s) / s Omega with s^2 = a^2 + b c (cos/sin where s^2 < 0).
     Returns the entries (m00, m01, m10, m11) of exp(Omega), each (L, S)."""
-    q1, q2, q3 = q.T
-    r1, r2, r3 = r.T
-    # alpha_k = [[0, Q_k], [-lam R_k, 0]]
-    qa, ra = h * q2, h * r2
+    b1, b2, b3 = beta.T
+    g1, g2, g3 = gamma.T
+    # alpha_k = [[0, B_k], [G_k - lam B_k, 0]], k = a, b, c
     h15 = math.sqrt(15.0) / 3.0 * h
-    qb, rb = h15 * (q3 - q1), h15 * (r3 - r1)
-    qc, rc = 10.0 / 3.0 * h * (q3 - 2.0 * q2 + q1), \
-        10.0 / 3.0 * h * (r3 - 2.0 * r2 + r1)
-    g = ra * qb - qa * rb                   # C1 = lam g diag(1, -1)
-    k = (ra * qc - qa * rc) / 30.0
-    qu, ru = 20.0 * qa + qc, 20.0 * ra + rc
-    a1 = (qu * rb - ru * qb) / 240.0
-    a2 = -g * (40.0 * qa * ra + qc * ra + rc * qa) / 7200.0
-    b0 = qa + qc / 12.0
-    b1 = (g * qb - qu * k) / 120.0
-    b2 = g * g * qa / 3600.0
-    c1 = -(ra + rc / 12.0)
-    c2 = (g * rb - ru * k) / 120.0
-    c3 = -g * g * ra / 3600.0
+    h10 = 10.0 / 3.0 * h
+    ba, ga = h * b2, h * g2
+    bb, gb = h15 * (b3 - b1), h15 * (g3 - g1)
+    bc, gc = h10 * (b3 - 2.0 * b2 + b1), h10 * (g3 - 2.0 * g2 + g1)
+    c1 = ba * gb - ga * bb                  # C1 = c1 diag(1, -1)
+    k = (ba * gc - ga * bc) / 30.0          # [alpha1, alpha3] / 30
+    bu, gu = 20.0 * ba + bc, 20.0 * ga + gc
+    c1sq = c1 * c1 / 30.0
+    a0 = (gu * bb - bu * gb) / 240.0 + c1 * (bu * ga + gu * ba) / 7200.0
+    a1 = -c1 * bu * ba / 3600.0
+    b = ba + bc / 12.0 + (c1 * bb + c1sq * ba - bu * k) / 120.0
+    c0 = ga + gc / 12.0 + (gu * k - c1 * gb + c1sq * ga) / 120.0
+    cl = -(ba + bc / 12.0 + (bu * k - c1 * bb + c1sq * ba) / 120.0)
     lam = np.asarray(lams, dtype=float)[:, None]
-    a = lam * (a1 + lam * a2)
-    b = b0 + lam * (b1 + lam * b2)
-    c = lam * (c1 + lam * (c2 + lam * c3))
+    a = a0 + lam * a1
+    c = c0 + lam * cl
     s2 = a * a + b * c
     th = np.sqrt(np.abs(s2))
     ch = np.cos(th)
@@ -301,6 +303,7 @@ class KernelEngine:
         self._refs = np.empty(0)
         self._rscale = np.empty((0, _M))
         self.levels = [None]        # levels[j] for j >= 1
+        self._frame = None          # (beta, gamma), built by _liouville
         # where the layout stands (_lay_panels): a ladder index whose base
         # point is at or before bp[-1], the layout coordinate there, the
         # slope of W on the lattice cell ending there (None at the start)
@@ -559,7 +562,7 @@ class KernelEngine:
                 eta_prev[m0 - n0:] * self._rscale[m0 - nd:], _CUM)
             logF_bounds = np.logaddexp.accumulate(np.concatenate(
                 [[logF0], refs + np.log(np.maximum(raw[:, -1], 1e-300))]))
-            logF_nodes = np.logaddexp(
+            logF_nodes = _logaddexp(
                 logF_bounds[:-1, None],
                 refs[:, None] + np.log(np.maximum(raw[:, :-1], 1e-300)))
             g_main = np.exp(logF_nodes - self._phip_nodes[m0:])
@@ -671,20 +674,24 @@ class KernelEngine:
                                    eta[fc][deep], f_next)
             yield eta, f_next
 
-    def series_eval(self, lams, xs, with_w1=True):
+    def series_eval(self, lams, xs, with_w1=True, w1_log_div=0.0):
         """Alternating series for every lam at once, taken only at its own
         points x <= switch_x(lam): one row table over xs (_series_rows)
         gives eta_j(xs) and, when with_w1, F_{j+1}(xs), level by level, and
         the term loop adds (-lam)^j eta_j to w and -lam (-lam)^j F_{j+1} to
         w1, term by term in j, until every lam has met _TERM_TOL at its
         points.  with_w1 may also be a boolean mask over xs, the columns
-        whose w1 is wanted.  Returns (w, w1, err), each (L, N); entries
-        beyond a lam's switch point, and w1 outside the wanted columns, are
-        left at w = 1, w1 = 0, err = 0, and w1 is None unless with_w1."""
+        whose w1 is wanted.  w1_log_div (0, or an array over xs) divides
+        w1 by its exp, taken off log F_{j+1} before the exp, so that w1 / A
+        comes without forming A.  Returns (w, w1, err), each (L, N);
+        entries beyond a lam's switch point, and w1 outside the wanted
+        columns, are left at w = 1, w1 = 0, err = 0, and w1 is None unless
+        with_w1."""
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         held = xs[None, :] <= self.switch_x(lams)[:, None]
         fc = np.flatnonzero(np.broadcast_to(with_w1, xs.shape))
+        div = np.broadcast_to(w1_log_div, xs.shape)[fc]
         fc = fc if len(fc) else None
         rows = self._series_rows(xs, fc)
         w = np.ones(held.shape)
@@ -693,7 +700,7 @@ class KernelEngine:
         f1 = next(rows)
         if fc is not None:
             held_f = held[:, fc]
-            w1sum = np.where(held_f, np.exp(f1), 0.0)
+            w1sum = np.where(held_f, np.exp(f1 - div), 0.0)
         neg = -lams[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             for j, (eta, f_next) in enumerate(rows, 1):
@@ -703,7 +710,8 @@ class KernelEngine:
                 tail = np.abs(term)
                 acc += tail
                 if fc is not None:
-                    w1sum += np.where(held_f, power * np.exp(f_next), 0.0)
+                    w1sum += np.where(held_f, power * np.exp(f_next - div),
+                                      0.0)
                 if j >= 2 and (tail <= _TERM_TOL
                                * np.maximum(acc, 1.0)).all():
                     break
@@ -721,24 +729,53 @@ class KernelEngine:
         err = np.where(held, tail + 1e-14 * acc + floor, 0.0)
         return w, w1, err
 
+    def _liouville(self):
+        """beta = sqrt(r / p) and gamma = Q beta of the Liouville frame (see
+        table) as two CoeffExprs, built from the problem's logs on the
+        first propagation: with phi = (log p + log r) / 4,
+
+            Q beta^2 = phi'' + ((log p)' - (log r)') phi' / 2 + phi'^2
+                     = phi'' + phi' (3 (log p)' - (log r)') / 4."""
+        if self._frame is None:
+            lp, lr, dp, dr = (e.ast for e in self.problem.logs)
+            log_beta = ("mul", ("num", 0.5), ("sub", lr, lp))
+            dphi = ("mul", ("num", 0.25), ("add", dp, dr))
+            dp3_dr = ("sub", ("mul", ("num", 3.0), dp), dr)
+            qb2 = ("add", diff(dphi),
+                   ("mul", dphi, ("mul", ("num", 0.25), dp3_dr)))
+            self._frame = (CoeffExpr(("call", "exp", log_beta)),
+                           CoeffExpr(("mul", ("call", "exp",
+                                              ("neg", log_beta)), qb2)))
+        return self._frame
+
+    def _frame_change(self, x):
+        """log A = (log p + log r) / 2 and phi_xi = phi' / beta, the
+        Liouville frame's change of state at the points x."""
+        with np.errstate(all="ignore"):
+            lp = self.phi_p(x, check=False)
+            lr = self.phi_r(x, check=False)
+            dphi = 0.25 * (self.dphi_p(x, check=False)
+                           + self.dphi_r(x, check=False))
+            return 0.5 * (lp + lr), dphi * np.exp(0.5 * (lp - lr))
+
     def _steps(self, lam_max, x0, x_end):
         """Fine step edges from the panel edge x0 to the right end of the
         panel holding x_end, each panel cut into an even number of equal
-        steps.  A pilot grid keeps a step's phase sqrt(lam_max r/p) h
-        within _STEP_PHASE and the variation of log p and log r on it within
+        steps.  A pilot grid keeps a step's phase sqrt(lam_max) beta h
+        within _STEP_PHASE and the variation of log beta on it within
         _STEP_DLOG; each panel's count is then scaled so that the doubling
         estimate of its worst step pair at lam_max, taken on the pilot grid
         and scaled as h^7, meets _STEP_TOL, the steps growing at most
         _STEP_COARSEN times over the pilot's."""
         i0 = int(np.searchsorted(self.bp, x0))
         i1 = max(int(np.searchsorted(self.bp, x_end)), i0 + 1)
-        phir, phip = self._phir_nodes[i0:i1], self._phip_nodes[i0:i1]
+        log_beta = 0.5 * (self._phir_nodes[i0:i1] - self._phip_nodes[i0:i1])
         with np.errstate(all="ignore"):
             phase = math.sqrt(lam_max) * self.widths[i0:i1] * (
-                np.exp(0.5 * (phir - phip)) @ _W)
-            var = np.maximum(np.ptp(phir, axis=1), np.ptp(phip, axis=1))
-            n0 = 2 * np.ceil(0.5 * np.maximum(
-                np.maximum(phase / _STEP_PHASE, var / _STEP_DLOG), 1.0))
+                np.exp(log_beta) @ _W)
+            n0 = 2 * np.ceil(0.5 * np.maximum(np.maximum(
+                phase / _STEP_PHASE, np.ptp(log_beta, axis=1) / _STEP_DLOG),
+                1.0))
         if not np.all(np.isfinite(n0)):
             raise errors.SingularCoefficient(
                 "cannot size propagator steps on [%g, %g]" % (x0, x_end))
@@ -756,41 +793,38 @@ class KernelEngine:
         return _split(self.bp[i0:i1 + 1], n)
 
     def _magnus_steps(self, lams, starts, ends):
-        """_magnus for the steps [starts, ends] (p and r sampled in one
-        call each) and sqrt(p r) at the steps' middle points."""
+        """_magnus for the steps [starts, ends], beta and gamma sampled in
+        one call each."""
+        beta, gamma = self._liouville()
         h = ends - starts
         nodes = starts[:, None] + h[:, None] * _MAGNUS_U
-        p = self.problem.p(nodes, check=False)
-        r = self.problem.r(nodes, check=False)
         with np.errstate(all="ignore"):
-            return (_magnus(lams, h, 1.0 / p, r),
-                    np.sqrt(p[:, 1]) * np.sqrt(r[:, 1]))
+            return _magnus(lams, h, beta(nodes, check=False),
+                           gamma(nodes, check=False))
 
     def _pair_errors(self, lam, t):
         """Doubling estimate of the local error of each pair of steps of the
         grid t (an even number of steps) at the one value lam: the largest
         entry of (M_1 M_0 - M_01) / 63 in the amplitude scaling diag(1,
-        1/sqrt(lam p r)), M_01 being one step over the pair."""
+        1/sqrt(lam)), M_01 being one step over the pair."""
         n = len(t) - 1
-        m, amp = self._magnus_steps(
+        m = self._magnus_steps(
             [lam], np.append(t[:-1], t[:-1:2]), np.append(t[1:], t[2::2]))
         m = [x[0] for x in m]
         pair = _mul([x[1:n:2] for x in m], [x[0:n:2] for x in m])
         d = [x - y[n:] for x, y in zip(pair, m)]
-        with np.errstate(all="ignore"):
-            kap = math.sqrt(lam) * amp[n:]
-            return np.maximum.reduce([np.abs(d[0]), np.abs(d[1]) * kap,
-                                      np.abs(d[2]) / kap, np.abs(d[3])]) / 63.0
+        kap = math.sqrt(lam)
+        return np.maximum.reduce([np.abs(d[0]), np.abs(d[1]) * kap,
+                                  np.abs(d[2]) / kap, np.abs(d[3])]) / 63.0
 
     def _march(self, lams, t, start, xs):
-        """Carry the start state (w, w1) of every lam (2, L) from t[0] over
-        the step grid t by sixth-order Magnus steps, twice: the fine pass
-        over every step, the coarse pass over every other fine edge.
-        Values are taken at the sorted points xs >= t[0], each a step end
-        or a partial step from the edge before it.  Returns (vals, amp):
-        vals[pass, (w, w1), lam, x] and amp = sqrt(p r) halfway from a
-        point's fine edge to it.  The (L, steps) tables are held for at
-        most _STEP_BLOCK fine steps, or partial steps, at a time."""
+        """Carry the start state of every lam (2, L) from t[0] over the
+        step grid t by sixth-order Magnus steps, twice: the fine pass over
+        every step, the coarse pass over every other fine edge.  Values are
+        taken at the sorted points xs >= t[0], each a step end or a partial
+        step from the edge before it.  Returns vals[pass, component, lam,
+        x].  The (L, steps) tables are held for at most _STEP_BLOCK fine
+        steps, or partial steps, at a time."""
         n_steps = len(t) - 1
         k_of = np.minimum(np.searchsorted(t, xs, side="right") - 1,
                           n_steps - 1)
@@ -798,13 +832,12 @@ class KernelEngine:
         k_last = int(k_of[-1])
         k_end = k_last + 2 - k_last % 2
         states = [start, start]
-        vals = np.empty((2, 2, len(lams), len(xs)))  # pass, (w, w1), lam, x
-        amp = np.empty(len(xs))
+        vals = np.empty((2, 2, len(lams), len(xs)))
         for k0 in range(0, k_end, _STEP_BLOCK):
             k1 = min(k0 + _STEP_BLOCK, k_end)
             nf = k1 - k0
             # the block's fine steps, then its coarse steps
-            m, _ = self._magnus_steps(
+            m = self._magnus_steps(
                 lams, np.append(t[k0:k1], t[k0:k1:2]),
                 np.append(t[k0 + 1:k1 + 1], t[k0 + 2:k1 + 1:2]))
             edges = []                  # states at every edge of the block
@@ -819,26 +852,34 @@ class KernelEngine:
                 sub = pts[c:c + _STEP_BLOCK]
                 kf = k_of[sub]
                 kc = kf - kf % 2
-                m, amp_mid = self._magnus_steps(
+                m = self._magnus_steps(
                     lams, np.append(t[kf], t[kc]), np.append(xs[sub], xs[sub]))
                 n = len(sub)
-                amp[sub] = amp_mid[:n]
                 vals[0][:, :, sub] = _apply([x[:, :n] for x in m],
                                             edges[0][:, :, kf - k0])
                 vals[1][:, :, sub] = _apply([x[:, n:] for x in m],
                                             edges[1][:, :, (kc - k0) // 2])
-        return vals, amp
+        return vals
 
     def table(self, lams, xs, with_w1=True):
         """Kernel w, w1, err for every lam (rows) at points xs in (a, b)
         (columns), the grid grown to cover them.  The series serves each
         lam up to its switch point; beyond it, one Magnus propagation
         carries every lam that needs it, from the smallest switch point
-        x0, its start state one more column of the series table.  err adds
-        the series estimate at x0 to the doubling estimate of the
-        propagation, the distance of its fine and coarse passes in the
-        amplitude norm sqrt(dw^2 + (dw1 / sqrt(lam p r))^2).  w1 is None
-        unless with_w1."""
+        x0, its start state one more column of the series table.
+
+        The propagation is in the Liouville frame: with A = sqrt(p r),
+        phi = log(A) / 2 and d(xi)/dx = beta = sqrt(r / p), the state
+        (u, u_xi) = (sqrt(A) w, sqrt(A) (phi_xi w + w1 / A)) solves -u_xi_xi
+        + Q u = lam u, so it is carried scaled by 1 / sqrt(A(x0)) through
+        y' = [[0, beta], [gamma - lam beta, 0]] y, gamma = Q beta
+        (_liouville).  The start state takes w1 / A from the series' log F
+        rows, and the state goes back to (w, w1) at the points through
+        log A alone, so no p, r or A is formed where it under- or
+        overflows.  err adds the series estimate at x0 to the doubling
+        estimate of the propagation, the distance of its fine and coarse
+        passes in the amplitude norm sqrt(dw^2 + (dw1 / sqrt(lam p r))^2).
+        w1 is None unless with_w1."""
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         self.cover(float(np.max(xs)))
@@ -853,13 +894,15 @@ class KernelEngine:
         cols = xs <= np.max(sw)
         beyond = xs[None, :] > sw[:, None]
         need = np.flatnonzero(np.any(beyond, axis=1))
-        sx, want = xs[cols], with_w1
+        sx, want, div = xs[cols], with_w1, 0.0
         if len(need):
             x0 = float(np.min(sw))
+            log_a0, phi_xi0 = self._frame_change(x0)
             sx = np.append(sx, x0)
             want = np.append(np.full(len(sx) - 1, with_w1), True)
+            div = np.append(np.zeros(len(sx) - 1), log_a0)
         if len(sx):
-            ws, w1s, es = self.series_eval(lv, sx, want)
+            ws, w1s, es = self.series_eval(lv, sx, want, div)
             n = np.count_nonzero(cols)
             w[np.ix_(live, cols)] = ws[:, :n]
             err[np.ix_(live, cols)] = es[:, :n]
@@ -869,23 +912,32 @@ class KernelEngine:
             return w, w1, err
         on = np.flatnonzero(xs > x0)
         t_eval, inv = np.unique(xs[on], return_inverse=True)
-        vals, amp = self._march(
-            lv[need], self._steps(float(np.max(lv)), x0, float(t_eval[-1])),
-            np.array([ws[need, -1], w1s[need, -1]]), t_eval)
+        w0 = ws[need, -1]
+        t = self._steps(float(np.max(lv)), x0, float(t_eval[-1]))
+        with np.errstate(all="ignore"):
+            vals = self._march(lv[need], t, np.array(
+                [w0, phi_xi0 * w0 + w1s[need, -1]]), t_eval)
         if not np.all(np.isfinite(vals[0])):
             raise errors.SingularCoefficient(
                 "non-finite kernel continuation on [%g, %g]"
                 % (x0, t_eval[-1]))
-        dw, dv = vals[0] - vals[1]
+        log_a, phi_xi = self._frame_change(t_eval)
         with np.errstate(all="ignore"):
-            dv /= np.sqrt(lv[need])[:, None] * amp
+            scale = np.exp(0.5 * (log_a0 - log_a))
+            wp = vals[:, 0] * scale                 # w of both passes
+            dw = wp[0] - wp[1]
+            # (w1 / A) of the fine pass less the coarse one's
+            dv = scale * (vals[0, 1] - vals[1, 1]) - phi_xi * dw
+            dv /= np.sqrt(lv[need])[:, None]
             perr = np.sqrt(dw * dw + dv * dv)
         # only a lam's own points beyond its switch take propagated values
         take = beyond[np.ix_(need, on)]
         blk = np.ix_(live[need], on)
-        w[blk] = np.where(take, vals[0][0][:, inv], w[blk])
+        w[blk] = np.where(take, wp[0][:, inv], w[blk])
         if with_w1:
-            w1[blk] = np.where(take, vals[0][1][:, inv], w1[blk])
+            with np.errstate(all="ignore"):
+                v1 = np.exp(log_a) * (scale * vals[0, 1] - phi_xi * wp[0])
+            w1[blk] = np.where(take, v1[:, inv], w1[blk])
         err[blk] = np.where(take, es[need, -1][:, None] + perr[:, inv],
                             err[blk])
         return w, w1, err

@@ -109,7 +109,8 @@ def _grid_measure(family, coef, x_grid, label):
     the sum, not the density, is judged, since r (e^{4x} / 16 on
     jacobi(1, 0)) would blow the sum's rounding up with it.  The rest is
     clipped at 0 and renormalized by its trapezoid mass, and the meta
-    records both and how the synthesis stopped."""
+    records both (the clipped part as its trapezoid integral) and how the
+    synthesis stopped."""
     x_grid = np.asarray(x_grid, dtype=float)
     dens, stop = spectral.synthesize(family, coef, [family.problem.a],
                                      x_grid, _SYNTH_TOL)
@@ -120,7 +121,7 @@ def _grid_measure(family, coef, x_grid, label):
         raise errors.MassDeficit("%s: negative spectral sum (min %g) from "
                                  "the inverse transform" % (label, low))
     dens_dx = dens[0] * rv
-    clipped = float(np.sum(np.minimum(dens_dx, 0.0)))
+    clipped = float(np.trapezoid(np.minimum(dens_dx, 0.0), x_grid))
     dens_dx = np.maximum(dens_dx, 0.0)
     mass = float(np.trapezoid(dens_dx, x_grid))
     # cubic Hermite panels on np.gradient's second-order slopes add the

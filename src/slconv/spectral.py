@@ -191,18 +191,27 @@ def _half_line_sums(family, h, lams):
     and the table retaken.  A kernel that decays can stop the transform
     far sooner than |h| r, so windows of more than _TABLE_NODES nodes
     take a table before the kernel-free rule holds, and again each time
-    their nodes double."""
+    their nodes double.  They take none while lam = 0 is among lams and h
+    keeps one sign on the windows laid: w_0 = 1, so the transform's rule
+    cannot hold before the kernel-free one."""
     problem = family.problem
     a = problem.a
     rules, free = [], []      # each window's rule and its sum of |h| r
     edges = [a, a + 1.0]
     taken = _TABLE_NODES // 2     # nodes of the last table taken
+    # lam = 0 among lams and h of one sign on the windows laid so far
+    bounded = bool(np.any(lams == 0.0))
+    pos = neg = False
     while True:
         rules.append(_transform_rule(problem, h, lams, *edges[-2:]))
         free.append(_row_sums(np.abs(rules[-1][1])[None]))
         edges.append(a + 2.0 * (edges[-1] - a))
         nodes = sum(len(w) for _, w in rules)
-        if nodes < 2 * taken and not _kernel_free_stop(free):
+        if bounded:
+            pos = pos or bool(np.any(rules[-1][1] > 0.0))
+            neg = neg or bool(np.any(rules[-1][1] < 0.0))
+            bounded = not (pos and neg)
+        if (nodes < 2 * taken or bounded) and not _kernel_free_stop(free):
             continue
         total = _doubling_stop(_window_sums(family, lams, rules))
         if total is not None:

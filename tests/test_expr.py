@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from slconv import errors, expr, kernel, slmodel
+from slconv import errors, expr, families, kernel, slmodel
 
 
 def test_parse_evaluate_basic():
@@ -52,6 +52,52 @@ def test_diff_chain_and_product():
     x = 1.7
     want = 2 * x * math.exp(-x) - x * x * math.exp(-x)
     assert expr.evaluate(d, x) == pytest.approx(want, rel=1e-12)
+
+
+_FAMILY_CASES = (("cosine", {}), ("squared_weight", {}),
+                 ("hankel", {"alpha": 0.0}), ("hankel", {"alpha": 1.0}),
+                 ("hankel", {"alpha": -0.25}),
+                 ("jacobi", {"alpha": 1.0, "beta": 0.0}),
+                 ("jacobi", {"alpha": 0.5, "beta": -0.5}),
+                 ("whittaker", {"alpha": 0.0}),
+                 ("whittaker", {"alpha": 0.25}), ("degenerate_custom", {}))
+
+
+def _derivative_trees():
+    """For each log p and log r of the built-in families, its first to
+    third derivatives by diff alone and by dlog then diff."""
+    out = []
+    for name, params in _FAMILY_CASES:
+        prob = families.make_family(name, params).problem
+        for coeff in (prob.p, prob.r):
+            chains = ([expr.log_ast(coeff.ast)], [expr.dlog_ast(coeff.ast)])
+            chains[0].append(expr.diff(chains[0][-1]))
+            for chain in chains:
+                while len(chain) < 4:
+                    chain.append(expr.diff(chain[-1]))
+            out.append(chains[0][1:] + chains[1][1:])
+    return out
+
+
+def test_folded_derivatives_match_the_literal_trees(monkeypatch):
+    # diff and dlog fold numbers, unit and zero factors as they build a
+    # tree; wherever the literal tree is finite the folded one gives its
+    # values to the bit
+    folded = _derivative_trees()
+    monkeypatch.setattr(expr, "_node", lambda op, *args: (op,) + args)
+    literal = _derivative_trees()
+    xs = np.concatenate([np.geomspace(1e-6, 1e3, 401), -np.geomspace(
+        1e-6, 1e3, 41)])
+    shrunk = 0
+    for fold_row, lit_row in zip(folded, literal):
+        for f, lit in zip(fold_row, lit_row):
+            want = expr.evaluate(lit, xs, check=False)
+            got = expr.evaluate(f, xs, check=False)
+            fin = np.isfinite(want)
+            assert np.count_nonzero(fin) > 200
+            assert np.array_equal(got[fin], want[fin]), expr.unparse(f)
+            shrunk += len(expr.unparse(f)) < len(expr.unparse(lit))
+    assert shrunk >= len(folded)
 
 
 def test_syntax_errors():

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import j1
+from scipy.special import j1, jv
 
 from slconv import errors, families, kernel, slmodel
 from slconv.expr import CoeffExpr
@@ -315,6 +315,53 @@ def test_propagator_holds_bounded_step_blocks(monkeypatch):
     kernel.kernel_table(_whittaker0(), lams, np.array([0.05, 3.5, 91.0]))
     assert all(rows == 64 for rows, _ in sizes)
     assert max(steps for _, steps in sizes) == kernel._STEP_BLOCK
+
+
+def test_liouville_steps_are_pinned():
+    # the steps resolve beta = sqrt(r/p) and gamma, not p and r: neither
+    # whittaker's e^(-1/x) layer nor the cubic's x^3 slopes cost steps
+    eng = kernel.get_engine(_whittaker0(), 3.5)
+    assert len(eng._steps(144.0, eng.switch_x(144.0), 3.5)) - 1 <= 500
+    eng = kernel.get_engine(_cubic(), 32.0)
+    assert len(eng._steps(10.0, eng.switch_x(10.0), 32.0)) - 1 <= 700
+
+
+def test_whittaker_kernel_at_lambda_1e4():
+    # the switch point sits at x = 1e-3, where p = x^2 e^(-1/x)
+    # underflows; the scaled Liouville state starts there all the same
+    prob = _whittaker0()
+    xs = np.array([0.05, 0.5, 3.5])
+    eng = kernel.get_engine(prob, float(xs[-1]))
+    assert math.exp(-1.0 / eng.switch_x(1e4)) == 0.0
+    w, _, err = eng.eval_many(1e4, xs)
+    want = np.array([_whittaker0_mp(1e4, x) for x in xs])
+    assert np.all(err >= np.abs(w - want))
+    assert np.max(err) <= 1e-9
+
+
+def test_propagated_quasi_derivative_closed_forms():
+    # w1 = p w' beyond the switch point, back from the Liouville state:
+    # cosine -sqrt(lam) sin(sqrt(lam) x); hankel alpha = 1
+    # -x^3 sqrt(lam) 2 J_2(z) / z, z = sqrt(lam) x
+    def cosine_w1(lam, xs):
+        return -math.sqrt(lam) * np.sin(math.sqrt(lam) * xs)
+
+    def hankel1_w1(lam, xs):
+        z = math.sqrt(lam) * xs
+        return -xs ** 3 * math.sqrt(lam) * 2.0 * jv(2, z) / z
+
+    xs = np.linspace(0.3, 4.0, 38)
+    for name, params, exact in (("cosine", {}, cosine_w1),
+                                ("hankel", {"alpha": 1.0}, hankel1_w1)):
+        prob = families.make_family(name, params).problem
+        eng = kernel.get_engine(prob, float(xs[-1]))
+        for lam in (25.0, 144.0, 1e4):
+            beyond = xs > eng.switch_x(lam)
+            assert np.count_nonzero(beyond) >= 10
+            _, w1, _ = eng.eval_many(lam, xs)
+            want = exact(lam, xs)
+            np.testing.assert_allclose(w1[beyond], want[beyond], rtol=0,
+                                       atol=1e-11 * np.max(np.abs(want)))
 
 
 def _cubic():

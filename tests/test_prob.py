@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -128,6 +129,20 @@ def test_semigroup_measure_judges_the_sum_not_the_density():
     for lam in (0.0, 4.0, 10.0):
         assert _hat(fam, mu, lam) == pytest.approx(math.exp(-0.3 * lam),
                                                    abs=5e-5)
+
+
+def test_semigroup_measure_reports_the_clipped_mass():
+    # the meta's clipped_mass is the trapezoid integral of the clipped
+    # part, so it does not scale with the number of grid points
+    fam = families.make_family("jacobi", {"alpha": 1.0, "beta": 0.0})
+    xg = np.linspace(0.0, 12.0, 601)
+    mu = prob.semigroup_measure(fam, lambda lam: lam, 0.3, xg)
+    got = float(re.search(r"clipped_mass=(\S+)", mu.meta).group(1))
+    dens, _ = spectral.synthesize(fam, lambda lams: np.exp(-0.3 * lams),
+                                  [0.0], xg, prob._SYNTH_TOL)
+    clipped = np.minimum(dens[0] * fam.problem.r_val(xg), 0.0)
+    assert got == pytest.approx(np.trapezoid(clipped, xg), rel=1e-3)
+    assert got == pytest.approx(-1.24e-7, rel=0.02)
 
 
 def test_semigroup_property_via_transforms(cosine):

@@ -308,3 +308,24 @@ def test_forward_transform_tables_a_decaying_kernel_early(monkeypatch):
     assert len(calls) == 1
     assert len(calls[0]) <= 2 * nodes
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_forward_transform_with_lambda_zero_takes_no_early_table(monkeypatch):
+    # w_0 = 1 and h = (1 + x)^-8 > 0: the lam = 0 column meets the
+    # transform's rule no sooner than |h| r meets it, so the windows take
+    # their one table once the kernel-free rule holds, not at every
+    # doubling of their nodes past _TABLE_NODES
+    problem = slmodel.custom_problem_from_dict(
+        {"p": "x^3", "r": "x^3", "a": 0, "b": "inf", "c": 1})
+    fam = families.from_problem(problem)
+
+    def h(x):
+        return (1.0 + np.asarray(x, dtype=float)) ** -8
+
+    calls = _recorded_tables(monkeypatch)
+    got = spectral.forward_transform(fam, h, np.array([0.0, 25.0]))
+    assert len(calls) == 1
+    # B(4, 4) = 1/140 at lam = 0; at lam = 25 the value the early tables
+    # gave
+    np.testing.assert_allclose(got, [1.0 / 140.0, 8.885469501324521e-4],
+                               rtol=0, atol=1e-12)
