@@ -17,7 +17,13 @@ the engine's panel grid by cumulative 12-point Gauss-Legendre rules: F_j
 in log space with per-panel rescaling, so r may under- or overflow, and
 below the resolvable layer of r (the deep region, r ~ exp(-1/x)) by a
 Watson-type expansion in the symbolic derivatives of log r.  A table
-gathers each level's rows at its points once, for every lam.
+sums the series in one pass: its term count J is read at each lam's
+largest held point, one gather of levels 0 .. J at its points gives the
+eta_j (and one more the log F_{j+1} of its w^[1] columns) for every lam,
+and the (J + 1, lam, points) terms are added in order of j, one level at
+a time, as a term-by-term loop would (np.add.reduce along the first axis
+of a C-contiguous table; no BLAS sum, whose order loses digits to the
+alternating terms' cancellation).
 
 Propagation.  Beyond the smallest switch point x0, sixth-order Magnus
 steps carry every lam at once in the Liouville frame: xi with d(xi)/dx =
@@ -28,20 +34,30 @@ the Liouville potential, so the steps resolve beta and gamma instead of
 p and r, and each step's exponent is affine in lam.  The start state
 takes w^[1] / A from the series' log F rows, and the state goes back to
 (w, w^[1]) through log A, so no p, r or A is formed where it under- or
-overflows.  A coarse pass over every other step edge gives the error
-estimate.
+overflows.  Each lam's state is scaled back by a power of two whenever
+its binary exponent passes +-_STATE_EXP, and the exponent is carried into
+the frame's scale.  A coarse pass over every other step edge gives the
+error estimate.
 
 Engine.  Each problem has one engine (get_engine, an LRU cache keyed by
 the problem).  Its deep region is decided once; its main panels start
 there and grow forward, whole panels at a time, when a caller needs a
 larger x, and every series level built so far is carried on over the new
-panels.  Panels laid never change and every table is a left-to-right
-prefix sum, so w_lam(x) does not depend on the engine's history.  The
-other points and lam of a table reach a value only through the series'
-term count and the step grid, which is sized at the largest lam.
+panels.  The levels sit in one level-major table: g (levels, panels,
+12), eta (levels, panels + 1) and log F bounds (levels, main panels +
+1), reserved at construction for _J_CAP + 2 levels and every panel the
+grid may hold.  Its pages become resident only once written, so a new
+level fills its row, cover fills the new panels of each row in place,
+and no copy of the table is ever made.  Levels are built one at a time,
+as the series' term count asks.  Panels laid never change and every
+table is a left-to-right prefix sum, so w_lam(x) does not depend on the
+engine's history.  The other points and lam of a table reach a value
+only through the series' term count and the step grid, which is sized
+at the largest lam.
 """
 
 import math
+import mmap
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -153,17 +169,61 @@ def _expm1_ratio(y):
                         np.expm1(y) / np.where(small, 1.0, y))
 
 
+def _terms(power, rows):
+    """The terms power[j] rows[j] of a series over lam (power (J + 1, L))
+    and points (rows (J + 1, N)), as one C-contiguous (J + 1, L, N)
+    table."""
+    return np.multiply(power[:, :, None], rows[:, None, :], order="C")
+
+
+def _ordered_sum(t):
+    """The sum of the C-contiguous table t over its first axis, its rows
+    added one at a time in order, as a loop of s += row would.
+    np.add.reduce does so wherever a row holds more than one entry; it sums
+    a single column pairwise, so that case goes by np.add.accumulate."""
+    if t[0].size > 1:
+        return np.add.reduce(t, axis=0)
+    return np.add.accumulate(t, axis=0)[-1]
+
+
+def _blocks(xs, held, span):
+    """Blocks of at most span of the points xs, in order of x, each as
+    (its indices into xs, the lam rows of held holding any of them);
+    blocks that no lam holds are left out."""
+    order = np.argsort(xs, kind="stable")
+    for c in range(0, len(xs), span):
+        cols = order[c:c + span]
+        rows = np.flatnonzero(np.any(held[:, cols], axis=1))
+        if len(rows):
+            yield cols, rows
+
+
+def _reserve(*shape):
+    """A float array of zeros of the given shape whose pages become
+    resident only once written: anonymous memory, mapped without huge
+    pages.  (np.zeros and np.empty ask for huge pages above 4 MB, and a
+    row written in part would then hold whole 2 MB pages of the rows
+    around it.)"""
+    buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=float).reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # one fixed setting for every problem
 
 _SWITCH_BOUND = 10.0    # switch series -> ODE where |lam| * eta_1 exceeds it
 _J_CAP = 80             # hard cap on series terms
+_LEVEL_ROWS = _J_CAP + 2    # series levels 0 .. _J_CAP + 1 (w1 takes one more)
+_SERIES_BLOCK = 2 ** 17     # entries of a series block's term tables
 _TERM_TOL = 1e-18       # series truncation threshold
 _STEP_PHASE = 0.25      # max phase sqrt(lam r/p) h of a propagator step
 _STEP_DLOG = 0.1        # max variation of log p, log r over a step
 _STEP_TOL = 1e-12       # local error of a propagator step pair
 _STEP_COARSEN = 2.0     # max step growth over the pilot grid
 _STEP_BLOCK = 256       # propagator steps whose (L, steps) tables are held
+_STATE_EXP = 512        # binary exponent past which a state is scaled back
 _X_MIN_REL = 1e-13      # grid start offset relative to the reference span
 _DPHI_CAP = 1.2         # max |d log coeff| variation per panel
 _STEP_FRAC = 0.2        # max panel width / distance to an endpoint
@@ -275,16 +335,6 @@ class MomentFns:
     phi2: object            # callable x -> 2*(kappa*eta2(x) + eta1(x))
 
 
-@dataclass(frozen=True, slots=True)
-class _Level:
-    """Series level j on the engine's panels: g = F_j / p at the nodes
-    (panels, 12), eta_j = int_a^x g at the panel bounds and log F_j at the
-    main panels' bounds."""
-    g: np.ndarray
-    eta: np.ndarray
-    logF_bounds: np.ndarray
-
-
 class KernelEngine:
     """Shared eta/F tabulation for one problem on (a, x_max], x_max being
     the right end of a panel grid that cover() grows forward on demand."""
@@ -302,7 +352,16 @@ class KernelEngine:
         self._phir_nodes = self._phip_nodes = np.empty((0, _M))
         self._refs = np.empty(0)
         self._rscale = np.empty((0, _M))
-        self.levels = [None]        # levels[j] for j >= 1
+        # the series levels j = 0 .. depth, level-major: g = F_j / p at the
+        # nodes (levels, panels, 12), eta_j at the panel bounds and log F_j
+        # at the main panels' bounds, reserved for every level and panel
+        # the engine can hold; level 0 is eta = 1, written by cover, and
+        # g = 0, the reservation's zeros
+        n_max = self.n_deep + _MAX_MAIN_PANELS
+        self.g = _reserve(_LEVEL_ROWS, n_max, _M)
+        self.eta = _reserve(_LEVEL_ROWS, n_max + 1)
+        self.logF_bounds = _reserve(_LEVEL_ROWS, _MAX_MAIN_PANELS + 1)
+        self.depth = 0
         self._frame = None          # (beta, gamma), built by _liouville
         # where the layout stands (_lay_panels): a ladder index whose base
         # point is at or before bp[-1], the layout coordinate there, the
@@ -491,9 +550,9 @@ class KernelEngine:
 
     def cover(self, x_need):
         """Append whole main panels until the grid reaches x_need
-        (_lay_panels), then extend the panel tables and every series level
-        built so far over the new panels alone: the rows of the panels
-        already laid do not change."""
+        (_lay_panels), then extend the panel tables, and fill the rows of
+        every series level built so far over the new panels alone, in
+        place: the rows of the panels already laid do not change."""
         if not x_need < self.problem.b:
             raise errors.ParamOutOfRange(
                 "x=%g is not below the right endpoint" % x_need)
@@ -515,40 +574,38 @@ class KernelEngine:
                                       self.phi_p(node_x, check=False)])
         self._refs = np.concatenate([self._refs, refs])
         self._rscale = np.vstack([self._rscale, rscale])
-        for j in range(1, len(self.levels)):
-            self.levels[j] = self._grow_level(j, n0)
+        self.eta[0, n0:len(self.widths) + 1] = 1.0
+        for j in range(1, self.depth + 1):
+            self._grow_level(j, n0)
 
     # -- level construction -------------------------------------------------
     def _ensure_levels(self, j_need):
-        while len(self.levels) <= j_need:
-            self.levels.append(self._grow_level(len(self.levels), 0))
+        while self.depth < j_need:
+            self._grow_level(self.depth + 1, 0)
+            self.depth += 1
 
     def _grow_level(self, j, n0):
-        """Series level j with its rows on the panels n0 onward computed
-        from level j - 1 there: from a when n0 = 0, else carried on from
-        the level's last bound, log F_j through np.logaddexp.accumulate and
-        eta_j through cumsum, its rows on the first n0 panels kept."""
-        nd = self.n_deep
+        """Fill the rows of series level j on the panels n0 onward from
+        level j - 1 there: from a when n0 = 0, else carried on from the
+        level's last bound, log F_j through np.logaddexp.accumulate and
+        eta_j through cumsum.  Its rows on the first n0 panels are kept."""
+        nd, n = self.n_deep, len(self.widths)
         m0 = max(n0, nd)            # the first main panel to compute
-        if j == 1:
-            eta_prev = np.ones((len(self.widths) - n0, _M))
-        else:
-            prev = self.levels[j - 1]
-            eta_prev = (prev.eta[n0:-1, None] + self.widths[n0:, None]
-                        * _rowdot(prev.g[n0:], _NODE_PART.T))
-        old = self.levels[j] if n0 else None
-        g_deep = np.zeros((0, _M))
+        g, eta, logF = self.g[j], self.eta[j], self.logF_bounds[j]
+        g_prev, eta_prev_b = self.g[j - 1], self.eta[j - 1]
+        # eta_{j-1} at the nodes; the (panels, 12) tables are taken in place
+        eta_prev = _rowdot(g_prev[n0:n], _NODE_PART.T)
+        eta_prev *= self.widths[n0:, None]
+        eta_prev += eta_prev_b[n0:n, None]
         with np.errstate(all="ignore"):
             if n0:
-                logF0 = old.logF_bounds[-1]
+                logF0 = logF[n0 - nd]
             elif nd:
-                gprev_deep = prev.g[:nd] if j > 1 else 0.0
                 logF_deep = self._watson_logF(
-                    self._wat_deep, eta_prev[:nd], gprev_deep)
-                g_deep = np.exp(logF_deep - self._phip_nodes[:nd])
+                    self._wat_deep, eta_prev[:nd], g_prev[:nd])
+                np.exp(logF_deep - self._phip_nodes[:nd], out=g[:nd])
                 logF0 = float(self._watson_logF(
-                    self._wat_xw, prev.eta[nd] if j > 1 else 1.0,
-                    prev.g[nd - 1, -1] if j > 1 else 0.0))
+                    self._wat_xw, eta_prev_b[nd], g_prev[nd - 1, -1]))
             else:
                 # F_1 on the cut (a, x_min] is (x_min - a) r to first
                 # order; higher levels vanish there to working precision
@@ -556,27 +613,29 @@ class KernelEngine:
                 logF0 = (math.log(x_min - self.problem.a)
                          + self.phi_r(x_min, check=False)
                          if j == 1 else -np.inf)
-            refs = self._refs[m0 - nd:]
-            # partial integrals at the nodes, then over the whole panel
-            raw = self.widths[m0:, None] * _rowdot(
-                eta_prev[m0 - n0:] * self._rscale[m0 - nd:], _CUM)
-            logF_bounds = np.logaddexp.accumulate(np.concatenate(
-                [[logF0], refs + np.log(np.maximum(raw[:, -1], 1e-300))]))
-            logF_nodes = _logaddexp(
-                logF_bounds[:-1, None],
-                refs[:, None] + np.log(np.maximum(raw[:, :-1], 1e-300)))
-            g_main = np.exp(logF_nodes - self._phip_nodes[m0:])
-        g = np.vstack([g_deep, g_main])
-        if not np.all(np.isfinite(g)):
+            # the partial integrals of eta_{j-1} r at the nodes, then over
+            # the whole panel, as ref + log
+            eta_prev = eta_prev[m0 - n0:]
+            eta_prev *= self._rscale[m0 - nd:]
+            raw = _rowdot(eta_prev, _CUM)
+            del eta_prev
+            raw *= self.widths[m0:, None]
+            np.maximum(raw, 1e-300, out=raw)
+            np.log(raw, out=raw)
+            raw += self._refs[m0 - nd:, None]
+            bounds = logF[m0 - nd:n - nd + 1]
+            np.logaddexp.accumulate(np.concatenate([[logF0], raw[:, -1]]),
+                                    out=bounds)
+            logF_nodes = _logaddexp(bounds[:-1, None], raw[:, :-1])
+            del raw
+            logF_nodes -= self._phip_nodes[m0:]
+            np.exp(logF_nodes, out=g[m0:n])
+        if not np.all(np.isfinite(g[n0:n])):
             raise errors.SingularCoefficient(
                 "non-finite eta integrand at level %d" % j)
-        eta = np.cumsum(np.concatenate(
-            [[old.eta[-1] if n0 else 0.0], self.widths[n0:] * _rowdot(g, _W)]))
-        if not n0:
-            return _Level(g, eta, logF_bounds)
-        return _Level(np.vstack([old.g, g]),
-                      np.concatenate([old.eta, eta[1:]]),
-                      np.concatenate([old.logF_bounds, logF_bounds[1:]]))
+        np.cumsum(np.concatenate([[eta[n0] if n0 else 0.0],
+                                  self.widths[n0:] * _rowdot(g[n0:n], _W)]),
+                  out=eta[n0:n + 1])
 
     # -- evaluation ---------------------------------------------------------
     def _locate(self, x):
@@ -588,31 +647,62 @@ class KernelEngine:
         t = np.clip((x - self.bp[idx]) / width, 0.0, 1.0)
         return idx, width, _partial_weights(t)
 
-    def _eta_nodes(self, lev, panels):
-        """eta_j of the level lev at the nodes of the panels (an index or
-        slice), shape (panels, 12)."""
-        return (lev.eta[:-1][panels, None] + self.widths[panels, None]
-                * (lev.g[panels] @ _NODE_PART.T))
+    def _eta_rows(self, rows, idx, width, wts):
+        """eta_j for the levels j of the slice rows at points located as
+        _locate gives them, shape (levels, points): one gather of those
+        levels' rows at the points' panels, one einsum with the points'
+        partial weights."""
+        return self.eta[rows, idx] + width * np.einsum(
+            "mk,jmk->jm", wts, self.g[rows, idx])
 
-    @staticmethod
-    def _eta_points(lev, idx, width, wts):
-        """eta_j of the level lev at the points located as _locate gives
-        them."""
-        return lev.eta[idx] + width * np.einsum("mk,mk->m", wts, lev.g[idx])
+    def _logF_rows(self, n, x, idx, width, wts):
+        """log F_j at the points x (N,), located as _locate gives them, for
+        j = 1 .. n, shape (n, N).  On the main panels, log F_j at a point's
+        panel bound plus the partial integral of eta_{j-1} r over its
+        panel, from one gather of levels 0 .. n - 1 and one einsum; below
+        x_w the Watson expansion, carried from level to level."""
+        nd = self.n_deep
+        deep = x <= self.x_w if nd else np.zeros(x.shape, bool)
+        main = ~deep
+        im, wd = idx[main], width[main]
+        out = np.empty((n, len(x)))
+        # the weights of eta_{j-1} r over a point's panel: the partial
+        # weights times exp(log r - ref) at the nodes, taken through the
+        # node partials of g_{j-1} for the part beyond the panel bound
+        wr = wts[main] * self._rscale[im - nd]
+        with np.errstate(all="ignore"):
+            raw = wd * (self.eta[:n, im] * np.sum(wr, axis=1)
+                        + wd * np.einsum("jmk,mk->jm", self.g[:n, im],
+                                         _rowdot(wr, _NODE_PART)))
+            out[:, main] = _logaddexp(
+                self.logF_bounds[1:n + 1, im - nd],
+                self._refs[im - nd] + np.log(np.maximum(raw, 1e-300)))
+            if np.any(deep):
+                xd = x[deep]
+                wat = self._watson(xd)
+                phip = self.phi_p(xd, check=False)
+                eta = self._eta_rows(slice(0, n), idx[deep], width[deep],
+                                     wts[deep])
+                fd = np.empty(eta.shape)
+                etap = 0.0
+                for j in range(n):
+                    fd[j] = self._watson_logF(wat, eta[j], etap)
+                    etap = np.exp(fd[j] - phip)
+                out[:, deep] = fd
+        return out
 
     def eta_at(self, j, x):
         x = np.asarray(x, dtype=float)
-        if j == 0:
-            return np.ones_like(x)
         self._ensure_levels(j)
-        out = self._eta_points(self.levels[j], *self._locate(np.atleast_1d(x)))
+        out = self._eta_rows(slice(j, j + 1),
+                             *self._locate(np.atleast_1d(x)))[0]
         return float(out[0]) if x.ndim == 0 else out
 
     def switch_x(self, lam):
         """Largest grid point where |lam| * eta_1 <= _SWITCH_BOUND (one per
         lam when lam is an array)."""
         self._ensure_levels(1)
-        cb = self.levels[1].eta
+        cb = self.eta[1, :len(self.bp)]
         with np.errstate(divide="ignore"):
             thr = _SWITCH_BOUND / np.abs(np.asarray(lam, dtype=float))
         idx = np.clip(np.searchsorted(cb, thr, side="right") - 1,
@@ -620,113 +710,90 @@ class KernelEngine:
         out = self.bp[idx]
         return out if out.ndim else float(out)
 
-    def _series_rows(self, xs, fc):
-        """The rows of the series at the points xs, each level built when
-        its row is first asked for: first log F_1(xs[fc]), then (eta_j(xs),
-        log F_{j+1}(xs[fc])) for j = 1 .. _J_CAP, the F rows None when fc
-        (an index array) is None.  Each point's panel and partial weights
-        and, for the F rows, the factors exp(log r - ref) at its panel's
-        nodes are gathered once, so a level's rows take one gather of its
-        panel values and cumulative bounds.  Below x_w the F rows come from
-        the Watson expansion, carried forward from level to level."""
-        nd = self.n_deep
-        idx, width, wts = self._locate(xs)
-        f_next = None
-        if fc is not None:
-            fx = xs[fc]
-            deep = fx <= self.x_w if nd else np.zeros(fx.shape, bool)
-            n_deep = int(np.count_nonzero(deep))
-            main = ~deep
-            im, wm, width_m = idx[fc][main], wts[fc][main], width[fc][main]
-            ref = self._refs[im - nd]
-            rscale = self._rscale[im - nd]
-            with np.errstate(all="ignore"):
-                if n_deep:
-                    wat = self._watson(fx[deep])
-                    phip = self.phi_p(fx[deep], check=False)
-
-            def f_row(j, eta_nodes, eta_deep, f_prev):
-                """log F_j(xs[fc]) from eta_{j-1} at the main points' panel
-                nodes and at the deep points, and log F_{j-1}(xs[fc]) (None
-                for j = 1); level j is built by now."""
-                raw = width_m * np.einsum("mk,mk->m", wm, eta_nodes * rscale)
-                f_main = np.logaddexp(self.levels[j].logF_bounds[im - nd],
-                                      ref + np.log(np.maximum(raw, 1e-300)))
-                if not n_deep:
-                    return f_main
-                out = np.empty(fx.shape)
-                out[main] = f_main
-                etap = 0.0 if f_prev is None else np.exp(f_prev[deep] - phip)
-                out[deep] = self._watson_logF(wat, eta_deep, etap)
-                return out
-
-            self._ensure_levels(1)
-            with np.errstate(all="ignore"):
-                f_next = f_row(1, 1.0, 1.0, None)
-        yield f_next
-        for j in range(1, _J_CAP + 1):
-            self._ensure_levels(j if fc is None else j + 1)
-            lev = self.levels[j]
-            with np.errstate(all="ignore"):
-                eta = self._eta_points(lev, idx, width, wts)
-                if fc is not None:
-                    f_next = f_row(j + 1, self._eta_nodes(lev, im),
-                                   eta[fc][deep], f_next)
-            yield eta, f_next
+    def _term_count(self, lams, xs, held, loc):
+        """The series' term count: the first j >= 2, up to _J_CAP, at which
+        every lam's largest held term |lam|^j eta_j is at most _TERM_TOL
+        times 1 + the sum of its absolute terms up to j.  eta_j grows with
+        x, so that term sits at the lam's largest held point.  Levels are
+        built one at a time, only as far as the rule asks.  loc holds the
+        points xs located as _locate gives them."""
+        has = np.any(held, axis=1)
+        top = np.argmax(np.where(held[has], xs, -np.inf), axis=1)
+        lam, loc = np.abs(lams[has]), [v[top] for v in loc]
+        self._ensure_levels(2)
+        j0, acc = 1, np.ones(len(lam))
+        while True:
+            j1 = min(self.depth, _J_CAP)
+            js = np.arange(j0, j1 + 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = np.power(lam, js[:, None]) * np.abs(
+                    self._eta_rows(slice(j0, j1 + 1), *loc))
+                accs = acc + np.cumsum(terms, axis=0)
+                ok = (js >= 2) & np.all(terms <= _TERM_TOL * accs, axis=1)
+            if np.any(ok):
+                return j0 + int(np.argmax(ok))
+            if j1 >= _J_CAP:
+                raise errors.QuadratureBudgetExceeded(
+                    "kernel series did not converge within %d terms"
+                    % _J_CAP)
+            j0, acc = j1 + 1, accs[-1]
+            self._ensure_levels(j0)
 
     def series_eval(self, lams, xs, with_w1=True, w1_log_div=0.0):
         """Alternating series for every lam at once, taken only at its own
-        points x <= switch_x(lam): one row table over xs (_series_rows)
-        gives eta_j(xs) and, when with_w1, F_{j+1}(xs), level by level, and
-        the term loop adds (-lam)^j eta_j to w and -lam (-lam)^j F_{j+1} to
-        w1, term by term in j, until every lam has met _TERM_TOL at its
-        points.  with_w1 may also be a boolean mask over xs, the columns
-        whose w1 is wanted.  w1_log_div (0, or an array over xs) divides
-        w1 by its exp, taken off log F_{j+1} before the exp, so that w1 / A
-        comes without forming A.  Returns (w, w1, err), each (L, N);
-        entries beyond a lam's switch point, and w1 outside the wanted
-        columns, are left at w = 1, w1 = 0, err = 0, and w1 is None unless
-        with_w1."""
+        points x <= switch_x(lam): w = sum_j (-lam)^j eta_j(x) and, where
+        with_w1, w1 = -lam sum_j (-lam)^j F_{j+1}(x), for j = 0 .. J, the
+        term count J the same for every lam (_term_count).  Each sum takes
+        one gather of levels 0 .. J at its points, eta_j through _eta_rows
+        and log F_{j+1} through _logF_rows, then adds its (J + 1, L, N)
+        terms in order of j, one level at a time (_ordered_sum), as a
+        term-by-term loop would.  The tables go in blocks of points, in
+        order of x, of at most _SERIES_BLOCK entries, each over the lam
+        that hold any of its points.  with_w1 may also be a boolean mask
+        over xs, the columns whose w1 is wanted.  w1_log_div (0, or an
+        array over xs) divides w1 by its exp, taken off log F_{j+1} before
+        the exp, so that w1 / A comes without forming A.  Returns (w, w1,
+        err), each (L, N), err the last term plus 1e-14 times the sum of
+        the absolute terms (and the deep region's accuracy where the
+        engine has one); entries beyond a lam's switch point, and w1
+        outside the wanted columns, are left at w = 1, w1 = 0, err = 0,
+        and w1 is None unless with_w1."""
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         held = xs[None, :] <= self.switch_x(lams)[:, None]
         fc = np.flatnonzero(np.broadcast_to(with_w1, xs.shape))
         div = np.broadcast_to(w1_log_div, xs.shape)[fc]
-        fc = fc if len(fc) else None
-        rows = self._series_rows(xs, fc)
-        w = np.ones(held.shape)
-        acc = np.ones(held.shape)
-        # w1 = -lam * sum_j (-lam)^j F_{j+1}
-        f1 = next(rows)
-        if fc is not None:
-            held_f = held[:, fc]
-            w1sum = np.where(held_f, np.exp(f1 - div), 0.0)
-        neg = -lams[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j, (eta, f_next) in enumerate(rows, 1):
-                power = neg ** j
-                term = np.where(held, power * eta, 0.0)
-                w += term
-                tail = np.abs(term)
-                acc += tail
-                if fc is not None:
-                    w1sum += np.where(held_f, power * np.exp(f_next - div),
-                                      0.0)
-                if j >= 2 and (tail <= _TERM_TOL
-                               * np.maximum(acc, 1.0)).all():
-                    break
-            else:
-                raise errors.QuadratureBudgetExceeded(
-                    "kernel series did not converge within %d terms"
-                    % _J_CAP)
-        w1 = None
-        if fc is not None:
-            w1 = np.zeros(held.shape)
-            w1[:, fc] = -lams[:, None] * w1sum
+        loc = idx, width, wts = self._locate(xs)
+        n = self._term_count(lams, xs, held, loc)
+        if len(fc):
+            self._ensure_levels(n + 1)
+        # (-lam)^j, one row per j = 0 .. n
+        with np.errstate(over="ignore"):
+            power = np.power(-lams, np.arange(n + 1.0)[:, None])
+        L, N = held.shape
+        span = max(_SERIES_BLOCK // ((n + 1) * (L + _M)), 1)
+        w, err = np.ones((L, N)), np.zeros((L, N))
         # rounding of the terms, plus the accuracy of the asymptotic
         # region where the engine has one
         floor = 5e-12 if self.n_deep else 0.0
-        err = np.where(held, tail + 1e-14 * acc + floor, 0.0)
+        w1 = np.zeros((L, N)) if len(fc) else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for cols, rows in _blocks(xs, held, span):
+                blk = np.ix_(rows, cols)
+                t = _terms(power[:, rows], self._eta_rows(
+                    slice(0, n + 1), idx[cols], width[cols], wts[cols]))
+                t[0] = 1.0
+                w[blk] = np.where(held[blk], _ordered_sum(t), 1.0)
+                np.abs(t, out=t)
+                err[blk] = np.where(held[blk], t[-1] + 1e-14 * _ordered_sum(t)
+                                   + floor, 0.0)
+            for cols, rows in _blocks(xs[fc], held[:, fc], span):
+                k = fc[cols]
+                blk = np.ix_(rows, k)
+                t = _terms(power[:, rows], np.exp(self._logF_rows(
+                    n + 1, xs[k], idx[k], width[k], wts[k]) - div[cols]))
+                w1[blk] = np.where(held[blk], -lams[rows, None]
+                                   * _ordered_sum(t), 0.0)
         return w, w1, err
 
     def _liouville(self):
@@ -823,8 +890,12 @@ class KernelEngine:
         every step, the coarse pass over every other fine edge.  Values are
         taken at the sorted points xs >= t[0], each a step end or a partial
         step from the edge before it.  Returns vals[pass, component, lam,
-        x].  The (L, steps) tables are held for at most _STEP_BLOCK fine
-        steps, or partial steps, at a time."""
+        x], and the binary exponents e[lam, x] taken off them: the carried
+        state is 2^e vals.  The (L, steps) tables are held for at most
+        _STEP_BLOCK fine steps, or partial steps, at a time.  After each
+        block of steps, a lam whose states' largest binary exponent e has
+        passed +-_STATE_EXP has both its states divided by 2^e, which is
+        exact, so that no state over- or underflows."""
         n_steps = len(t) - 1
         k_of = np.minimum(np.searchsorted(t, xs, side="right") - 1,
                           n_steps - 1)
@@ -833,6 +904,8 @@ class KernelEngine:
         k_end = k_last + 2 - k_last % 2
         states = [start, start]
         vals = np.empty((2, 2, len(lams), len(xs)))
+        exps = np.zeros((len(lams), len(xs)))
+        shift = np.zeros(len(lams))     # the exponent taken off so far
         for k0 in range(0, k_end, _STEP_BLOCK):
             k1 = min(k0 + _STEP_BLOCK, k_end)
             nf = k1 - k0
@@ -859,7 +932,13 @@ class KernelEngine:
                                             edges[0][:, :, kf - k0])
                 vals[1][:, :, sub] = _apply([x[:, n:] for x in m],
                                             edges[1][:, :, (kc - k0) // 2])
-        return vals
+                exps[:, sub] = shift[:, None]
+            e = np.frexp(np.max(np.abs(np.concatenate(states)), axis=0))[1]
+            e = np.where(np.abs(e) > _STATE_EXP, e, 0)
+            if np.any(e):
+                states = [x * np.ldexp(1.0, -e) for x in states]
+                shift += e
+        return vals, exps
 
     def table(self, lams, xs, with_w1=True):
         """Kernel w, w1, err for every lam (rows) at points xs in (a, b)
@@ -875,10 +954,11 @@ class KernelEngine:
         y' = [[0, beta], [gamma - lam beta, 0]] y, gamma = Q beta
         (_liouville).  The start state takes w1 / A from the series' log F
         rows, and the state goes back to (w, w1) at the points through
-        log A alone, so no p, r or A is formed where it under- or
-        overflows.  err adds the series estimate at x0 to the doubling
-        estimate of the propagation, the distance of its fine and coarse
-        passes in the amplitude norm sqrt(dw^2 + (dw1 / sqrt(lam p r))^2).
+        log A and the powers of two _march took off it, so no p, r or A is
+        formed where it under- or overflows.  err adds the series estimate
+        at x0 to the doubling estimate of the propagation, the distance of
+        its fine and coarse passes in the amplitude norm sqrt(dw^2 + (dw1 /
+        sqrt(lam p r))^2).
         w1 is None unless with_w1."""
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -915,7 +995,7 @@ class KernelEngine:
         w0 = ws[need, -1]
         t = self._steps(float(np.max(lv)), x0, float(t_eval[-1]))
         with np.errstate(all="ignore"):
-            vals = self._march(lv[need], t, np.array(
+            vals, exps = self._march(lv[need], t, np.array(
                 [w0, phi_xi0 * w0 + w1s[need, -1]]), t_eval)
         if not np.all(np.isfinite(vals[0])):
             raise errors.SingularCoefficient(
@@ -923,7 +1003,7 @@ class KernelEngine:
                 % (x0, t_eval[-1]))
         log_a, phi_xi = self._frame_change(t_eval)
         with np.errstate(all="ignore"):
-            scale = np.exp(0.5 * (log_a0 - log_a))
+            scale = np.exp(0.5 * (log_a0 - log_a) + math.log(2.0) * exps)
             wp = vals[:, 0] * scale                 # w of both passes
             dw = wp[0] - wp[1]
             # (w1 / A) of the fine pass less the coarse one's

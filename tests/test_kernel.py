@@ -149,8 +149,11 @@ def test_grown_engine_matches_straight_build():
 def test_cover_carries_levels_over_new_panels(monkeypatch):
     eng = kernel.KernelEngine(_whittaker0(), 0.8)
     eng.eval_many(1.0, np.array([eng.switch_x(1.0)]))
-    n_levels, n_panels = len(eng.levels), len(eng.widths)
-    before = [(lev.g, lev.eta, lev.logF_bounds) for lev in eng.levels[1:]]
+    depth, n_panels, nd = eng.depth, len(eng.widths), eng.n_deep
+    rows = slice(1, depth + 1)
+    before = (eng.g[rows, :n_panels].copy(),
+              eng.eta[rows, :n_panels + 1].copy(),
+              eng.logF_bounds[rows, :n_panels - nd + 1].copy())
     starts = []
     grow = kernel.KernelEngine._grow_level
 
@@ -162,16 +165,29 @@ def test_cover_carries_levels_over_new_panels(monkeypatch):
     eng.cover(91.0)
     n_new = len(eng.widths)
     assert n_new > n_panels
-    assert len(eng.levels) == n_levels
+    assert eng.depth == depth
     # every level carried on from the old panels, none started over
-    assert starts == [n_panels] * (n_levels - 1)
-    for lev, (g, eta, logf) in zip(eng.levels[1:], before):
-        assert lev.g.shape == (n_new, kernel._M)
-        assert len(lev.eta) == n_new + 1
-        assert len(lev.logF_bounds) == n_new - eng.n_deep + 1
-        assert np.array_equal(lev.g[:n_panels], g)
-        assert np.array_equal(lev.eta[:n_panels + 1], eta)
-        assert np.array_equal(lev.logF_bounds[:len(logf)], logf)
+    assert starts == [n_panels] * depth
+    g, eta, logf = before
+    assert np.array_equal(eng.g[rows, :n_panels], g)
+    assert np.array_equal(eng.eta[rows, :n_panels + 1], eta)
+    assert np.array_equal(eng.logF_bounds[rows, :n_panels - nd + 1], logf)
+    # the rows span the new panels: eta_j and log F_j rise over each one
+    new = slice(n_panels, n_new + 1)
+    assert np.all(np.diff(eng.eta[rows, new], axis=1) > 0.0)
+    assert np.all(np.diff(eng.logF_bounds[rows, n_panels - nd:n_new - nd + 1],
+                          axis=1) > 0.0)
+    assert np.all(np.isfinite(eng.g[rows, n_panels:n_new]))
+
+
+def test_levels_built_on_demand():
+    # a fresh engine builds a level only when the series' term rule asks
+    # for it: the table at lam = 1's switch point takes 15 levels, its
+    # w1 column included; one more is allowed, where levels built ahead
+    # would cost set-up time and memory
+    eng = kernel.KernelEngine(_whittaker0(), 0.8)
+    eng.eval_many(1.0, np.array([eng.switch_x(1.0)]))
+    assert eng.depth <= 16
 
 
 def test_kernel_row_independent_of_other_points():
@@ -337,6 +353,25 @@ def test_whittaker_kernel_at_lambda_1e4():
     want = np.array([_whittaker0_mp(1e4, x) for x in xs])
     assert np.all(err >= np.abs(w - want))
     assert np.max(err) <= 1e-9
+
+
+def test_whittaker_kernel_at_lambda_4e4_and_1e5():
+    # the state carried from x0 ~ 1e-4 grows like sqrt(A(x) / A(x0)),
+    # A(x0) ~ x0 e^(-1/x0), past the range of a double before x = 3.5;
+    # it is scaled back by powers of two, carried into the frame's scale
+    prob = _whittaker0()
+    xs = np.array([0.05, 0.5, 3.5])
+    eng = kernel.get_engine(prob, float(xs[-1]))
+    for lam in (4e4, 1e5):
+        w, _, err = eng.eval_many(lam, xs)
+        with mpmath.workdps(40):
+            mu = mpmath.mpc(0, mpmath.sqrt(mpmath.mpf(lam) - 0.25))
+            want = np.array([float(mpmath.re(
+                mpmath.exp(1 / (2 * mpmath.mpf(x)))
+                * mpmath.whitw(0, mu, 1 / mpmath.mpf(x)))) for x in xs])
+        assert np.all(np.isfinite(w)) and np.all(np.isfinite(err))
+        assert np.all(err >= np.abs(w - want))
+        assert np.all(np.abs(w - want) <= 1e-5 * np.abs(want))
 
 
 def test_propagated_quasi_derivative_closed_forms():
