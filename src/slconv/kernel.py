@@ -37,7 +37,11 @@ takes w^[1] / A from the series' log F rows, and the state goes back to
 overflows.  Each lam's state is scaled back by a power of two whenever
 its binary exponent passes +-_STATE_EXP, and the exponent is carried into
 the frame's scale.  A coarse pass over every other step edge gives the
-error estimate.
+error estimate: the two passes' difference at the last even edge before a
+point, carried to it by the fine pass's matrices, so a point takes one
+partial step.  The steps go in blocks, each block's Magnus matrices come
+from one sampling of beta and gamma, and the states at its edges cost time
+linear in its steps where the table is wide (_edge_states).
 
 Engine.  Each problem has one engine (get_engine, an LRU cache keyed by
 the problem).  Its deep region is decided once; its main panels start
@@ -223,7 +227,10 @@ _STEP_DLOG = 0.1        # max variation of log p, log r over a step
 _STEP_TOL = 1e-12       # local error of a propagator step pair
 _STEP_COARSEN = 2.0     # max step growth over the pilot grid
 _STEP_BLOCK = 256       # propagator steps whose (L, steps) tables are held
+_SCAN_ROWS = 16         # lam from which _edge_states scans by chunks
+_SCAN_CHUNK = 16        # steps of a chunk of that scan
 _STATE_EXP = 512        # binary exponent past which a state is scaled back
+_STEP_ROUND = 2.0 ** -53    # rounding of a propagator step, per unit state
 _X_MIN_REL = 1e-13      # grid start offset relative to the reference span
 _DPHI_CAP = 1.2         # max |d log coeff| variation per panel
 _STEP_FRAC = 0.2        # max panel width / distance to an endpoint
@@ -245,6 +252,7 @@ _KAPPA_TOL = 1e-4       # relative spread accepted as converged
 
 # the three Gauss-Legendre points of a step, on [0, 1]
 _MAGNUS_U = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
+_TINY = np.finfo(float).tiny
 
 
 def _magnus(lams, h, beta, gamma):
@@ -264,7 +272,7 @@ def _magnus(lams, h, beta, gamma):
     and Omega = [[a, b], [c, -a]] has b free of lam and a, c affine in it,
     their coefficients depending on the step alone.  exp(Omega) = cosh(s)
     I + sinh(s) / s Omega with s^2 = a^2 + b c (cos/sin where s^2 < 0).
-    Returns the entries (m00, m01, m10, m11) of exp(Omega), each (L, S)."""
+    Returns exp(Omega) as one (2, 2, L, S) array."""
     b1, b2, b3 = beta.T
     g1, g2, g3 = gamma.T
     # alpha_k = [[0, B_k], [G_k - lam B_k, 0]], k = a, b, c
@@ -283,42 +291,86 @@ def _magnus(lams, h, beta, gamma):
     c0 = ga + gc / 12.0 + (gu * k - c1 * gb + c1sq * ga) / 120.0
     cl = -(ba + bc / 12.0 + (bu * k - c1 * bb + c1sq * ba) / 120.0)
     lam = np.asarray(lams, dtype=float)[:, None]
-    a = a0 + lam * a1
-    c = c0 + lam * cl
-    s2 = a * a + b * c
-    th = np.sqrt(np.abs(s2))
-    ch = np.cos(th)
-    sh = np.sinc(th / np.pi)
+    a = lam * a1
+    a += a0
+    c = lam * cl
+    c += c0
+    s2 = a * a
+    s2 += b * c
     grow = s2 > 0.0
+    # theta = sqrt|s^2|, kept off 0 so that sin(theta) / theta is one
+    # divide (sin(x) = x below the guard)
+    th = np.abs(s2, out=s2)
+    np.sqrt(th, out=th)
+    np.maximum(th, _TINY, out=th)
+    ch = np.cos(th)
+    sh = np.sin(th)
     if np.any(grow):
         ch[grow] = np.cosh(th[grow])
-        sh[grow] = np.sinh(th[grow]) / th[grow]
-    return ch + sh * a, sh * b, sh * c, ch - sh * a
+        sh[grow] = np.sinh(th[grow])
+    sh /= th
+    a *= sh
+    m = np.empty((2, 2) + th.shape)
+    np.add(ch, a, out=m[0, 0])
+    np.multiply(sh, b, out=m[0, 1])
+    np.multiply(sh, c, out=m[1, 0])
+    np.subtract(ch, a, out=m[1, 1])
+    return m
 
+
+# A set of 2x2 matrices is one array m (2, 2, ...), m[i, k] the (i, k)
+# entries; a set of vectors is y (2, ...).
 
 def _apply(m, y):
-    """The 2x2 matrices with entry arrays m to the vectors y = (w, v)."""
-    return np.array([m[0] * y[0] + m[1] * y[1], m[2] * y[0] + m[3] * y[1]])
+    """The matrices m to the vectors y."""
+    return m[:, 0] * y[0] + m[:, 1] * y[1]
 
 
 def _mul(a, b):
-    """Products a b of 2x2 matrices given by their entry arrays."""
-    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
-            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+    """The products a b of the matrices a and b."""
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
 
 
 def _running_products(m):
-    """Running products M_j ... M_1 M_0 along the last axis of the entry
-    arrays m = (m00, m01, m10, m11), by recursive doubling (log2 S passes
-    of whole-array products)."""
-    m = [x.copy() for x in m]
+    """Running products M_j ... M_1 M_0 along the last axis of m, by
+    recursive doubling (log2 S passes of whole-array products)."""
+    m = m.copy()
     d = 1
-    while d < m[0].shape[-1]:
-        new = _mul([x[..., d:] for x in m], [x[..., :-d] for x in m])
-        for x, v in zip(m, new):
-            x[..., d:] = v
+    while d < m.shape[-1]:
+        m[..., d:] = _mul(m[..., d:], m[..., :-d])
         d *= 2
     return m
+
+
+def _edge_states(m, y):
+    """The states (2, L, S + 1) at every edge of S steps, from the start
+    states y (2, L) and the steps' matrices m (2, 2, L, S).
+
+    Below _SCAN_ROWS lam the running products go by recursive doubling,
+    whose log2 S whole-array passes cost least on a narrow table.  A wider
+    one is scanned in time linear in S: the products within chunks of
+    _SCAN_CHUNK steps, taken column by column across every chunk at once,
+    then the chunk starts in order, then each chunk's products applied to
+    its start."""
+    L, S = m.shape[2:]
+    if L < _SCAN_ROWS:
+        e = y[:, :, None]
+        return np.concatenate([e, _apply(_running_products(m), e)], axis=2)
+    n = -(-S // _SCAN_CHUNK)
+    # the steps padded by identities to whole chunks, (2, 2, L, chunks,
+    # chunk)
+    p = np.zeros((2, 2, L, n * _SCAN_CHUNK))
+    p[0, 0, :, S:] = p[1, 1, :, S:] = 1.0
+    p[..., :S] = m
+    p = p.reshape(2, 2, L, n, _SCAN_CHUNK)
+    for j in range(1, _SCAN_CHUNK):
+        p[..., j] = _mul(p[..., j], p[..., j - 1])
+    starts = np.empty((2, L, n))
+    for i in range(n):
+        starts[:, :, i] = y
+        y = _apply(p[:, :, :, i, -1], y)
+    e = _apply(p, starts[:, :, :, None]).reshape(2, L, -1)
+    return np.concatenate([starts[:, :, :1], e[:, :, :S]], axis=2)
 
 
 @dataclass(frozen=True)
@@ -877,23 +929,31 @@ class KernelEngine:
         n = len(t) - 1
         m = self._magnus_steps(
             [lam], np.append(t[:-1], t[:-1:2]), np.append(t[1:], t[2::2]))
-        m = [x[0] for x in m]
-        pair = _mul([x[1:n:2] for x in m], [x[0:n:2] for x in m])
-        d = [x - y[n:] for x, y in zip(pair, m)]
+        m = m[:, :, 0]
+        d = np.abs(_mul(m[..., 1:n:2], m[..., 0:n:2]) - m[..., n:])
         kap = math.sqrt(lam)
-        return np.maximum.reduce([np.abs(d[0]), np.abs(d[1]) * kap,
-                                  np.abs(d[2]) / kap, np.abs(d[3])]) / 63.0
+        return np.maximum.reduce([d[0, 0], d[0, 1] * kap, d[1, 0] / kap,
+                                  d[1, 1]]) / 63.0
 
     def _march(self, lams, t, start, xs):
         """Carry the start state of every lam (2, L) from t[0] over the
         step grid t by sixth-order Magnus steps, twice: the fine pass over
-        every step, the coarse pass over every other fine edge.  Values are
-        taken at the sorted points xs >= t[0], each a step end or a partial
-        step from the edge before it.  Returns vals[pass, component, lam,
-        x], and the binary exponents e[lam, x] taken off them: the carried
-        state is 2^e vals.  The (L, steps) tables are held for at most
-        _STEP_BLOCK fine steps, or partial steps, at a time.  After each
-        block of steps, a lam whose states' largest binary exponent e has
+        every step, the coarse pass over every other fine edge.  A point of
+        the sorted xs >= t[0] takes the fine pass's state at the edge
+        before it and one partial step from there.  Its error is the fine
+        less the coarse state at the last even edge before it, carried on
+        by the same fine matrices: the fine step from that edge where the
+        point lies in the second step of its pair, then the partial step.
+        So the coarse pass lays no partial steps.
+
+        Returns vals[k, component, lam, x], k = 0 the values and k = 1 the
+        carried differences, and the binary exponents e[lam, x] taken off
+        both: the carried state is 2^e vals[0].  The steps go in blocks that
+        end at an even edge, each of at most _STEP_BLOCK fine steps and cut
+        short where a shorter one holds at most _STEP_BLOCK points, and one
+        _magnus_steps call takes a block's fine, coarse and partial steps
+        (a pair holding more points takes the rest _STEP_BLOCK at a time).
+        After each block, a lam whose states' largest binary exponent e has
         passed +-_STATE_EXP has both its states divided by 2^e, which is
         exact, so that no state over- or underflows."""
         n_steps = len(t) - 1
@@ -902,42 +962,47 @@ class KernelEngine:
         # the even edge after the last point's step (n_steps is even)
         k_last = int(k_of[-1])
         k_end = k_last + 2 - k_last % 2
+        # the first point at or beyond each edge
+        first = np.searchsorted(k_of, np.arange(k_end + 1))
         states = [start, start]
         vals = np.empty((2, 2, len(lams), len(xs)))
         exps = np.zeros((len(lams), len(xs)))
         shift = np.zeros(len(lams))     # the exponent taken off so far
-        for k0 in range(0, k_end, _STEP_BLOCK):
-            k1 = min(k0 + _STEP_BLOCK, k_end)
-            nf = k1 - k0
-            # the block's fine steps, then its coarse steps
+        k0 = 0
+        while k0 < k_end:
+            k1 = int(np.searchsorted(first, first[k0] + _STEP_BLOCK,
+                                     side="right")) - 1
+            k1 = min(max(k1 - k1 % 2, k0 + 2), k0 + _STEP_BLOCK, k_end)
+            nf, nc = k1 - k0, (k1 - k0) // 2
+            pts = np.arange(first[k0], first[k1])
+            sub = pts[:_STEP_BLOCK]
             m = self._magnus_steps(
-                lams, np.append(t[k0:k1], t[k0:k1:2]),
-                np.append(t[k0 + 1:k1 + 1], t[k0 + 2:k1 + 1:2]))
-            edges = []                  # states at every edge of the block
-            for i, cols in enumerate((slice(0, nf), slice(nf, None))):
-                steps = _running_products([x[:, cols] for x in m])
-                e = states[i][:, :, None]
-                edges.append(np.concatenate([e, _apply(steps, e)], axis=2))
-                states[i] = edges[i][:, :, -1]
-            # partial steps to the block's points, _STEP_BLOCK at a time
-            pts = np.arange(*np.searchsorted(k_of, [k0, k1]))
+                lams, np.concatenate([t[k0:k1], t[k0:k1:2], t[k_of[sub]]]),
+                np.concatenate([t[k0 + 1:k1 + 1], t[k0 + 2:k1 + 1:2],
+                                xs[sub]]))
+            fine = m[..., :nf]
+            ef = _edge_states(fine, states[0])
+            ec = _edge_states(m[..., nf:nf + nc], states[1])
+            states = [ef[:, :, -1], ec[:, :, -1]]
+            part = m[..., nf + nc:]
             for c in range(0, len(pts), _STEP_BLOCK):
-                sub = pts[c:c + _STEP_BLOCK]
-                kf = k_of[sub]
-                kc = kf - kf % 2
-                m = self._magnus_steps(
-                    lams, np.append(t[kf], t[kc]), np.append(xs[sub], xs[sub]))
-                n = len(sub)
-                vals[0][:, :, sub] = _apply([x[:, :n] for x in m],
-                                            edges[0][:, :, kf - k0])
-                vals[1][:, :, sub] = _apply([x[:, n:] for x in m],
-                                            edges[1][:, :, (kc - k0) // 2])
+                if c:
+                    sub = pts[c:c + _STEP_BLOCK]
+                    part = self._magnus_steps(lams, t[k_of[sub]], xs[sub])
+                k = k_of[sub] - k0
+                kc = k - k % 2
+                d = ef[:, :, kc] - ec[:, :, kc // 2]
+                odd = np.flatnonzero(k % 2)
+                d[:, :, odd] = _apply(fine[..., kc[odd]], d[:, :, odd])
+                vals[0][:, :, sub] = _apply(part, ef[:, :, k])
+                vals[1][:, :, sub] = _apply(part, d)
                 exps[:, sub] = shift[:, None]
             e = np.frexp(np.max(np.abs(np.concatenate(states)), axis=0))[1]
             e = np.where(np.abs(e) > _STATE_EXP, e, 0)
             if np.any(e):
                 states = [x * np.ldexp(1.0, -e) for x in states]
                 shift += e
+            k0 = k1
         return vals, exps
 
     def table(self, lams, xs, with_w1=True):
@@ -955,10 +1020,13 @@ class KernelEngine:
         (_liouville).  The start state takes w1 / A from the series' log F
         rows, and the state goes back to (w, w1) at the points through
         log A and the powers of two _march took off it, so no p, r or A is
-        formed where it under- or overflows.  err adds the series estimate
-        at x0 to the doubling estimate of the propagation, the distance of
-        its fine and coarse passes in the amplitude norm sqrt(dw^2 + (dw1 /
-        sqrt(lam p r))^2).
+        formed where it under- or overflows.  Beyond x0, err adds three
+        terms in the amplitude norm |(w, w1)| = sqrt(w^2 + w1^2 / (lam p
+        r)): the doubling estimate, the difference of the fine and coarse
+        passes carried to the point (_march); the series estimate at x0,
+        carried as the state is, that is times |(w, w1)| at the point over
+        |(w, w1)| at x0; and the rounding of the steps, the unit roundoff
+        times the number of steps marched times |(w, w1)| at the point.
         w1 is None unless with_w1."""
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -1002,24 +1070,31 @@ class KernelEngine:
                 "non-finite kernel continuation on [%g, %g]"
                 % (x0, t_eval[-1]))
         log_a, phi_xi = self._frame_change(t_eval)
+        kap = np.sqrt(lv[need])[:, None]
         with np.errstate(all="ignore"):
             scale = np.exp(0.5 * (log_a0 - log_a) + math.log(2.0) * exps)
-            wp = vals[:, 0] * scale                 # w of both passes
-            dw = wp[0] - wp[1]
-            # (w1 / A) of the fine pass less the coarse one's
-            dv = scale * (vals[0, 1] - vals[1, 1]) - phi_xi * dw
-            dv /= np.sqrt(lv[need])[:, None]
-            perr = np.sqrt(dw * dw + dv * dv)
+            # w and w1 / A, of the values and of the carried differences
+            wv = vals[:, 0] * scale
+            vv = vals[:, 1] * scale - phi_xi * wv
+            # the amplitude norm sqrt(w^2 + (w1 / A)^2 / lam) of the state,
+            # at the points and at x0, and of the carried difference
+            amp = np.hypot(wv[0], vv[0] / kap)
+            amp0 = np.hypot(w0, w1s[need, -1] / kap[:, 0])
+            perr = np.hypot(wv[1], vv[1] / kap)
+            # the start state's error, carried as the state is, and the
+            # rounding of the steps marched
+            marched = np.searchsorted(t, t_eval)
+            perr += amp * ((es[need, -1] / amp0)[:, None]
+                           + _STEP_ROUND * marched)
         # only a lam's own points beyond its switch take propagated values
         take = beyond[np.ix_(need, on)]
         blk = np.ix_(live[need], on)
-        w[blk] = np.where(take, wp[0][:, inv], w[blk])
+        w[blk] = np.where(take, wv[0][:, inv], w[blk])
         if with_w1:
             with np.errstate(all="ignore"):
-                v1 = np.exp(log_a) * (scale * vals[0, 1] - phi_xi * wp[0])
+                v1 = np.exp(log_a) * vv[0]
             w1[blk] = np.where(take, v1[:, inv], w1[blk])
-        err[blk] = np.where(take, es[need, -1][:, None] + perr[:, inv],
-                            err[blk])
+        err[blk] = np.where(take, perr[:, inv], err[blk])
         return w, w1, err
 
     def eval_many(self, lam, xs):

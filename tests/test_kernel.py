@@ -319,18 +319,145 @@ def test_kernel_err_est_bounds_the_error():
 
 
 def test_propagator_holds_bounded_step_blocks(monkeypatch):
-    sizes = []
-    products = kernel._running_products
+    # no (lam, columns) table of the march exceeds one block: at most
+    # _STEP_BLOCK fine steps, their coarse half and _STEP_BLOCK partial
+    # steps in one _magnus_steps call, and the states at the edges of at
+    # most _STEP_BLOCK steps at a time; a long march fills whole blocks
+    magnus, edges = [], []
+    magnus_steps = kernel.KernelEngine._magnus_steps
+    edge_states = kernel._edge_states
 
-    def counted(m):
-        sizes.append(m[0].shape)
-        return products(m)
+    def counted_magnus(self, lams, starts, ends):
+        m = magnus_steps(self, lams, starts, ends)
+        magnus.append(m.shape[2:])
+        return m
 
-    monkeypatch.setattr(kernel, "_running_products", counted)
+    def counted_edges(m, y):
+        edges.append(m.shape[2:])
+        return edge_states(m, y)
+
+    monkeypatch.setattr(kernel.KernelEngine, "_magnus_steps", counted_magnus)
+    monkeypatch.setattr(kernel, "_edge_states", counted_edges)
     lams = np.linspace(5.0, 144.0, 64)      # each continued to x = 91
     kernel.kernel_table(_whittaker0(), lams, np.array([0.05, 3.5, 91.0]))
-    assert all(rows == 64 for rows, _ in sizes)
-    assert max(steps for _, steps in sizes) == kernel._STEP_BLOCK
+    block = kernel._STEP_BLOCK
+    march = [cols for rows, cols in magnus if rows == 64]
+    assert max(march) <= 2 * block + block // 2
+    assert max(march) >= block + block // 2
+    assert all(rows == 64 for rows, _ in edges)
+    assert max(steps for _, steps in edges) == block
+
+
+def test_edge_states_match_a_step_by_step_march():
+    # narrow tables take running products by doubling, wide ones the
+    # chunked scan; both give the states of a march one step at a time
+    rng = np.random.default_rng(3)
+    for rows in (3, kernel._SCAN_ROWS + 5):
+        for steps in (1, 17, kernel._STEP_BLOCK):
+            th = rng.uniform(0.0, 0.3, (rows, steps))
+            g = rng.uniform(0.5, 2.0, (rows, steps))
+            m = np.array([[np.cos(th), g * np.sin(th)],
+                          [-np.sin(th) / g, np.cos(th)]])
+            y = rng.normal(size=(2, rows))
+            want = [y]
+            for k in range(steps):
+                want.append(kernel._apply(m[..., k], want[-1]))
+            got = kernel._edge_states(m, y)
+            assert got.shape == (2, rows, steps + 1)
+            np.testing.assert_allclose(got, np.stack(want, axis=2),
+                                       rtol=0, atol=1e-13)
+
+
+def test_kernel_err_est_bounds_the_cosine_error():
+    # beyond the discretization, the estimate holds the rounding the
+    # march accumulates: 18 lam over 60 points to x = 40
+    prob = families.make_family("cosine").problem
+    lams = np.geomspace(0.3, 400.0, 18)
+    xs = np.linspace(1e-4, 40.0 - 1e-6, 60)
+    w, _, err = kernel.get_engine(prob, float(xs[-1])).table(lams, xs)
+    assert np.all(err >= np.abs(w - np.cos(np.sqrt(lams)[:, None] * xs)))
+
+
+def _whittaker0_mp40(lam, x):
+    with mpmath.workdps(40):
+        mu = mpmath.mpc(0, mpmath.sqrt(mpmath.mpf(lam) - 0.25))
+        z = 1 / mpmath.mpf(x)
+        return float(mpmath.re(mpmath.exp(z / 2) * mpmath.whitw(0, mu, z)))
+
+
+def test_whittaker_err_est_carries_the_start_state():
+    # the series' error at the switch point reaches a point as the state
+    # does: where w decays by 60 orders and more, so does the estimate
+    prob = _whittaker0()
+    xs = np.array([0.05, 0.5, 3.5])
+    eng = kernel.get_engine(prob, float(xs[-1]))
+    for lam in (144.0, 1e3, 1e4, 4e4, 1e5):
+        w, _, err = eng.eval_many(lam, xs)
+        actual = np.abs(w - [_whittaker0_mp40(lam, x) for x in xs])
+        assert np.all(err >= actual), lam
+        if lam == 1e4:
+            assert np.all(err <= 1e3 * actual)
+
+
+def test_points_inside_the_second_step_of_a_pair():
+    # a point in the second step of its pair takes the difference of the
+    # passes at the pair's first edge, carried by the fine step from there
+    # and its own partial step
+    prob = _whittaker0()
+    eng = kernel.get_engine(prob, 3.5)
+    for lam in (25.0, 144.0, 1e3):
+        t = eng._steps(lam, eng.switch_x(lam), 3.5)
+        odd = np.arange(1, len(t) - 1, 2)
+        odd = odd[(t[odd] >= 0.05) & (t[odd + 1] <= 3.5)]
+        ks = odd[np.linspace(0, len(odd) - 1, 6).astype(int)]
+        xs = np.append(t[ks] + 0.4 * np.diff(t)[ks], 3.5)
+        assert np.all((np.searchsorted(t, xs[:-1]) - 1) % 2 == 1)
+        w, _, err = eng.eval_many(lam, xs)
+        actual = np.abs(w - [_whittaker0_mp(lam, x) for x in xs])
+        assert np.all(actual <= 1e-11), lam
+        assert np.all(err >= actual), lam
+
+
+def test_march_carries_the_difference_by_the_fine_steps():
+    # a pair's points: its first edge (a partial step of length 0), one in
+    # its first step and one in its second; each takes one partial step
+    # from the fine edge before it, and the difference of the passes at
+    # the pair's first edge is carried by the fine step, then that step
+    eng = kernel.get_engine(_whittaker0(), 3.5)
+    lam = 144.0
+    t = eng._steps(lam, eng.switch_x(lam), 3.5)
+    k = 2 * (len(t) // 4)
+    xs = np.array([t[k], t[k] + 0.3 * (t[k + 1] - t[k]),
+                   t[k + 1] + 0.4 * (t[k + 2] - t[k + 1])])
+    vals, exps = eng._march(np.array([lam]), t, np.array([[1.0], [0.0]]),
+                            xs)
+    assert np.all(exps == exps[0, 0])
+    fine, part1, part2 = np.moveaxis(eng._magnus_steps(
+        [lam], np.array([t[k], t[k], t[k + 1]]),
+        np.array([t[k + 1], xs[1], xs[2]])), -1, 0)
+    apply = kernel._apply
+    for got in vals:                # the values, then the differences
+        at_edge = got[..., 0]
+        for want, x in ((apply(part1, at_edge), got[..., 1]),
+                        (apply(part2, apply(fine, at_edge)), got[..., 2])):
+            np.testing.assert_allclose(x, want, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(want)))
+    assert np.max(np.abs(vals[1][..., 0])) > 0.0
+
+
+def test_many_points_in_one_step_pair():
+    # more points than a block holds, inside one pair of steps, go in
+    # several partial-step calls
+    prob = families.make_family("cosine").problem
+    lams = np.array([30.0, 60.0])
+    xs = np.append(np.linspace(5.0, 5.002, 2 * kernel._STEP_BLOCK + 50), 9.5)
+    eng = kernel.get_engine(prob, float(xs[-1]))
+    t = eng._steps(60.0, eng.switch_x(30.0), 9.5)
+    assert len(np.unique(np.searchsorted(t, xs[:-1]) // 2)) == 1
+    w, _, err = eng.table(lams, xs)
+    actual = np.abs(w - np.cos(np.sqrt(lams)[:, None] * xs))
+    assert np.all(actual <= 1e-13)
+    assert np.all(err >= actual)
 
 
 def test_liouville_steps_are_pinned():
