@@ -21,13 +21,22 @@ class ConvCfg:
     max_pairs: int = 512        # budget on (x, y) support pairs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvReport:
     lambda_grid: np.ndarray
-    lhs: np.ndarray             # w_lam(x) * w_lam(y)
-    rhs: np.ndarray             # integral of w_lam against the measure
+    sides: np.ndarray           # (2, L): the rows lhs and rhs
     max_abs_err: float
     mass: float
+
+    @property
+    def lhs(self):
+        """w_lam(x) * w_lam(y) over lambda_grid."""
+        return self.sides[0]
+
+    @property
+    def rhs(self):
+        """The integral of w_lam against the measure over lambda_grid."""
+        return self.sides[1]
 
 
 def _measure_point_masses(mu):
@@ -125,10 +134,11 @@ def verify_product_formula(family, x, y, lambda_grid, use_closed_kernel=False):
         *families.family_convolution_quadrature(family, x, y))
     wv = replace(family, prefer_closed_kernel=use_closed_kernel).kernel(
         lambda_grid, np.concatenate([[x], [y], nodes]))
-    lhs = wv[:, 0] * wv[:, 1]
-    rhs = wv[:, 2:] @ wts
-    return ConvReport(lambda_grid=lambda_grid, lhs=lhs, rhs=rhs,
-                      max_abs_err=float(np.max(np.abs(lhs - rhs))),
+    sides = np.empty((2, len(lambda_grid)))
+    np.multiply(wv[:, 0], wv[:, 1], out=sides[0])
+    np.matmul(wv[:, 2:], wts, out=sides[1])
+    return ConvReport(lambda_grid=lambda_grid, sides=sides,
+                      max_abs_err=float(np.max(np.abs(sides[0] - sides[1]))),
                       mass=float(np.sum(wts)))
 
 

@@ -58,6 +58,10 @@ _DRAW_MARGIN = 0.05     # draw bound: max + margin (max - min) on the rule
 _DRAW_ROUNDS = 1000     # most proposal rounds of one draw
 _STEP_BLOCK = 512       # most paths of one draw call in a walk step
 _WINDOW_CUT = 1e-12     # whittaker's window: density in log(xi) / its peak
+# largest lam of jacobi's 2F1 kernel: the series it sums near tanh^2 x =
+# 0.75 cancels as lam grows, and up to here it stays within 1e-10 of
+# mpmath's hyp2f1 for alpha down to -0.49 (1.5e-11 at 150)
+_JACOBI_CLOSED_LAM = 150.0
 
 
 @dataclass(frozen=True)
@@ -388,10 +392,18 @@ def _make_jacobi(params):
     shift = sigma * sigma
 
     def ck(lams, xs):
-        mu = _index(lams, shift)
-        return np.real(specfun.gauss_2f1(0.5 * (sigma - mu),
-                                         0.5 * (sigma + mu), alpha + 1.0,
-                                         -np.sinh(xs) ** 2))
+        # the 2F1 form up to _JACOBI_CLOSED_LAM, the numeric kernel above
+        lams, xs = np.asarray(lams, dtype=float), np.asarray(xs, dtype=float)
+        closed = lams <= _JACOBI_CLOSED_LAM
+        mu = _index(lams[closed], shift)
+        w = np.real(specfun.gauss_2f1(0.5 * (sigma - mu), 0.5 * (sigma + mu),
+                                      alpha + 1.0, -np.sinh(xs) ** 2))
+        if np.all(closed):
+            return w
+        out = np.empty(lams.shape + xs.shape)
+        out[closed] = w
+        out[~closed] = kernel.kernel_table(problem, lams[~closed], xs)
+        return out
 
     # Plancherel density via the Harish-Chandra c-function (validated by
     # the transform round-trip test)

@@ -944,7 +944,9 @@ class KernelEngine:
         less the coarse state at the last even edge before it, carried on
         by the same fine matrices: the fine step from that edge where the
         point lies in the second step of its pair, then the partial step.
-        So the coarse pass lays no partial steps.
+        So the coarse pass lays no partial steps.  In the first pair, where
+        both passes start from one state, that difference is the pair's
+        own, taken at its end.
 
         Returns vals[k, component, lam, x], k = 0 the values and k = 1 the
         carried differences, and the binary exponents e[lam, x] taken off
@@ -992,6 +994,8 @@ class KernelEngine:
                 k = k_of[sub] - k0
                 kc = k - k % 2
                 d = ef[:, :, kc] - ec[:, :, kc // 2]
+                if k0 == 0:     # the first pair: its own difference
+                    d[:, :, kc == 0] = (ef[:, :, 2] - ec[:, :, 1])[..., None]
                 odd = np.flatnonzero(k % 2)
                 d[:, :, odd] = _apply(fine[..., kc[odd]], d[:, :, odd])
                 vals[0][:, :, sub] = _apply(part, ef[:, :, k])

@@ -88,14 +88,17 @@ def compound_poisson(family, mu):
 
 
 def levy_khintchine_exponent(family, triple, lam):
-    """psi(lam) = gaussian_scale * lam + integral of (1 - w_lam) d(nu)."""
-    lam = float(lam)
+    """psi(lam) = gaussian_scale * lam + integral of (1 - w_lam) d(nu), for
+    a scalar lam (a float) or an array of them (an array, from one
+    measure_transform over all lam)."""
+    lams = np.asarray(lam, dtype=float)
     nu = triple.levy_measure
     nu_mass = measures.total_mass(nu)
     if not np.isfinite(nu_mass):
         raise errors.IntegralDiverges("Levy measure mass not finite")
-    nu_hat = spectral.measure_transform(family, nu, lam) if nu_mass else 0.0
-    return triple.gaussian_scale * lam + (nu_mass - nu_hat)
+    nu_hat = spectral.measure_transform(family, nu, lams) if nu_mass else 0.0
+    psi = triple.gaussian_scale * lams + (nu_mass - nu_hat)
+    return float(psi) if np.ndim(lam) == 0 else psi
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +144,13 @@ def _grid_measure(family, coef, x_grid, label):
 def semigroup_measure(family, psi, t, x_grid):
     """Measure mu_t with transform exp(-t psi(lam)): inverse transform on
     x_grid (density stored w.r.t. dx, i.e. spectral density times r).
-    psi takes one lambda value."""
+    psi takes an array of lambda values and returns psi at each (e.g. a
+    CoeffExpr in x, or levy_khintchine_exponent), called once per lambda
+    block of the synthesis."""
     if t <= 0.0:
         raise errors.ParamOutOfRange("time must be positive")
     return _grid_measure(
-        family, lambda lams: np.exp(-t * np.array(
-            [float(psi(lam)) for lam in lams.tolist()])),
+        family, lambda lams: np.exp(-t * np.asarray(psi(lams), dtype=float)),
         x_grid, "semigroup t=%g" % t)
 
 
@@ -246,7 +250,8 @@ def diffusion_ensemble(family, x0, t, n_paths, rng):
 def gaussian_criterion_probe(family, psi, neighborhood, t_seq):
     """Reports (1/t) mu_t([a + neighborhood, inf)) along t_seq: vanishing
     ratios indicate a Gaussian (diffusion) semigroup, a positive limit a
-    jump part."""
+    jump part.  psi takes an array of lambda values, as in
+    semigroup_measure."""
     a = family.problem.a
     x_grid = np.linspace(a, a + _PROBE_SPAN, _PROBE_GRID)
     edge = a + neighborhood

@@ -17,15 +17,19 @@ evaluation.  The block bound caps the memory of a window's kernel table.
 quadrature per window (_transform_rule), and one family.kernel call over
 every doubling window's nodes, the windows chosen by its stop rule on the
 kernel-free weights |h| r (or, past _TABLE_NODES nodes, by their node
-count doubling).  Every function takes a families.Family and gets kernel
-values from family.kernel, closed form or numeric."""
+count doubling).  A window's rule lays its panels by whole-array passes
+(_panel_edges: one p and r read per pass, each panel within a quarter
+kernel wavelength at both ends), and every sum over a rule's nodes is
+one np.add.reduce row sum, a fixed order per row.  measure_transform
+takes an array of lam too.  Every function takes a families.Family and
+gets kernel values from family.kernel, closed form or numeric."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import errors, quadrature
+from . import errors, kernel, quadrature
 
 __all__ = ["SpectralMeasure", "SynthesisStop", "TransformCoef",
            "forward_transform", "measure_transform", "synthesize",
@@ -39,6 +43,10 @@ _MAX_DOUBLINGS = 24  # x windows forward_transform adds on a half-line
 _FORWARD_TOL = 1e-11  # forward_transform's x tail, relative to the sum
 _TABLE_NODES = 1 << 14  # x nodes a half-line transform lays before a table
 _INVERSE_TOL = 1e-9   # inverse_transform's tau tail, relative to scale
+_RULE_PANELS = 24     # a transform rule's panels are at most span / 24 wide
+_RULE_FLOOR = 1e-6    # ... and need be no narrower than 1e-6 span
+_RULE_PROBE = 64      # geometric probe points of W toward each end
+_RULE_SLACK = 1e-9    # relative rounding a panel may exceed W by
 
 
 @dataclass(frozen=True)
@@ -84,28 +92,74 @@ def _support(problem, x_support):
     return max(lo, problem.a), min(hi, problem.b)
 
 
+def _widths(problem, tau, x, lo, hi):
+    """The panel width bound W at the points x of the window [lo, hi]:
+    pi / (2 tau) sqrt(p / r), a quarter of the local kernel wavelength at
+    tau, clamped to [1e-6, 1 / _RULE_PANELS] times the span, the upper
+    bound wherever p or r is not finite and positive.  One p_val and one
+    r_val call, at lo + 1e-12 (hi - lo) in place of lo."""
+    span = hi - lo
+    x = np.maximum(x, lo + 1e-12 * span)
+    p, r = problem.p_val(x), problem.r_val(x)
+    ok = (p > 0) & (r > 0) & np.isfinite(p) & np.isfinite(r)
+    with np.errstate(all="ignore"):
+        w = np.where(ok, 0.5 * math.pi / tau * np.sqrt(p / r), np.inf)
+    return np.clip(w, _RULE_FLOOR * span, span / _RULE_PANELS)
+
+
+def _panel_edges(problem, tau, lo, hi):
+    """Panel edges on [lo, hi], each panel no wider than W (_widths) at
+    either end, or else at most the floor wide.  W is read on a probe,
+    uniform plus geometric toward both ends, and taken as linear on each
+    probe cell.  Where W runs linearly with slope s, the panel from x of
+    width W(x) (s >= 0) or W(x) / (1 + |s|) (s < 0) meets W at both ends,
+    and a cell from W_l to W_r holds log(W_r / W_l) / log(1 + |s|) such
+    panels; the edges are laid at equal steps of their running count, as
+    many as it rounds up to.  A panel still wider than W at an end, where
+    W is not linear, is halved, and the new edges are checked in turn.
+    Each pass reads W once, on an array."""
+    span = hi - lo
+    floor = _RULE_FLOOR * span
+    if tau == 0.0:
+        return np.linspace(lo, hi, _RULE_PANELS + 1)
+    g = np.geomspace(floor, 0.5 * span, _RULE_PROBE)
+    probe = np.unique(np.concatenate(
+        [[lo, hi], lo + g, hi - g,
+         np.linspace(lo, hi, 4 * _RULE_PANELS + 1)]))
+    wp = _widths(problem, tau, probe, lo, hi)
+    wl, d = wp[:-1], np.diff(probe)
+    s = (wp[1:] - wl) / d
+    ls = kernel._log1p_ratio(np.abs(s))         # log(1 + |s|) / |s|
+    # the panels held up to each cell's end: the integral of dx / W,
+    # (d / W_l) log(W_r / W_l) / (W_r / W_l - 1), over ls
+    held = np.cumsum(d / wl * kernel._log1p_ratio(s * d / wl) / ls)
+    n = max(1, math.ceil(held[-1] * (1.0 - _RULE_SLACK)))
+    at = held[-1] / n * np.arange(1, n)
+    j = np.searchsorted(held, at, side="right")
+    phi = at - np.r_[0.0, held][j]      # panels into cell j
+    edges = np.r_[lo, probe[j] + wl[j] * phi * ls[j] * kernel._expm1_ratio(
+        np.sign(s[j]) * np.log1p(np.abs(s[j])) * phi), hi]
+    w = _widths(problem, tau, edges, lo, hi)
+    while True:
+        d = np.diff(edges)
+        bound = np.maximum(np.minimum(w[:-1], w[1:]), floor)
+        cut = np.flatnonzero(d > bound * (1.0 + _RULE_SLACK))
+        if not len(cut):
+            return edges
+        mid = edges[cut] + 0.5 * d[cut]
+        edges = np.insert(edges, cut + 1, mid)
+        w = np.insert(w, cut + 1, _widths(problem, tau, mid, lo, hi))
+
+
 def _transform_rule(problem, h, lams, lo, hi):
     """Nodes and weights on [lo, hi] of the integral of h(x) w_lam(x) r(x)
-    dx for every lam in lams: 12-point Gauss-Legendre panels, their
-    lengths resolving the local kernel wavelength pi / (tau sqrt(r/p)) of
-    the largest tau, with h and r folded into the weights (0 where r is
-    not finite)."""
+    dx for every lam in lams: 12-point Gauss-Legendre panels on
+    _panel_edges at the largest tau, so each resolves the local kernel
+    wavelength pi / (tau sqrt(r/p)), with h and r folded into the weights
+    (0 where r is not finite)."""
     tau = math.sqrt(float(np.max(lams, initial=0.0)))
-    n_base = 24
-    edges = [lo]
-    x = lo
-    span = hi - lo
-    while x < hi:
-        dx = span / n_base
-        if tau > 0.0:
-            pr = problem.p_val(max(x, lo + 1e-12 * span))
-            rr = problem.r_val(max(x, lo + 1e-12 * span))
-            if pr > 0 and rr > 0 and np.isfinite(pr) and np.isfinite(rr):
-                dx = min(dx, 0.5 * math.pi / tau * math.sqrt(pr / rr))
-        dx = max(dx, 1e-6 * span)
-        x = min(x + dx, hi)
-        edges.append(x)
-    nodes, wts = map(np.ravel, quadrature.gl_panels(edges))
+    nodes, wts = map(np.ravel, quadrature.gl_panels(
+        _panel_edges(problem, tau, lo, hi)))
     with np.errstate(all="ignore"):
         rv = problem.r_val(nodes)
         wts = wts * np.asarray(h(nodes), dtype=float) * rv
@@ -114,8 +168,9 @@ def _transform_rule(problem, h, lams, lo, hi):
 
 
 def _row_sums(table):
-    """Exactly rounded sum of each row of table."""
-    return np.array([math.fsum(row.tolist()) for row in table])
+    """The sum of each row of table, every row in one fixed order
+    (np.add.reduce over the last axis)."""
+    return np.add.reduce(table, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -241,11 +296,12 @@ def forward_transform(family, h, lam, x_support=None):
 
 
 def measure_transform(family, mu, lam):
-    """Transform of a finite measure: sum of mass * w_lam(loc) over atoms
-    plus the integral of w_lam against each density segment (3-point
+    """Transform of a finite measure, for a scalar lam (a float) or an
+    array of them (an array): sum of mass * w_lam(loc) over atoms plus the
+    integral of w_lam against each density segment (3-point
     Gauss-Legendre per cell of the segment's own grid, with the density
     linear on each cell, matching the measure's mass convention), from
-    one kernel call and one exactly rounded sum."""
+    one family.kernel call over all lam and one row sum."""
     u, _ = quadrature.gl_nodes(3)
     locs, wts = ([col] for col in mu.atoms.T)
     for seg in mu.segments:
@@ -254,8 +310,10 @@ def measure_transform(family, mu, lam):
         locs.append(nodes.ravel())
         wts.append((w * (d[:-1, None] + (d[1:] - d[:-1])[:, None] * u))
                    .ravel())
-    wv = family.kernel([lam], np.concatenate(locs))[0]
-    return math.fsum((np.concatenate(wts) * wv).tolist())
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    vals = _row_sums(family.kernel(lams, np.concatenate(locs))
+                     * np.concatenate(wts))
+    return float(vals[0]) if np.ndim(lam) == 0 else vals
 
 
 def synthesize(family, coef, xs, ys, tol, nodes_per_unit=1.5):

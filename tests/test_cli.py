@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from slconv import cli
+from slconv import cli, expr, families
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -189,6 +190,32 @@ def test_semigroup_density_csv():
     # density at the origin: 2 / sqrt(4 pi t) with t = 0.5
     assert float(first[1]) == pytest.approx(
         2.0 / math.sqrt(4 * math.pi * 0.5), rel=1e-6)
+
+
+def test_semigroup_psi_is_called_once_per_lambda_block(monkeypatch):
+    # the --psi expression is evaluated on each block of lam values the
+    # synthesis takes its one kernel call for, never lam by lam
+    psi_calls, kernel_calls = [], []
+    call, kernel = expr.CoeffExpr.__call__, families.Family.kernel
+
+    def counted_call(self, x, check=True):
+        if self.printed() == "2*x":
+            psi_calls.append(np.shape(x))
+        return call(self, x, check)
+
+    def counted_kernel(self, lams, xs):
+        kernel_calls.append(len(lams))
+        return kernel(self, lams, xs)
+
+    monkeypatch.setattr(expr.CoeffExpr, "__call__", counted_call)
+    monkeypatch.setattr(families.Family, "kernel", counted_kernel)
+    rc, _, _ = run_cli("semigroup", "--family", "hankel", "--alpha", "1",
+                       "--psi", "2*lambda", "--t", "0.25",
+                       "--x-grid", "0:0.05:10")
+    assert rc == 0
+    assert len(psi_calls) == len(kernel_calls) >= 2
+    assert [n for (n,) in psi_calls] == kernel_calls
+    assert max(kernel_calls) > 1
 
 
 def test_kernel_outside_interval_is_validation_error():

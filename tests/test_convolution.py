@@ -287,6 +287,14 @@ def test_verify_product_formula_report_fields():
     assert rep.lambda_grid.shape == rep.lhs.shape == rep.rhs.shape
     assert rep.max_abs_err <= 1e-12
     assert rep.mass == pytest.approx(1.0, abs=1e-12)
+    # one (2, L) array holds both sides; a report keeps no __dict__, and
+    # lhs and rhs are its rows, read-only
+    assert rep.sides.shape == (2, len(lam_grid))
+    assert rep.lhs.base is rep.sides and rep.rhs.base is rep.sides
+    assert not hasattr(rep, "__dict__")
+    # (a frozen slotted dataclass refuses with TypeError on Python 3.11)
+    with pytest.raises((AttributeError, TypeError)):
+        rep.lhs = rep.rhs
 
 
 def test_product_formula_numeric_kernel_consistent():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import CONVOLUTION_FAMILIES
-from slconv import convolution, errors, families, kernel, measures, spectral
+from slconv import (convolution, errors, families, kernel, measures,
+                    specfun, spectral)
 
 
 def test_make_family_unknown_name():
@@ -302,6 +303,44 @@ def test_jacobi_kernel_table_against_mpmath():
             want = float(mp.re(mp.hyp2f1((2 - mu) / 2, (2 + mu) / 2, 2,
                                          -mp.sinh(x) ** 2)))
             assert abs(val - want) <= 1e-9 * max(1.0, abs(want)), (lam, x)
+
+
+def _jacobi_mp(alpha, beta, lam, x):
+    sigma = alpha + beta + 1.0
+    with mp.workdps(40):
+        mu = mp.sqrt(mp.mpc(sigma * sigma - lam))
+        return float(mp.re(mp.hyp2f1((sigma - mu) / 2, (sigma + mu) / 2,
+                                     alpha + 1.0, -mp.sinh(x) ** 2)))
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (-0.49, -0.5)])
+def test_jacobi_kernel_switches_to_numeric_above_its_lambda_bound(alpha,
+                                                                   beta):
+    # the 2F1 series cancels near tanh^2 x = 0.75 as lam grows (0.26 off
+    # a value of 2.5e-3 at lam = 2500, x = 1 on jacobi(1, 0)): up to the
+    # bound the closed form is kept, within 1e-10 of mpmath, and above it
+    # the rows are the numeric kernel's
+    fam = families.make_family("jacobi", {"alpha": alpha, "beta": beta})
+    bound = families._JACOBI_CLOSED_LAM
+    xs = np.r_[0.05, np.linspace(0.6, 1.5, 31), 3.0]
+    below = np.array([0.3 * bound, bound])
+    got = fam.kernel(below, xs)
+    sigma = alpha + beta + 1.0
+    mu = np.sqrt(sigma * sigma - below + 0j)
+    assert np.array_equal(got, np.real(specfun.gauss_2f1(
+        0.5 * (sigma - mu), 0.5 * (sigma + mu), alpha + 1.0,
+        -np.sinh(xs) ** 2)))
+    for lam, row in zip(below, got):
+        want = [_jacobi_mp(alpha, beta, lam, x) for x in xs]
+        assert np.max(np.abs(row - want)) <= 1e-10, lam
+    above = np.array([1.01 * bound, 2500.0])
+    mixed = np.r_[below[:1], above]
+    got = fam.kernel(mixed, xs)
+    assert np.array_equal(got[1:], kernel.kernel_table(fam.problem, above,
+                                                       xs))
+    assert np.array_equal(got[0], fam.kernel(below[:1], xs)[0])
+    for x, val in zip(xs[[6, 16]], got[2, [6, 16]]):
+        assert abs(val - _jacobi_mp(alpha, beta, 2500.0, x)) <= 1e-10, x
 
 
 def test_jacobi_kernel_far_out_against_mpmath():

@@ -418,6 +418,23 @@ def test_points_inside_the_second_step_of_a_pair():
         assert np.all(err >= actual), lam
 
 
+def test_err_est_covers_the_first_step_pair(monkeypatch):
+    # both passes start from one state, so the first pair's points carry
+    # no difference of the passes; they take the pair's own, which covers
+    # the error there also with steps 4e3 times coarser than the default
+    monkeypatch.setattr(kernel, "_STEP_TOL", 1e-6)
+    monkeypatch.setattr(kernel, "_STEP_COARSEN", 8.0)
+    lam = 25.0
+    eng = kernel.get_engine(_whittaker0(), 3.0)
+    t = eng._steps(lam, eng.switch_x(lam), 3.0)
+    xs = np.r_[np.linspace(t[0], t[2], 12)[1:-1],
+               np.linspace(t[2], t[6], 9)[1:]]
+    w, _, err = eng.eval_many(lam, xs)
+    actual = np.abs(w - [_whittaker0_mp(lam, x) for x in xs])
+    assert np.max(actual) > 1e-11
+    assert np.all(err >= actual)
+
+
 def test_march_carries_the_difference_by_the_fine_steps():
     # a pair's points: its first edge (a partial step of length 0), one in
     # its first step and one in its second; each takes one partial step

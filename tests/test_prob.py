@@ -96,6 +96,28 @@ def test_levy_khintchine_exponent(cosine):
         == pytest.approx(0.0, abs=1e-12)
 
 
+def test_levy_semigroup_takes_psi_per_lambda_block(cosine):
+    # the Levy exponent takes the synthesis's lam blocks whole: one kernel
+    # call and one row sum per block give the lam-by-lam values
+    nu = measures.MeasureRepr(atoms=((0.7, 0.3), (1.6, 0.2)))
+    triple = prob.LevyTriple(0.5, nu)
+    lams = np.linspace(0.0, 40.0, 7)
+    got = prob.levy_khintchine_exponent(cosine, triple, lams)
+    want = [prob.levy_khintchine_exponent(cosine, triple, lam)
+            for lam in lams]
+    assert isinstance(want[0], float)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    xg = np.linspace(0.0, 12.0, 1201)
+    mu = prob.semigroup_measure(
+        cosine, lambda l: prob.levy_khintchine_exponent(cosine, triple, l),
+        0.5, xg)
+    ref = prob.semigroup_measure(
+        cosine, lambda l: np.array([prob.levy_khintchine_exponent(
+            cosine, triple, lam) for lam in l.tolist()]), 0.5, xg)
+    np.testing.assert_allclose(mu.segments[0].density,
+                               ref.segments[0].density, rtol=0, atol=1e-14)
+
+
 def test_levy_triple_rejects_negative_scale():
     with pytest.raises(errors.ValidationError):
         prob.LevyTriple(gaussian_scale=-1.0,

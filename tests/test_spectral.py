@@ -329,3 +329,110 @@ def test_forward_transform_with_lambda_zero_takes_no_early_table(monkeypatch):
     # gave
     np.testing.assert_allclose(got, [1.0 / 140.0, 8.885469501324521e-4],
                                rtol=0, atol=1e-12)
+
+
+def _scalar_width(problem, tau, x, span):
+    # the bound W at one point, from one scalar p and r read
+    p, r = problem.p_val(x), problem.r_val(x)
+    w = span / 24
+    if p > 0 and r > 0 and np.isfinite(p) and np.isfinite(r):
+        w = min(w, 0.5 * math.pi / tau * math.sqrt(p / r))
+    return max(w, 1e-6 * span)
+
+
+def _loop_edges(problem, tau, lo, hi):
+    # the panel rule laid one panel at a time, each as wide as W at its
+    # left end: the reference the array layout's node counts are held to
+    span = hi - lo
+    edges, x = [lo], lo
+    while x < hi:
+        x = min(x + _scalar_width(problem, tau, max(x, lo + 1e-12 * span),
+                                  span), hi)
+        edges.append(x)
+    return np.array(edges)
+
+
+_CUBIC = {"p": "x^3", "r": "x^3", "a": 0, "b": "inf", "c": 1}
+
+
+@pytest.mark.parametrize("name,params,lo,hi", [
+    ("whittaker", {"alpha": 0.0}, 0.0, 3.0),
+    ("hankel", {"alpha": 1.0}, 0.0, 6.0)])
+def test_transform_rule_panels_fit_the_width_bound(name, params, lo, hi):
+    # every panel is no wider than W at either end, or no wider than the
+    # floor; on whittaker W grows from a (sqrt(p/r) = x), on hankel it is
+    # constant
+    problem = families.make_family(name, params).problem
+    span = hi - lo
+    for lam in (25.0, 400.0, 2500.0):
+        tau = math.sqrt(lam)
+        edges = spectral._panel_edges(problem, tau, lo, hi)
+        assert edges[0] == lo and edges[-1] == hi
+        d = np.diff(edges)
+        assert np.all(d > 0.0)
+        w = np.array([_scalar_width(problem, tau, x, span) for x in
+                      np.maximum(edges, lo + 1e-12 * span).tolist()])
+        bound = np.maximum(np.minimum(w[:-1], w[1:]), 1e-6 * span)
+        assert np.all(d <= bound * (1.0 + 1e-9)), lam
+
+
+def test_transform_rule_takes_array_coefficient_calls(monkeypatch):
+    # p and r are read on arrays only, a bounded number of times
+    calls = []
+
+    def arrays_only(fn):
+        def read(self, x):
+            assert np.ndim(x) > 0
+            calls.append(np.size(x))
+            return fn(self, x)
+        return read
+
+    for attr in ("p_val", "r_val"):
+        monkeypatch.setattr(slmodel.SLProblem, attr, arrays_only(
+            getattr(slmodel.SLProblem, attr)))
+    cases = [(families.make_family("whittaker", {"alpha": 0.0}).problem,
+              0.0, 3.0),
+             (families.make_family("hankel", {"alpha": 1.0}).problem,
+              0.0, 6.0),
+             (slmodel.custom_problem_from_dict(_CUBIC), 1.0, 2.0)]
+    for problem, lo, hi in cases:
+        for lam in (0.0, 25.0, 2500.0):
+            calls.clear()
+            nodes, wts = spectral._transform_rule(
+                problem, np.exp, np.array([lam]), lo, hi)
+            assert len(nodes) == len(wts) > 0
+            assert 0 < len(calls) <= 24
+
+
+@pytest.mark.parametrize("problem,lo,hi,growth", [
+    (families.make_family("hankel", {"alpha": 1.0}).problem, 0.0, 6.0, 0.0),
+    (families.make_family("cosine").problem, 0.0, 3.0, 0.0),
+    (families.make_family("jacobi", {"alpha": 1.0, "beta": 0.0}).problem,
+     0.0, 4.0, 0.0),
+    (slmodel.custom_problem_from_dict(_CUBIC), 8.0, 16.0, 0.0),
+    (families.make_family("whittaker", {"alpha": 0.0}).problem, 0.2, 3.5,
+     0.1),
+    (slmodel.custom_problem_from_dict(
+        {"p": "x^2", "r": "1", "a": 0, "b": "inf", "c": 1}), 0.0, 3.0, 0.1)],
+    ids=["hankel", "cosine", "jacobi", "cubic", "whittaker", "p=x^2"])
+def test_transform_rule_node_counts(problem, lo, hi, growth):
+    # where sqrt(p/r) is constant no more panels than the loop lays, and
+    # within 10% of it where it varies
+    for lam in (4.0, 25.0, 400.0, 2500.0):
+        tau = math.sqrt(lam)
+        got = len(spectral._panel_edges(problem, tau, lo, hi))
+        want = len(_loop_edges(problem, tau, lo, hi))
+        assert got <= want * (1.0 + growth), lam
+
+
+def test_measure_transform_lambda_array_matches_scalar():
+    fam = families.make_family("hankel", {"alpha": 1.0})
+    mu = measures.MeasureRepr(atoms=((0.5, 0.3), (1.7, 0.2)), segments=(
+        measures.Segment(0.4, 1.2, np.linspace(0.4, 1.2, 9),
+                         np.linspace(1.0, 2.0, 9)),))
+    lams = np.array([0.0, 0.7, 4.0, 30.0])
+    got = spectral.measure_transform(fam, mu, lams)
+    assert got.shape == lams.shape
+    want = [spectral.measure_transform(fam, mu, lam) for lam in lams]
+    assert all(isinstance(v, float) for v in want)
+    assert np.array_equal(got, want)
